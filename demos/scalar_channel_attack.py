@@ -26,8 +26,7 @@ from dropattack import (
     expected_attacked_cost,
     feedback_benefit,
     nominal_expected_cost,
-    optimal_alpha_tcp,
-    optimal_alpha_udp,
+    optimal_alpha,
     perfect_channel_condition_tcp,
     SystemModel,
 )
@@ -60,22 +59,19 @@ def describe(protocol):
     print(f"nominal expected cost     {baseline:.4f}")
     print(f"feedback benefit          {feedback_benefit(ctx):.4f}")
 
-    if protocol is Protocol.UDP_LIKE:
-        char = optimal_alpha_udp(ctx)
-    else:
-        char = optimal_alpha_tcp(ctx)
+    char = optimal_alpha(ctx)
     print(f"objective curvature class {char.convexity.value}")
     print(f"best stationary rate      {char.alpha_star:.4f}"
           f"   (objective {char.objective_star:+.4f})")
 
     # closed-form increases at the band edges and notable interior points
-    reports = [cost_increase_alpha0(ctx, model)]
     if protocol is Protocol.UDP_LIKE:
-        reports.append(cost_increase_alpha1_udp(ctx, model))
-        if char.convexity.value == "concave":
-            reports.append(cost_increase_alphamax_udp(ctx, model))
+        flooding = cost_increase_alpha1_udp(ctx, model)
     else:
-        reports.append(cost_increase_alpha1_tcp(ctx, model))
+        flooding = cost_increase_alpha1_tcp(ctx, model)
+    reports = [cost_increase_alpha0(ctx, model), flooding]
+    if char.convexity.value == "concave":
+        reports.append(cost_increase_alphamax_udp(ctx, model))
     print("\nclosed-form cost increases")
     for report in reports:
         print(f"  {report.regime:<10} increase {report.increase:+9.4f}")
@@ -86,15 +82,11 @@ def describe(protocol):
 
     # paired Monte-Carlo check of the same closed forms
     print("\npaired Monte-Carlo validation (1e5 samples)")
-    checks = [("all-drop", 0.0, cost_increase_alpha0(ctx, model).increase)]
-    if protocol is Protocol.UDP_LIKE:
-        checks.append(
-            ("flooding", 1.0, cost_increase_alpha1_udp(ctx, model).increase))
-    else:
-        checks.append(
-            ("flooding", 1.0, cost_increase_alpha1_tcp(ctx, model).increase))
-    checks.append(("optimum", char.alpha_star,
-                   attacked - baseline))
+    checks = [
+        ("all-drop", 0.0, reports[0].increase),
+        ("flooding", 1.0, flooding.increase),
+        ("optimum", char.alpha_star, attacked - baseline),
+    ]
     for name, alpha, analytic in checks:
         mean, se = empirical_increase(
             ens, model, ctx.gain, x, alpha, samples=100_000, seed=7)

@@ -21,7 +21,7 @@ from dropattack import (
     SystemModel,
     attack_context,
     build_prediction_ensemble,
-    build_qp_udp,
+    build_qp,
     monte_carlo,
     solve_box_qp_max,
     solve_iid_constrained,
@@ -71,7 +71,7 @@ def closed_loop_ordering():
     ens = build_prediction_ensemble(model)
     ctx = attack_context(
         ens, model, channel, detection, Protocol.UDP_LIKE, model.init_mean)
-    qp = build_qp_udp(ctx)
+    qp = build_qp(ctx)
     stationary = solve_iid_constrained(qp)
     schedule = solve_box_qp_max(qp)
     print(f"stationary rates  {np.round(stationary.means[0], 3)}"
@@ -108,7 +108,7 @@ def burst_schedule():
     ctx = attack_context(
         ens, model, channel, detection, Protocol.UDP_LIKE, np.ones(model.n))
 
-    qp = build_qp_udp(ctx)
+    qp = build_qp(ctx)
     stationary = solve_iid_constrained(qp)
     schedule = solve_box_qp_max(qp)
     margin = schedule.objective - stationary.objective

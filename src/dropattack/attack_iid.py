@@ -1,25 +1,44 @@
-"""Optimal stationary (IID) packet-drop attacks against both protocols.
+"""The attack quadratic at one state, and the stationary (IID) attack.
 
-The attacker replaces every channel's delivery probability by a single rate
-``alpha`` chosen inside the monitor's tolerance band.  With the operator's
-input sequence held at its nominal gain, the expected horizon cost shifts by
-a quadratic in ``alpha``:
+With the operator's input sequence held at its nominal gain, letting the
+attacker choose the stacked per-step, per-channel delivery rates ``z``
+(step-major, matching the input stack) shifts the expected horizon cost by
 
-    udp:  obj(a) = a * u'(a G_in + (1-a) D_in + P - 2 K) u
-    tcp:  obj(a) = -a * u'(G_in (2 nu - a I) + P) u
+    obj(z) = z' H z + c' z
 
-where ``u`` is the nominal optimal sequence, ``G_in`` the input Gramian,
-``D_in`` its diagonal, ``P`` the input penalty, ``K`` the gain kernel and
-``nu`` the stacked nominal means.  Positive values mean the operator pays
-more than under the nominal channel.  Being one-dimensional quadratics,
-both are maximized over the admissible interval by comparing the endpoints
-and, when the curve is concave, its interior stationary point; the tcp
-curve is convex whenever the plant is input-reachable, so its maximum is
-always at an endpoint.
+with ``U = u u'`` the outer product of the nominal optimal sequence and, for
+the udp-like loop,
+
+    H = (G_in - D_in) o U
+    c = -[(D_in + P + 2 (G_in - D_in) Nu) U]_diag
+
+and for the tcp-like loop
+
+    H = G_in o U
+    c = -[(P + 2 G_in Nu) U]_diag
+
+(``G_in`` the input Gramian, ``D_in`` its diagonal, ``P`` the input
+penalty, ``Nu`` the stacked nominal means, ``o`` the elementwise product and
+``_diag`` the matrix diagonal).  The two protocols differ only in whether
+the delivery variance enters the cost, and :func:`build_qp` is the one
+place that decides it.
+
+The stationary attack replaces every channel's rate by one shared ``alpha``
+inside the monitor's tolerance band, i.e. restricts the quadratic to the
+line z = alpha 1:
+
+    obj(alpha) = (1'H1) alpha^2 + (1'c) alpha.
+
+Positive values mean the operator pays more than under the nominal channel.
+A one-dimensional quadratic is maximized over the admissible interval by
+comparing the endpoints and, when the curve is concave, its interior
+stationary point; the tcp curve is convex (H is positive semidefinite), so
+its maximum is always at an endpoint.
 """
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,17 +50,16 @@ from .model import PredictionEnsemble, SystemModel
 __all__ = [
     "Convexity",
     "AttackContext",
+    "BoxQP",
     "ObjectiveQuadratic",
     "AttackCharacterization",
     "PerfectChannelReport",
     "attack_context",
-    "udp_objective",
-    "udp_objective_coeffs",
-    "peak_alpha_udp",
+    "build_qp",
+    "objective_coeffs",
+    "stationary_alpha",
+    "optimal_alpha",
     "optimal_alpha_udp",
-    "tcp_objective",
-    "tcp_objective_coeffs",
-    "trough_alpha_tcp",
     "optimal_alpha_tcp",
     "perfect_channel_condition_tcp",
 ]
@@ -78,6 +96,18 @@ class AttackContext:
     @property
     def protocol(self) -> Protocol:
         return self.gain.protocol
+
+    @cached_property
+    def qp(self) -> "BoxQP":
+        """The attack quadratic at this state, built on first use."""
+        return build_qp(self)
+
+    def require_protocol(self, protocol: Protocol, fname: str):
+        if self.protocol is not protocol:
+            raise DimensionError(
+                f"{fname} needs a {protocol.value}-like context, got "
+                f"{self.protocol.value}-like"
+            )
 
     def require_region(self):
         if self.region is None:
@@ -129,6 +159,57 @@ def attack_context(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class BoxQP:
+    """maximize z' H z + c' z subject to lo <= z <= hi elementwise.
+
+    ``index_map[i]`` gives the (horizon step, actuator channel) pair of
+    decision entry i; ``nominal`` holds the stacked nominal rates, used only
+    to break ties and seed the solver.
+    """
+
+    H: np.ndarray
+    c: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    index_map: tuple
+    nominal: np.ndarray
+    horizon: int
+    m: int
+
+    def objective(self, z: np.ndarray) -> float:
+        z = np.asarray(z, dtype=float)
+        return float(z @ (self.H @ z) + self.c @ z)
+
+
+def build_qp(ctx: AttackContext) -> BoxQP:
+    """Schedule-attack QP at the context's state, for its protocol."""
+    ens, u = ctx.ens, ctx.u_star
+    coupling = ens.input_gram
+    load = ctx.input_penalty
+    if ctx.protocol is Protocol.UDP_LIKE:
+        # without acknowledgements a delivery's variance is paid too: the
+        # same-entry terms leave the coupling and join the load
+        coupling = coupling - np.diag(ens.input_gram_diag)
+        load = np.diag(ens.input_gram_diag) + load
+    load = load + 2.0 * coupling * ctx.gain.mean_stack[None, :]
+    H = coupling * np.outer(u, u)
+    H = 0.5 * (H + H.T)
+    # c_i = -[(load) U]_ii = -u_i * (load @ u)_i
+    c = -(u * (load @ u))
+    N, m = ens.horizon, ens.m
+    return BoxQP(
+        H=H,
+        c=c,
+        lo=np.tile(ctx.channel_lo, N),
+        hi=np.tile(ctx.channel_hi, N),
+        index_map=tuple((k, i) for k in range(N) for i in range(m)),
+        nominal=np.tile(ctx.nominal_means, N),
+        horizon=N,
+        m=m,
+    )
+
+
 @dataclass(frozen=True)
 class ObjectiveQuadratic:
     """The attack objective as a quadratic through the origin.
@@ -165,16 +246,19 @@ class AttackCharacterization:
     degenerate: bool = field(default=False)  # flat objective, rate moot
 
 
-def _require_protocol(ctx: AttackContext, protocol: Protocol, fname: str):
-    if ctx.protocol is not protocol:
-        raise DimensionError(
-            f"{fname} needs a {protocol.value}-like context, got "
-            f"{ctx.protocol.value}-like"
-        )
+def objective_coeffs(source: AttackContext | BoxQP) -> ObjectiveQuadratic:
+    """The attack quadratic restricted to a shared rate, z = a 1.
 
-
-def _quad(u: np.ndarray, M: np.ndarray) -> float:
-    return float(u @ (M @ u))
+    ``source`` is a context (its quadratic is used) or a QP.  The curvature
+    1'H1 is, for udp, the off-diagonal form u'(G_in - D_in)u: it vanishes
+    identically for decoupled plants (A = 0 with diagonal B) and for a
+    single-step horizon with one channel.  For tcp it is u'G_in u, strictly
+    positive on input-reachable plants.
+    """
+    qp = source.qp if isinstance(source, AttackContext) else source
+    return ObjectiveQuadratic(
+        linear=float(np.sum(qp.c)), curvature=float(np.sum(qp.H))
+    )
 
 
 def _curvature_scale(ctx: AttackContext) -> float:
@@ -182,45 +266,17 @@ def _curvature_scale(ctx: AttackContext) -> float:
     return float(np.linalg.norm(ctx.ens.input_gram)) * u2
 
 
-# ---------------------------------------------------------------- udp side
+def stationary_alpha(ctx: AttackContext, coeffs: ObjectiveQuadratic | None = None) -> float:
+    """Stationary rate of the shared-rate objective.
 
-def udp_objective(ctx: AttackContext, alpha: float) -> float:
-    """Expected-cost shift of the udp-like loop at attack rate ``alpha``."""
-    _require_protocol(ctx, Protocol.UDP_LIKE, "udp_objective")
-    u = ctx.u_star
-    M = (
-        alpha * ctx.ens.input_gram
-        + np.diag((1.0 - alpha) * ctx.ens.input_gram_diag)
-        + ctx.input_penalty
-        - 2.0 * ctx.gain.kernel
-    )
-    return alpha * _quad(u, M)
-
-
-def udp_objective_coeffs(ctx: AttackContext) -> ObjectiveQuadratic:
-    """Linear and quadratic coefficients of the udp objective.
-
-    The curvature is the familiar off-diagonal quadratic form
-    u'(G_in - D_in)u: it vanishes identically for decoupled plants
-    (A = 0 with diagonal B) and for a single-step horizon on a scalar
-    plant, where every loss term is a same-entry term.
+    For a concave (udp) curve this is its peak.  For a convex curve it is
+    the minimizer, the attack that HELPS most: on the tcp curve it always
+    exceeds the nominal rate (the slope at nominal is the negated
+    input-penalty form, strictly negative for a nonzero sequence).  It is
+    returned unclamped, also when it falls outside [0, 1).
     """
-    _require_protocol(ctx, Protocol.UDP_LIKE, "udp_objective_coeffs")
-    u = ctx.u_star
-    off = ctx.ens.input_gram - np.diag(ctx.ens.input_gram_diag)
-    curvature = _quad(u, off)
-    linear = (
-        _quad(u, ctx.input_penalty)
-        + float(u @ (ctx.ens.input_gram_diag * u))
-        - 2.0 * _quad(u, ctx.gain.kernel)
-    )
-    return ObjectiveQuadratic(linear=linear, curvature=curvature)
-
-
-def peak_alpha_udp(ctx: AttackContext, coeffs: ObjectiveQuadratic | None = None) -> float:
-    """Interior stationary rate of the udp objective (its peak if concave)."""
     if coeffs is None:
-        coeffs = udp_objective_coeffs(ctx)
+        coeffs = objective_coeffs(ctx)
     tol = 1e-12 * _curvature_scale(ctx)
     if abs(coeffs.curvature) <= tol:
         raise ValueError(
@@ -247,20 +303,22 @@ def _pick(candidates, nominal: float):
     return alpha, value
 
 
-def optimal_alpha_udp(ctx: AttackContext) -> AttackCharacterization:
-    """Best stationary attack rate for the udp-like loop.
+def optimal_alpha(ctx: AttackContext) -> AttackCharacterization:
+    """Best stationary attack rate.
 
     The maximum of a quadratic over an interval is at an endpoint, or at
     the interior stationary point when the curve is concave and the point
     falls inside the band.  A flat objective (zero sequence, e.g. x = 0)
     is flagged degenerate and answered with the nominal rate.
     """
-    _require_protocol(ctx, Protocol.UDP_LIKE, "optimal_alpha_udp")
     lo, hi = ctx.require_region()
-    coeffs = udp_objective_coeffs(ctx)
-    tol = 1e-12 * _curvature_scale(ctx)
-    convexity = _classify(coeffs.curvature, tol)
+    coeffs = objective_coeffs(ctx)
+    convexity = _classify(coeffs.curvature, 1e-12 * _curvature_scale(ctx))
+    assert ctx.protocol is Protocol.UDP_LIKE or convexity is not Convexity.CONCAVE, (
+        "tcp-like curvature u'G_in u is nonnegative"
+    )
 
+    # the linear coefficient is u'(P [+ D_in] - 2 K)u for either protocol
     slope_scale = (
         float(np.linalg.norm(ctx.input_penalty))
         + float(np.linalg.norm(ctx.ens.input_gram))
@@ -271,7 +329,7 @@ def optimal_alpha_udp(ctx: AttackContext) -> AttackCharacterization:
     ):
         mu = min(max(ctx.nominal_scalar, lo), hi)
         return AttackCharacterization(
-            protocol=Protocol.UDP_LIKE,
+            protocol=ctx.protocol,
             convexity=convexity,
             alpha_star=mu,
             objective_star=coeffs.value(mu),
@@ -284,12 +342,12 @@ def optimal_alpha_udp(ctx: AttackContext) -> AttackCharacterization:
     candidates = [(lo, coeffs.value(lo)), (hi, coeffs.value(hi))]
     alpha_peak = None
     if convexity is Convexity.CONCAVE:
-        alpha_peak = peak_alpha_udp(ctx, coeffs)
+        alpha_peak = stationary_alpha(ctx, coeffs)
         if lo <= alpha_peak <= hi:
             candidates.append((alpha_peak, coeffs.value(alpha_peak)))
     alpha_star, objective_star = _pick(candidates, ctx.nominal_scalar)
     return AttackCharacterization(
-        protocol=Protocol.UDP_LIKE,
+        protocol=ctx.protocol,
         convexity=convexity,
         alpha_star=alpha_star,
         objective_star=objective_star,
@@ -299,87 +357,16 @@ def optimal_alpha_udp(ctx: AttackContext) -> AttackCharacterization:
     )
 
 
-# ---------------------------------------------------------------- tcp side
-
-def tcp_objective(ctx: AttackContext, alpha: float) -> float:
-    """Expected-cost shift of the tcp-like loop at attack rate ``alpha``."""
-    _require_protocol(ctx, Protocol.TCP_LIKE, "tcp_objective")
-    u = ctx.u_star
-    scaled = ctx.ens.input_gram * (2.0 * ctx.gain.mean_stack - alpha)[None, :]
-    return -alpha * _quad(u, scaled + ctx.input_penalty)
-
-
-def tcp_objective_coeffs(ctx: AttackContext) -> ObjectiveQuadratic:
-    """Coefficients of the tcp objective.
-
-    Curvature u' G_in u is nonnegative, and strictly positive on
-    input-reachable plants, so the curve is convex: the worst admissible
-    rate is always at an endpoint of the band.
-    """
-    _require_protocol(ctx, Protocol.TCP_LIKE, "tcp_objective_coeffs")
-    u = ctx.u_star
-    curvature = _quad(u, ctx.ens.input_gram)
-    linear = -(
-        2.0 * float(u @ (ctx.ens.input_gram @ (ctx.gain.mean_stack * u)))
-        + _quad(u, ctx.input_penalty)
-    )
-    return ObjectiveQuadratic(linear=linear, curvature=curvature)
-
-
-def trough_alpha_tcp(ctx: AttackContext, coeffs: ObjectiveQuadratic | None = None) -> float:
-    """Stationary rate of the tcp objective: the attack that HELPS most.
-
-    Because the curve is convex this is the objective's minimizer.  It
-    always exceeds the nominal rate (the slope at nominal is the negated
-    input-penalty form, which is strictly negative for a nonzero
-    sequence), and is returned unclamped as a diagnostic even when it
-    falls outside [0, 1).
-    """
-    if coeffs is None:
-        coeffs = tcp_objective_coeffs(ctx)
-    tol = 1e-12 * _curvature_scale(ctx)
-    if abs(coeffs.curvature) <= tol:
-        raise ValueError(
-            "objective has no interior stationary point: curvature is zero"
-        )
-    return -coeffs.linear / (2.0 * coeffs.curvature)
+def optimal_alpha_udp(ctx: AttackContext) -> AttackCharacterization:
+    """:func:`optimal_alpha` for a context that must be udp-like."""
+    ctx.require_protocol(Protocol.UDP_LIKE, "optimal_alpha_udp")
+    return optimal_alpha(ctx)
 
 
 def optimal_alpha_tcp(ctx: AttackContext) -> AttackCharacterization:
-    """Best stationary attack rate for the tcp-like loop (an endpoint)."""
-    _require_protocol(ctx, Protocol.TCP_LIKE, "optimal_alpha_tcp")
-    lo, hi = ctx.require_region()
-    coeffs = tcp_objective_coeffs(ctx)
-    tol = 1e-12 * _curvature_scale(ctx)
-    convexity = _classify(coeffs.curvature, tol)
-    if convexity is Convexity.LINEAR and abs(coeffs.linear) <= 1e-12 * max(
-        1e-300,
-        (
-            float(np.linalg.norm(ctx.input_penalty))
-            + float(np.linalg.norm(ctx.ens.input_gram))
-        )
-        * float(ctx.u_star @ ctx.u_star),
-    ):
-        mu = min(max(ctx.nominal_scalar, lo), hi)
-        return AttackCharacterization(
-            protocol=Protocol.TCP_LIKE,
-            convexity=convexity,
-            alpha_star=mu,
-            objective_star=coeffs.value(mu),
-            candidates=[(mu, coeffs.value(mu))],
-            curvature=coeffs.curvature,
-            degenerate=True,
-        )
-    candidates = [(lo, coeffs.value(lo)), (hi, coeffs.value(hi))]
-    alpha_star, objective_star = _pick(candidates, ctx.nominal_scalar)
-    return AttackCharacterization(
-        protocol=Protocol.TCP_LIKE,
-        convexity=convexity,
-        alpha_star=alpha_star,
-        objective_star=objective_star,
-        candidates=candidates,
-        curvature=coeffs.curvature,
-    )
+    """:func:`optimal_alpha` for a context that must be tcp-like."""
+    ctx.require_protocol(Protocol.TCP_LIKE, "optimal_alpha_tcp")
+    return optimal_alpha(ctx)
 
 
 @dataclass(frozen=True)
@@ -400,8 +387,8 @@ class PerfectChannelReport:
 
 
 def perfect_channel_condition_tcp(ctx: AttackContext) -> PerfectChannelReport:
-    _require_protocol(ctx, Protocol.TCP_LIKE, "perfect_channel_condition_tcp")
-    g1 = tcp_objective(ctx, 1.0)
+    ctx.require_protocol(Protocol.TCP_LIKE, "perfect_channel_condition_tcp")
+    g1 = objective_coeffs(ctx).value(1.0)
     scaled = ctx.ens.input_gram * (1.0 - 2.0 * ctx.gain.mean_stack)[None, :]
     S = 0.5 * (scaled + scaled.T) - ctx.input_penalty
     min_eig = float(np.linalg.eigvalsh(S)[0])

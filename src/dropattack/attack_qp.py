@@ -1,27 +1,12 @@
 """Non-stationary packet-drop attacks: one loss rate per step and channel.
 
 Letting the attacker vary the per-step means over the prediction horizon
-turns the scalar quadratic of the stationary attack into a box-constrained
-quadratic program.  Writing ``z`` for the stacked per-step, per-channel
-rates (step-major, matching the input stack) and ``U = u u'`` for the outer
-product of the operator's optimal sequence, the expected-cost shift is
-
-    obj(z) = z' H z + c' z
-
-with, for the udp-like loop,
-
-    H = (G_in - D_in) o U
-    c = -[(D_in + P + 2 (G_in - D_in) Nu) U]_diag
-
-and for the tcp-like loop
-
-    H = G_in o U
-    c = -[(P + 2 G_in Nu) U]_diag
-
-(``o`` elementwise product, ``Nu`` the stacked nominal means, ``_diag`` the
-matrix diagonal).  Restricted to a constant schedule z = a 1 these reduce
-exactly to the stationary objectives, so the best schedule can never lose
-to the best stationary rate once the stationary optimum is kept as a
+turns the scalar quadratic of the stationary attack into the
+box-constrained quadratic program built by
+:func:`~dropattack.attack_iid.build_qp`: maximize z'Hz + c'z over the
+per-channel detection bands.  Restricted to a constant schedule z = a 1 it
+reduces exactly to the stationary objective, so the best schedule can never
+lose to the best stationary rate once the stationary optimum is kept as a
 candidate.
 
 The maximization is NOT a convex program (for udp H is traceless, hence
@@ -35,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack_iid import AttackContext
+from .attack_iid import AttackContext, BoxQP, build_qp
 from .controller import Protocol
 from .errors import DimensionError
 
 __all__ = [
-    "BoxQP",
     "SolverSettings",
     "AttackSchedule",
     "build_qp_udp",
@@ -49,29 +33,6 @@ __all__ = [
     "solve_box_qp_max",
     "solve_iid_constrained",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class BoxQP:
-    """maximize z' H z + c' z subject to lo <= z <= hi elementwise.
-
-    ``index_map[i]`` gives the (horizon step, actuator channel) pair of
-    decision entry i; ``nominal`` holds the stacked nominal rates, used only
-    to break ties and seed the solver.
-    """
-
-    H: np.ndarray
-    c: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    index_map: tuple
-    nominal: np.ndarray
-    horizon: int
-    m: int
-
-    def objective(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(z @ (self.H @ z) + self.c @ z)
 
 
 @dataclass(frozen=True)
@@ -104,48 +65,16 @@ class AttackSchedule:
         return self.means.reshape(-1).copy()
 
 
-def _build_qp(ctx: AttackContext, coupling: np.ndarray, load: np.ndarray) -> BoxQP:
-    u = ctx.u_star
-    U = np.outer(u, u)
-    H = coupling * U
-    H = 0.5 * (H + H.T)
-    # c_i = -[(load) U]_ii = -u_i * (load @ u)_i
-    c = -(u * (load @ u))
-    N, m = ctx.ens.horizon, ctx.ens.m
-    return BoxQP(
-        H=H,
-        c=c,
-        lo=np.tile(ctx.channel_lo, N),
-        hi=np.tile(ctx.channel_hi, N),
-        index_map=tuple((k, i) for k in range(N) for i in range(m)),
-        nominal=np.tile(ctx.nominal_means, N),
-        horizon=N,
-        m=m,
-    )
-
-
 def build_qp_udp(ctx: AttackContext) -> BoxQP:
-    """Schedule-attack QP for the udp-like loop."""
-    if ctx.protocol is not Protocol.UDP_LIKE:
-        raise DimensionError("build_qp_udp needs a udp-like context")
-    off = ctx.ens.input_gram - np.diag(ctx.ens.input_gram_diag)
-    load = (
-        np.diag(ctx.ens.input_gram_diag)
-        + ctx.input_penalty
-        + 2.0 * off * ctx.gain.mean_stack[None, :]
-    )
-    return _build_qp(ctx, off, load)
+    """:func:`build_qp` for a context that must be udp-like."""
+    ctx.require_protocol(Protocol.UDP_LIKE, "build_qp_udp")
+    return build_qp(ctx)
 
 
 def build_qp_tcp(ctx: AttackContext) -> BoxQP:
-    """Schedule-attack QP for the tcp-like loop."""
-    if ctx.protocol is not Protocol.TCP_LIKE:
-        raise DimensionError("build_qp_tcp needs a tcp-like context")
-    load = (
-        ctx.input_penalty
-        + 2.0 * ctx.ens.input_gram * ctx.gain.mean_stack[None, :]
-    )
-    return _build_qp(ctx, ctx.ens.input_gram, load)
+    """:func:`build_qp` for a context that must be tcp-like."""
+    ctx.require_protocol(Protocol.TCP_LIKE, "build_qp_tcp")
+    return build_qp(ctx)
 
 
 def schedule_objective(qp: BoxQP, schedule: np.ndarray) -> float:
@@ -171,11 +100,13 @@ def _residuals(H, c, lo, hi, Z):
     return np.max(np.abs(proj - Z), axis=1)
 
 
-def _ascend(H, c, lo, hi, Z0, settings: SolverSettings):
-    """Monotone projected gradient ascent, batched over starting points."""
+def _ascend(H, c, lo, hi, Z0, eigs, settings: SolverSettings):
+    """Monotone projected gradient ascent, batched over starting points.
+
+    ``eigs`` is the spectrum of H; it fixes the initial step.
+    """
     Z = Z0.copy()
     vals = _batch_objective(H, c, Z)
-    eigs = np.linalg.eigvalsh(H)
     lipschitz = 2.0 * max(float(np.abs(eigs).max()), 1e-300)
     t = np.full(Z.shape[0], 1.0 / lipschitz)
     tol = settings.stationarity_tol * (1.0 + float(np.linalg.norm(c)))
@@ -222,8 +153,8 @@ def _maximize_box(H, c, lo, hi, nominal, settings: SolverSettings):
         vv = _batch_objective(H, c, V)
         candidates.append((V[int(np.argmax(vv))].copy(), "vertex"))
 
-    eig_max = float(np.linalg.eigvalsh(H)[-1])
-    if eig_max < 0.0:
+    eigs = np.linalg.eigvalsh(H)
+    if eigs[-1] < 0.0:
         # strictly concave: the unconstrained peak is the global maximizer
         # whenever it is feasible
         z_int = np.linalg.solve(-2.0 * H, c)
@@ -240,7 +171,7 @@ def _maximize_box(H, c, lo, hi, nominal, settings: SolverSettings):
             z = lo + rng.integers(0, 2, d) * (hi - lo)
         starts.append(z)
     Z0 = np.array(starts[: settings.multistarts])
-    Z, vals = _ascend(H, c, lo, hi, Z0, settings)
+    Z, vals = _ascend(H, c, lo, hi, Z0, eigs, settings)
     candidates.append((Z[int(np.argmax(vals))].copy(), "gradient"))
 
     scored = [(z, val(z), tag) for z, tag in candidates]

@@ -28,14 +28,12 @@ import numpy as np
 
 from .attack_iid import (
     attack_context,
-    optimal_alpha_tcp,
-    optimal_alpha_udp,
+    objective_coeffs,
+    optimal_alpha,
     perfect_channel_condition_tcp,
-    tcp_objective_coeffs,
-    trough_alpha_tcp,
-    udp_objective_coeffs,
+    stationary_alpha,
 )
-from .attack_qp import build_qp_tcp, build_qp_udp, solve_box_qp_max, solve_iid_constrained
+from .attack_qp import solve_box_qp_max, solve_iid_constrained
 from .config import load_experiment
 from .controller import Protocol, control_gain, nominal_expected_cost
 from .costs import (
@@ -70,7 +68,7 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         value = float(obj)
         if not np.isfinite(value):
-            return "null"
+            raise NumericalError(f"non-finite value {value} in a report")
         return format(value, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -90,8 +88,9 @@ def _json_text(obj, indent: int = 0) -> str:
 
 
 def _write_json(path: str, obj) -> None:
+    text = _json_text(obj) + "\n"
     with open(path, "w") as handle:
-        handle.write(_json_text(obj) + "\n")
+        handle.write(text)
     log.info("wrote %s", path)
 
 
@@ -192,16 +191,11 @@ def _cmd_synthesize(args) -> int:
     }
 
     if ctx.region is not None:
-        char = (
-            optimal_alpha_udp(ctx)
-            if exp.protocol is Protocol.UDP_LIKE
-            else optimal_alpha_tcp(ctx)
-        )
-        out["iid_scalar"] = _characterization_json(char)
+        out["iid_scalar"] = _characterization_json(optimal_alpha(ctx))
     else:
         out["iid_scalar"] = None
 
-    qp = build_qp_udp(ctx) if exp.protocol is Protocol.UDP_LIKE else build_qp_tcp(ctx)
+    qp = ctx.qp
     iid_sol = solve_iid_constrained(qp)
     sched_sol = solve_box_qp_max(qp)
     out["iid_per_channel"] = {
@@ -268,11 +262,11 @@ def _cmd_analyze(args) -> int:
         ens, model, exp.channel, exp.detection, exp.protocol, x, gain
     )
     udp = exp.protocol is Protocol.UDP_LIKE
+    coeffs = objective_coeffs(ctx)
 
     regimes = {"alpha_0": _report_json(cost_increase_alpha0(ctx, model))}
     if udp:
         regimes["alpha_1"] = _report_json(cost_increase_alpha1_udp(ctx, model))
-        coeffs = udp_objective_coeffs(ctx)
         if coeffs.curvature < 0:
             regimes["alpha_peak"] = _report_json(
                 cost_increase_alphamax_udp(ctx, model)
@@ -288,18 +282,16 @@ def _cmd_analyze(args) -> int:
         "regimes": regimes,
     }
 
-    if ctx.region is not None:
-        char = optimal_alpha_udp(ctx) if udp else optimal_alpha_tcp(ctx)
+    char = optimal_alpha(ctx) if ctx.region is not None else None
+    if char is not None:
         optimal = {
             "characterization": _characterization_json(char),
             "expected_cost": expected_attacked_cost(
                 ctx, model, char.alpha_star
             ),
         }
-        if not udp:
-            coeffs = tcp_objective_coeffs(ctx)
-            if coeffs.curvature > 0:
-                optimal["trough_alpha"] = trough_alpha_tcp(ctx, coeffs)
+        if not udp and coeffs.curvature > 0:
+            optimal["trough_alpha"] = stationary_alpha(ctx, coeffs)
         out["optimal_iid"] = optimal
     else:
         out["optimal_iid"] = None
@@ -307,8 +299,7 @@ def _cmd_analyze(args) -> int:
     if args.empirical:
         samples = args.empirical
         empirical = {}
-        if ctx.region is not None:
-            char = optimal_alpha_udp(ctx) if udp else optimal_alpha_tcp(ctx)
+        if char is not None:
             mean, se = empirical_increase(
                 ens, model, gain, x, char.alpha_star, samples, exp.seed
             )
@@ -320,7 +311,7 @@ def _cmd_analyze(args) -> int:
                 "standard_error": se,
                 "samples": samples,
             }
-        qp = build_qp_udp(ctx) if udp else build_qp_tcp(ctx)
+        qp = ctx.qp
         sched = solve_box_qp_max(qp)
         mean, se = empirical_increase(
             ens, model, gain, x, sched.means, samples, exp.seed

@@ -58,15 +58,11 @@ class ControllerGain:
     ``kernel`` is the (N*m, N*m) matrix inverted (implicitly, via a stored
     factorization) against ``cross_gram @ x``.  ``mean_stack`` is the
     stacked per-step channel mean diagonal as a 1-D array of length N*m.
-    ``condition`` is the 2-norm condition number of the kernel, kept as a
-    diagnostic because a nearly singular kernel poisons every attack formula
-    downstream.
     """
 
     kernel: np.ndarray
     mean_stack: np.ndarray
     protocol: Protocol
-    condition: float
     _solve: object  # callable rhs -> kernel^{-1} rhs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -123,12 +119,10 @@ def control_gain(
     kernel = model.input_penalty + ens.input_gram * nu[None, :]
     if protocol is Protocol.UDP_LIKE:
         kernel = kernel + np.diag(ens.input_gram_diag * (1.0 - nu))
-    condition = float(np.linalg.cond(kernel))
     return ControllerGain(
         kernel=kernel,
         mean_stack=nu,
         protocol=protocol,
-        condition=condition,
         _solve=_make_solver(kernel),
     )
 
@@ -176,9 +170,6 @@ def nominal_expected_cost(
     ups = optimal_input_sequence(gain, ens, x)
     nu = gain.mean_stack
     fx = ens.cross_gram @ x
-    inner = ens.input_gram * nu[None, :] + model.input_penalty
-    if gain.protocol is Protocol.UDP_LIKE:
-        inner = inner + np.diag(ens.input_gram_diag * (1.0 - nu))
-    feedback = float(ups @ (nu * (2.0 * fx + inner @ ups)))
+    feedback = float(ups @ (nu * (2.0 * fx + gain.kernel @ ups)))
     const = float(x @ (model.Q + ens.state_gram) @ x)
     return const + ens.noise_cost_trace() + feedback

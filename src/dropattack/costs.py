@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack_iid import (
-    AttackContext,
-    tcp_objective,
-    udp_objective,
-    udp_objective_coeffs,
-)
-from .attack_qp import AttackSchedule, build_qp_tcp, build_qp_udp, schedule_objective
+from .attack_iid import AttackContext, objective_coeffs
+from .attack_qp import AttackSchedule, schedule_objective
 from .controller import Protocol, nominal_expected_cost
 from .errors import DimensionError
 from .model import SystemModel
@@ -92,8 +87,7 @@ def cost_increase_alpha1_udp(ctx: AttackContext, model: SystemModel) -> CostRepo
     the state-dependent condition under which the first objective term is
     itself positive.
     """
-    if ctx.protocol is not Protocol.UDP_LIKE:
-        raise DimensionError("cost_increase_alpha1_udp needs a udp-like context")
+    ctx.require_protocol(Protocol.UDP_LIKE, "cost_increase_alpha1_udp")
     u = ctx.u_star
     nu = ctx.gain.mean_stack
     fx = ctx.ens.cross_gram @ ctx.x
@@ -124,7 +118,8 @@ def cost_increase_alphamax_udp(ctx: AttackContext, model: SystemModel) -> CostRe
     increase = q0 - linear^2 / (4 curvature); the second term is the
     strictly positive bonus of sitting at the peak (curvature < 0 here).
     """
-    coeffs = udp_objective_coeffs(ctx)
+    ctx.require_protocol(Protocol.UDP_LIKE, "cost_increase_alphamax_udp")
+    coeffs = objective_coeffs(ctx)
     if coeffs.curvature >= 0.0:
         raise ValueError(
             "interior-peak regime needs a concave objective; curvature is "
@@ -148,8 +143,7 @@ def cost_increase_alpha1_tcp(ctx: AttackContext, model: SystemModel) -> CostRepo
     exactly the state-dependent perfect-channel condition: when positive,
     a perfect channel is WORSE for the operator than the nominal lossy one.
     """
-    if ctx.protocol is not Protocol.TCP_LIKE:
-        raise DimensionError("cost_increase_alpha1_tcp needs a tcp-like context")
+    ctx.require_protocol(Protocol.TCP_LIKE, "cost_increase_alpha1_tcp")
     u = ctx.u_star
     nu = ctx.gain.mean_stack
     scaled = ctx.ens.input_gram * (1.0 - 2.0 * nu)[None, :]
@@ -178,26 +172,17 @@ def expected_attacked_cost(
     """
     const = float(ctx.x @ ((model.Q + ctx.ens.state_gram) @ ctx.x))
     const += ctx.ens.noise_cost_trace()
-
+    qp = ctx.qp
     if attack is None:
         # nominal law == constant schedule at the nominal means
-        qp = (
-            build_qp_udp(ctx)
-            if ctx.protocol is Protocol.UDP_LIKE
-            else build_qp_tcp(ctx)
-        )
         return const + qp.objective(qp.nominal)
-
-    if np.isscalar(attack):
-        alpha = float(attack)
-        if ctx.protocol is Protocol.UDP_LIKE:
-            return const + udp_objective(ctx, alpha)
-        return const + tcp_objective(ctx, alpha)
 
     if isinstance(attack, AttackSchedule):
         schedule = attack.means
     else:
         schedule = np.asarray(attack, dtype=float)
+        if schedule.ndim == 0:
+            schedule = np.full(ctx.ens.m, float(schedule))
         if schedule.ndim == 1:
             if schedule.size != ctx.ens.m:
                 raise DimensionError(
@@ -205,11 +190,6 @@ def expected_attacked_cost(
                     f"got {schedule.size}"
                 )
             schedule = np.tile(schedule, (ctx.ens.horizon, 1))
-    qp = (
-        build_qp_udp(ctx)
-        if ctx.protocol is Protocol.UDP_LIKE
-        else build_qp_tcp(ctx)
-    )
     return const + schedule_objective(qp, schedule)
 
 

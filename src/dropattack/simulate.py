@@ -36,14 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack_iid import attack_context
-from .attack_qp import (
-    AttackSchedule,
-    SolverSettings,
-    build_qp_tcp,
-    build_qp_udp,
-    solve_box_qp_max,
-    solve_iid_constrained,
-)
+from .attack_qp import SolverSettings, solve_box_qp_max, solve_iid_constrained
 from .channel import (
     STREAM_INIT,
     STREAM_LOSS,
@@ -182,8 +175,7 @@ def resolve_attack(
                 {"kind": "iid", "fixed": True},
             )
         ctx = attack_context(ens, model, channel, detection, protocol, x, gain)
-        qp = build_qp_udp(ctx) if protocol is Protocol.UDP_LIKE else build_qp_tcp(ctx)
-        sol = solve_iid_constrained(qp, settings)
+        sol = solve_iid_constrained(ctx.qp, settings)
         return ResolvedAttack(
             "iid", plan.onset, sol.means[0].copy(), None,
             {
@@ -200,8 +192,7 @@ def resolve_attack(
             {"kind": "nonstat", "fixed": True},
         )
     ctx = attack_context(ens, model, channel, detection, protocol, x, gain)
-    qp = build_qp_udp(ctx) if protocol is Protocol.UDP_LIKE else build_qp_tcp(ctx)
-    sol = solve_box_qp_max(qp, settings)
+    sol = solve_box_qp_max(ctx.qp, settings)
     return ResolvedAttack(
         "nonstat", plan.onset, None, sol.means.copy(),
         {
@@ -333,12 +324,7 @@ def run_episode(
             ctx = attack_context(
                 ens, model, cfg.channel, cfg.detection, cfg.protocol, x, gain
             )
-            qp = (
-                build_qp_udp(ctx)
-                if cfg.protocol is Protocol.UDP_LIKE
-                else build_qp_tcp(ctx)
-            )
-            sol = solve_box_qp_max(qp, cfg.solver)
+            sol = solve_box_qp_max(ctx.qp, cfg.solver)
             means_k = sol.means[0]
         elif resolved is not None:
             means_k = resolved.means_at(k, nominal)
@@ -487,6 +473,50 @@ def _expand_step_means(ens: PredictionEnsemble, step_means) -> np.ndarray:
     return step_means
 
 
+def _horizon_rollout(ens, model, gain, x, samples, seed):
+    """Shared draws of ``samples`` horizon rollouts from ``x``.
+
+    Returns a function mapping stacked delivery thresholds to the per-sample
+    predicted-state and input cost (x'Qx excluded) of the operator's
+    sequence planned at ``x``.  Every call reuses the same noise and loss
+    uniforms, so different channel laws are compared on common random
+    numbers.
+    """
+    if samples < 2:
+        raise DimensionError(f"samples must be >= 2, got {samples}")
+    x = np.asarray(x, dtype=float)
+    u_star = -gain.solve(ens.cross_gram @ x)
+    base = ens.state_map @ x  # (N n,)
+    om = np.diagonal(model.state_penalty)
+    ps = np.diagonal(model.input_penalty)
+
+    noise_rng = philox_stream(seed, 0, STREAM_NOISE)
+    loss_rng = philox_stream(seed, 0, STREAM_LOSS)
+    n, N = ens.n, ens.horizon
+    chol = np.linalg.cholesky(model.noise_cov)
+    # stacked noise: per-step blocks share the same covariance
+    xi = noise_rng.standard_normal((samples, N, n)) @ chol.T
+    noise_part = xi.reshape(samples, N * n) @ ens.noise_map.T
+    # the tcp-like state penalty bridges two independent delivery draws
+    draws = 2 if gain.protocol is Protocol.TCP_LIKE else 1
+    uniforms = [loss_rng.random((samples, N * ens.m)) for _ in range(draws)]
+
+    def cost_under(thresholds):
+        delivered = [
+            (uni < thresholds[None, :]).astype(float) * u_star[None, :]
+            for uni in uniforms
+        ]
+        chi = [
+            base[None, :] + inputs @ ens.input_map.T + noise_part
+            for inputs in delivered
+        ]
+        state_cost = np.sum(chi[0] * om[None, :] * chi[-1], axis=1)
+        input_cost = np.sum(delivered[0] * ps[None, :] * delivered[0], axis=1)
+        return state_cost + input_cost
+
+    return cost_under
+
+
 def horizon_cost_samples(
     ens: PredictionEnsemble,
     model: SystemModel,
@@ -505,37 +535,9 @@ def horizon_cost_samples(
     tcp-like estimator uses two delivery draws per sample).
     """
     x = np.asarray(x, dtype=float)
-    step_means = _expand_step_means(ens, step_means)
-    thresholds = step_means.reshape(-1)
-
-    u_star = -gain.solve(ens.cross_gram @ x)
-    base = ens.state_map @ x  # (N n,)
-    om = np.diagonal(model.state_penalty)
-    ps = np.diagonal(model.input_penalty)
-    qx = float(x @ (model.Q @ x))
-
-    noise_rng = philox_stream(seed, 0, STREAM_NOISE)
-    loss_rng = philox_stream(seed, 0, STREAM_LOSS)
-    n, N = ens.n, ens.horizon
-    chol = np.linalg.cholesky(model.noise_cov)
-    # stacked noise: per-step blocks share the same covariance
-    xi = noise_rng.standard_normal((samples, N, n)) @ chol.T
-    xi = xi.reshape(samples, N * n)
-    noise_part = xi @ ens.noise_map.T
-
-    v1 = (loss_rng.random((samples, thresholds.size)) < thresholds).astype(float)
-    delivered1 = v1 * u_star[None, :]
-    chi1 = base[None, :] + delivered1 @ ens.input_map.T + noise_part
-    input_cost = np.sum(delivered1 * ps[None, :] * delivered1, axis=1)
-
-    if gain.protocol is Protocol.UDP_LIKE:
-        state_cost = np.sum(chi1 * om[None, :] * chi1, axis=1)
-    else:
-        v2 = (loss_rng.random((samples, thresholds.size)) < thresholds).astype(float)
-        chi2 = base[None, :] + (v2 * u_star[None, :]) @ ens.input_map.T + noise_part
-        state_cost = np.sum(chi1 * om[None, :] * chi2, axis=1)
-
-    return qx + state_cost + input_cost
+    thresholds = _expand_step_means(ens, step_means).reshape(-1)
+    cost_under = _horizon_rollout(ens, model, gain, x, samples, seed)
+    return float(x @ (model.Q @ x)) + cost_under(thresholds)
 
 
 def empirical_increase(
@@ -553,43 +555,10 @@ def empirical_increase(
     only the thresholds differ.  Returns (mean difference, standard error
     of the mean difference).
     """
-    x = np.asarray(x, dtype=float)
     attacked_thresholds = _expand_step_means(ens, step_means).reshape(-1)
-    nominal_thresholds = gain.mean_stack
-
-    u_star = -gain.solve(ens.cross_gram @ x)
-    base = ens.state_map @ x
-    om = np.diagonal(model.state_penalty)
-    ps = np.diagonal(model.input_penalty)
-
-    noise_rng = philox_stream(seed, 0, STREAM_NOISE)
-    loss_rng = philox_stream(seed, 0, STREAM_LOSS)
-    n, N = ens.n, ens.horizon
-    chol = np.linalg.cholesky(model.noise_cov)
-    xi = noise_rng.standard_normal((samples, N, n)) @ chol.T
-    noise_part = xi.reshape(samples, N * n) @ ens.noise_map.T
-
-    uni1 = loss_rng.random((samples, N * ens.m))
-    uni2 = loss_rng.random((samples, N * ens.m))  # tcp bridge draw
-
-    def cost_under(thresholds):
-        v1 = (uni1 < thresholds[None, :]).astype(float)
-        delivered = v1 * u_star[None, :]
-        chi1 = base[None, :] + delivered @ ens.input_map.T + noise_part
-        input_cost = np.sum(delivered * ps[None, :] * delivered, axis=1)
-        if gain.protocol is Protocol.UDP_LIKE:
-            state_cost = np.sum(chi1 * om[None, :] * chi1, axis=1)
-        else:
-            v2 = (uni2 < thresholds[None, :]).astype(float)
-            chi2 = (
-                base[None, :]
-                + (v2 * u_star[None, :]) @ ens.input_map.T
-                + noise_part
-            )
-            state_cost = np.sum(chi1 * om[None, :] * chi2, axis=1)
-        return state_cost + input_cost  # x'Qx cancels in the pairing
-
-    diffs = cost_under(attacked_thresholds) - cost_under(nominal_thresholds)
+    cost_under = _horizon_rollout(ens, model, gain, x, samples, seed)
+    # x'Qx cancels in the pairing
+    diffs = cost_under(attacked_thresholds) - cost_under(gain.mean_stack)
     mean = float(np.mean(diffs))
     se = float(np.std(diffs, ddof=1) / math.sqrt(samples))
     return mean, se

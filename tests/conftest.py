@@ -173,6 +173,29 @@ def slow_expected_cost(model, x, u, thresholds, protocol):
     return const + state_cross + state_quad + input_term
 
 
+def udp_objective(ctx, alpha):
+    """The paper's scalar closed form of the udp-like cost shift at rate
+    ``alpha``: a u'(a G_in + (1-a) D_in + P - 2 K) u."""
+    assert ctx.protocol is Protocol.UDP_LIKE
+    u = ctx.u_star
+    M = (
+        alpha * ctx.ens.input_gram
+        + np.diag((1.0 - alpha) * ctx.ens.input_gram_diag)
+        + ctx.input_penalty
+        - 2.0 * ctx.gain.kernel
+    )
+    return alpha * float(u @ (M @ u))
+
+
+def tcp_objective(ctx, alpha):
+    """The paper's scalar closed form of the tcp-like cost shift at rate
+    ``alpha``: -a u'(G_in (2 nu - a I) + P) u."""
+    assert ctx.protocol is Protocol.TCP_LIKE
+    u = ctx.u_star
+    scaled = ctx.ens.input_gram * (2.0 * ctx.gain.mean_stack - alpha)[None, :]
+    return -alpha * float(u @ ((scaled + ctx.input_penalty) @ u))
+
+
 def grid_argmax(fn, lo, hi, num=20001):
     """Dense-grid argmax of a scalar function on [lo, hi]."""
     grid = np.linspace(lo, hi, num)

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_model, record_criterion
+from conftest import make_model, record_criterion, tcp_objective, udp_objective
 from dropattack import (
     AttackPlan,
     ChannelSpec,
@@ -32,8 +32,7 @@ from dropattack import (
     SystemModel,
     attack_context,
     build_prediction_ensemble,
-    build_qp_tcp,
-    build_qp_udp,
+    build_qp,
     check_reachable,
     cost_increase_alpha0,
     cost_increase_alpha1_tcp,
@@ -41,16 +40,13 @@ from dropattack import (
     empirical_increase,
     in_safe_region,
     monte_carlo,
-    optimal_alpha_tcp,
-    optimal_alpha_udp,
-    peak_alpha_udp,
+    optimal_alpha,
     run_episode,
     schedule_objective,
     solve_box_qp_max,
     solve_iid_constrained,
+    stationary_alpha,
     step_plant,
-    tcp_objective,
-    udp_objective,
 )
 
 
@@ -208,7 +204,7 @@ def test_criterion_02_udp_optimum_matches_grid(rng):
         if float(ctx.u_star @ ctx.u_star) < 1e-16:
             continue
         done += 1
-        char = optimal_alpha_udp(ctx)
+        char = optimal_alpha(ctx)
         counts[char.convexity.value] += 1
         c2, c1 = udp_coeffs(ctx)
         dist, gap = grid_agreement(
@@ -224,7 +220,7 @@ def test_criterion_02_udp_optimum_matches_grid(rng):
         if float(ctx.u_star @ ctx.u_star) < 1e-16:
             continue
         done += 1
-        char = optimal_alpha_udp(ctx)
+        char = optimal_alpha(ctx)
         counts[char.convexity.value] += 1
         c2, c1 = udp_coeffs(ctx)
         dist, gap = grid_agreement(
@@ -264,7 +260,7 @@ def test_criterion_03_tcp_optimum_matches_grid_and_is_convex(rng):
         done += 1
         c2, c1 = tcp_coeffs(ctx)
         min_curvature = min(min_curvature, c2)
-        char = optimal_alpha_tcp(ctx)
+        char = optimal_alpha(ctx)
         dist, gap = grid_agreement(
             c2, c1, ctx.region, char.alpha_star, char.objective_star
         )
@@ -297,7 +293,7 @@ def test_criterion_04_concave_peak_closed_form(rng):
         c2, c1 = udp_coeffs(ctx)
         if c2 >= -1e-10:
             continue
-        peak = peak_alpha_udp(ctx)
+        peak = stationary_alpha(ctx)
         if abs(peak) > 9.0:  # keep the peak inside the scan window below
             continue
         done += 1
@@ -403,7 +399,7 @@ def test_criterion_07_schedule_dominates_stationary(rng):
         if float(ctx.u_star @ ctx.u_star) < 1e-16:
             continue
         done += 1
-        qp = build_qp_udp(ctx)
+        qp = build_qp(ctx)
         schedule = solve_box_qp_max(qp)
         stationary = solve_iid_constrained(qp)
         margin = schedule.objective - stationary.objective
@@ -551,12 +547,8 @@ def test_criterion_10_constant_schedule_restriction(rng):
         model = wild_model(rng, spread=0.8)
         for protocol in (Protocol.UDP_LIKE, Protocol.TCP_LIKE):
             ctx, ens = per_channel_context(rng, model, protocol)
-            if protocol is Protocol.UDP_LIKE:
-                qp = build_qp_udp(ctx)
-                scalar = udp_objective
-            else:
-                qp = build_qp_tcp(ctx)
-                scalar = tcp_objective
+            qp = build_qp(ctx)
+            scalar = udp_objective if protocol is Protocol.UDP_LIKE else tcp_objective
             N, m = ens.horizon, ens.m
             for alpha in rng.uniform(0.0, 1.0, 20):
                 flat = schedule_objective(qp, np.full((N, m), alpha))

@@ -12,15 +12,14 @@ from dropattack import (
     Protocol,
     attack_context,
     build_prediction_ensemble,
+    build_qp_tcp,
+    build_qp_udp,
+    objective_coeffs,
+    optimal_alpha,
     optimal_alpha_tcp,
     optimal_alpha_udp,
-    peak_alpha_udp,
     perfect_channel_condition_tcp,
-    tcp_objective,
-    tcp_objective_coeffs,
-    trough_alpha_tcp,
-    udp_objective,
-    udp_objective_coeffs,
+    stationary_alpha,
 )
 
 from conftest import (
@@ -32,6 +31,8 @@ from conftest import (
     random_model,
     shared_channel,
     shared_detection,
+    tcp_objective,
+    udp_objective,
 )
 
 
@@ -52,13 +53,13 @@ def test_coeffs_reproduce_objective_on_grid(rng):
     alphas = np.linspace(0.0, 1.0, 21)
     for _ in range(12):
         ctx, _ = make_ctx(rng, Protocol.UDP_LIKE)
-        coeffs = udp_objective_coeffs(ctx)
+        coeffs = objective_coeffs(ctx)
         for a in alphas:
             assert coeffs.value(a) == pytest.approx(
                 udp_objective(ctx, a), rel=1e-10, abs=1e-10
             )
         ctx, _ = make_ctx(rng, Protocol.TCP_LIKE)
-        coeffs = tcp_objective_coeffs(ctx)
+        coeffs = objective_coeffs(ctx)
         for a in alphas:
             assert coeffs.value(a) == pytest.approx(
                 tcp_objective(ctx, a), rel=1e-10, abs=1e-10
@@ -74,12 +75,12 @@ def test_slope_at_nominal_rate(rng):
         ctx, _ = make_ctx(rng, Protocol.UDP_LIKE, model=model, channel=channel)
         u = ctx.u_star
         want = -(u @ (model.input_penalty @ u) + u @ (ctx.ens.input_gram_diag * u))
-        assert udp_objective_coeffs(ctx).slope(mu) == pytest.approx(want, rel=1e-9)
+        assert objective_coeffs(ctx).slope(mu) == pytest.approx(want, rel=1e-9)
 
         ctx, _ = make_ctx(rng, Protocol.TCP_LIKE, model=model, channel=channel)
         u = ctx.u_star
         want = -u @ (model.input_penalty @ u)
-        assert tcp_objective_coeffs(ctx).slope(mu) == pytest.approx(want, rel=1e-9)
+        assert objective_coeffs(ctx).slope(mu) == pytest.approx(want, rel=1e-9)
 
 
 def test_tcp_trough_exceeds_nominal(rng):
@@ -90,7 +91,7 @@ def test_tcp_trough_exceeds_nominal(rng):
         ctx, _ = make_ctx(rng, Protocol.TCP_LIKE, model=model, channel=channel)
         if float(ctx.u_star @ ctx.u_star) < 1e-12:
             continue
-        assert trough_alpha_tcp(ctx) > float(channel.mean_diag[0])
+        assert stationary_alpha(ctx) > float(channel.mean_diag[0])
 
 
 def test_scalar_tcp_trough_by_hand():
@@ -102,8 +103,8 @@ def test_scalar_tcp_trough_by_hand():
         ens, model, channel, det, Protocol.TCP_LIKE, np.array([1.0])
     )
     # objective -a u^2 (2 - a) has its trough exactly at rate 1
-    assert trough_alpha_tcp(ctx) == pytest.approx(1.0, abs=1e-12)
-    coeffs = tcp_objective_coeffs(ctx)
+    assert stationary_alpha(ctx) == pytest.approx(1.0, abs=1e-12)
+    coeffs = objective_coeffs(ctx)
     u2 = (2.0 / 3.0) ** 2
     assert coeffs.curvature == pytest.approx(u2, rel=1e-12)
     assert coeffs.linear == pytest.approx(-2.0 * u2, rel=1e-12)
@@ -116,7 +117,7 @@ def test_udp_optimizer_matches_grid(rng):
         if ctx.region is None:
             continue
         hits += 1
-        char = optimal_alpha_udp(ctx)
+        char = optimal_alpha(ctx)
         lo, hi = ctx.region
         a_grid, v_grid = grid_argmax(lambda a: udp_objective(ctx, a), lo, hi)
         assert char.objective_star >= v_grid - 1e-9 * (1.0 + abs(v_grid))
@@ -131,7 +132,7 @@ def test_tcp_optimizer_is_endpoint(rng):
         if ctx.region is None:
             continue
         hits += 1
-        char = optimal_alpha_tcp(ctx)
+        char = optimal_alpha(ctx)
         lo, hi = ctx.region
         if not char.degenerate:
             assert char.alpha_star in (lo, hi)
@@ -148,13 +149,13 @@ def test_memoryless_plant_is_exactly_linear(rng):
         rng, Protocol.UDP_LIKE, model=model, channel=channel,
         detection=shared_detection(3, tol=0.15),
     )
-    coeffs = udp_objective_coeffs(ctx)
+    coeffs = objective_coeffs(ctx)
     assert coeffs.curvature == 0.0  # off-diagonal coupling identically absent
-    char = optimal_alpha_udp(ctx)
+    char = optimal_alpha(ctx)
     assert char.convexity is Convexity.LINEAR
     assert char.degenerate and char.alpha_star == pytest.approx(0.6)
     with pytest.raises(ValueError):
-        peak_alpha_udp(ctx)
+        stationary_alpha(ctx)
 
 
 def test_single_step_single_input_is_linear_with_signal(rng):
@@ -168,20 +169,17 @@ def test_single_step_single_input_is_linear_with_signal(rng):
             detection=shared_detection(1, tol=0.2),
             x=np.array([1.0, -2.0]),
         )
-        coeffs = udp_objective_coeffs(ctx)
+        coeffs = objective_coeffs(ctx)
         assert coeffs.curvature == 0.0
         assert coeffs.linear < 0  # slope -u'(P + D_in)u
-        char = optimal_alpha_udp(ctx)
+        char = optimal_alpha(ctx)
         assert char.convexity is Convexity.LINEAR
         assert not char.degenerate
         assert char.alpha_star == ctx.region[0]
 
 
 def test_zero_state_is_degenerate(rng):
-    for protocol, solver in (
-        (Protocol.UDP_LIKE, optimal_alpha_udp),
-        (Protocol.TCP_LIKE, optimal_alpha_tcp),
-    ):
+    for protocol in (Protocol.UDP_LIKE, Protocol.TCP_LIKE):
         model = random_model(rng)
         channel = shared_channel(model.m, mean=0.55)
         ctx, _ = make_ctx(
@@ -189,7 +187,7 @@ def test_zero_state_is_degenerate(rng):
             detection=shared_detection(model.m, tol=0.2),
             x=np.zeros(model.n),
         )
-        char = solver(ctx)
+        char = optimal_alpha(ctx)
         assert char.degenerate
         assert char.alpha_star == pytest.approx(0.55)
         assert char.objective_star == pytest.approx(0.0, abs=1e-15)
@@ -206,19 +204,22 @@ def test_disjoint_bands_have_no_common_rate(rng):
     with pytest.raises(InfeasibleRegionError):
         ctx.require_region()
     with pytest.raises(InfeasibleRegionError):
-        optimal_alpha_udp(ctx)
+        optimal_alpha(ctx)
     # per-channel bounds survive for schedule attacks
     np.testing.assert_allclose(ctx.channel_lo, [0.15, 0.85])
     np.testing.assert_allclose(ctx.channel_hi, [0.25, 0.95])
 
 
 def test_protocol_mismatch_is_rejected(rng):
+    # the protocol-specific entry points refuse the other protocol's context
     ctx, _ = make_ctx(rng, Protocol.TCP_LIKE)
-    with pytest.raises(DimensionError):
-        udp_objective(ctx, 0.5)
+    for entry in (optimal_alpha_udp, build_qp_udp):
+        with pytest.raises(DimensionError):
+            entry(ctx)
     ctx, _ = make_ctx(rng, Protocol.UDP_LIKE)
-    with pytest.raises(DimensionError):
-        optimal_alpha_tcp(ctx)
+    for entry in (optimal_alpha_tcp, build_qp_tcp, perfect_channel_condition_tcp):
+        with pytest.raises(DimensionError):
+            entry(ctx)
 
 
 def test_perfect_channel_report(rng):
@@ -262,7 +263,7 @@ def test_candidate_lists_cover_region_endpoints(rng):
         if ctx.region is None:
             continue
         hits += 1
-        char = optimal_alpha_udp(ctx)
+        char = optimal_alpha(ctx)
         if char.degenerate:
             continue
         alphas = [a for a, _ in char.candidates]

@@ -12,15 +12,12 @@ from dropattack import (
     Protocol,
     SolverSettings,
     build_prediction_ensemble,
-    build_qp_tcp,
-    build_qp_udp,
-    optimal_alpha_tcp,
-    optimal_alpha_udp,
+    build_qp,
+    objective_coeffs,
+    optimal_alpha,
     schedule_objective,
     solve_box_qp_max,
     solve_iid_constrained,
-    tcp_objective,
-    udp_objective,
 )
 
 from conftest import (
@@ -29,6 +26,8 @@ from conftest import (
     random_model,
     shared_channel,
     shared_detection,
+    tcp_objective,
+    udp_objective,
 )
 
 from test_attack_iid import make_ctx
@@ -36,8 +35,7 @@ from test_attack_iid import make_ctx
 
 def build_for(rng, protocol, **kw):
     ctx, model = make_ctx(rng, protocol, **kw)
-    builder = build_qp_udp if protocol is Protocol.UDP_LIKE else build_qp_tcp
-    return ctx, builder(ctx)
+    return ctx, build_qp(ctx)
 
 
 def test_qp_construction_matches_definitions(rng):
@@ -80,10 +78,12 @@ def test_constant_schedules_reduce_to_rate_objectives(rng):
         for _ in range(8):
             ctx, qp = build_for(rng, protocol)
             ones = np.ones(qp.c.size)
+            coeffs = objective_coeffs(qp)
             for a in alphas:
                 want = scalar(ctx, a)
                 got = qp.objective(a * ones)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+                assert coeffs.value(a) == pytest.approx(got, rel=1e-10, abs=1e-10)
 
 
 def test_schedule_objective_shape_guard(rng):
@@ -179,10 +179,7 @@ def test_schedule_never_loses_to_iid(rng):
 
 def test_iid_constrained_agrees_with_stationary_closed_forms(rng):
     # single shared channel: the reduced QP is the stationary-attack problem
-    for protocol, solver in (
-        (Protocol.UDP_LIKE, optimal_alpha_udp),
-        (Protocol.TCP_LIKE, optimal_alpha_tcp),
-    ):
+    for protocol in (Protocol.UDP_LIKE, Protocol.TCP_LIKE):
         for _ in range(8):
             model = random_model(rng, m=1)
             channel = shared_channel(1, mean=float(rng.uniform(0.3, 0.8)))
@@ -191,7 +188,7 @@ def test_iid_constrained_agrees_with_stationary_closed_forms(rng):
                 rng, protocol, model=model, channel=channel,
                 detection=detection,
             )
-            char = solver(ctx)
+            char = optimal_alpha(ctx)
             tied = solve_iid_constrained(qp)
             assert tied.objective == pytest.approx(
                 char.objective_star, rel=1e-9, abs=1e-12

@@ -116,6 +116,27 @@ def test_analyze_reports_regimes(tmp_path, config_path):
     )
 
 
+@pytest.mark.parametrize("samples", ["1", "-5"])
+def test_empirical_needs_two_samples(tmp_path, config_path, samples):
+    # a standard error needs at least two samples
+    rc = main([
+        "analyze", "--config", config_path, "--out", str(tmp_path),
+        "--empirical", samples,
+    ])
+    assert rc == 2
+    assert not (tmp_path / "cost_report.json").exists()
+
+
+def test_non_finite_report_value_fails(tmp_path, config_path, monkeypatch):
+    # a non-finite number fails the run instead of becoming a silent null
+    import dropattack.cli as cli
+
+    monkeypatch.setattr(cli, "feedback_benefit", lambda ctx: float("nan"))
+    rc = main(["analyze", "--config", config_path, "--out", str(tmp_path)])
+    assert rc == 3
+    assert not (tmp_path / "cost_report.json").exists()
+
+
 def test_analyze_tcp_carries_trough(tmp_path):
     doc = base_doc()
     doc["protocol"] = "tcp"

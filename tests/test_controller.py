@@ -85,7 +85,6 @@ def test_heterogeneous_means_take_lu_path(rng):
     assert not np.allclose(gain.kernel, gain.kernel.T)
     rhs = rng.normal(size=ens.horizon * ens.m)
     np.testing.assert_allclose(gain.kernel @ gain.solve(rhs), rhs, atol=1e-8)
-    assert np.isfinite(gain.condition)
 
 
 def test_nominal_cost_matches_bernoulli_moment_oracle(rng):

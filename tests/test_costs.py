@@ -7,7 +7,7 @@ from dropattack import (
     Protocol,
     attack_context,
     build_prediction_ensemble,
-    build_qp_udp,
+    build_qp,
     control_gain,
     cost_increase_alpha0,
     cost_increase_alpha1_tcp,
@@ -17,11 +17,9 @@ from dropattack import (
     feedback_benefit,
     initial_state_average,
     nominal_expected_cost,
+    objective_coeffs,
     solve_box_qp_max,
     stack_channel_means,
-    tcp_objective,
-    udp_objective,
-    udp_objective_coeffs,
 )
 
 from conftest import (
@@ -31,6 +29,8 @@ from conftest import (
     shared_channel,
     shared_detection,
     slow_expected_cost,
+    tcp_objective,
+    udp_objective,
 )
 
 from test_attack_iid import make_ctx
@@ -76,7 +76,7 @@ def test_peak_regime_bonus(rng):
     found = 0
     while found < 6:
         ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
-        coeffs = udp_objective_coeffs(ctx)
+        coeffs = objective_coeffs(ctx)
         if coeffs.curvature >= -1e-10:
             with pytest.raises(ValueError):
                 cost_increase_alphamax_udp(ctx, model)
@@ -89,7 +89,7 @@ def test_peak_regime_bonus(rng):
             udp_objective(ctx, peak) + feedback_benefit(ctx), rel=1e-9
         )
         # the peak is the stationary point of the unconstrained objective
-        coeffs = udp_objective_coeffs(ctx)
+        coeffs = objective_coeffs(ctx)
         scale = abs(coeffs.linear) + abs(coeffs.curvature)
         assert abs(coeffs.slope(peak)) <= 1e-9 * scale
         eps = 1e-6
@@ -167,7 +167,7 @@ def test_attacked_cost_matches_bernoulli_moment_oracle(rng):
 
 def test_attacked_cost_accepts_solver_output(rng):
     ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
-    qp = build_qp_udp(ctx)
+    qp = build_qp(ctx)
     sol = solve_box_qp_max(qp)
     via_object = expected_attacked_cost(ctx, model, sol)
     via_array = expected_attacked_cost(ctx, model, sol.means)
