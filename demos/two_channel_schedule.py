@@ -73,7 +73,7 @@ def closed_loop_ordering():
         ens, model, channel, detection, Protocol.UDP_LIKE, model.init_mean)
     qp = build_qp(ctx)
     stationary = solve_iid_constrained(qp)
-    schedule = solve_box_qp_max(qp)
+    schedule = solve_box_qp_max(qp, iid=stationary)
     print(f"stationary rates  {np.round(stationary.means[0], 3)}"
           f"   objective {stationary.objective:+.4f}")
     print(f"schedule winner   {schedule.winner}"
@@ -110,7 +110,7 @@ def burst_schedule():
 
     qp = build_qp(ctx)
     stationary = solve_iid_constrained(qp)
-    schedule = solve_box_qp_max(qp)
+    schedule = solve_box_qp_max(qp, iid=stationary)
     margin = schedule.objective - stationary.objective
     print(f"stationary rates  {np.round(stationary.means[0], 3)}"
           f"   objective {stationary.objective:+.4f}")

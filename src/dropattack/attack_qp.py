@@ -185,14 +185,21 @@ def _maximize_box(H, c, lo, hi, nominal, settings: SolverSettings):
     return z, value, winner, residual
 
 
-def solve_box_qp_max(qp: BoxQP, settings: SolverSettings = SolverSettings()) -> AttackSchedule:
+def solve_box_qp_max(
+    qp: BoxQP,
+    settings: SolverSettings = SolverSettings(),
+    *,
+    iid: AttackSchedule | None = None,
+) -> AttackSchedule:
     """Best schedule attack for ``qp``.
 
     The stationary (per-channel constant) optimum is always kept as a
     candidate, so the result never falls below it: varying the schedule can
-    only help.
+    only help.  ``iid`` is that optimum when the caller has already solved
+    it with :func:`solve_iid_constrained` on the same ``qp`` and settings.
     """
-    iid = solve_iid_constrained(qp, settings)
+    if iid is None:
+        iid = solve_iid_constrained(qp, settings)
     z, value, winner, residual = _maximize_box(
         qp.H, qp.c, qp.lo, qp.hi, qp.nominal, settings
     )

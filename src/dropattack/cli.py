@@ -197,7 +197,7 @@ def _cmd_synthesize(args) -> int:
 
     qp = ctx.qp
     iid_sol = solve_iid_constrained(qp)
-    sched_sol = solve_box_qp_max(qp)
+    sched_sol = solve_box_qp_max(qp, iid=iid_sol)
     out["iid_per_channel"] = {
         "means": iid_sol.means[0],
         "objective": iid_sol.objective,

@@ -9,7 +9,8 @@ monitor folds the realized outcomes into its running means.  The realized
 cost ledger charges, per step, the current-state weight, the first
 input-penalty block on the delivered input, and the first state-penalty
 block on the successor state.  Detection never interrupts an episode; it is
-recorded and reported.
+recorded and reported.  A batch of realizations steps in lockstep as one
+(realizations, n) state array; :func:`run_episode` is a batch of one.
 
 Horizon experiments (:func:`horizon_cost_samples`,
 :func:`empirical_increase`) estimate the expected horizon cost that the
@@ -43,11 +44,7 @@ from .channel import (
     STREAM_NOISE,
     ChannelSpec,
     DetectionSpec,
-    MonitorState,
-    fresh_monitor,
-    in_safe_region,
     philox_stream,
-    update_monitor,
 )
 from .controller import ControllerGain, Protocol, control_gain
 from .errors import DimensionError
@@ -68,6 +65,9 @@ __all__ = [
 ]
 
 _KINDS = ("none", "iid", "nonstat")
+# Realizations that monte_carlo steps together; bounds the pre-drawn and
+# recorded arrays of a batch to O(_BLOCK * T * (n + m)) floats.
+_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,6 +272,153 @@ def stage_cost(model: SystemModel, x, u_applied, v, x_next=None) -> float:
     return cost
 
 
+def _matvec(M, X):
+    """``M @ x`` for every row x of X, bitwise the unbatched product."""
+    return (M @ X[..., None])[..., 0]
+
+
+def _quad(M, X):
+    """``x @ (M @ x)`` for every row x of X, bitwise the unbatched form."""
+    return (X[..., None, :] @ _matvec(M, X)[..., None])[..., 0, 0]
+
+
+def _law_table(laws) -> np.ndarray:
+    """(len(laws), period, m) delivery means from onset on, one law a row."""
+    return np.stack([
+        law.schedule if law.constant is None else law.constant[None, :]
+        for law in laws
+    ])
+
+
+def _lockstep(
+    cfg, realizations, ens, gain, resolved
+) -> list[SimulationTrace]:
+    """The episodes of ``realizations``, stepped together one step at a time.
+
+    Each realization draws its whole loss-uniform and noise blocks up front
+    from its own streams, the same values step-by-step draws give.  Every
+    product is the unbatched matrix-vector product applied per
+    realization, so each episode is bitwise the one it would be alone.
+    The channel law is ``resolved`` when given; otherwise each realization
+    resolves the plan at onset from its own state.  With ``halt_on_detect``
+    each trace ends at its detection step, and stepping stops once every
+    realization has been detected.
+    """
+    model, plan = cfg.model, cfg.plan
+    n, m, T = model.n, model.m, cfg.T
+    size = len(realizations)
+
+    x = np.empty((size, n))
+    uniforms = np.empty((size, T, m))
+    normals = np.empty((size, T, n))
+    init_chol = np.linalg.cholesky(model.init_cov) if cfg.sample_x0 else None
+    for b, r in enumerate(realizations):
+        uniforms[b] = philox_stream(cfg.seed, r, STREAM_LOSS).random((T, m))
+        normals[b] = philox_stream(cfg.seed, r, STREAM_NOISE).standard_normal(
+            (T, n)
+        )
+        x[b] = model.init_mean
+        if cfg.sample_x0:
+            z = philox_stream(cfg.seed, r, STREAM_INIT).standard_normal(n)
+            x[b] = model.init_mean + init_chol @ z
+    noises = _matvec(np.linalg.cholesky(model.noise_cov), normals)
+
+    # first input block of the sequence gain, precomputed as a feedback map
+    feedback = -gain.solve(ens.cross_gram)[:m, :]
+    nominal = cfg.channel.mean_diag
+    tol = cfg.detection.tol_diag
+    resynthesize = plan.kind == "nonstat" and plan.resynthesize
+    # under resynthesis each step from onset solves its own schedule, so a
+    # law resolved at onset would never be played
+    per_episode = resolved is None and plan.kind != "none" and not resynthesize
+    onset = plan.onset if resolved is None else resolved.onset
+    table = None
+    if resolved is not None and resolved.kind != "none":
+        table = _law_table([resolved])
+
+    states = np.empty((size, T + 1, n))
+    inputs = np.zeros((size, T, m))
+    losses = np.empty((size, T, m))
+    monitor_means = np.empty((size, T, m))
+    states[:, 0] = x
+    counts = np.zeros((size, m))
+    first_detection = np.full(size, -1)
+    steps = T
+
+    for k in range(T):
+        if per_episode and k == onset:
+            at_mean = plan.state_mode == "mean"
+            table = _law_table([
+                resolve_attack(
+                    plan, model, ens, cfg.channel, cfg.detection,
+                    cfg.protocol, model.init_mean if at_mean else xs, gain,
+                    cfg.solver,
+                )
+                for xs in x
+            ])
+        if resynthesize and k >= onset:
+            means = np.array([
+                solve_box_qp_max(
+                    attack_context(
+                        ens, model, cfg.channel, cfg.detection,
+                        cfg.protocol, xs, gain,
+                    ).qp,
+                    cfg.solver,
+                ).means[0]
+                for xs in x
+            ])
+        elif table is not None and k >= onset:
+            means = table[:, (k - onset) % table.shape[1]]
+        else:
+            means = nominal
+
+        if not cfg.zero_input:
+            inputs[:, k] = _matvec(feedback, x)
+        v = (uniforms[:, k] < means).astype(float)
+        x = (
+            _matvec(model.A, x)
+            + _matvec(model.B, v * inputs[:, k])
+            + noises[:, k]
+        )
+        losses[:, k] = v
+        states[:, k + 1] = x
+
+        counts += v
+        monitor_means[:, k] = counts / (k + 1)
+        if k + 1 >= cfg.detector_min_steps:
+            dev = np.abs(monitor_means[:, k] - nominal)
+            flagged = ~np.all(dev <= tol, axis=1)
+            first_detection[flagged & (first_detection < 0)] = k
+            if cfg.halt_on_detect and np.all(first_detection >= 0):
+                steps = k + 1  # truncate at the last detection step
+                break
+
+    delivered = losses[:, :steps] * inputs[:, :steps]
+    stage_costs = (
+        _quad(model.Q, states[:, :steps])
+        + _quad(model.input_penalty[:m, :m], delivered)
+        + _quad(model.state_penalty[:n, :n], states[:, 1 : steps + 1])
+    )
+    cumulative = np.cumsum(stage_costs, axis=1)
+    traces = []
+    for b, first in enumerate(first_detection.tolist()):
+        detected = first >= 0
+        end = first + 1 if detected and cfg.halt_on_detect else steps
+        traces.append(SimulationTrace(
+            states=states[b, : end + 1],
+            inputs=inputs[b, :end],
+            losses=losses[b, :end],
+            noises=noises[b, :end],
+            stage_costs=stage_costs[b, :end],
+            cumulative=cumulative[b, :end],
+            monitor_means=monitor_means[b, :end],
+            detected=detected,
+            first_detection=first if detected else None,
+            terminal_cost=float(cumulative[b, end - 1]),
+        ))
+    return traces
+
+
 def run_episode(
     cfg: EpisodeConfig,
     realization: int = 0,
@@ -279,96 +426,17 @@ def run_episode(
     gain: ControllerGain | None = None,
     resolved: ResolvedAttack | None = None,
 ) -> SimulationTrace:
-    """One closed-loop episode; bitwise reproducible for fixed arguments."""
+    """One closed-loop episode: the lockstep engine on a batch of one.
+
+    Bitwise reproducible for fixed arguments, and bitwise the episode
+    :func:`monte_carlo` runs for the same realization.
+    """
     model = cfg.model
-    n, m, T = model.n, model.m, cfg.T
     if ens is None:
         ens = build_prediction_ensemble(model)
     if gain is None:
         gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
-
-    noise_rng = philox_stream(cfg.seed, realization, STREAM_NOISE)
-    loss_rng = philox_stream(cfg.seed, realization, STREAM_LOSS)
-    init_rng = philox_stream(cfg.seed, realization, STREAM_INIT)
-
-    noise_chol = np.linalg.cholesky(model.noise_cov)
-    x = model.init_mean.copy()
-    if cfg.sample_x0:
-        x = x + np.linalg.cholesky(model.init_cov) @ init_rng.standard_normal(n)
-
-    # first input block of the sequence gain, precomputed as a feedback map
-    feedback = -gain.solve(ens.cross_gram)[:m, :]
-
-    plan = cfg.plan
-    nominal = cfg.channel.mean_diag
-
-    states = np.empty((T + 1, n))
-    inputs = np.empty((T, m))
-    losses = np.empty((T, m))
-    noises = np.empty((T, n))
-    stage_costs = np.empty(T)
-    monitor_means = np.empty((T, m))
-    states[0] = x
-
-    monitor = fresh_monitor(m)
-    first_detection = None
-
-    for k in range(T):
-        if resolved is None and k == plan.onset and plan.kind != "none":
-            x_syn = x if plan.state_mode == "onset" else model.init_mean
-            resolved = resolve_attack(
-                plan, model, ens, cfg.channel, cfg.detection,
-                cfg.protocol, x_syn, gain, cfg.solver,
-            )
-        if plan.kind == "nonstat" and plan.resynthesize and k >= plan.onset:
-            ctx = attack_context(
-                ens, model, cfg.channel, cfg.detection, cfg.protocol, x, gain
-            )
-            sol = solve_box_qp_max(ctx.qp, cfg.solver)
-            means_k = sol.means[0]
-        elif resolved is not None:
-            means_k = resolved.means_at(k, nominal)
-        else:
-            means_k = nominal
-
-        u_cmd = np.zeros(m) if cfg.zero_input else feedback @ x
-        v = (loss_rng.random(m) < means_k).astype(float)
-        w = noise_chol @ noise_rng.standard_normal(n)
-        x_next = model.A @ x + model.B @ (v * u_cmd) + w
-
-        stage_costs[k] = stage_cost(model, x, u_cmd, v, x_next)
-        inputs[k] = u_cmd
-        losses[k] = v
-        noises[k] = w
-        states[k + 1] = x_next
-
-        monitor = update_monitor(monitor, v)
-        monitor_means[k] = monitor.means
-        if (
-            first_detection is None
-            and monitor.steps >= cfg.detector_min_steps
-            and not in_safe_region(monitor.means, cfg.channel, cfg.detection)
-        ):
-            first_detection = k
-            if cfg.halt_on_detect:
-                T = k + 1  # truncate the episode at the detection step
-                break
-
-        x = x_next
-
-    cumulative = np.cumsum(stage_costs[:T])
-    return SimulationTrace(
-        states=states[: T + 1],
-        inputs=inputs[:T],
-        losses=losses[:T],
-        noises=noises[:T],
-        stage_costs=stage_costs[:T],
-        cumulative=cumulative,
-        monitor_means=monitor_means[:T],
-        detected=first_detection is not None,
-        first_detection=first_detection,
-        terminal_cost=float(cumulative[-1]),
-    )
+    return _lockstep(cfg, [realization], ens, gain, resolved)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,6 +456,9 @@ class AggregateReport:
 
 def monte_carlo(cfg: EpisodeConfig, realizations: int) -> AggregateReport:
     """Run ``realizations`` episodes with per-realization derived streams.
+
+    The episodes run in lockstep, ``_BLOCK`` realizations at a time, so
+    memory stays O(_BLOCK * T * (n + m)) whatever ``realizations`` is.
 
     When the attack can be synthesized once (fixed parameters, synthesis
     from the initial mean, or onset 0 with a deterministic initial state)
@@ -422,14 +493,16 @@ def monte_carlo(cfg: EpisodeConfig, realizations: int) -> AggregateReport:
     terminal = np.empty(realizations)
     detections = 0
     first_hits = []
-    for r in range(realizations):
-        trace = run_episode(cfg, r, ens, gain, resolved)
-        sum_states += trace.states
-        sum_cumulative += trace.cumulative
-        terminal[r] = trace.terminal_cost
-        if trace.detected:
-            detections += 1
-            first_hits.append(trace.first_detection)
+    for start in range(0, realizations, _BLOCK):
+        block = range(start, min(start + _BLOCK, realizations))
+        traces = _lockstep(cfg, block, ens, gain, resolved)
+        for r, trace in zip(block, traces):
+            sum_states += trace.states
+            sum_cumulative += trace.cumulative
+            terminal[r] = trace.terminal_cost
+            if trace.detected:
+                detections += 1
+                first_hits.append(trace.first_detection)
 
     mean_terminal = float(np.mean(terminal))
     se_terminal = float(np.std(terminal, ddof=1) / math.sqrt(realizations)) \

@@ -3,13 +3,37 @@
 The slow oracles rebuild every stacked operator with explicit loops and
 evaluate expected costs from first and second Bernoulli moments directly.
 They share no code with the package internals beyond the model dataclass,
-so agreement is evidence, not tautology.
+so agreement is evidence, not tautology.  The exception is
+``slow_episode``, the closed loop one step at a time: it is built from the
+package's public single-step helpers, which keeps those helpers the tested
+reference for the lockstep engine.
 """
 
 import numpy as np
 import pytest
 
-from dropattack import ChannelSpec, DetectionSpec, Protocol, SystemModel
+from dropattack import (
+    STREAM_INIT,
+    STREAM_LOSS,
+    STREAM_NOISE,
+    ChannelSpec,
+    DetectionSpec,
+    Protocol,
+    SimulationTrace,
+    SystemModel,
+    attack_context,
+    build_prediction_ensemble,
+    control_gain,
+    fresh_monitor,
+    in_safe_region,
+    philox_stream,
+    resolve_attack,
+    sample_losses,
+    solve_box_qp_max,
+    stage_cost,
+    step_plant,
+    update_monitor,
+)
 
 
 def make_model(
@@ -194,6 +218,90 @@ def tcp_objective(ctx, alpha):
     u = ctx.u_star
     scaled = ctx.ens.input_gram * (2.0 * ctx.gain.mean_stack - alpha)[None, :]
     return -alpha * float(u @ ((scaled + ctx.input_penalty) @ u))
+
+
+def slow_episode(cfg, realization=0, ens=None, gain=None, resolved=None):
+    """One closed-loop episode stepped one realization and one step at a
+    time, from the public single-step helpers: the reference the lockstep
+    engine behind ``run_episode`` and ``monte_carlo`` is gated against.
+
+    Draws step by step from the same per-realization streams, resolves the
+    attack at onset from the episode's own state unless ``resolved`` is
+    given, and re-solves the schedule every step from onset on under
+    ``resynthesize``.
+    """
+    model, plan = cfg.model, cfg.plan
+    n, m = model.n, model.m
+    if ens is None:
+        ens = build_prediction_ensemble(model)
+    if gain is None:
+        gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
+    noise_rng = philox_stream(cfg.seed, realization, STREAM_NOISE)
+    loss_rng = philox_stream(cfg.seed, realization, STREAM_LOSS)
+    init_rng = philox_stream(cfg.seed, realization, STREAM_INIT)
+
+    noise_chol = np.linalg.cholesky(model.noise_cov)
+    x = model.init_mean.copy()
+    if cfg.sample_x0:
+        x = x + np.linalg.cholesky(model.init_cov) @ init_rng.standard_normal(n)
+    feedback = -gain.solve(ens.cross_gram)[:m, :]
+    nominal = cfg.channel.mean_diag
+
+    states, inputs, losses, noises, costs, means = [x], [], [], [], [], []
+    monitor = fresh_monitor(m)
+    first_detection = None
+    for k in range(cfg.T):
+        if resolved is None and k == plan.onset and plan.kind != "none":
+            x_syn = x if plan.state_mode == "onset" else model.init_mean
+            resolved = resolve_attack(
+                plan, model, ens, cfg.channel, cfg.detection,
+                cfg.protocol, x_syn, gain, cfg.solver,
+            )
+        if plan.kind == "nonstat" and plan.resynthesize and k >= plan.onset:
+            ctx = attack_context(
+                ens, model, cfg.channel, cfg.detection, cfg.protocol, x, gain
+            )
+            means_k = solve_box_qp_max(ctx.qp, cfg.solver).means[0]
+        elif resolved is not None:
+            means_k = resolved.means_at(k, nominal)
+        else:
+            means_k = nominal
+
+        u = np.zeros(m) if cfg.zero_input else feedback @ x
+        v = sample_losses(means_k, loss_rng)
+        w = noise_chol @ noise_rng.standard_normal(n)
+        x_next = step_plant(model, x, u, v, w)
+        costs.append(stage_cost(model, x, u, v, x_next))
+        inputs.append(u)
+        losses.append(v)
+        noises.append(w)
+        states.append(x_next)
+
+        monitor = update_monitor(monitor, v)
+        means.append(monitor.means)
+        if (
+            first_detection is None
+            and monitor.steps >= cfg.detector_min_steps
+            and not in_safe_region(monitor.means, cfg.channel, cfg.detection)
+        ):
+            first_detection = k
+            if cfg.halt_on_detect:
+                break
+        x = x_next
+
+    cumulative = np.cumsum(costs)
+    return SimulationTrace(
+        states=np.array(states),
+        inputs=np.array(inputs),
+        losses=np.array(losses),
+        noises=np.array(noises),
+        stage_costs=np.array(costs),
+        cumulative=cumulative,
+        monitor_means=np.array(means),
+        detected=first_detection is not None,
+        first_detection=first_detection,
+        terminal_cost=float(cumulative[-1]),
+    )
 
 
 def grid_argmax(fn, lo, hi, num=20001):

@@ -46,6 +46,25 @@ def test_synthesize_writes_report(tmp_path, config_path):
     assert cost["attacked_nonstationary"] >= cost["attacked_iid_per_channel"] - 1e-9
 
 
+def test_synthesize_solves_iid_restriction_once(
+    tmp_path, config_path, monkeypatch
+):
+    from dropattack import attack_qp, cli
+
+    calls = []
+
+    def counted(qp, settings=attack_qp.SolverSettings()):
+        calls.append(qp)
+        return solve(qp, settings)
+
+    solve = attack_qp.solve_iid_constrained
+    monkeypatch.setattr(attack_qp, "solve_iid_constrained", counted)
+    monkeypatch.setattr(cli, "solve_iid_constrained", counted)
+    rc = main(["synthesize", "--config", config_path, "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_synthesize_without_common_scalar_band(tmp_path):
     doc = base_doc()
     doc["channel"]["M_diag"] = [0.2, 0.9]

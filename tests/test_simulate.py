@@ -21,12 +21,14 @@ from dropattack import (
     stage_cost,
     step_plant,
 )
+from dropattack import simulate
 
 from conftest import (
     make_model,
     random_model,
     shared_channel,
     shared_detection,
+    slow_episode,
 )
 
 
@@ -119,6 +121,82 @@ def test_attacks_share_noise_via_stream_split():
     assert not np.array_equal(a.losses, b.losses)
 
 
+BLOCK = simulate._BLOCK
+
+# (kind, protocol, onset, flags, detector_min_steps, realizations): every
+# attack kind on both protocols at onset 0 and later, each flag and both
+# arming delays more than once, and a block boundary crossed by every kind
+LOCKSTEP_CASES = [
+    ("none", "udp", 0, {}, 1, 1),
+    ("none", "tcp", 5, {"zero_input": True}, 10, BLOCK + 2),
+    ("none", "udp", 0, {"sample_x0": True, "halt_on_detect": True}, 10, 3),
+    ("iid", "udp", 0, {}, 1, BLOCK + 2),
+    ("iid", "tcp", 6, {"sample_x0": True}, 1, 3),
+    ("iid", "udp", 4, {"halt_on_detect": True}, 1, 3),
+    ("iid", "tcp", 0, {"zero_input": True, "sample_x0": True}, 10, BLOCK + 2),
+    ("iid", "udp", 5, {"state_mode": "mean", "resynthesize": True}, 10, 3),
+    ("nonstat", "udp", 0, {}, 10, BLOCK + 2),
+    ("nonstat", "tcp", 7, {"sample_x0": True}, 1, BLOCK + 2),
+    ("nonstat", "udp", 12, {"resynthesize": True}, 1, 3),
+    ("nonstat", "tcp", 0, {"resynthesize": True, "sample_x0": True}, 10, 1),
+    ("nonstat", "udp", 3, {"halt_on_detect": True, "zero_input": True}, 1, 3),
+    ("nonstat", "tcp", 8, {"resynthesize": True, "halt_on_detect": True}, 10, 3),
+]
+
+
+def _close(a, b):
+    """Agreement to 1e-12 relative to the largest entry."""
+    np.testing.assert_allclose(
+        a, b, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(b)))
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, protocol, onset, flags, min_steps, realizations", LOCKSTEP_CASES
+)
+def test_lockstep_matches_slow_episode(
+    kind, protocol, onset, flags, min_steps, realizations
+):
+    flags = dict(flags)
+    plan = AttackPlan(
+        kind=kind, onset=onset,
+        state_mode=flags.pop("state_mode", "onset"),
+        resynthesize=flags.pop("resynthesize", False),
+    )
+    cfg = small_cfg(
+        plan=plan,
+        protocol=Protocol(protocol),
+        # band [0.5, 1]: runs of deliveries stay inside, so detection
+        # steps vary from realization to realization
+        channel=shared_channel(2, 0.75),
+        detection=shared_detection(2, 0.25),
+        detector_min_steps=min_steps,
+        seed=11,
+        **flags,
+    )
+    slow = [slow_episode(cfg, r) for r in range(realizations)]
+    for r, want in enumerate(slow):
+        got = run_episode(cfg, r)
+        np.testing.assert_array_equal(got.losses, want.losses)
+        np.testing.assert_array_equal(got.noises, want.noises)
+        np.testing.assert_array_equal(got.monitor_means, want.monitor_means)
+        _close(got.states, want.states)
+        _close(got.inputs, want.inputs)
+        _close(got.stage_costs, want.stage_costs)
+        _close(got.cumulative, want.cumulative)
+        assert got.detected == want.detected
+        assert got.first_detection == want.first_detection
+    if cfg.halt_on_detect:
+        return
+    rep = monte_carlo(cfg, realizations)
+    _close(rep.terminal_costs, [t.terminal_cost for t in slow])
+    _close(rep.mean_states, np.mean([t.states for t in slow], axis=0))
+    _close(rep.mean_cumulative, np.mean([t.cumulative for t in slow], axis=0))
+    hits = [t.first_detection for t in slow if t.detected]
+    assert rep.detection_rate == len(hits) / realizations
+    assert rep.mean_first_detection == (np.mean(hits) if hits else None)
+
+
 def test_zero_input_matches_all_drop_attack():
     # criterion-6 identity at unit-test scale: blackout = open loop
     drop = small_cfg(plan=AttackPlan(kind="iid", alpha=0.0))
@@ -129,6 +207,33 @@ def test_zero_input_matches_all_drop_attack():
         np.testing.assert_array_equal(a.states, b.states)
         # delivered inputs (v * u) match even though commands differ
         np.testing.assert_array_equal(a.losses * a.inputs, b.losses * b.inputs)
+    # the identity holds for whole batches too, across a block boundary
+    a = monte_carlo(drop, BLOCK + 2)
+    b = monte_carlo(off, BLOCK + 2)
+    np.testing.assert_array_equal(a.terminal_costs, b.terminal_costs)
+    np.testing.assert_array_equal(a.mean_states, b.mean_states)
+    np.testing.assert_array_equal(a.mean_cumulative, b.mean_cumulative)
+
+
+def test_resynthesis_solves_once_per_step(monkeypatch):
+    # the schedule resolved at onset would be replaced by the step's own
+    # solve, so the onset resolution is skipped
+    calls = []
+
+    def counted(qp, settings):
+        calls.append(qp)
+        return solve(qp, settings)
+
+    solve = simulate.solve_box_qp_max
+    monkeypatch.setattr(simulate, "solve_box_qp_max", counted)
+    cfg = small_cfg(
+        T=12, plan=AttackPlan(kind="nonstat", onset=7, resynthesize=True)
+    )
+    want = slow_episode(cfg, 0)
+    calls.clear()
+    got = run_episode(cfg, 0)
+    assert len(calls) == 12 - 7
+    np.testing.assert_array_equal(got.losses, want.losses)
 
 
 def test_stage_cost_blocks():
