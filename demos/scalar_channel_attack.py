@@ -18,10 +18,7 @@ from dropattack import (
     Protocol,
     attack_context,
     build_prediction_ensemble,
-    cost_increase_alpha0,
-    cost_increase_alpha1_tcp,
-    cost_increase_alpha1_udp,
-    cost_increase_alphamax_udp,
+    cost_regimes,
     empirical_increase,
     expected_attacked_cost,
     feedback_benefit,
@@ -65,15 +62,9 @@ def describe(protocol):
           f"   (objective {char.objective_star:+.4f})")
 
     # closed-form increases at the band edges and notable interior points
-    if protocol is Protocol.UDP_LIKE:
-        flooding = cost_increase_alpha1_udp(ctx, model)
-    else:
-        flooding = cost_increase_alpha1_tcp(ctx, model)
-    reports = [cost_increase_alpha0(ctx, model), flooding]
-    if char.convexity.value == "concave":
-        reports.append(cost_increase_alphamax_udp(ctx, model))
+    regimes = cost_regimes(ctx, model)
     print("\nclosed-form cost increases")
-    for report in reports:
+    for report in regimes.values():
         print(f"  {report.regime:<10} increase {report.increase:+9.4f}")
 
     attacked = expected_attacked_cost(ctx, model, char.alpha_star)
@@ -83,8 +74,8 @@ def describe(protocol):
     # paired Monte-Carlo check of the same closed forms
     print("\npaired Monte-Carlo validation (1e5 samples)")
     checks = [
-        ("all-drop", 0.0, reports[0].increase),
-        ("flooding", 1.0, flooding.increase),
+        ("all-drop", 0.0, regimes["alpha_0"].increase),
+        ("flooding", 1.0, regimes["alpha_1"].increase),
         ("optimum", char.alpha_star, attacked - baseline),
     ]
     for name, alpha, analytic in checks:

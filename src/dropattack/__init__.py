@@ -28,7 +28,6 @@ from .attack_iid import (
 )
 from .attack_qp import (
     AttackSchedule,
-    SolverSettings,
     build_qp_tcp,
     build_qp_udp,
     schedule_objective,
@@ -52,7 +51,6 @@ from .config import ExperimentConfig, load_experiment, parse_experiment
 from .controller import (
     ControllerGain,
     Protocol,
-    apply_receding_horizon,
     control_gain,
     nominal_expected_cost,
     optimal_input_sequence,
@@ -60,10 +58,7 @@ from .controller import (
 )
 from .costs import (
     CostReport,
-    cost_increase_alpha0,
-    cost_increase_alpha1_tcp,
-    cost_increase_alpha1_udp,
-    cost_increase_alphamax_udp,
+    cost_regimes,
     expected_attacked_cost,
     feedback_benefit,
     initial_state_average,
@@ -126,12 +121,10 @@ __all__ = [
     "ReachabilityReport",
     "ResolvedAttack",
     "SimulationTrace",
-    "SolverSettings",
     "STREAM_INIT",
     "STREAM_LOSS",
     "STREAM_NOISE",
     "SystemModel",
-    "apply_receding_horizon",
     "attack_context",
     "build_prediction_ensemble",
     "build_qp",
@@ -139,10 +132,7 @@ __all__ = [
     "build_qp_udp",
     "check_reachable",
     "control_gain",
-    "cost_increase_alpha0",
-    "cost_increase_alpha1_tcp",
-    "cost_increase_alpha1_udp",
-    "cost_increase_alphamax_udp",
+    "cost_regimes",
     "empirical_increase",
     "expected_attacked_cost",
     "feedback_benefit",

@@ -285,10 +285,12 @@ def stationary_alpha(ctx: AttackContext, coeffs: ObjectiveQuadratic | None = Non
     return -coeffs.linear / (2.0 * coeffs.curvature)
 
 
-def _classify(curvature: float, tol: float) -> Convexity:
-    if curvature < -tol:
+def _convexity(ctx: AttackContext, coeffs: ObjectiveQuadratic) -> Convexity:
+    # a curvature within rounding of zero counts as flat
+    tol = 1e-12 * _curvature_scale(ctx)
+    if coeffs.curvature < -tol:
         return Convexity.CONCAVE
-    if curvature > tol:
+    if coeffs.curvature > tol:
         return Convexity.CONVEX
     return Convexity.LINEAR
 
@@ -313,7 +315,7 @@ def optimal_alpha(ctx: AttackContext) -> AttackCharacterization:
     """
     lo, hi = ctx.require_region()
     coeffs = objective_coeffs(ctx)
-    convexity = _classify(coeffs.curvature, 1e-12 * _curvature_scale(ctx))
+    convexity = _convexity(ctx, coeffs)
     assert ctx.protocol is Protocol.UDP_LIKE or convexity is not Convexity.CONCAVE, (
         "tcp-like curvature u'G_in u is nonnegative"
     )

@@ -25,7 +25,6 @@ from .controller import Protocol
 from .errors import DimensionError
 
 __all__ = [
-    "SolverSettings",
     "AttackSchedule",
     "build_qp_udp",
     "build_qp_tcp",
@@ -35,14 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    multistarts: int = 32
-    max_iterations: int = 500
-    backtrack: float = 0.5
-    stationarity_tol: float = 1e-8
-    vertex_cap: int = 16  # exhaustive enumeration up to 2^cap vertices
-    seed: int = 0
+# solver constants; the fixed seed makes every schedule reproducible
+_MULTISTARTS = 32
+_MAX_ITERATIONS = 500
+_BACKTRACK = 0.5
+_STATIONARITY_TOL = 1e-8
+_VERTEX_CAP = 16  # exhaustive enumeration up to 2^cap vertices
+_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +98,7 @@ def _residuals(H, c, lo, hi, Z):
     return np.max(np.abs(proj - Z), axis=1)
 
 
-def _ascend(H, c, lo, hi, Z0, eigs, settings: SolverSettings):
+def _ascend(H, c, lo, hi, Z0, eigs):
     """Monotone projected gradient ascent, batched over starting points.
 
     ``eigs`` is the spectrum of H; it fixes the initial step.
@@ -109,8 +107,8 @@ def _ascend(H, c, lo, hi, Z0, eigs, settings: SolverSettings):
     vals = _batch_objective(H, c, Z)
     lipschitz = 2.0 * max(float(np.abs(eigs).max()), 1e-300)
     t = np.full(Z.shape[0], 1.0 / lipschitz)
-    tol = settings.stationarity_tol * (1.0 + float(np.linalg.norm(c)))
-    for _ in range(settings.max_iterations):
+    tol = _STATIONARITY_TOL * (1.0 + float(np.linalg.norm(c)))
+    for _ in range(_MAX_ITERATIONS):
         res = _residuals(H, c, lo, hi, Z)
         live = (res > tol) & (t > 1e-18)
         if not live.any():
@@ -122,12 +120,12 @@ def _ascend(H, c, lo, hi, Z0, eigs, settings: SolverSettings):
         Z[accept] = trial[accept]
         vals[accept] = tvals[accept]
         reject = live & ~accept
-        t[reject] *= settings.backtrack
+        t[reject] *= _BACKTRACK
         t[accept] *= 1.25  # cheap recovery after over-shrinking
     return Z, vals
 
 
-def _maximize_box(H, c, lo, hi, nominal, settings: SolverSettings):
+def _maximize_box(H, c, lo, hi, nominal):
     """Candidate-based maximization of z'Hz + c'z over a box.
 
     Returns (z, value, winner, residual).  Candidate families: the nominal
@@ -146,7 +144,7 @@ def _maximize_box(H, c, lo, hi, nominal, settings: SolverSettings):
 
     candidates = [(np.clip(nominal, lo, hi), "nominal")]
 
-    if d <= settings.vertex_cap:
+    if d <= _VERTEX_CAP:
         idx = np.arange(2 ** d, dtype=np.uint32)
         bits = ((idx[:, None] >> np.arange(d)) & 1).astype(float)
         V = lo + bits * (hi - lo)
@@ -161,17 +159,17 @@ def _maximize_box(H, c, lo, hi, nominal, settings: SolverSettings):
         if np.all(z_int >= lo) and np.all(z_int <= hi):
             candidates.append((z_int, "interior"))
 
-    rng = np.random.default_rng(settings.seed)
+    rng = np.random.default_rng(_SEED)
     starts = [np.clip(nominal, lo, hi), 0.5 * (lo + hi)]
     starts += [z for z, _ in candidates[1:]]
-    while len(starts) < settings.multistarts:
+    while len(starts) < _MULTISTARTS:
         if len(starts) % 2:
             z = lo + rng.random(d) * (hi - lo)
         else:
             z = lo + rng.integers(0, 2, d) * (hi - lo)
         starts.append(z)
-    Z0 = np.array(starts[: settings.multistarts])
-    Z, vals = _ascend(H, c, lo, hi, Z0, eigs, settings)
+    Z0 = np.array(starts[:_MULTISTARTS])
+    Z, vals = _ascend(H, c, lo, hi, Z0, eigs)
     candidates.append((Z[int(np.argmax(vals))].copy(), "gradient"))
 
     scored = [(z, val(z), tag) for z, tag in candidates]
@@ -186,22 +184,19 @@ def _maximize_box(H, c, lo, hi, nominal, settings: SolverSettings):
 
 
 def solve_box_qp_max(
-    qp: BoxQP,
-    settings: SolverSettings = SolverSettings(),
-    *,
-    iid: AttackSchedule | None = None,
+    qp: BoxQP, *, iid: AttackSchedule | None = None
 ) -> AttackSchedule:
     """Best schedule attack for ``qp``.
 
     The stationary (per-channel constant) optimum is always kept as a
     candidate, so the result never falls below it: varying the schedule can
     only help.  ``iid`` is that optimum when the caller has already solved
-    it with :func:`solve_iid_constrained` on the same ``qp`` and settings.
+    it with :func:`solve_iid_constrained` on the same ``qp``.
     """
     if iid is None:
-        iid = solve_iid_constrained(qp, settings)
+        iid = solve_iid_constrained(qp)
     z, value, winner, residual = _maximize_box(
-        qp.H, qp.c, qp.lo, qp.hi, qp.nominal, settings
+        qp.H, qp.c, qp.lo, qp.hi, qp.nominal
     )
     if iid.objective > value + 1e-12 * (1.0 + abs(value)):
         z, value, winner = iid.as_stack(), iid.objective, "iid"
@@ -214,7 +209,7 @@ def solve_box_qp_max(
     )
 
 
-def solve_iid_constrained(qp: BoxQP, settings: SolverSettings = SolverSettings()) -> AttackSchedule:
+def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
     """Best schedule constant in time: one rate per channel.
 
     Substituting z = R a (R the 0/1 map repeating each channel's rate over
@@ -234,7 +229,7 @@ def solve_iid_constrained(qp: BoxQP, settings: SolverSettings = SolverSettings()
     lo_r = qp.lo[:m].copy()
     hi_r = qp.hi[:m].copy()
     nominal_r = qp.nominal[:m].copy()
-    a, value, winner, _ = _maximize_box(Hr, cr, lo_r, hi_r, nominal_r, settings)
+    a, value, winner, _ = _maximize_box(Hr, cr, lo_r, hi_r, nominal_r)
     z = R @ a
     residual = float(_residuals(qp.H, qp.c, qp.lo, qp.hi, z[None, :])[0])
     return AttackSchedule(

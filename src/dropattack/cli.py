@@ -28,7 +28,6 @@ import numpy as np
 
 from .attack_iid import (
     attack_context,
-    objective_coeffs,
     optimal_alpha,
     perfect_channel_condition_tcp,
     stationary_alpha,
@@ -36,17 +35,10 @@ from .attack_iid import (
 from .attack_qp import solve_box_qp_max, solve_iid_constrained
 from .config import load_experiment
 from .controller import Protocol, control_gain, nominal_expected_cost
-from .costs import (
-    cost_increase_alpha0,
-    cost_increase_alpha1_tcp,
-    cost_increase_alpha1_udp,
-    cost_increase_alphamax_udp,
-    expected_attacked_cost,
-    feedback_benefit,
-)
+from .costs import cost_regimes, expected_attacked_cost, feedback_benefit
 from .errors import ConfigError, DimensionError, InfeasibleRegionError, NumericalError
 from .model import build_prediction_ensemble
-from .simulate import AttackPlan, empirical_increase, monte_carlo, resolve_attack
+from .simulate import _KINDS, AttackPlan, empirical_increase, monte_carlo
 
 __all__ = ["main"]
 
@@ -220,13 +212,12 @@ def _cmd_synthesize(args) -> int:
         }
 
     baseline = nominal_expected_cost(ens, model, gain, x)
+    q0 = feedback_benefit(ctx)
     out["cost"] = {
         "baseline": baseline,
-        "feedback_benefit": feedback_benefit(ctx),
-        "attacked_iid_per_channel": baseline + iid_sol.objective
-        - qp.objective(qp.nominal),
-        "attacked_nonstationary": baseline + sched_sol.objective
-        - qp.objective(qp.nominal),
+        "feedback_benefit": q0,
+        "attacked_iid_per_channel": baseline + (iid_sol.objective + q0),
+        "attacked_nonstationary": baseline + (sched_sol.objective + q0),
     }
 
     _write_json(os.path.join(args.out, "synthesis.json"), out)
@@ -261,25 +252,14 @@ def _cmd_analyze(args) -> int:
     ctx = attack_context(
         ens, model, exp.channel, exp.detection, exp.protocol, x, gain
     )
-    udp = exp.protocol is Protocol.UDP_LIKE
-    coeffs = objective_coeffs(ctx)
-
-    regimes = {"alpha_0": _report_json(cost_increase_alpha0(ctx, model))}
-    if udp:
-        regimes["alpha_1"] = _report_json(cost_increase_alpha1_udp(ctx, model))
-        if coeffs.curvature < 0:
-            regimes["alpha_peak"] = _report_json(
-                cost_increase_alphamax_udp(ctx, model)
-            )
-    else:
-        regimes["alpha_1"] = _report_json(cost_increase_alpha1_tcp(ctx, model))
-
+    regimes = cost_regimes(ctx, model)
+    q0 = feedback_benefit(ctx)
     out = {
         "protocol": exp.protocol.value,
         "state": x,
-        "baseline_expected_cost": nominal_expected_cost(ens, model, gain, x),
-        "feedback_benefit": feedback_benefit(ctx),
-        "regimes": regimes,
+        "baseline_expected_cost": regimes["alpha_0"].baseline,
+        "feedback_benefit": q0,
+        "regimes": {key: _report_json(rep) for key, rep in regimes.items()},
     }
 
     char = optimal_alpha(ctx) if ctx.region is not None else None
@@ -290,8 +270,8 @@ def _cmd_analyze(args) -> int:
                 ctx, model, char.alpha_star
             ),
         }
-        if not udp and coeffs.curvature > 0:
-            optimal["trough_alpha"] = stationary_alpha(ctx, coeffs)
+        if exp.protocol is Protocol.TCP_LIKE and char.curvature > 0:
+            optimal["trough_alpha"] = stationary_alpha(ctx)
         out["optimal_iid"] = optimal
     else:
         out["optimal_iid"] = None
@@ -305,19 +285,17 @@ def _cmd_analyze(args) -> int:
             )
             empirical["optimal_iid"] = {
                 "alpha": char.alpha_star,
-                "analytic_increase": char.objective_star
-                + feedback_benefit(ctx),
+                "analytic_increase": char.objective_star + q0,
                 "empirical_increase": mean,
                 "standard_error": se,
                 "samples": samples,
             }
-        qp = ctx.qp
-        sched = solve_box_qp_max(qp)
+        sched = solve_box_qp_max(ctx.qp)
         mean, se = empirical_increase(
             ens, model, gain, x, sched.means, samples, exp.seed
         )
         empirical["nonstationary"] = {
-            "analytic_increase": sched.objective - qp.objective(qp.nominal),
+            "analytic_increase": sched.objective + q0,
             "empirical_increase": mean,
             "standard_error": se,
             "samples": samples,
@@ -353,8 +331,7 @@ def _plan_for_kind(base: AttackPlan, kind: str) -> AttackPlan:
 def _cmd_compare(args) -> int:
     exp = load_experiment(args.config)
     kinds = [kind.strip() for kind in args.attacks.split(",") if kind.strip()]
-    valid = ("none", "iid", "nonstat")
-    bad = [kind for kind in kinds if kind not in valid]
+    bad = [kind for kind in kinds if kind not in _KINDS]
     if bad:
         raise ConfigError(
             [f"--attacks: unknown kind '{kind}'" for kind in bad]

@@ -238,10 +238,7 @@ def parse_experiment(data: dict) -> ExperimentConfig:
 
     T = _as_int(sim_raw.get("T", 50), "simulation.T", problems, minimum=1)
     R = _as_int(sim_raw.get("R", 1), "simulation.R", problems, minimum=1)
-    seed = sim_raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        problems.append("simulation.seed: must be an integer")
-        seed = None
+    seed = _as_int(sim_raw.get("seed", 0), "simulation.seed", problems, minimum=0)
 
     kind = attack_raw.get("kind", "none")
     plan = None

@@ -29,7 +29,6 @@ __all__ = [
     "ControllerGain",
     "control_gain",
     "optimal_input_sequence",
-    "apply_receding_horizon",
     "nominal_expected_cost",
 ]
 
@@ -96,6 +95,29 @@ def stack_channel_means(mean_diag: np.ndarray, horizon: int) -> np.ndarray:
     return np.tile(mean_diag, horizon)
 
 
+def _expand_step_means(ens: PredictionEnsemble, step_means) -> np.ndarray:
+    """(N, m) per-step delivery rates from a scalar, a per-channel vector
+    tiled over the horizon, or a full schedule, each rate in [0, 1]."""
+    step_means = np.asarray(step_means, dtype=float)
+    if step_means.ndim == 0:
+        step_means = np.full((ens.horizon, ens.m), float(step_means))
+    elif step_means.ndim == 1:
+        if step_means.size != ens.m:
+            raise DimensionError(
+                f"per-channel means must have {ens.m} entries, "
+                f"got {step_means.size}"
+            )
+        step_means = np.tile(step_means, (ens.horizon, 1))
+    if step_means.shape != (ens.horizon, ens.m):
+        raise DimensionError(
+            f"step means must have shape {(ens.horizon, ens.m)}, "
+            f"got {step_means.shape}"
+        )
+    if np.any(step_means < 0.0) or np.any(step_means > 1.0):
+        raise DimensionError("step means must lie in [0, 1]")
+    return step_means
+
+
 def control_gain(
     ens: PredictionEnsemble,
     model: SystemModel,
@@ -135,16 +157,6 @@ def optimal_input_sequence(
     if x.shape != (ens.n,):
         raise DimensionError(f"x must have shape {(ens.n,)}, got {x.shape}")
     return -gain.solve(ens.cross_gram @ x)
-
-
-def apply_receding_horizon(sequence: np.ndarray, m: int) -> np.ndarray:
-    """First input block of a stacked sequence (the only one transmitted)."""
-    sequence = np.asarray(sequence, dtype=float)
-    if sequence.ndim != 1 or sequence.size % m:
-        raise DimensionError(
-            f"sequence length {sequence.size} is not a multiple of m={m}"
-        )
-    return sequence[:m].copy()
 
 
 def nominal_expected_cost(

@@ -10,27 +10,30 @@ constant is the feedback benefit
 
 which is exactly what a total blackout (attack rate -> 0) costs the
 operator: with no packets delivered, the loop runs open and forfeits q0.
-Every other regime's increase equals its attack objective plus q0, a
-structural identity the tests pin down numerically.
+Every regime's increase is its attack objective plus q0, which is how
+:func:`cost_regimes` evaluates it; the tests check the identity against
+the independent Bernoulli-moment oracle.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack_iid import AttackContext, objective_coeffs
+from .attack_iid import (
+    AttackContext,
+    Convexity,
+    _convexity,
+    objective_coeffs,
+    stationary_alpha,
+)
 from .attack_qp import AttackSchedule, schedule_objective
-from .controller import Protocol, nominal_expected_cost
-from .errors import DimensionError
+from .controller import Protocol, _expand_step_means, nominal_expected_cost
 from .model import SystemModel
 
 __all__ = [
     "CostReport",
     "feedback_benefit",
-    "cost_increase_alpha0",
-    "cost_increase_alpha1_udp",
-    "cost_increase_alphamax_udp",
-    "cost_increase_alpha1_tcp",
+    "cost_regimes",
     "expected_attacked_cost",
 ]
 
@@ -53,108 +56,65 @@ def feedback_benefit(ctx: AttackContext) -> float:
     return -float(ctx.u_star @ (ctx.gain.mean_stack * fx))
 
 
-def _baseline(ctx: AttackContext, model: SystemModel) -> float:
-    return nominal_expected_cost(ctx.ens, model, ctx.gain, ctx.x)
+def cost_regimes(ctx: AttackContext, model: SystemModel) -> dict[str, CostReport]:
+    """Expected cost increase of the named stationary attack regimes.
 
+    Each regime is the shared-rate objective evaluated at one rate, plus
+    q0: ``alpha_0`` (blackout, a = 0, increase exactly q0), ``alpha_1``
+    (flooding, a = 1: every packet delivered) and, when the objective is
+    concave, ``alpha_peak`` (its interior stationary point; the bonus over
+    the blackout is the objective there, strictly positive).
 
-def _report(ctx, model, regime, increase, details=None) -> CostReport:
-    base = _baseline(ctx, model)
-    return CostReport(
-        regime=regime,
-        protocol=ctx.protocol,
-        baseline=base,
-        attacked=base + increase,
-        increase=increase,
-        details=details or {},
-    )
-
-
-def cost_increase_alpha0(ctx: AttackContext, model: SystemModel) -> CostReport:
-    """Blackout regime: delivery rate driven to zero (both protocols).
-
-    The increase is exactly q0, strictly positive whenever the nominal
-    sequence is nonzero and every channel has positive nominal rate.
+    Flooding can HURT the operator, and ``alpha_1.details`` carries the
+    protocol's condition for it.  udp: the two sides of
+    u'(I - 2 Nu)(G_in - D_in)u > u'(P + D_in)u, whose difference is
+    the objective at a = 1.  tcp: that objective itself; when positive, a
+    perfect channel is WORSE for the operator than the nominal lossy one.
     """
-    return _report(ctx, model, "alpha0", feedback_benefit(ctx))
-
-
-def cost_increase_alpha1_udp(ctx: AttackContext, model: SystemModel) -> CostReport:
-    """Flooding regime for the udp-like loop: every packet delivered.
-
-    increase = u'(G_in + P)u + u'((2 I - Nu) cross_gram x) ; delivering
-    everything can HURT the operator because the udp gain hedges against
-    losses that no longer happen.  ``details`` carries the two sides of
-    the state-dependent condition under which the first objective term is
-    itself positive.
-    """
-    ctx.require_protocol(Protocol.UDP_LIKE, "cost_increase_alpha1_udp")
-    u = ctx.u_star
-    nu = ctx.gain.mean_stack
-    fx = ctx.ens.cross_gram @ ctx.x
-    increase = float(
-        u @ ((ctx.ens.input_gram + ctx.input_penalty) @ u)
-    ) + float(u @ ((2.0 - nu) * fx))
-    off = ctx.ens.input_gram - np.diag(ctx.ens.input_gram_diag)
-    lhs = float(u @ (((1.0 - 2.0 * nu)[:, None] * off) @ u))
-    rhs = float(u @ (ctx.input_penalty @ u)) + float(
-        u @ (ctx.ens.input_gram_diag * u)
-    )
-    return _report(
-        ctx,
-        model,
-        "alpha1",
-        increase,
-        details={
-            "objective_condition_lhs": lhs,
-            "objective_condition_rhs": rhs,
-            "cost_increasing": bool(increase > 0.0),
-        },
-    )
-
-
-def cost_increase_alphamax_udp(ctx: AttackContext, model: SystemModel) -> CostReport:
-    """Interior-peak regime for a concave udp objective.
-
-    increase = q0 - linear^2 / (4 curvature); the second term is the
-    strictly positive bonus of sitting at the peak (curvature < 0 here).
-    """
-    ctx.require_protocol(Protocol.UDP_LIKE, "cost_increase_alphamax_udp")
     coeffs = objective_coeffs(ctx)
-    if coeffs.curvature >= 0.0:
-        raise ValueError(
-            "interior-peak regime needs a concave objective; curvature is "
-            f"{coeffs.curvature:.3e}"
+    q0 = feedback_benefit(ctx)
+    baseline = nominal_expected_cost(ctx.ens, model, ctx.gain, ctx.x)
+
+    def report(regime, alpha, details=None):
+        increase = coeffs.value(alpha) + q0
+        return CostReport(
+            regime=regime,
+            protocol=ctx.protocol,
+            baseline=baseline,
+            attacked=baseline + increase,
+            increase=increase,
+            details=details or {},
         )
-    bonus = -(coeffs.linear ** 2) / (4.0 * coeffs.curvature)
-    peak = -coeffs.linear / (2.0 * coeffs.curvature)
-    return _report(
-        ctx,
-        model,
-        "alpha_peak",
-        feedback_benefit(ctx) + bonus,
-        details={"alpha_peak": peak, "peak_bonus": bonus},
-    )
 
-
-def cost_increase_alpha1_tcp(ctx: AttackContext, model: SystemModel) -> CostReport:
-    """Flooding regime for the tcp-like loop.
-
-    increase = u'(G_in (I - 2 Nu) - P)u + q0.  The first term's sign is
-    exactly the state-dependent perfect-channel condition: when positive,
-    a perfect channel is WORSE for the operator than the nominal lossy one.
-    """
-    ctx.require_protocol(Protocol.TCP_LIKE, "cost_increase_alpha1_tcp")
-    u = ctx.u_star
-    nu = ctx.gain.mean_stack
-    scaled = ctx.ens.input_gram * (1.0 - 2.0 * nu)[None, :]
-    first = float(u @ ((scaled - ctx.input_penalty) @ u))
-    return _report(
-        ctx,
-        model,
-        "alpha1",
-        first + feedback_benefit(ctx),
-        details={"flooding_term": first, "flooding_term_positive": bool(first > 0.0)},
-    )
+    flooding = coeffs.value(1.0)
+    if ctx.protocol is Protocol.UDP_LIKE:
+        u, nu = ctx.u_star, ctx.gain.mean_stack
+        diag = ctx.ens.input_gram_diag
+        off = ctx.ens.input_gram - np.diag(diag)
+        details = {
+            "objective_condition_lhs": float(
+                u @ (((1.0 - 2.0 * nu)[:, None] * off) @ u)
+            ),
+            "objective_condition_rhs": float(u @ (ctx.input_penalty @ u))
+            + float(u @ (diag * u)),
+            "cost_increasing": bool(flooding + q0 > 0.0),
+        }
+    else:
+        details = {
+            "flooding_term": flooding,
+            "flooding_term_positive": bool(flooding > 0.0),
+        }
+    regimes = {
+        "alpha_0": report("alpha0", 0.0),
+        "alpha_1": report("alpha1", 1.0, details),
+    }
+    if _convexity(ctx, coeffs) is Convexity.CONCAVE:
+        peak = stationary_alpha(ctx, coeffs)
+        regimes["alpha_peak"] = report(
+            "alpha_peak", peak,
+            {"alpha_peak": peak, "peak_bonus": coeffs.value(peak)},
+        )
+    return regimes
 
 
 def expected_attacked_cost(
@@ -168,7 +128,8 @@ def expected_attacked_cost(
     vector, an (N, m) schedule array, or an :class:`AttackSchedule`.  The
     value is the attack objective plus the state- and noise-dependent
     constant, so attack=None reproduces ``nominal_expected_cost`` exactly
-    (a consistency check the tests exercise).
+    (a consistency check the tests exercise).  Rates outside [0, 1] or of
+    the wrong shape raise :class:`DimensionError`.
     """
     const = float(ctx.x @ ((model.Q + ctx.ens.state_gram) @ ctx.x))
     const += ctx.ens.noise_cost_trace()
@@ -178,19 +139,8 @@ def expected_attacked_cost(
         return const + qp.objective(qp.nominal)
 
     if isinstance(attack, AttackSchedule):
-        schedule = attack.means
-    else:
-        schedule = np.asarray(attack, dtype=float)
-        if schedule.ndim == 0:
-            schedule = np.full(ctx.ens.m, float(schedule))
-        if schedule.ndim == 1:
-            if schedule.size != ctx.ens.m:
-                raise DimensionError(
-                    f"per-channel attack must have {ctx.ens.m} entries, "
-                    f"got {schedule.size}"
-                )
-            schedule = np.tile(schedule, (ctx.ens.horizon, 1))
-    return const + schedule_objective(qp, schedule)
+        attack = attack.means
+    return const + schedule_objective(qp, _expand_step_means(ctx.ens, attack))
 
 
 def initial_state_average(model: SystemModel, cost_at_state) -> float:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack_iid import attack_context
-from .attack_qp import SolverSettings, solve_box_qp_max, solve_iid_constrained
+from .attack_qp import solve_box_qp_max, solve_iid_constrained
 from .channel import (
     STREAM_INIT,
     STREAM_LOSS,
@@ -46,7 +46,7 @@ from .channel import (
     DetectionSpec,
     philox_stream,
 )
-from .controller import ControllerGain, Protocol, control_gain
+from .controller import ControllerGain, Protocol, _expand_step_means, control_gain
 from .errors import DimensionError
 from .model import PredictionEnsemble, SystemModel, build_prediction_ensemble
 
@@ -157,7 +157,6 @@ def resolve_attack(
     protocol: Protocol,
     x: np.ndarray,
     gain: ControllerGain | None = None,
-    settings: SolverSettings = SolverSettings(),
 ) -> ResolvedAttack:
     """Turn a plan into a concrete channel law, synthesizing if needed."""
     if plan.kind == "none":
@@ -175,7 +174,7 @@ def resolve_attack(
                 {"kind": "iid", "fixed": True},
             )
         ctx = attack_context(ens, model, channel, detection, protocol, x, gain)
-        sol = solve_iid_constrained(ctx.qp, settings)
+        sol = solve_iid_constrained(ctx.qp)
         return ResolvedAttack(
             "iid", plan.onset, sol.means[0].copy(), None,
             {
@@ -192,7 +191,7 @@ def resolve_attack(
             {"kind": "nonstat", "fixed": True},
         )
     ctx = attack_context(ens, model, channel, detection, protocol, x, gain)
-    sol = solve_box_qp_max(ctx.qp, settings)
+    sol = solve_box_qp_max(ctx.qp)
     return ResolvedAttack(
         "nonstat", plan.onset, None, sol.means.copy(),
         {
@@ -219,7 +218,6 @@ class EpisodeConfig:
     zero_input: bool = False
     detector_min_steps: int = 1
     halt_on_detect: bool = False
-    solver: SolverSettings = SolverSettings()
 
     def __post_init__(self):
         if self.T < 1:
@@ -352,7 +350,6 @@ def _lockstep(
                 resolve_attack(
                     plan, model, ens, cfg.channel, cfg.detection,
                     cfg.protocol, model.init_mean if at_mean else xs, gain,
-                    cfg.solver,
                 )
                 for xs in x
             ])
@@ -362,8 +359,7 @@ def _lockstep(
                     attack_context(
                         ens, model, cfg.channel, cfg.detection,
                         cfg.protocol, xs, gain,
-                    ).qp,
-                    cfg.solver,
+                    ).qp
                 ).means[0]
                 for xs in x
             ])
@@ -484,7 +480,7 @@ def monte_carlo(cfg: EpisodeConfig, realizations: int) -> AggregateReport:
         x_syn = model.init_mean
         resolved = resolve_attack(
             plan, model, ens, cfg.channel, cfg.detection,
-            cfg.protocol, x_syn, gain, cfg.solver,
+            cfg.protocol, x_syn, gain,
         )
 
     T, n = cfg.T, model.n
@@ -524,27 +520,6 @@ def monte_carlo(cfg: EpisodeConfig, realizations: int) -> AggregateReport:
 
 
 # ----------------------------------------------------- horizon experiments
-
-def _expand_step_means(ens: PredictionEnsemble, step_means) -> np.ndarray:
-    step_means = np.asarray(step_means, dtype=float)
-    if step_means.ndim == 0:
-        step_means = np.full((ens.horizon, ens.m), float(step_means))
-    elif step_means.ndim == 1:
-        if step_means.size != ens.m:
-            raise DimensionError(
-                f"per-channel means must have {ens.m} entries, "
-                f"got {step_means.size}"
-            )
-        step_means = np.tile(step_means, (ens.horizon, 1))
-    if step_means.shape != (ens.horizon, ens.m):
-        raise DimensionError(
-            f"step means must have shape {(ens.horizon, ens.m)}, "
-            f"got {step_means.shape}"
-        )
-    if np.any(step_means < 0.0) or np.any(step_means > 1.0):
-        raise DimensionError("step means must lie in [0, 1]")
-    return step_means
-
 
 def _horizon_rollout(ens, model, gain, x, samples, seed):
     """Shared draws of ``samples`` horizon rollouts from ``x``.

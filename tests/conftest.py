@@ -255,13 +255,13 @@ def slow_episode(cfg, realization=0, ens=None, gain=None, resolved=None):
             x_syn = x if plan.state_mode == "onset" else model.init_mean
             resolved = resolve_attack(
                 plan, model, ens, cfg.channel, cfg.detection,
-                cfg.protocol, x_syn, gain, cfg.solver,
+                cfg.protocol, x_syn, gain,
             )
         if plan.kind == "nonstat" and plan.resynthesize and k >= plan.onset:
             ctx = attack_context(
                 ens, model, cfg.channel, cfg.detection, cfg.protocol, x, gain
             )
-            means_k = solve_box_qp_max(ctx.qp, cfg.solver).means[0]
+            means_k = solve_box_qp_max(ctx.qp).means[0]
         elif resolved is not None:
             means_k = resolved.means_at(k, nominal)
         else:

@@ -34,9 +34,7 @@ from dropattack import (
     build_prediction_ensemble,
     build_qp,
     check_reachable,
-    cost_increase_alpha0,
-    cost_increase_alpha1_tcp,
-    cost_increase_alpha1_udp,
+    cost_regimes,
     empirical_increase,
     in_safe_region,
     monte_carlo,
@@ -328,13 +326,9 @@ def test_criterion_05_analytic_increase_matches_paired_monte_carlo():
     pieces = []
     for protocol in (Protocol.UDP_LIKE, Protocol.TCP_LIKE):
         ctx = attack_context(ens, model, channel, detection, protocol, x)
-        if protocol is Protocol.UDP_LIKE:
-            blackout = cost_increase_alpha0(ctx, model)
-            flooding = cost_increase_alpha1_udp(ctx, model)
-        else:
-            blackout = cost_increase_alpha0(ctx, model)
-            flooding = cost_increase_alpha1_tcp(ctx, model)
-        for report, alpha in ((blackout, 0.0), (flooding, 1.0)):
+        regimes = cost_regimes(ctx, model)
+        for key, alpha in (("alpha_0", 0.0), ("alpha_1", 1.0)):
+            report = regimes[key]
             mean, se = empirical_increase(
                 ens, model, ctx.gain, x, alpha, samples=10_000, seed=123
             )

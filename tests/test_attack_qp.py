@@ -10,7 +10,6 @@ from dropattack import (
     BoxQP,
     DimensionError,
     Protocol,
-    SolverSettings,
     build_prediction_ensemble,
     build_qp,
     objective_coeffs,
@@ -213,8 +212,7 @@ def test_zero_state_ties_to_nominal(rng):
 
 def test_multistart_determinism(rng):
     _, qp = build_for(rng, Protocol.UDP_LIKE)
-    s = SolverSettings(multistarts=8, seed=4)
-    a = solve_box_qp_max(qp, s)
-    b = solve_box_qp_max(qp, s)
+    a = solve_box_qp_max(qp)
+    b = solve_box_qp_max(qp)
     np.testing.assert_array_equal(a.means, b.means)
     assert a.objective == b.objective and a.winner == b.winner

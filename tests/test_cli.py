@@ -53,9 +53,9 @@ def test_synthesize_solves_iid_restriction_once(
 
     calls = []
 
-    def counted(qp, settings=attack_qp.SolverSettings()):
+    def counted(qp):
         calls.append(qp)
-        return solve(qp, settings)
+        return solve(qp)
 
     solve = attack_qp.solve_iid_constrained
     monkeypatch.setattr(attack_qp, "solve_iid_constrained", counted)
@@ -224,6 +224,18 @@ def test_exit_code_for_bad_config(tmp_path):
     doc["protocol"] = "смтп"
     bad.write_text(json.dumps(doc))
     assert main(["analyze", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["analyze", "--empirical", "20"], ["compare"]]
+)
+def test_negative_seed_is_a_config_error(tmp_path, command):
+    doc = base_doc()
+    doc["simulation"]["seed"] = -3
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    argv = command[:1] + ["--config", str(path), "--out", str(tmp_path)]
+    assert main(argv + command[1:]) == 2
 
 
 def test_error_exit_code_mapping(tmp_path, config_path, monkeypatch):

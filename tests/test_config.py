@@ -111,6 +111,14 @@ def test_problems_are_collected():
     assert len(err.value.problems) >= 3
 
 
+def test_negative_seed_rejected():
+    doc = base_doc()
+    doc["simulation"]["seed"] = -3
+    with pytest.raises(ConfigError) as err:
+        parse_experiment(doc)
+    assert err.value.problems == ["simulation.seed: must be >= 0"]
+
+
 def test_attack_column_counts_checked():
     doc = base_doc()
     doc["attack"] = {"kind": "iid", "means": [0.5, 0.5, 0.5]}

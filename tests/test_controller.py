@@ -6,7 +6,6 @@ import pytest
 from dropattack import (
     DimensionError,
     Protocol,
-    apply_receding_horizon,
     build_prediction_ensemble,
     control_gain,
     nominal_expected_cost,
@@ -100,13 +99,6 @@ def test_nominal_cost_matches_bernoulli_moment_oracle(rng):
             thresholds = stack_channel_means(mu, model.horizon)
             want = slow_expected_cost(model, x, u, thresholds, protocol)
             assert mine == pytest.approx(want, rel=1e-10)
-
-
-def test_receding_horizon_takes_first_block():
-    seq = np.arange(12.0)
-    np.testing.assert_array_equal(apply_receding_horizon(seq, 3), [0, 1, 2])
-    with pytest.raises(DimensionError):
-        apply_receding_horizon(seq, 5)
 
 
 def test_mean_validation():

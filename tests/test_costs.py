@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from dropattack import (
+    DimensionError,
     Protocol,
     attack_context,
     build_prediction_ensemble,
     build_qp,
     control_gain,
-    cost_increase_alpha0,
-    cost_increase_alpha1_tcp,
-    cost_increase_alpha1_udp,
-    cost_increase_alphamax_udp,
+    cost_regimes,
     expected_attacked_cost,
     feedback_benefit,
     initial_state_average,
     nominal_expected_cost,
     objective_coeffs,
+    perfect_channel_condition_tcp,
     solve_box_qp_max,
     stack_channel_means,
 )
@@ -37,7 +36,8 @@ from test_attack_iid import make_ctx
 
 
 def test_increase_is_objective_plus_blackout_benefit(rng):
-    # the structural identity behind every regime formula
+    # the structural identity behind every regime, checked against the
+    # paper's scalar closed forms
     for protocol, scalar in (
         (Protocol.UDP_LIKE, udp_objective),
         (Protocol.TCP_LIKE, tcp_objective),
@@ -45,22 +45,37 @@ def test_increase_is_objective_plus_blackout_benefit(rng):
         for _ in range(10):
             ctx, model = make_ctx(rng, protocol)
             q0 = feedback_benefit(ctx)
-            zero = cost_increase_alpha0(ctx, model)
+            regimes = cost_regimes(ctx, model)
+            zero = regimes["alpha_0"]
+            assert zero.regime == "alpha0"
             assert zero.increase == pytest.approx(q0, rel=1e-12)
             assert zero.increase == pytest.approx(
                 scalar(ctx, 0.0) + q0, abs=1e-12 * (1 + abs(q0))
             )
-            if protocol is Protocol.UDP_LIKE:
-                one = cost_increase_alpha1_udp(ctx, model)
-            else:
-                one = cost_increase_alpha1_tcp(ctx, model)
+            one = regimes["alpha_1"]
+            assert one.regime == "alpha1"
             want = scalar(ctx, 1.0) + q0
             assert one.increase == pytest.approx(
                 want, rel=1e-9, abs=1e-10 * (1 + abs(want))
             )
-            assert one.attacked == pytest.approx(
-                one.baseline + one.increase, rel=1e-12
-            )
+            baseline = nominal_expected_cost(ctx.ens, model, ctx.gain, ctx.x)
+            for report in regimes.values():
+                assert report.protocol is protocol
+                assert report.baseline == baseline
+                assert report.attacked == pytest.approx(
+                    report.baseline + report.increase, rel=1e-12
+                )
+                # the attacked cost is the closed form at the regime's rate
+                alpha = {"alpha0": 0.0, "alpha1": 1.0}.get(
+                    report.regime, report.details.get("alpha_peak")
+                )
+                assert report.attacked == pytest.approx(
+                    slow_expected_cost(
+                        model, ctx.x, ctx.u_star,
+                        np.full(model.horizon * model.m, alpha), protocol,
+                    ),
+                    rel=1e-9,
+                )
 
 
 def test_blackout_increase_positive_for_active_feedback(rng):
@@ -73,51 +88,80 @@ def test_blackout_increase_positive_for_active_feedback(rng):
 
 
 def test_peak_regime_bonus(rng):
-    found = 0
-    while found < 6:
+    found = absent = 0
+    while found < 6 or absent < 3:
         ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
         coeffs = objective_coeffs(ctx)
+        regimes = cost_regimes(ctx, model)
+        if coeffs.curvature >= 0.0:
+            absent += 1
+            assert list(regimes) == ["alpha_0", "alpha_1"]
+            continue
         if coeffs.curvature >= -1e-10:
-            with pytest.raises(ValueError):
-                cost_increase_alphamax_udp(ctx, model)
             continue
         found += 1
-        report = cost_increase_alphamax_udp(ctx, model)
+        assert list(regimes) == ["alpha_0", "alpha_1", "alpha_peak"]
+        report = regimes["alpha_peak"]
+        assert report.regime == "alpha_peak"
         peak = report.details["alpha_peak"]
         assert report.details["peak_bonus"] > 0.0
+        assert report.details["peak_bonus"] == pytest.approx(
+            -(coeffs.linear ** 2) / (4.0 * coeffs.curvature), rel=1e-12
+        )
         assert report.increase == pytest.approx(
             udp_objective(ctx, peak) + feedback_benefit(ctx), rel=1e-9
         )
         # the peak is the stationary point of the unconstrained objective
-        coeffs = objective_coeffs(ctx)
         scale = abs(coeffs.linear) + abs(coeffs.curvature)
         assert abs(coeffs.slope(peak)) <= 1e-9 * scale
         eps = 1e-6
         slack = 1e-9 * (1.0 + abs(udp_objective(ctx, peak)))
         assert udp_objective(ctx, peak) >= udp_objective(ctx, peak + eps) - slack
         assert udp_objective(ctx, peak) >= udp_objective(ctx, peak - eps) - slack
+    # a tcp-like curve is convex, so it never has a peak regime
+    for _ in range(4):
+        ctx, model = make_ctx(rng, Protocol.TCP_LIKE)
+        assert "alpha_peak" not in cost_regimes(ctx, model)
 
 
 def test_flooding_flags_match_signs(rng):
     for _ in range(8):
         ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
-        rep = cost_increase_alpha1_udp(ctx, model)
+        rep = cost_regimes(ctx, model)["alpha_1"]
         assert rep.details["cost_increasing"] == (rep.increase > 0)
         ctx, model = make_ctx(rng, Protocol.TCP_LIKE)
-        rep = cost_increase_alpha1_tcp(ctx, model)
+        rep = cost_regimes(ctx, model)["alpha_1"]
         assert rep.details["flooding_term_positive"] == (
             rep.details["flooding_term"] > 0
         )
 
 
-def test_protocol_guards():
+def test_flooding_details_follow_protocol():
+    # udp carries the two sides of its flooding condition, whose difference
+    # is the objective at rate 1; tcp carries that objective itself, the
+    # number the perfect-channel check reports
     rng = np.random.default_rng(5)
-    ctx, model = make_ctx(rng, Protocol.TCP_LIKE)
-    with pytest.raises(Exception):
-        cost_increase_alpha1_udp(ctx, model)
-    ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
-    with pytest.raises(Exception):
-        cost_increase_alpha1_tcp(ctx, model)
+    for _ in range(4):
+        ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
+        details = cost_regimes(ctx, model)["alpha_1"].details
+        assert list(details) == [
+            "objective_condition_lhs", "objective_condition_rhs",
+            "cost_increasing",
+        ]
+        gap = details["objective_condition_lhs"] - details["objective_condition_rhs"]
+        want = udp_objective(ctx, 1.0)
+        assert gap == pytest.approx(want, rel=1e-9, abs=1e-10 * (1 + abs(want)))
+
+        ctx, model = make_ctx(rng, Protocol.TCP_LIKE)
+        details = cost_regimes(ctx, model)["alpha_1"].details
+        assert list(details) == ["flooding_term", "flooding_term_positive"]
+        assert details["flooding_term"] == (
+            perfect_channel_condition_tcp(ctx).objective_at_one
+        )
+        want = tcp_objective(ctx, 1.0)
+        assert details["flooding_term"] == pytest.approx(
+            want, rel=1e-9, abs=1e-10 * (1 + abs(want))
+        )
 
 
 def test_attacked_cost_none_reproduces_nominal(rng):
@@ -163,6 +207,13 @@ def test_attacked_cost_matches_bernoulli_moment_oracle(rng):
                 stack_channel_means(vec, model.horizon), protocol,
             )
             assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_attacked_cost_rejects_bad_rates(rng):
+    ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
+    for attack in (1.5, -0.1, np.full(ctx.ens.m + 1, 0.5)):
+        with pytest.raises(DimensionError):
+            expected_attacked_cost(ctx, model, attack)
 
 
 def test_attacked_cost_accepts_solver_output(rng):

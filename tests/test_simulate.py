@@ -220,9 +220,9 @@ def test_resynthesis_solves_once_per_step(monkeypatch):
     # solve, so the onset resolution is skipped
     calls = []
 
-    def counted(qp, settings):
+    def counted(qp):
         calls.append(qp)
-        return solve(qp, settings)
+        return solve(qp)
 
     solve = simulate.solve_box_qp_max
     monkeypatch.setattr(simulate, "solve_box_qp_max", counted)
