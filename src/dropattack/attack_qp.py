@@ -10,12 +10,23 @@ lose to the best stationary rate once the stationary optimum is kept as a
 candidate.
 
 The maximization is NOT a convex program (for udp H is traceless, hence
-indefinite whenever it is nonzero), so the solver is deliberately plain:
-exhaustive vertex enumeration for small problems, monotone projected
-gradient ascent from many starts for the rest, and explicit candidate
-bookkeeping so ties break toward the nominal rates.
+indefinite whenever it is nonzero), and the general box QP is NP-hard.
+The solver is deliberately plain, with explicit candidate bookkeeping so
+ties break toward the nominal rates, and it is exact in one regime only:
+
+* exact: d <= ``_VERTEX_CAP`` and diag(H) >= 0, which every QP
+  :func:`build_qp` makes satisfies.  The objective is then convex along
+  each coordinate, so some vertex is a global maximizer, and enumerating
+  all 2^d vertices finds it;
+* heuristic: d > ``_VERTEX_CAP`` or a negative diagonal entry (hand-built
+  QPs, some per-channel restrictions in :func:`solve_iid_constrained`).
+  Monotone projected gradient ascent from many starts joins the vertices
+  (when enumerated) and, for negative definite H, a feasible
+  unconstrained peak; the best of them is returned with no optimality
+  certificate.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +99,23 @@ def schedule_objective(qp: BoxQP, schedule: np.ndarray) -> float:
 
 # ------------------------------------------------------------- solver core
 
+_OBJECTIVE = "sd,de,se->s"
+
+
+@functools.lru_cache(maxsize=128)
+def _objective_path(s, d):
+    """Contraction order ``np.einsum(..., optimize=True)`` picks for (s, d).
+
+    The greedy search depends only on the shapes, so it is planned once per
+    shape instead of once per call; the contraction itself is unchanged.
+    """
+    Z, H = np.empty((s, d)), np.empty((d, d))
+    return np.einsum_path(_OBJECTIVE, Z, H, Z, optimize=True)[0]
+
+
 def _batch_objective(H, c, Z):
-    return np.einsum("sd,de,se->s", Z, H, Z, optimize=True) + Z @ c
+    path = _objective_path(*Z.shape)
+    return np.einsum(_OBJECTIVE, Z, H, Z, optimize=path) + Z @ c
 
 
 def _residuals(H, c, lo, hi, Z):
@@ -131,16 +157,15 @@ def _maximize_box(H, c, lo, hi, nominal):
     Returns (z, value, winner, residual).  Candidate families: the nominal
     point, exhaustive vertices (small d), the unconstrained stationary
     point when H is negative definite, and projected gradient ascent from
-    multiple starts.
+    multiple starts.  When the vertices are enumerated and diag(H) >= 0
+    the best vertex is the exact maximum, and only the nominal point and
+    the vertices are scored.
     """
     d = c.size
     if d == 0:
         raise DimensionError("empty decision vector")
     if np.any(lo > hi):
         raise DimensionError("box has lo > hi entries")
-
-    def val(z):
-        return float(z @ (H @ z) + c @ z)
 
     candidates = [(np.clip(nominal, lo, hi), "nominal")]
 
@@ -150,6 +175,9 @@ def _maximize_box(H, c, lo, hi, nominal):
         V = lo + bits * (hi - lo)
         vv = _batch_objective(H, c, V)
         candidates.append((V[int(np.argmax(vv))].copy(), "vertex"))
+        if np.all(np.diag(H) >= 0.0):
+            # convex along every coordinate: some vertex attains the maximum
+            return _best_candidate(H, c, lo, hi, nominal, candidates)
 
     eigs = np.linalg.eigvalsh(H)
     if eigs[-1] < 0.0:
@@ -171,6 +199,14 @@ def _maximize_box(H, c, lo, hi, nominal):
     Z0 = np.array(starts[:_MULTISTARTS])
     Z, vals = _ascend(H, c, lo, hi, Z0, eigs)
     candidates.append((Z[int(np.argmax(vals))].copy(), "gradient"))
+    return _best_candidate(H, c, lo, hi, nominal, candidates)
+
+
+def _best_candidate(H, c, lo, hi, nominal, candidates):
+    """Highest-scoring (z, tag) candidate; near ties go to the nominal."""
+
+    def val(z):
+        return float(z @ (H @ z) + c @ z)
 
     scored = [(z, val(z), tag) for z, tag in candidates]
     best_val = max(s for _, s, _ in scored)

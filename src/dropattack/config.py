@@ -241,16 +241,22 @@ def parse_experiment(data: dict) -> ExperimentConfig:
     seed = _as_int(sim_raw.get("seed", 0), "simulation.seed", problems, minimum=0)
 
     kind = attack_raw.get("kind", "none")
+    onset = _as_int(attack_raw.get("onset", 0), "attack.onset", problems, minimum=0)
+    resynthesize = attack_raw.get("resynthesize", False)
+    if not isinstance(resynthesize, bool):
+        problems.append("attack.resynthesize: must be true or false")
     plan = None
     try:
+        # a bad onset or resynthesize is already listed; stand-ins keep
+        # the remaining attack keys checked
         plan = AttackPlan(
             kind=kind,
-            onset=attack_raw.get("onset", 0),
+            onset=0 if onset is None else onset,
             alpha=attack_raw.get("alpha"),
             means=attack_raw.get("means"),
             schedule=attack_raw.get("schedule"),
             state_mode=attack_raw.get("state_mode", "onset"),
-            resynthesize=bool(attack_raw.get("resynthesize", False)),
+            resynthesize=resynthesize is True,
         )
     except Exception as exc:
         problems.append(f"attack: {exc}")

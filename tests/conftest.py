@@ -9,6 +9,8 @@ package's public single-step helpers, which keeps those helpers the tested
 reference for the lockstep engine.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,15 @@ def grid_argmax(fn, lo, hi, num=20001):
     values = np.array([fn(a) for a in grid])
     k = int(np.argmax(values))
     return float(grid[k]), float(values[k])
+
+
+def slow_vertex_max(H, c, lo, hi):
+    """Largest z'Hz + c'z over the box's vertices, one vertex at a time."""
+    best = -np.inf
+    for corner in itertools.product((False, True), repeat=len(c)):
+        z = np.where(corner, hi, lo)
+        best = max(best, float(z @ H @ z + c @ z))
+    return best
 
 
 @pytest.fixture

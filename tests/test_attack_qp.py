@@ -19,12 +19,15 @@ from dropattack import (
     solve_iid_constrained,
 )
 
+from dropattack import attack_qp
+
 from conftest import (
     random_channel,
     random_detection,
     random_model,
     shared_channel,
     shared_detection,
+    slow_vertex_max,
     tcp_objective,
     udp_objective,
 )
@@ -143,6 +146,76 @@ def test_vertex_enumeration_matches_brute_force(rng):
             best = max(best, qp.objective(np.array(corner)))
         # solver sees every vertex at this size, plus interior candidates
         assert sol.objective >= best - 1e-12 * (1.0 + abs(best))
+
+
+def count_ascents(monkeypatch):
+    calls = []
+    ascend = attack_qp._ascend
+
+    def counted(*args):
+        calls.append(args[4].shape)
+        return ascend(*args)
+
+    monkeypatch.setattr(attack_qp, "_ascend", counted)
+    return calls
+
+
+def test_built_qps_up_to_vertex_cap_are_solved_exactly(rng, monkeypatch):
+    # every built QP has diag(H) >= 0, so the best vertex is the maximum and
+    # no ascent runs; the restriction is solved first, it may still ascend
+    for protocol in Protocol:
+        for horizon, m in ((2, 1), (5, 1), (3, 2), (3, 4), (8, 2)):
+            model = random_model(rng, m=m, horizon=horizon)
+            _, qp = build_for(rng, protocol, model=model)
+            assert qp.c.size <= attack_qp._VERTEX_CAP
+            assert np.all(np.diag(qp.H) >= 0.0)
+            iid = solve_iid_constrained(qp)
+            with monkeypatch.context() as patch:
+                calls = count_ascents(patch)
+                sol = solve_box_qp_max(qp, iid=iid)
+            assert calls == []
+            best = slow_vertex_max(qp.H, qp.c, qp.lo, qp.hi)
+            assert abs(sol.objective - best) <= 1e-12 * abs(best)
+            assert sol.winner in ("vertex", "nominal")
+
+
+def test_ascent_still_runs_outside_the_exact_regime(rng, monkeypatch):
+    # one negative diagonal entry at d <= cap, and a built QP beyond the cap
+    d = 6
+    M = rng.normal(size=(d, d))
+    H = 0.5 * (M + M.T)
+    np.fill_diagonal(H, np.abs(np.diag(H)))
+    H[2, 2] = -1.0
+    hand = hand_qp(H, rng.normal(size=d), 0.0, 1.0)
+    model = random_model(rng, m=2, horizon=9)
+    _, built = build_for(rng, Protocol.TCP_LIKE, model=model)
+    assert built.c.size > attack_qp._VERTEX_CAP
+    for qp in (hand, built):
+        iid = solve_iid_constrained(qp)
+        with monkeypatch.context() as patch:
+            calls = count_ascents(patch)
+            solve_box_qp_max(qp, iid=iid)
+        assert calls == [(attack_qp._MULTISTARTS, qp.c.size)]
+    best = slow_vertex_max(hand.H, hand.c, hand.lo, hand.hi)
+    assert solve_box_qp_max(hand).objective >= best - 1e-12 * (1.0 + abs(best))
+
+
+def test_batch_objective_matches_planned_einsum(rng):
+    # the cached contraction order is the one einsum would pick per call;
+    # d = 1 is the shape whose greedy order differs from the others
+    for d in (1, 2, 5, 10, 16, 20, 160):
+        M = rng.normal(size=(d, d))
+        H = 0.5 * (M + M.T)
+        c = rng.normal(size=d)
+        sizes = (1, 32) + ((2 ** d,) if d <= attack_qp._VERTEX_CAP else ())
+        for s in sizes:
+            Z = rng.uniform(size=(s, d))
+            want = np.einsum("sd,de,se->s", Z, H, Z, optimize=True) + Z @ c
+            for _ in range(2):  # planned, then cached
+                got = attack_qp._batch_objective(H, c, Z)
+                np.testing.assert_array_equal(got, want)
+            planned = np.einsum_path("sd,de,se->s", Z, H, Z, optimize=True)[0]
+            assert attack_qp._objective_path(s, d) == planned
 
 
 def test_solver_beats_coarse_grid_in_eight_dims(rng):

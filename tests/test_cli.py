@@ -238,6 +238,22 @@ def test_negative_seed_is_a_config_error(tmp_path, command):
     assert main(argv + command[1:]) == 2
 
 
+@pytest.mark.parametrize(
+    "attack",
+    [
+        {"kind": "nonstat", "onset": 2.5},
+        {"kind": "nonstat", "resynthesize": "no"},
+    ],
+)
+def test_malformed_attack_keys_are_config_errors(tmp_path, attack):
+    doc = base_doc()
+    doc["attack"] = attack
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path)]
+    assert main(argv + ["--realizations", "2"]) == 2
+
+
 def test_error_exit_code_mapping(tmp_path, config_path, monkeypatch):
     # library errors that escape a command map to stable exit codes
     import dropattack.cli as cli

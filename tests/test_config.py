@@ -119,6 +119,36 @@ def test_negative_seed_rejected():
     assert err.value.problems == ["simulation.seed: must be >= 0"]
 
 
+def test_attack_onset_must_be_integer():
+    # a fractional onset never equals a step index: the attack would
+    # silently never start
+    for onset, problem in (
+        (2.5, "attack.onset: must be an integer"),
+        (3.0, "attack.onset: must be an integer"),
+        (True, "attack.onset: must be an integer"),
+        (-1, "attack.onset: must be >= 0"),
+    ):
+        doc = base_doc()
+        doc["attack"] = {"kind": "nonstat", "onset": onset}
+        with pytest.raises(ConfigError) as err:
+            parse_experiment(doc)
+        assert err.value.problems == [problem]
+    doc["attack"]["onset"] = 7
+    assert parse_experiment(doc).plan.onset == 7
+
+
+def test_attack_resynthesize_must_be_boolean():
+    for value in ("no", "false", 0, 1, None):
+        doc = base_doc()
+        doc["attack"] = {"kind": "nonstat", "resynthesize": value}
+        with pytest.raises(ConfigError) as err:
+            parse_experiment(doc)
+        assert err.value.problems == ["attack.resynthesize: must be true or false"]
+    for value in (True, False):
+        doc["attack"]["resynthesize"] = value
+        assert parse_experiment(doc).plan.resynthesize is value
+
+
 def test_attack_column_counts_checked():
     doc = base_doc()
     doc["attack"] = {"kind": "iid", "means": [0.5, 0.5, 0.5]}
