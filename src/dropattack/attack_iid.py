@@ -295,14 +295,20 @@ def _convexity(ctx: AttackContext, coeffs: ObjectiveQuadratic) -> Convexity:
     return Convexity.LINEAR
 
 
-def _pick(candidates, nominal: float):
-    # argmax by value; near-ties resolved toward the nominal rate so a
-    # flat objective never sends the attacker to an arbitrary endpoint
-    best = max(v for _, v in candidates)
+def _pick(candidates, nominal):
+    """The highest-valued of the ``(point, value, ...)`` candidates.
+
+    Near ties (within 1e-12 relative) go to the point closest to
+    ``nominal``, so a flat objective never sends the attacker to an
+    arbitrary endpoint or vertex; the first such point wins.
+    """
+    best = max(item[1] for item in candidates)
     tol = 1e-12 * (1.0 + abs(best))
-    tied = [(a, v) for a, v in candidates if best - v <= tol]
-    alpha, value = min(tied, key=lambda av: abs(av[0] - nominal))
-    return alpha, value
+    tied = [item for item in candidates if best - item[1] <= tol]
+    return min(
+        tied,
+        key=lambda item: float(np.linalg.norm(np.subtract(item[0], nominal))),
+    )
 
 
 def optimal_alpha(ctx: AttackContext) -> AttackCharacterization:

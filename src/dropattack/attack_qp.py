@@ -12,26 +12,29 @@ candidate.
 The maximization is NOT a convex program (for udp H is traceless, hence
 indefinite whenever it is nonzero), and the general box QP is NP-hard.
 The solver is deliberately plain, with explicit candidate bookkeeping so
-ties break toward the nominal rates, and it is exact in one regime only:
+ties break toward the nominal rates.  With q the number of negative
+diagonal entries of H, it has two regimes:
 
-* exact: d <= ``_VERTEX_CAP`` and diag(H) >= 0, which every QP
-  :func:`build_qp` makes satisfies.  The objective is then convex along
-  each coordinate, so some vertex is a global maximizer, and enumerating
-  all 2^d vertices finds it;
-* heuristic: d > ``_VERTEX_CAP`` or a negative diagonal entry (hand-built
-  QPs, some per-channel restrictions in :func:`solve_iid_constrained`).
-  Monotone projected gradient ascent from many starts joins the vertices
-  (when enumerated) and, for negative definite H, a feasible
-  unconstrained peak; the best of them is returned with no optimality
+* exact: at most 2^``_VERTEX_CAP`` candidate points, 2^(d-q) 3^q.  Along
+  a coordinate with H_ii >= 0 the objective is convex, so some maximizer
+  has that coordinate at a bound; a coordinate with H_ii < 0 is at a
+  bound or stationary given the others.  Enumerating those points, one
+  linear solve per face, finds the maximum.  Every QP :func:`build_qp`
+  makes has q = 0, so up to d = 16 this is the 2^d vertices, and the
+  m-variable restriction of :func:`solve_iid_constrained` is exact at
+  least up to m = 10;
+* heuristic: beyond that budget, monotone projected gradient ascent from
+  ``_MULTISTARTS`` seeded starts, returned with no optimality
   certificate.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attack_iid import AttackContext, BoxQP, build_qp
+from .attack_iid import AttackContext, BoxQP, _pick, build_qp
 from .controller import Protocol
 from .errors import DimensionError
 
@@ -50,7 +53,7 @@ _MULTISTARTS = 32
 _MAX_ITERATIONS = 500
 _BACKTRACK = 0.5
 _STATIONARITY_TOL = 1e-8
-_VERTEX_CAP = 16  # exhaustive enumeration up to 2^cap vertices
+_VERTEX_CAP = 16  # exact enumeration up to 2^cap candidate points
 _SEED = 0
 
 
@@ -59,8 +62,12 @@ class AttackSchedule:
     """A per-step deliverability schedule and the objective it achieves.
 
     ``means[k, i]`` is the delivery probability of channel i at horizon
-    step k.  ``winner`` records which candidate family produced the
-    returned point; ``stationarity`` is the projected-gradient residual
+    step k.  ``winner`` records which candidate produced the returned
+    point: ``nominal``, ``vertex`` or ``interior`` (an enumerated point
+    with some coordinate strictly inside its band), ``gradient`` (the
+    ascent), ``iid`` (the stationary optimum beat the schedule solve) or,
+    from :func:`solve_iid_constrained`, ``iid-`` and the tag of the
+    reduced solve.  ``stationarity`` is the projected-gradient residual
     there (unit step), zero at an exactly optimal vertex.
     """
 
@@ -124,14 +131,14 @@ def _residuals(H, c, lo, hi, Z):
     return np.max(np.abs(proj - Z), axis=1)
 
 
-def _ascend(H, c, lo, hi, Z0, eigs):
+def _ascend(H, c, lo, hi, Z0):
     """Monotone projected gradient ascent, batched over starting points.
 
-    ``eigs`` is the spectrum of H; it fixes the initial step.
+    The spectral norm of H fixes the initial step.
     """
     Z = Z0.copy()
     vals = _batch_objective(H, c, Z)
-    lipschitz = 2.0 * max(float(np.abs(eigs).max()), 1e-300)
+    lipschitz = 2.0 * max(float(np.abs(np.linalg.eigvalsh(H)).max()), 1e-300)
     t = np.full(Z.shape[0], 1.0 / lipschitz)
     tol = _STATIONARITY_TOL * (1.0 + float(np.linalg.norm(c)))
     for _ in range(_MAX_ITERATIONS):
@@ -151,15 +158,73 @@ def _ascend(H, c, lo, hi, Z0, eigs):
     return Z, vals
 
 
+@functools.lru_cache(maxsize=None)
+def _corner_bits(k):
+    """Read-only 2^k x k matrix whose row j holds the binary digits of j.
+
+    The enumeration budget keeps k <= ``_VERTEX_CAP``, which bounds the
+    cache.
+    """
+    bits = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
+    bits.flags.writeable = False
+    return bits
+
+
+def _face_points(H, c, lo, hi, free):
+    """Candidate points of the face whose coordinates ``free`` are interior.
+
+    The other k coordinates take each of their 2^k lo/hi assignments, in
+    the order of :func:`_corner_bits`, and z_F solves the stationarity
+    condition 2 H_FF z_F = -(c_F + 2 H_FX z_X) given them.  Rows with z_F
+    outside the box are dropped, and a singular H_FF gives no rows: a
+    maximizer on that face can slide along a null direction of H_FF, where
+    the objective is flat, onto a smaller face.
+    """
+    d = c.size
+    if not free:
+        return lo + _corner_bits(d) * (hi - lo)
+    fixed = np.setdiff1d(np.arange(d), free)
+    X = lo[fixed] + _corner_bits(fixed.size) * (hi[fixed] - lo[fixed])
+    rhs = c[free, None] + 2.0 * H[np.ix_(free, fixed)] @ X.T
+    try:
+        zf = np.linalg.solve(-2.0 * H[np.ix_(free, free)], rhs).T
+    except np.linalg.LinAlgError:
+        return np.empty((0, d))
+    Z = np.empty((X.shape[0], d))
+    Z[:, fixed], Z[:, free] = X, zf
+    return Z[np.all((zf >= lo[free]) & (zf <= hi[free]), axis=1)]
+
+
+def _enumerate(H, c, lo, hi, neg):
+    """Exact maximizer of z'Hz + c'z over the box, and its tag.
+
+    ``neg`` lists the coordinates with H_ii < 0.  Along any other
+    coordinate the objective is convex, so some maximizer has it at a
+    bound (Rosenberg's vertex argument, one coordinate at a time).  A
+    coordinate of ``neg`` is then at a bound or stationary given the rest,
+    so the points of the faces with free sets F within ``neg`` contain a
+    maximizer.  Faces go in order of size, the vertices first, and the
+    first maximizer wins; it is tagged ``vertex`` when F is empty and
+    ``interior`` otherwise.
+    """
+    faces = [
+        _face_points(H, c, lo, hi, list(free))
+        for size in range(neg.size + 1)
+        for free in itertools.combinations(neg.tolist(), size)
+    ]
+    Z = np.concatenate(faces) if len(faces) > 1 else faces[0]
+    j = int(np.argmax(_batch_objective(H, c, Z)))
+    return Z[j].copy(), "vertex" if j < faces[0].shape[0] else "interior"
+
+
 def _maximize_box(H, c, lo, hi, nominal):
     """Candidate-based maximization of z'Hz + c'z over a box.
 
-    Returns (z, value, winner, residual).  Candidate families: the nominal
-    point, exhaustive vertices (small d), the unconstrained stationary
-    point when H is negative definite, and projected gradient ascent from
-    multiple starts.  When the vertices are enumerated and diag(H) >= 0
-    the best vertex is the exact maximum, and only the nominal point and
-    the vertices are scored.
+    Returns (z, value, winner, residual).  The candidates are the nominal
+    point and either the exact maximizer by :func:`_enumerate`, when its
+    2^(d-q) 3^q points (q the number of negative diagonal entries of H)
+    number at most 2^``_VERTEX_CAP``, or else the best point of a
+    projected gradient ascent from ``_MULTISTARTS`` seeded starts.
     """
     d = c.size
     if d == 0:
@@ -168,53 +233,27 @@ def _maximize_box(H, c, lo, hi, nominal):
         raise DimensionError("box has lo > hi entries")
 
     candidates = [(np.clip(nominal, lo, hi), "nominal")]
-
-    if d <= _VERTEX_CAP:
-        idx = np.arange(2 ** d, dtype=np.uint32)
-        bits = ((idx[:, None] >> np.arange(d)) & 1).astype(float)
-        V = lo + bits * (hi - lo)
-        vv = _batch_objective(H, c, V)
-        candidates.append((V[int(np.argmax(vv))].copy(), "vertex"))
-        if np.all(np.diag(H) >= 0.0):
-            # convex along every coordinate: some vertex attains the maximum
-            return _best_candidate(H, c, lo, hi, nominal, candidates)
-
-    eigs = np.linalg.eigvalsh(H)
-    if eigs[-1] < 0.0:
-        # strictly concave: the unconstrained peak is the global maximizer
-        # whenever it is feasible
-        z_int = np.linalg.solve(-2.0 * H, c)
-        if np.all(z_int >= lo) and np.all(z_int <= hi):
-            candidates.append((z_int, "interior"))
-
-    rng = np.random.default_rng(_SEED)
-    starts = [np.clip(nominal, lo, hi), 0.5 * (lo + hi)]
-    starts += [z for z, _ in candidates[1:]]
-    while len(starts) < _MULTISTARTS:
-        if len(starts) % 2:
-            z = lo + rng.random(d) * (hi - lo)
-        else:
-            z = lo + rng.integers(0, 2, d) * (hi - lo)
-        starts.append(z)
-    Z0 = np.array(starts[:_MULTISTARTS])
-    Z, vals = _ascend(H, c, lo, hi, Z0, eigs)
-    candidates.append((Z[int(np.argmax(vals))].copy(), "gradient"))
+    neg = np.flatnonzero(np.diag(H) < 0.0)
+    if 2 ** (d - neg.size) * 3 ** neg.size <= 2 ** _VERTEX_CAP:
+        candidates.append(_enumerate(H, c, lo, hi, neg))
+    else:
+        rng = np.random.default_rng(_SEED)
+        starts = [np.clip(nominal, lo, hi), 0.5 * (lo + hi)]
+        while len(starts) < _MULTISTARTS:
+            if len(starts) % 2:
+                z = lo + rng.random(d) * (hi - lo)
+            else:
+                z = lo + rng.integers(0, 2, d) * (hi - lo)
+            starts.append(z)
+        Z, vals = _ascend(H, c, lo, hi, np.array(starts))
+        candidates.append((Z[int(np.argmax(vals))].copy(), "gradient"))
     return _best_candidate(H, c, lo, hi, nominal, candidates)
 
 
 def _best_candidate(H, c, lo, hi, nominal, candidates):
-    """Highest-scoring (z, tag) candidate; near ties go to the nominal."""
-
-    def val(z):
-        return float(z @ (H @ z) + c @ z)
-
-    scored = [(z, val(z), tag) for z, tag in candidates]
-    best_val = max(s for _, s, _ in scored)
-    tol = 1e-12 * (1.0 + abs(best_val))
-    tied = [item for item in scored if best_val - item[1] <= tol]
-    z, value, winner = min(
-        tied, key=lambda item: float(np.linalg.norm(item[0] - nominal))
-    )
+    """Score the (z, tag) candidates, pick one, attach its residual."""
+    scored = [(z, float(z @ (H @ z) + c @ z), tag) for z, tag in candidates]
+    z, value, winner = _pick(scored, nominal)
     residual = float(_residuals(H, c, lo, hi, z[None, :])[0])
     return z, value, winner, residual
 
@@ -250,15 +289,13 @@ def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
 
     Substituting z = R a (R the 0/1 map repeating each channel's rate over
     the horizon) reduces the QP to m variables, solved by the same
-    candidate machinery.  On a single shared channel this reproduces the
-    stationary-rate closed forms: endpoints, plus the interior peak when
-    the reduced curvature is negative.
+    candidate machinery: exactly while 3^m <= 2^``_VERTEX_CAP``, since a
+    reduced diagonal entry may be negative (udp).  On a single shared
+    channel this reproduces the stationary-rate closed forms: endpoints,
+    plus the interior peak when the reduced curvature is negative.
     """
-    d = qp.c.size
     m = qp.m
-    R = np.zeros((d, m))
-    for i, (_, ch) in enumerate(qp.index_map):
-        R[i, ch] = 1.0
+    R = np.tile(np.eye(m), (qp.horizon, 1))
     Hr = R.T @ qp.H @ R
     Hr = 0.5 * (Hr + Hr.T)
     cr = R.T @ qp.c

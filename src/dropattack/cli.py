@@ -328,14 +328,23 @@ def _plan_for_kind(base: AttackPlan, kind: str) -> AttackPlan:
     )
 
 
+def _attack_kinds(text):
+    """The kinds of a ``--attacks`` list: at least one, known and distinct."""
+    kinds = [kind.strip() for kind in text.split(",") if kind.strip()]
+    problems = [] if kinds else ["--attacks: no attack kind given"]
+    for i, kind in enumerate(kinds):
+        if kind not in _KINDS:
+            problems.append(f"--attacks: unknown kind '{kind}'")
+        elif kinds.index(kind) < i:
+            problems.append(f"--attacks: kind '{kind}' is repeated")
+    if problems:
+        raise ConfigError(problems)
+    return kinds
+
+
 def _cmd_compare(args) -> int:
+    kinds = _attack_kinds(args.attacks)
     exp = load_experiment(args.config)
-    kinds = [kind.strip() for kind in args.attacks.split(",") if kind.strip()]
-    bad = [kind for kind in kinds if kind not in _KINDS]
-    if bad:
-        raise ConfigError(
-            [f"--attacks: unknown kind '{kind}'" for kind in bad]
-        )
     realizations = args.realizations or exp.realizations
 
     reports = {}

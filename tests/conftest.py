@@ -323,6 +323,32 @@ def slow_vertex_max(H, c, lo, hi):
     return best
 
 
+def slow_box_max(H, c, lo, hi):
+    """Largest z'Hz + c'z over the box, one lo/hi/free pattern at a time.
+
+    Each of the 3^d patterns puts every coordinate at its lower bound, at
+    its upper bound or free; the free ones solve the stationarity
+    condition given the others.  Patterns with a singular free block or a
+    free value outside the box are skipped.
+    """
+    d = len(c)
+    best = -np.inf
+    for pattern in itertools.product(("lo", "hi", "free"), repeat=d):
+        z = np.array([hi[i] if p == "hi" else lo[i] for i, p in enumerate(pattern)])
+        free = [i for i, p in enumerate(pattern) if p == "free"]
+        fixed = [i for i, p in enumerate(pattern) if p != "free"]
+        if free:
+            rhs = c[free] + 2.0 * H[np.ix_(free, fixed)] @ z[fixed]
+            try:
+                z[free] = np.linalg.solve(-2.0 * H[np.ix_(free, free)], rhs)
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(z[free] < lo[free]) or np.any(z[free] > hi[free]):
+                continue
+        best = max(best, float(z @ H @ z + c @ z))
+    return best
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)

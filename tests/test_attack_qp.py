@@ -27,6 +27,7 @@ from conftest import (
     random_model,
     shared_channel,
     shared_detection,
+    slow_box_max,
     slow_vertex_max,
     tcp_objective,
     udp_objective,
@@ -98,17 +99,19 @@ def test_schedule_objective_shape_guard(rng):
     )
 
 
-def hand_qp(H, c, lo, hi, nominal=None):
+def hand_qp(H, c, lo, hi, nominal=None, m=1):
+    # m channels over d / m steps; per-entry bands need m = d
     H = np.asarray(H, float)
     c = np.asarray(c, float)
     d = c.size
     lo = np.full(d, lo, dtype=float) if np.isscalar(lo) else np.asarray(lo, float)
     hi = np.full(d, hi, dtype=float) if np.isscalar(hi) else np.asarray(hi, float)
     nominal = 0.5 * (lo + hi) if nominal is None else np.asarray(nominal, float)
+    horizon = d // m
     return BoxQP(
         H=H, c=c, lo=lo, hi=hi,
-        index_map=tuple((k, 0) for k in range(d)),
-        nominal=nominal, horizon=d, m=1,
+        index_map=tuple((k, i) for k in range(horizon) for i in range(m)),
+        nominal=nominal, horizon=horizon, m=m,
     )
 
 
@@ -144,7 +147,7 @@ def test_vertex_enumeration_matches_brute_force(rng):
         best = -np.inf
         for corner in itertools.product((0.0, 1.0), repeat=d):
             best = max(best, qp.objective(np.array(corner)))
-        # solver sees every vertex at this size, plus interior candidates
+        # the enumeration covers every vertex (and face) at this size
         assert sol.objective >= best - 1e-12 * (1.0 + abs(best))
 
 
@@ -161,17 +164,17 @@ def count_ascents(monkeypatch):
 
 
 def test_built_qps_up_to_vertex_cap_are_solved_exactly(rng, monkeypatch):
-    # every built QP has diag(H) >= 0, so the best vertex is the maximum and
-    # no ascent runs; the restriction is solved first, it may still ascend
+    # every built QP has diag(H) >= 0, so the best vertex is the maximum;
+    # neither the schedule solve nor its restriction ascends
     for protocol in Protocol:
         for horizon, m in ((2, 1), (5, 1), (3, 2), (3, 4), (8, 2)):
             model = random_model(rng, m=m, horizon=horizon)
             _, qp = build_for(rng, protocol, model=model)
             assert qp.c.size <= attack_qp._VERTEX_CAP
             assert np.all(np.diag(qp.H) >= 0.0)
-            iid = solve_iid_constrained(qp)
             with monkeypatch.context() as patch:
                 calls = count_ascents(patch)
+                iid = solve_iid_constrained(qp)
                 sol = solve_box_qp_max(qp, iid=iid)
             assert calls == []
             best = slow_vertex_max(qp.H, qp.c, qp.lo, qp.hi)
@@ -179,25 +182,65 @@ def test_built_qps_up_to_vertex_cap_are_solved_exactly(rng, monkeypatch):
             assert sol.winner in ("vertex", "nominal")
 
 
-def test_ascent_still_runs_outside_the_exact_regime(rng, monkeypatch):
-    # one negative diagonal entry at d <= cap, and a built QP beyond the cap
-    d = 6
-    M = rng.normal(size=(d, d))
-    H = 0.5 * (M + M.T)
-    np.fill_diagonal(H, np.abs(np.diag(H)))
-    H[2, 2] = -1.0
-    hand = hand_qp(H, rng.normal(size=d), 0.0, 1.0)
+def restriction(qp):
+    """The QP in one rate per channel, z = R a, with its box."""
+    R = np.tile(np.eye(qp.m), (qp.horizon, 1))
+    return R.T @ qp.H @ R, R.T @ qp.c, qp.lo[: qp.m], qp.hi[: qp.m]
+
+
+def test_small_box_qps_are_solved_exactly(rng, monkeypatch):
+    # mixed-sign diagonals: a negative entry lets its coordinate peak
+    # inside its band, so the maximum can sit on a face, not a vertex
+    negative = 0
+    for _ in range(60):
+        d = int(rng.integers(1, 8))
+        M = rng.normal(size=(d, d))
+        H = 0.5 * (M + M.T)
+        lo = rng.uniform(-1.0, 0.5, size=d)
+        hi = lo + rng.uniform(0.05, 1.5, size=d)
+        qp = hand_qp(H, rng.normal(size=d), lo, hi, m=d)
+        negative += bool(np.any(np.diag(H) < 0.0))
+        with monkeypatch.context() as patch:
+            calls = count_ascents(patch)
+            sol = solve_box_qp_max(qp)
+        assert calls == []
+        best = slow_box_max(qp.H, qp.c, qp.lo, qp.hi)
+        assert abs(sol.objective - best) <= 1e-12 * abs(best)
+    # the per-channel restriction of a built udp QP has m variables
+    for m in (1, 2, 3):
+        for _ in range(8):
+            model = random_model(rng, m=m)
+            _, qp = build_for(rng, Protocol.UDP_LIKE, model=model)
+            Hr, cr, lo, hi = restriction(qp)
+            negative += bool(np.any(np.diag(Hr) < 0.0))
+            with monkeypatch.context() as patch:
+                calls = count_ascents(patch)
+                iid = solve_iid_constrained(qp)
+            assert calls == []
+            best = slow_box_max(Hr, cr, lo, hi)
+            assert abs(iid.objective - best) <= 1e-12 * abs(best)
+    assert negative >= 20
+
+
+def test_ascent_runs_once_beyond_the_enumeration_budget(rng, monkeypatch):
+    # a built QP beyond the cap, and a hand-built one whose every diagonal
+    # entry is negative, so 3^11 face points exceed the 2^16 budget
     model = random_model(rng, m=2, horizon=9)
     _, built = build_for(rng, Protocol.TCP_LIKE, model=model)
     assert built.c.size > attack_qp._VERTEX_CAP
-    for qp in (hand, built):
-        iid = solve_iid_constrained(qp)
+    d = 11
+    M = rng.normal(size=(d, d))
+    H = 0.5 * (M + M.T)
+    np.fill_diagonal(H, -np.abs(np.diag(H)) - 0.1)
+    hand = hand_qp(H, rng.normal(size=d), 0.0, 1.0)
+    assert 3 ** d > 2 ** attack_qp._VERTEX_CAP
+    for qp in (built, hand):
         with monkeypatch.context() as patch:
             calls = count_ascents(patch)
-            solve_box_qp_max(qp, iid=iid)
+            iid = solve_iid_constrained(qp)
+            sol = solve_box_qp_max(qp, iid=iid)
         assert calls == [(attack_qp._MULTISTARTS, qp.c.size)]
-    best = slow_vertex_max(hand.H, hand.c, hand.lo, hand.hi)
-    assert solve_box_qp_max(hand).objective >= best - 1e-12 * (1.0 + abs(best))
+        assert sol.objective >= iid.objective
 
 
 def test_batch_objective_matches_planned_einsum(rng):

@@ -277,3 +277,17 @@ def test_compare_rejects_unknown_attack_kind(tmp_path, config_path):
         "--attacks", "none,ddos",
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("attacks", [",", "", "iid,iid", "none,iid,none"])
+def test_compare_rejects_empty_or_repeated_attack_list(
+    tmp_path, config_path, attacks
+):
+    out = tmp_path / "out"
+    rc = main([
+        "compare", "--config", config_path, "--out", str(out),
+        "--attacks", attacks,
+    ])
+    assert rc == 2
+    assert not (out / "comparison.json").exists()
+    assert not (out / "realizations.csv").exists()
