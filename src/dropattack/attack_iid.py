@@ -177,6 +177,23 @@ class BoxQP:
     horizon: int
     m: int
 
+    def __post_init__(self):
+        d, m = self.horizon * self.m, self.m
+        vectors = (self.c, self.lo, self.hi, self.nominal)
+        if self.H.shape != (d, d) or {v.shape for v in vectors} != {(d,)}:
+            raise DimensionError(
+                f"BoxQP over {self.horizon} steps of {m} channels needs "
+                f"a {d}x{d} H and length-{d} c, lo, hi and nominal"
+            )
+        # the iid restriction reads each channel's band off the first step,
+        # so every step must repeat it: entry i equals entry i - m
+        for name in ("lo", "hi", "nominal"):
+            values = getattr(self, name)
+            if values[m:].tolist() != values[:-m].tolist():
+                raise DimensionError(
+                    f"BoxQP {name} must repeat one {m}-entry block per step"
+                )
+
     def objective(self, z: np.ndarray) -> float:
         z = np.asarray(z, dtype=float)
         return float(z @ (self.H @ z) + self.c @ z)

@@ -10,7 +10,8 @@ Subcommands:
                 random numbers
 
 All subcommands read one JSON experiment file (--config) and write their
-outputs into --out (default: current directory).  Outputs are
+outputs into --out (default: current directory), which the first report
+creates, so a rejected run leaves no directory behind.  Outputs are
 deterministic for a fixed config: floats are serialized with %.17g and no
 timestamps are emitted.  Exit codes: 0 success, 2 configuration problem,
 3 numerical failure, 4 infeasible attack region.  Log verbosity comes
@@ -79,9 +80,15 @@ def _json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _report_file(path: str, newline=None):
+    """``path`` opened for writing; the first report creates ``--out``."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", newline=newline)
+
+
 def _write_json(path: str, obj) -> None:
     text = _json_text(obj) + "\n"
-    with open(path, "w") as handle:
+    with _report_file(path) as handle:
         handle.write(text)
     log.info("wrote %s", path)
 
@@ -92,7 +99,7 @@ def _fmt(value: float) -> str:
 
 def _write_trace_csv(path: str, mean_states, mean_cumulative) -> None:
     n = mean_states.shape[1]
-    with open(path, "w", newline="") as handle:
+    with _report_file(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["step"] + [f"x{i + 1}" for i in range(n)] + ["cost"])
         for k in range(mean_states.shape[0]):
@@ -108,7 +115,7 @@ def _write_realizations_csv(path: str, reports: dict) -> None:
     kinds = list(reports)
     counts = {report.realizations for report in reports.values()}
     rows = max(counts)
-    with open(path, "w", newline="") as handle:
+    with _report_file(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["realization"] + [f"terminal_cost_{kind}" for kind in kinds]
@@ -443,7 +450,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        os.makedirs(args.out, exist_ok=True)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -8,9 +8,12 @@ of its optimal sequence, the channel drops packets, the plant steps, and the
 monitor folds the realized outcomes into its running means.  The realized
 cost ledger charges, per step, the current-state weight, the first
 input-penalty block on the delivered input, and the first state-penalty
-block on the successor state.  Detection never interrupts an episode; it is
-recorded and reported.  A batch of realizations steps in lockstep as one
-(realizations, n) state array; :func:`run_episode` is a batch of one.
+block on the successor state.  Detection never interrupts an episode:
+every episode runs all T steps and records its first detection step.  A
+batch of realizations steps in lockstep as one (realizations, n) state
+array.  Both entry points share one set-up and channel law, so
+:func:`run_episode` for realization r is bitwise the episode
+:func:`monte_carlo` runs for r.
 
 Horizon experiments (:func:`horizon_cost_samples`,
 :func:`empirical_increase`) estimate the expected horizon cost that the
@@ -131,21 +134,21 @@ class AttackPlan:
 
 @dataclass(frozen=True, eq=False)
 class ResolvedAttack:
-    """Concrete per-step channel law from ``onset`` on."""
+    """Concrete per-step channel law from ``onset`` on.
+
+    ``table`` holds the (period, m) delivery means played cyclically from
+    onset, one row for a stationary law; it is None for kind "none".
+    """
 
     kind: str
     onset: int
-    constant: np.ndarray | None
-    schedule: np.ndarray | None
+    table: np.ndarray | None
     info: dict = field(default_factory=dict)
 
     def means_at(self, step: int, nominal: np.ndarray) -> np.ndarray:
-        if self.kind == "none" or step < self.onset:
+        if self.table is None or step < self.onset:
             return nominal
-        if self.constant is not None:
-            return self.constant
-        offset = step - self.onset
-        return self.schedule[offset % self.schedule.shape[0]]
+        return self.table[(step - self.onset) % self.table.shape[0]]
 
 
 def resolve_attack(
@@ -160,23 +163,22 @@ def resolve_attack(
 ) -> ResolvedAttack:
     """Turn a plan into a concrete channel law, synthesizing if needed."""
     if plan.kind == "none":
-        return ResolvedAttack("none", plan.onset, None, None, {"kind": "none"})
+        return ResolvedAttack("none", plan.onset, None, {"kind": "none"})
     if plan.kind == "iid":
         if plan.alpha is not None:
-            const = np.full(ens.m, float(plan.alpha))
             return ResolvedAttack(
-                "iid", plan.onset, const, None,
+                "iid", plan.onset, np.full((1, ens.m), float(plan.alpha)),
                 {"kind": "iid", "alpha": float(plan.alpha), "fixed": True},
             )
         if plan.means is not None:
             return ResolvedAttack(
-                "iid", plan.onset, np.asarray(plan.means, dtype=float), None,
+                "iid", plan.onset, plan.means[None, :],
                 {"kind": "iid", "fixed": True},
             )
         ctx = attack_context(ens, model, channel, detection, protocol, x, gain)
         sol = solve_iid_constrained(ctx.qp)
         return ResolvedAttack(
-            "iid", plan.onset, sol.means[0].copy(), None,
+            "iid", plan.onset, sol.means[:1].copy(),
             {
                 "kind": "iid",
                 "objective": sol.objective,
@@ -187,13 +189,13 @@ def resolve_attack(
     # nonstat
     if plan.schedule is not None:
         return ResolvedAttack(
-            "nonstat", plan.onset, None, np.asarray(plan.schedule, dtype=float),
+            "nonstat", plan.onset, plan.schedule,
             {"kind": "nonstat", "fixed": True},
         )
     ctx = attack_context(ens, model, channel, detection, protocol, x, gain)
     sol = solve_box_qp_max(ctx.qp)
     return ResolvedAttack(
-        "nonstat", plan.onset, None, sol.means.copy(),
+        "nonstat", plan.onset, sol.means.copy(),
         {
             "kind": "nonstat",
             "objective": sol.objective,
@@ -217,7 +219,6 @@ class EpisodeConfig:
     sample_x0: bool = False
     zero_input: bool = False
     detector_min_steps: int = 1
-    halt_on_detect: bool = False
 
     def __post_init__(self):
         if self.T < 1:
@@ -250,24 +251,21 @@ class SimulationTrace:
     terminal_cost: float
 
 
-def stage_cost(model: SystemModel, x, u_applied, v, x_next=None) -> float:
+def stage_cost(model: SystemModel, x, u_applied, v, x_next) -> float:
     """Realized per-step cost.
 
-    Charges x'Qx plus the first input-penalty block on the delivered input
-    v * u; when ``x_next`` is given, the first state-penalty block on the
-    successor is added (the harness always passes it, so each step of the
-    episode is billed once for where it lands).
+    Charges x'Qx, the first input-penalty block on the delivered input
+    v * u, and the first state-penalty block on the successor ``x_next``,
+    so each step of the episode is billed once for where it lands.
     """
     x = np.asarray(x, dtype=float)
+    x_next = np.asarray(x_next, dtype=float)
     u_eff = np.asarray(v, dtype=float) * np.asarray(u_applied, dtype=float)
     m, n = model.m, model.n
     psi1 = model.input_penalty[:m, :m]
+    omega1 = model.state_penalty[:n, :n]
     cost = float(x @ (model.Q @ x)) + float(u_eff @ (psi1 @ u_eff))
-    if x_next is not None:
-        x_next = np.asarray(x_next, dtype=float)
-        omega1 = model.state_penalty[:n, :n]
-        cost += float(x_next @ (omega1 @ x_next))
-    return cost
+    return cost + float(x_next @ (omega1 @ x_next))
 
 
 def _matvec(M, X):
@@ -280,17 +278,29 @@ def _quad(M, X):
     return (X[..., None, :] @ _matvec(M, X)[..., None])[..., 0, 0]
 
 
-def _law_table(laws) -> np.ndarray:
-    """(len(laws), period, m) delivery means from onset on, one law a row."""
-    return np.stack([
-        law.schedule if law.constant is None else law.constant[None, :]
-        for law in laws
-    ])
+def _prepare(cfg):
+    """The ensemble, the gain and the channel law every episode shares.
+
+    The law is resolved once, at the initial mean, when the episode cannot
+    change it (fixed parameters, synthesis from the initial mean, or onset
+    0 with a deterministic initial state); otherwise it is None.
+    """
+    model, plan = cfg.model, cfg.plan
+    ens = build_prediction_ensemble(model)
+    gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
+    resolved = None
+    deterministic_onset_state = plan.onset == 0 and not cfg.sample_x0
+    if plan.kind != "none" and not plan.resynthesize and (
+        not plan.needs_state or deterministic_onset_state
+    ):
+        resolved = resolve_attack(
+            plan, model, ens, cfg.channel, cfg.detection,
+            cfg.protocol, model.init_mean, gain,
+        )
+    return ens, gain, resolved
 
 
-def _lockstep(
-    cfg, realizations, ens, gain, resolved
-) -> list[SimulationTrace]:
+def _lockstep(cfg, realizations, ens, gain, resolved) -> dict:
     """The episodes of ``realizations``, stepped together one step at a time.
 
     Each realization draws its whole loss-uniform and noise blocks up front
@@ -298,9 +308,11 @@ def _lockstep(
     product is the unbatched matrix-vector product applied per
     realization, so each episode is bitwise the one it would be alone.
     The channel law is ``resolved`` when given; otherwise each realization
-    resolves the plan at onset from its own state.  With ``halt_on_detect``
-    each trace ends at its detection step, and stepping stops once every
-    realization has been detected.
+    resolves the plan at onset from its own state.
+
+    Returns the array fields of :class:`SimulationTrace` by name, each
+    with the realization as a leading axis, and ``first_detection`` of
+    shape (size,), -1 where the monitor never fired.
     """
     model, plan = cfg.model, cfg.plan
     n, m, T = model.n, model.m, cfg.T
@@ -329,10 +341,8 @@ def _lockstep(
     # under resynthesis each step from onset solves its own schedule, so a
     # law resolved at onset would never be played
     per_episode = resolved is None and plan.kind != "none" and not resynthesize
-    onset = plan.onset if resolved is None else resolved.onset
-    table = None
-    if resolved is not None and resolved.kind != "none":
-        table = _law_table([resolved])
+    # (laws, period, m): one shared law, or one per realization from onset
+    table = None if resolved is None else resolved.table[None]
 
     states = np.empty((size, T + 1, n))
     inputs = np.zeros((size, T, m))
@@ -341,19 +351,18 @@ def _lockstep(
     states[:, 0] = x
     counts = np.zeros((size, m))
     first_detection = np.full(size, -1)
-    steps = T
 
     for k in range(T):
-        if per_episode and k == onset:
+        if per_episode and k == plan.onset:
             at_mean = plan.state_mode == "mean"
-            table = _law_table([
+            table = np.stack([
                 resolve_attack(
                     plan, model, ens, cfg.channel, cfg.detection,
                     cfg.protocol, model.init_mean if at_mean else xs, gain,
-                )
+                ).table
                 for xs in x
             ])
-        if resynthesize and k >= onset:
+        if resynthesize and k >= plan.onset:
             means = np.array([
                 solve_box_qp_max(
                     attack_context(
@@ -363,8 +372,8 @@ def _lockstep(
                 ).means[0]
                 for xs in x
             ])
-        elif table is not None and k >= onset:
-            means = table[:, (k - onset) % table.shape[1]]
+        elif table is not None and k >= plan.onset:
+            means = table[:, (k - plan.onset) % table.shape[1]]
         else:
             means = nominal
 
@@ -385,54 +394,34 @@ def _lockstep(
             dev = np.abs(monitor_means[:, k] - nominal)
             flagged = ~np.all(dev <= tol, axis=1)
             first_detection[flagged & (first_detection < 0)] = k
-            if cfg.halt_on_detect and np.all(first_detection >= 0):
-                steps = k + 1  # truncate at the last detection step
-                break
 
-    delivered = losses[:, :steps] * inputs[:, :steps]
     stage_costs = (
-        _quad(model.Q, states[:, :steps])
-        + _quad(model.input_penalty[:m, :m], delivered)
-        + _quad(model.state_penalty[:n, :n], states[:, 1 : steps + 1])
+        _quad(model.Q, states[:, :T])
+        + _quad(model.input_penalty[:m, :m], losses * inputs)
+        + _quad(model.state_penalty[:n, :n], states[:, 1:])
     )
-    cumulative = np.cumsum(stage_costs, axis=1)
-    traces = []
-    for b, first in enumerate(first_detection.tolist()):
-        detected = first >= 0
-        end = first + 1 if detected and cfg.halt_on_detect else steps
-        traces.append(SimulationTrace(
-            states=states[b, : end + 1],
-            inputs=inputs[b, :end],
-            losses=losses[b, :end],
-            noises=noises[b, :end],
-            stage_costs=stage_costs[b, :end],
-            cumulative=cumulative[b, :end],
-            monitor_means=monitor_means[b, :end],
-            detected=detected,
-            first_detection=first if detected else None,
-            terminal_cost=float(cumulative[b, end - 1]),
-        ))
-    return traces
+    return dict(
+        states=states, inputs=inputs, losses=losses, noises=noises,
+        stage_costs=stage_costs, cumulative=np.cumsum(stage_costs, axis=1),
+        monitor_means=monitor_means, first_detection=first_detection,
+    )
 
 
-def run_episode(
-    cfg: EpisodeConfig,
-    realization: int = 0,
-    ens: PredictionEnsemble | None = None,
-    gain: ControllerGain | None = None,
-    resolved: ResolvedAttack | None = None,
-) -> SimulationTrace:
+def run_episode(cfg: EpisodeConfig, realization: int = 0) -> SimulationTrace:
     """One closed-loop episode: the lockstep engine on a batch of one.
 
-    Bitwise reproducible for fixed arguments, and bitwise the episode
-    :func:`monte_carlo` runs for the same realization.
+    Shares :func:`monte_carlo`'s set-up and channel law, so it is bitwise
+    the episode :func:`monte_carlo` runs for the same realization.
     """
-    model = cfg.model
-    if ens is None:
-        ens = build_prediction_ensemble(model)
-    if gain is None:
-        gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
-    return _lockstep(cfg, [realization], ens, gain, resolved)[0]
+    batch = _lockstep(cfg, [realization], *_prepare(cfg))
+    first = int(batch.pop("first_detection")[0])
+    row = {name: values[0] for name, values in batch.items()}
+    return SimulationTrace(
+        **row,
+        detected=first >= 0,
+        first_detection=first if first >= 0 else None,
+        terminal_cost=float(row["cumulative"][-1]),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,54 +444,34 @@ def monte_carlo(cfg: EpisodeConfig, realizations: int) -> AggregateReport:
 
     The episodes run in lockstep, ``_BLOCK`` realizations at a time, so
     memory stays O(_BLOCK * T * (n + m)) whatever ``realizations`` is.
-
-    When the attack can be synthesized once (fixed parameters, synthesis
-    from the initial mean, or onset 0 with a deterministic initial state)
-    it is resolved a single time and shared across episodes; otherwise each
-    episode synthesizes at its own onset state.
+    The channel law is resolved once and shared across episodes whenever
+    it does not depend on the episode (see :func:`_prepare`); otherwise
+    each episode synthesizes at its own onset state.
     """
     if realizations < 1:
         raise DimensionError("realizations must be >= 1")
-    if cfg.halt_on_detect:
-        raise DimensionError(
-            "aggregation needs full-length episodes; disable halt_on_detect"
-        )
-    model = cfg.model
-    ens = build_prediction_ensemble(model)
-    gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
+    ens, gain, resolved = _prepare(cfg)
 
-    plan = cfg.plan
-    resolved = None
-    deterministic_onset_state = plan.onset == 0 and not cfg.sample_x0
-    if plan.kind != "none" and not plan.resynthesize and (
-        not plan.needs_state or deterministic_onset_state
-    ):
-        x_syn = model.init_mean
-        resolved = resolve_attack(
-            plan, model, ens, cfg.channel, cfg.detection,
-            cfg.protocol, x_syn, gain,
-        )
-
-    T, n = cfg.T, model.n
+    T, n = cfg.T, cfg.model.n
     sum_states = np.zeros((T + 1, n))
     sum_cumulative = np.zeros(T)
     terminal = np.empty(realizations)
-    detections = 0
     first_hits = []
     for start in range(0, realizations, _BLOCK):
         block = range(start, min(start + _BLOCK, realizations))
-        traces = _lockstep(cfg, block, ens, gain, resolved)
-        for r, trace in zip(block, traces):
-            sum_states += trace.states
-            sum_cumulative += trace.cumulative
-            terminal[r] = trace.terminal_cost
-            if trace.detected:
-                detections += 1
-                first_hits.append(trace.first_detection)
+        batch = _lockstep(cfg, block, ens, gain, resolved)
+        # one realization at a time, in order, as a single episode adds up
+        for b in range(len(block)):
+            sum_states += batch["states"][b]
+            sum_cumulative += batch["cumulative"][b]
+        terminal[block.start : block.stop] = batch["cumulative"][:, -1]
+        first = batch["first_detection"]
+        first_hits.extend(first[first >= 0].tolist())
 
     mean_terminal = float(np.mean(terminal))
     se_terminal = float(np.std(terminal, ddof=1) / math.sqrt(realizations)) \
         if realizations > 1 else 0.0
+    kind = cfg.plan.kind
     return AggregateReport(
         realizations=realizations,
         mean_states=sum_states / realizations,
@@ -510,12 +479,12 @@ def monte_carlo(cfg: EpisodeConfig, realizations: int) -> AggregateReport:
         terminal_costs=terminal,
         mean_terminal=mean_terminal,
         se_terminal=se_terminal,
-        detection_rate=detections / realizations,
+        detection_rate=len(first_hits) / realizations,
         mean_first_detection=(
             float(np.mean(first_hits)) if first_hits else None
         ),
         attack_info=dict(resolved.info) if resolved is not None else
-        {"kind": plan.kind, "per_episode_synthesis": plan.kind != "none"},
+        {"kind": kind, "per_episode_synthesis": kind != "none"},
     )
 
 

@@ -222,22 +222,19 @@ def tcp_objective(ctx, alpha):
     return -alpha * float(u @ ((scaled + ctx.input_penalty) @ u))
 
 
-def slow_episode(cfg, realization=0, ens=None, gain=None, resolved=None):
+def slow_episode(cfg, realization=0):
     """One closed-loop episode stepped one realization and one step at a
     time, from the public single-step helpers: the reference the lockstep
     engine behind ``run_episode`` and ``monte_carlo`` is gated against.
 
     Draws step by step from the same per-realization streams, resolves the
-    attack at onset from the episode's own state unless ``resolved`` is
-    given, and re-solves the schedule every step from onset on under
-    ``resynthesize``.
+    attack at onset from the episode's own state, and re-solves the
+    schedule every step from onset on under ``resynthesize``.
     """
     model, plan = cfg.model, cfg.plan
     n, m = model.n, model.m
-    if ens is None:
-        ens = build_prediction_ensemble(model)
-    if gain is None:
-        gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
+    ens = build_prediction_ensemble(model)
+    gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
     noise_rng = philox_stream(cfg.seed, realization, STREAM_NOISE)
     loss_rng = philox_stream(cfg.seed, realization, STREAM_LOSS)
     init_rng = philox_stream(cfg.seed, realization, STREAM_INIT)
@@ -252,8 +249,9 @@ def slow_episode(cfg, realization=0, ens=None, gain=None, resolved=None):
     states, inputs, losses, noises, costs, means = [x], [], [], [], [], []
     monitor = fresh_monitor(m)
     first_detection = None
+    resolved = None
     for k in range(cfg.T):
-        if resolved is None and k == plan.onset and plan.kind != "none":
+        if k == plan.onset and plan.kind != "none":
             x_syn = x if plan.state_mode == "onset" else model.init_mean
             resolved = resolve_attack(
                 plan, model, ens, cfg.channel, cfg.detection,
@@ -287,8 +285,6 @@ def slow_episode(cfg, realization=0, ens=None, gain=None, resolved=None):
             and not in_safe_region(monitor.means, cfg.channel, cfg.detection)
         ):
             first_detection = k
-            if cfg.halt_on_detect:
-                break
         x = x_next
 
     cumulative = np.cumsum(costs)

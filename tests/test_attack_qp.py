@@ -115,6 +115,23 @@ def hand_qp(H, c, lo, hi, nominal=None, m=1):
     )
 
 
+def test_box_must_be_tiled_per_channel():
+    # the iid restriction reads each channel's band off the first step, so
+    # a band that changes over the horizon would let it leave the box
+    H, c = np.eye(3), np.ones(3)
+    with pytest.raises(DimensionError):
+        hand_qp(H, c, [0.0, 0.5, 0.2], [1.2, 0.6, 0.4])
+    with pytest.raises(DimensionError):
+        hand_qp(H, c, 0.0, 1.0, nominal=[0.5, 0.5, 0.4])
+    with pytest.raises(DimensionError):
+        hand_qp(np.eye(2), c, 0.0, 1.0)
+    with pytest.raises(DimensionError):
+        hand_qp(H, np.ones(4), 0.0, 1.0, m=3)
+    # per-entry bands are one block when every entry is its own channel
+    qp = hand_qp(H, c, [0.0, 0.5, 0.2], [1.2, 0.6, 0.4], m=3)
+    assert solve_iid_constrained(qp).means.shape == (1, 3)
+
+
 def test_interior_maximum_found():
     # -(z - 1/2)^2 + 1/4 on [0, 2]: strict interior peak
     qp = hand_qp([[-1.0]], [1.0], 0.0, 2.0, nominal=[1.7])

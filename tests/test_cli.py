@@ -291,3 +291,22 @@ def test_compare_rejects_empty_or_repeated_attack_list(
     assert rc == 2
     assert not (out / "comparison.json").exists()
     assert not (out / "realizations.csv").exists()
+
+
+def test_out_directory_is_made_only_by_a_report(tmp_path, config_path):
+    # runs rejected with exit 2 leave no --out directory behind
+    out = tmp_path / "rejected"
+    rc = main([
+        "compare", "--config", config_path, "--out", str(out),
+        "--attacks", "iid,iid",
+    ])
+    assert rc == 2
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    assert main(["simulate", "--config", str(empty), "--out", str(out)]) == 2
+    assert not out.exists()
+    # a successful run still creates a nested --out
+    nested = tmp_path / "a" / "b"
+    rc = main(["synthesize", "--config", config_path, "--out", str(nested)])
+    assert rc == 0
+    assert (nested / "synthesis.json").exists()
