@@ -87,6 +87,7 @@ from .simulate import (
     empirical_increase,
     horizon_cost_samples,
     monte_carlo,
+    monte_carlo_arms,
     resolve_attack,
     run_episode,
     stage_cost,
@@ -142,6 +143,7 @@ __all__ = [
     "initial_state_average",
     "load_experiment",
     "monte_carlo",
+    "monte_carlo_arms",
     "nominal_expected_cost",
     "objective_coeffs",
     "optimal_alpha",

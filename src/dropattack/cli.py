@@ -20,6 +20,7 @@ from the DROPATTACK_LOG environment variable (DEBUG, INFO, WARNING, ...).
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -39,7 +40,13 @@ from .controller import Protocol, control_gain, nominal_expected_cost
 from .costs import cost_regimes, expected_attacked_cost, feedback_benefit
 from .errors import ConfigError, DimensionError, InfeasibleRegionError, NumericalError
 from .model import build_prediction_ensemble
-from .simulate import _KINDS, AttackPlan, empirical_increase, monte_carlo
+from .simulate import (
+    _KINDS,
+    AttackPlan,
+    empirical_increase,
+    monte_carlo,
+    monte_carlo_arms,
+)
 
 __all__ = ["main"]
 
@@ -354,10 +361,11 @@ def _cmd_compare(args) -> int:
     exp = load_experiment(args.config)
     realizations = args.realizations or exp.realizations
 
-    reports = {}
+    # one lockstep batch: the arms share the set-up and every random draw
+    plans = [_plan_for_kind(exp.plan, kind) for kind in kinds]
+    arms = monte_carlo_arms(exp.episode(plan=plans[0]), plans, realizations)
+    reports = dict(zip(kinds, arms))
     for kind in kinds:
-        cfg = exp.episode(plan=_plan_for_kind(exp.plan, kind))
-        reports[kind] = monte_carlo(cfg, realizations)
         log.info(
             "%s: mean terminal cost %.6g (se %.2g)",
             kind, reports[kind].mean_terminal, reports[kind].se_terminal,
@@ -390,7 +398,9 @@ def _cmd_compare(args) -> int:
 
 # ------------------------------------------------------------------ driver
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by main."""
     parser = argparse.ArgumentParser(
         prog="dropattack",
         description=(

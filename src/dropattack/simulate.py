@@ -2,18 +2,23 @@
 
 Two kinds of experiment live here.
 
-Closed-loop episodes (:func:`run_episode`, :func:`monte_carlo`) run the
-receding-horizon loop for T steps: the controller transmits the first block
-of its optimal sequence, the channel drops packets, the plant steps, and the
-monitor folds the realized outcomes into its running means.  The realized
-cost ledger charges, per step, the current-state weight, the first
-input-penalty block on the delivered input, and the first state-penalty
-block on the successor state.  Detection never interrupts an episode:
-every episode runs all T steps and records its first detection step.  A
-batch of realizations steps in lockstep as one (realizations, n) state
-array.  Both entry points share one set-up and channel law, so
-:func:`run_episode` for realization r is bitwise the episode
-:func:`monte_carlo` runs for r.
+Closed-loop episodes (:func:`run_episode`, :func:`monte_carlo`,
+:func:`monte_carlo_arms`) run the receding-horizon loop for T steps: the
+controller transmits the first block of its optimal sequence, the channel
+drops packets, the plant steps, and the monitor folds the realized
+outcomes into its running means.  The realized cost ledger charges, per
+step, the current-state weight, the first input-penalty block on the
+delivered input, and the first state-penalty block on the successor
+state.  Detection never interrupts an episode: every episode runs all T
+steps and records its first detection step.  One engine steps a batch in
+lockstep as one (rows, n) state array, whose rows are (attack arm,
+realization) pairs: :func:`monte_carlo_arms` runs several attack plans
+as one batch on one set of draws, :func:`monte_carlo` is its one-plan
+case and :func:`run_episode` its batch of one.  All share one set-up and
+channel law per plan, so :func:`run_episode` for realization r is bitwise
+the episode :func:`monte_carlo` runs for r, and every arm of
+:func:`monte_carlo_arms` is bitwise the plan's :func:`monte_carlo` run.
+A block of 64 realizations holds O(arms * 64 * T * (n + m)) floats.
 
 Horizon experiments (:func:`horizon_cost_samples`,
 :func:`empirical_increase`) estimate the expected horizon cost that the
@@ -35,7 +40,7 @@ change any draw.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,13 +68,14 @@ __all__ = [
     "resolve_attack",
     "run_episode",
     "monte_carlo",
+    "monte_carlo_arms",
     "horizon_cost_samples",
     "empirical_increase",
 ]
 
 _KINDS = ("none", "iid", "nonstat")
-# Realizations that monte_carlo steps together; bounds the pre-drawn and
-# recorded arrays of a batch to O(_BLOCK * T * (n + m)) floats.
+# Realizations that monte_carlo_arms steps together; bounds the pre-drawn
+# and recorded arrays of a batch to O(arms * _BLOCK * T * (n + m)) floats.
 _BLOCK = 64
 
 
@@ -278,45 +284,67 @@ def _quad(M, X):
     return (X[..., None, :] @ _matvec(M, X)[..., None])[..., 0, 0]
 
 
-def _prepare(cfg):
-    """The ensemble, the gain and the channel law every episode shares.
+def _shared_law(cfg, plan, ens, gain):
+    """The channel law every episode of ``plan`` plays, or None.
 
     The law is resolved once, at the initial mean, when the episode cannot
-    change it (fixed parameters, synthesis from the initial mean, or onset
-    0 with a deterministic initial state); otherwise it is None.
+    change it: fixed parameters, synthesis from the initial mean, or onset
+    0 with a deterministic initial state.  It is None for kind "none", for
+    synthesis at each episode's own onset state, and under per-step
+    resynthesis (nonstat only), which would never play a law resolved at
+    onset.
     """
-    model, plan = cfg.model, cfg.plan
+    resynthesize = plan.kind == "nonstat" and plan.resynthesize
+    deterministic_onset_state = plan.onset == 0 and not cfg.sample_x0
+    if plan.kind == "none" or resynthesize or (
+        plan.needs_state and not deterministic_onset_state
+    ):
+        return None
+    return resolve_attack(
+        plan, cfg.model, ens, cfg.channel, cfg.detection,
+        cfg.protocol, cfg.model.init_mean, gain,
+    )
+
+
+def _prepare(cfg, plans):
+    """The ensemble and the gain every arm shares, and each arm's law."""
+    model = cfg.model
     ens = build_prediction_ensemble(model)
     gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
-    resolved = None
-    deterministic_onset_state = plan.onset == 0 and not cfg.sample_x0
-    if plan.kind != "none" and not plan.resynthesize and (
-        not plan.needs_state or deterministic_onset_state
-    ):
-        resolved = resolve_attack(
-            plan, model, ens, cfg.channel, cfg.detection,
-            cfg.protocol, model.init_mean, gain,
-        )
-    return ens, gain, resolved
+    return ens, gain, [_shared_law(cfg, plan, ens, gain) for plan in plans]
 
 
-def _lockstep(cfg, realizations, ens, gain, resolved) -> dict:
-    """The episodes of ``realizations``, stepped together one step at a time.
+def _cycled(table, onset, T):
+    """The rows of ``table`` played cyclically from step ``onset`` to T."""
+    return table[np.arange(T - onset) % table.shape[0]]
 
-    Each realization draws its whole loss-uniform and noise blocks up front
-    from its own streams, the same values step-by-step draws give.  Every
-    product is the unbatched matrix-vector product applied per
-    realization, so each episode is bitwise the one it would be alone.
-    The channel law is ``resolved`` when given; otherwise each realization
-    resolves the plan at onset from its own state.
+
+def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
+    """The episodes of every arm on ``realizations``, stepped together.
+
+    ``arms`` pairs each attack plan with its shared law, or None (see
+    :func:`_shared_law`); the rows of the batch are (arm, realization)
+    pairs, arm-major.  Each realization draws its whole loss-uniform and
+    noise blocks up front from its own streams, the same values
+    step-by-step draws give, and every arm replays them: the streams are
+    keyed without the attack.  Every product is the unbatched matrix-vector
+    product applied per row, so each episode is bitwise the one it would
+    be alone.
+
+    The delivery means of every row and step are laid out before the
+    loop: nominal before onset, the arm's law cycled from it.  An arm with
+    no shared law fills each row at onset from that row's state, and a
+    resynthesizing arm fills step k of its rows at step k.  The monitor's
+    running means and first detections follow from the losses afterwards.
 
     Returns the array fields of :class:`SimulationTrace` by name, each
-    with the realization as a leading axis, and ``first_detection`` of
-    shape (size,), -1 where the monitor never fired.
+    with the row as a leading axis, and ``first_detection`` of shape
+    (rows,), -1 where the monitor never fired.
     """
-    model, plan = cfg.model, cfg.plan
+    model = cfg.model
     n, m, T = model.n, model.m, cfg.T
     size = len(realizations)
+    rows = size * len(arms)
 
     x = np.empty((size, n))
     uniforms = np.empty((size, T, m))
@@ -332,54 +360,56 @@ def _lockstep(cfg, realizations, ens, gain, resolved) -> dict:
             z = philox_stream(cfg.seed, r, STREAM_INIT).standard_normal(n)
             x[b] = model.init_mean + init_chol @ z
     noises = _matvec(np.linalg.cholesky(model.noise_cov), normals)
+    # every arm replays the same draws
+    x = np.tile(x, (len(arms), 1))
+    uniforms = np.tile(uniforms, (len(arms), 1, 1))
+    noises = np.tile(noises, (len(arms), 1, 1))
 
     # first input block of the sequence gain, precomputed as a feedback map
     feedback = -gain.solve(ens.cross_gram)[:m, :]
     nominal = cfg.channel.mean_diag
-    tol = cfg.detection.tol_diag
-    resynthesize = plan.kind == "nonstat" and plan.resynthesize
-    # under resynthesis each step from onset solves its own schedule, so a
-    # law resolved at onset would never be played
-    per_episode = resolved is None and plan.kind != "none" and not resynthesize
-    # (laws, period, m): one shared law, or one per realization from onset
-    table = None if resolved is None else resolved.table[None]
+    means = np.empty((rows, T, m))
+    means[:] = nominal
+    at_onset, resynthesized = [], []  # (plan, the arm's rows)
+    for a, (plan, law) in enumerate(arms):
+        own = range(a * size, (a + 1) * size)
+        if law is not None:
+            means[own.start : own.stop, plan.onset :] = _cycled(
+                law.table, plan.onset, T
+            )
+        elif plan.kind == "nonstat" and plan.resynthesize:
+            resynthesized.append((plan, own))
+        elif plan.kind != "none":
+            at_onset.append((plan, own))
 
-    states = np.empty((size, T + 1, n))
-    inputs = np.zeros((size, T, m))
-    losses = np.empty((size, T, m))
-    monitor_means = np.empty((size, T, m))
+    states = np.empty((rows, T + 1, n))
+    inputs = np.zeros((rows, T, m))
+    losses = np.empty((rows, T, m))
     states[:, 0] = x
-    counts = np.zeros((size, m))
-    first_detection = np.full(size, -1)
 
     for k in range(T):
-        if per_episode and k == plan.onset:
-            at_mean = plan.state_mode == "mean"
-            table = np.stack([
-                resolve_attack(
+        for plan, own in at_onset:
+            if k != plan.onset:
+                continue
+            for row in own:
+                law = resolve_attack(
                     plan, model, ens, cfg.channel, cfg.detection,
-                    cfg.protocol, model.init_mean if at_mean else xs, gain,
-                ).table
-                for xs in x
-            ])
-        if resynthesize and k >= plan.onset:
-            means = np.array([
-                solve_box_qp_max(
-                    attack_context(
-                        ens, model, cfg.channel, cfg.detection,
-                        cfg.protocol, xs, gain,
-                    ).qp
-                ).means[0]
-                for xs in x
-            ])
-        elif table is not None and k >= plan.onset:
-            means = table[:, (k - plan.onset) % table.shape[1]]
-        else:
-            means = nominal
+                    cfg.protocol, x[row], gain,
+                )
+                means[row, k:] = _cycled(law.table, k, T)
+        for plan, own in resynthesized:
+            if k < plan.onset:
+                continue
+            for row in own:
+                ctx = attack_context(
+                    ens, model, cfg.channel, cfg.detection, cfg.protocol,
+                    x[row], gain,
+                )
+                means[row, k] = solve_box_qp_max(ctx.qp).means[0]
 
         if not cfg.zero_input:
             inputs[:, k] = _matvec(feedback, x)
-        v = (uniforms[:, k] < means).astype(float)
+        v = (uniforms[:, k] < means[:, k]).astype(float)
         x = (
             _matvec(model.A, x)
             + _matvec(model.B, v * inputs[:, k])
@@ -388,12 +418,15 @@ def _lockstep(cfg, realizations, ens, gain, resolved) -> dict:
         losses[:, k] = v
         states[:, k + 1] = x
 
-        counts += v
-        monitor_means[:, k] = counts / (k + 1)
-        if k + 1 >= cfg.detector_min_steps:
-            dev = np.abs(monitor_means[:, k] - nominal)
-            flagged = ~np.all(dev <= tol, axis=1)
-            first_detection[flagged & (first_detection < 0)] = k
+    # the delivery counts are exact integers, so the running means are
+    # bitwise those a step-by-step monitor keeps
+    monitor_means = np.cumsum(losses, axis=1) / np.arange(1, T + 1)[:, None]
+    outside = ~np.all(
+        np.abs(monitor_means - nominal) <= cfg.detection.tol_diag, axis=2
+    )
+    # the monitor is armed once it has seen detector_min_steps steps
+    outside[:, : max(cfg.detector_min_steps - 1, 0)] = False
+    first_detection = np.where(outside.any(axis=1), outside.argmax(axis=1), -1)
 
     stage_costs = (
         _quad(model.Q, states[:, :T])
@@ -413,7 +446,8 @@ def run_episode(cfg: EpisodeConfig, realization: int = 0) -> SimulationTrace:
     Shares :func:`monte_carlo`'s set-up and channel law, so it is bitwise
     the episode :func:`monte_carlo` runs for the same realization.
     """
-    batch = _lockstep(cfg, [realization], *_prepare(cfg))
+    ens, gain, laws = _prepare(cfg, [cfg.plan])
+    batch = _lockstep(cfg, [(cfg.plan, laws[0])], [realization], ens, gain)
     first = int(batch.pop("first_detection")[0])
     row = {name: values[0] for name, values in batch.items()}
     return SimulationTrace(
@@ -439,53 +473,79 @@ class AggregateReport:
     attack_info: dict = field(default_factory=dict)
 
 
-def monte_carlo(cfg: EpisodeConfig, realizations: int) -> AggregateReport:
-    """Run ``realizations`` episodes with per-realization derived streams.
+def monte_carlo_arms(
+    cfg: EpisodeConfig, plans, realizations: int
+) -> list[AggregateReport]:
+    """Run ``realizations`` episodes of every plan in ``plans``.
 
-    The episodes run in lockstep, ``_BLOCK`` realizations at a time, so
-    memory stays O(_BLOCK * T * (n + m)) whatever ``realizations`` is.
-    The channel law is resolved once and shared across episodes whenever
-    it does not depend on the episode (see :func:`_prepare`); otherwise
-    each episode synthesizes at its own onset state.
+    ``cfg`` gives everything but the attack: each arm plays ``cfg`` with
+    its plan in place of ``cfg.plan``.  All arms run as one lockstep
+    batch, ``_BLOCK`` realizations at a time, so memory stays
+    O(len(plans) * _BLOCK * T * (n + m)) whatever ``realizations`` is.
+    They share one ensemble, one gain and one draw of every
+    (seed, realization, purpose) stream, so the arms are compared on
+    common random numbers and each report is bitwise the one
+    ``monte_carlo`` gives for its plan alone.  An arm's channel law is
+    resolved once and shared across episodes whenever it does not depend
+    on the episode (see :func:`_shared_law`); otherwise each episode
+    synthesizes at its own onset state.
     """
     if realizations < 1:
         raise DimensionError("realizations must be >= 1")
-    ens, gain, resolved = _prepare(cfg)
+    if not plans:
+        raise DimensionError("at least one attack plan is needed")
+    for plan in plans:
+        replace(cfg, plan=plan)  # validates the plan against the episode
+    ens, gain, laws = _prepare(cfg, plans)
+    arms = list(zip(plans, laws))
 
-    T, n = cfg.T, cfg.model.n
-    sum_states = np.zeros((T + 1, n))
-    sum_cumulative = np.zeros(T)
-    terminal = np.empty(realizations)
-    first_hits = []
+    count, T, n = len(arms), cfg.T, cfg.model.n
+    sum_states = np.zeros((count, T + 1, n))
+    sum_cumulative = np.zeros((count, T))
+    terminal = np.empty((count, realizations))
+    first_hits = [[] for _ in arms]
     for start in range(0, realizations, _BLOCK):
         block = range(start, min(start + _BLOCK, realizations))
-        batch = _lockstep(cfg, block, ens, gain, resolved)
+        size = len(block)
+        batch = _lockstep(cfg, arms, block, ens, gain)
+        states = batch["states"].reshape(count, size, T + 1, n)
+        cumulative = batch["cumulative"].reshape(count, size, T)
+        first = batch["first_detection"].reshape(count, size)
         # one realization at a time, in order, as a single episode adds up
-        for b in range(len(block)):
-            sum_states += batch["states"][b]
-            sum_cumulative += batch["cumulative"][b]
-        terminal[block.start : block.stop] = batch["cumulative"][:, -1]
-        first = batch["first_detection"]
-        first_hits.extend(first[first >= 0].tolist())
+        for b in range(size):
+            sum_states += states[:, b]
+            sum_cumulative += cumulative[:, b]
+        terminal[:, block.start : block.stop] = cumulative[:, :, -1]
+        for hits, arm_first in zip(first_hits, first):
+            hits.extend(arm_first[arm_first >= 0].tolist())
 
-    mean_terminal = float(np.mean(terminal))
-    se_terminal = float(np.std(terminal, ddof=1) / math.sqrt(realizations)) \
-        if realizations > 1 else 0.0
-    kind = cfg.plan.kind
-    return AggregateReport(
-        realizations=realizations,
-        mean_states=sum_states / realizations,
-        mean_cumulative=sum_cumulative / realizations,
-        terminal_costs=terminal,
-        mean_terminal=mean_terminal,
-        se_terminal=se_terminal,
-        detection_rate=len(first_hits) / realizations,
-        mean_first_detection=(
-            float(np.mean(first_hits)) if first_hits else None
-        ),
-        attack_info=dict(resolved.info) if resolved is not None else
-        {"kind": kind, "per_episode_synthesis": kind != "none"},
-    )
+    reports = []
+    for a, (plan, law) in enumerate(arms):
+        hits = first_hits[a]
+        se = np.std(terminal[a], ddof=1) / math.sqrt(realizations) \
+            if realizations > 1 else 0.0
+        reports.append(AggregateReport(
+            realizations=realizations,
+            mean_states=sum_states[a] / realizations,
+            mean_cumulative=sum_cumulative[a] / realizations,
+            terminal_costs=terminal[a],
+            mean_terminal=float(np.mean(terminal[a])),
+            se_terminal=float(se),
+            detection_rate=len(hits) / realizations,
+            mean_first_detection=float(np.mean(hits)) if hits else None,
+            attack_info=dict(law.info) if law is not None else
+            {"kind": plan.kind, "per_episode_synthesis": plan.kind != "none"},
+        ))
+    return reports
+
+
+def monte_carlo(cfg: EpisodeConfig, realizations: int) -> AggregateReport:
+    """Run ``realizations`` episodes with per-realization derived streams.
+
+    The one-plan case of :func:`monte_carlo_arms`: the episodes run in
+    lockstep, ``_BLOCK`` realizations at a time, on ``cfg.plan``.
+    """
+    return monte_carlo_arms(cfg, [cfg.plan], realizations)[0]
 
 
 # ----------------------------------------------------- horizon experiments

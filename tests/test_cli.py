@@ -190,21 +190,25 @@ def test_compare_pairs_attacks(tmp_path, config_path):
     assert len(rows) == 1 + 60
 
 
-def test_outputs_are_deterministic(tmp_path, config_path):
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        (["simulate"], ["aggregate.json", "trace_mean.csv", "realizations.csv"]),
+        (["compare"], ["comparison.json", "realizations.csv"]),
+    ],
+    ids=["simulate", "compare"],
+)
+def test_outputs_are_deterministic(tmp_path, config_path, command, files):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     for out in (out1, out2):
-        rc = main([
-            "simulate", "--config", config_path, "--out", str(out),
+        rc = main(command + [
+            "--config", config_path, "--out", str(out),
             "--realizations", "20",
         ])
         assert rc == 0
-    assert (out1 / "aggregate.json").read_bytes() == (
-        out2 / "aggregate.json"
-    ).read_bytes()
-    assert (out1 / "trace_mean.csv").read_bytes() == (
-        out2 / "trace_mean.csv"
-    ).read_bytes()
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_float_format_round_trips(tmp_path, config_path):

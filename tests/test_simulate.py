@@ -1,5 +1,7 @@
 """Closed-loop episodes, Monte-Carlo aggregation, horizon estimators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,94 @@ def test_resynthesis_solves_once_per_step(monkeypatch):
     got = run_episode(cfg, 0)
     assert len(calls) == 12 - 7
     np.testing.assert_array_equal(got.losses, want.losses)
+
+
+# (protocol, onset, flags, detector_min_steps): the flags of
+# LOCKSTEP_CASES, each mixed with onset > 0 or 0 and both arming delays
+ARM_CASES = [
+    ("udp", 0, {}, 1),
+    ("tcp", 6, {"sample_x0": True}, 10),
+    ("udp", 5, {"state_mode": "mean", "zero_input": True}, 1),
+    ("tcp", 0, {"zero_input": True, "sample_x0": True}, 10),
+    ("udp", 12, {"resynthesize": True}, 10),
+    ("tcp", 0, {"resynthesize": True, "sample_x0": True}, 1),
+]
+
+
+@pytest.mark.parametrize("protocol, onset, flags, min_steps", ARM_CASES)
+def test_arms_match_single_arm_runs(
+    protocol, onset, flags, min_steps, monkeypatch
+):
+    flags = dict(flags)
+    plan_flags = {
+        "state_mode": flags.pop("state_mode", "onset"),
+        "resynthesize": flags.pop("resynthesize", False),
+    }
+    plans = [
+        AttackPlan(kind=kind, onset=onset, **plan_flags)
+        for kind in ("none", "iid", "nonstat")
+    ]
+    cfg = small_cfg(
+        protocol=Protocol(protocol),
+        channel=shared_channel(2, 0.75),
+        detection=shared_detection(2, 0.25),
+        detector_min_steps=min_steps,
+        seed=11,
+        **flags,
+    )
+    realizations = BLOCK + 2
+    calls = []
+
+    def counted(*key):
+        calls.append(key)
+        return stream(*key)
+
+    stream = simulate.philox_stream
+    monkeypatch.setattr(simulate, "philox_stream", counted)
+    arms = simulate.monte_carlo_arms(cfg, plans, realizations)
+    # each stream is drawn once per realization, whatever the arm count
+    assert len(calls) == (3 if cfg.sample_x0 else 2) * realizations
+
+    for plan, got in zip(plans, arms):
+        want = monte_carlo(replace(cfg, plan=plan), realizations)
+        np.testing.assert_array_equal(got.terminal_costs, want.terminal_costs)
+        np.testing.assert_array_equal(got.mean_states, want.mean_states)
+        np.testing.assert_array_equal(
+            got.mean_cumulative, want.mean_cumulative
+        )
+        assert got.detection_rate == want.detection_rate
+        assert got.mean_first_detection == want.mean_first_detection
+        assert got.attack_info == want.attack_info
+
+
+def test_iid_plan_ignores_resynthesize(monkeypatch):
+    # per-step resynthesis is nonstat-only: an iid plan with the flag is
+    # resolved once, like the same plan without it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    resolve = simulate.resolve_attack
+    monkeypatch.setattr(simulate, "resolve_attack", counted)
+    flagged = monte_carlo(
+        small_cfg(plan=AttackPlan(kind="iid", resynthesize=True)), 100
+    )
+    assert len(calls) == 1
+    plain = monte_carlo(small_cfg(plan=AttackPlan(kind="iid")), 100)
+    assert flagged.attack_info == plain.attack_info
+    assert {"objective", "means"} <= set(flagged.attack_info)
+    np.testing.assert_array_equal(flagged.terminal_costs, plain.terminal_costs)
+
+
+def test_arms_need_a_plan():
+    with pytest.raises(DimensionError):
+        simulate.monte_carlo_arms(small_cfg(), [], 3)
+    with pytest.raises(DimensionError):
+        simulate.monte_carlo_arms(
+            small_cfg(T=5), [AttackPlan(kind="iid", alpha=0.2, onset=9)], 3
+        )
 
 
 def test_stage_cost_blocks():
