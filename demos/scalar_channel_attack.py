@@ -4,8 +4,11 @@ A two-state plant is actuated through one packet channel that delivers
 with probability 0.7, and the loss monitor tolerates empirical rates
 within 0.1 of nominal.  The script characterizes the attacker's best
 stationary rate under both acknowledgement regimes, evaluates the
-closed-form cost increases, and then checks every formula against a
-paired common-random-number Monte-Carlo estimate.
+closed-form cost increases, checks every formula against a paired
+common-random-number Monte-Carlo estimate, and asks whether a perfect
+channel would raise the cost.  The two loops differ only in the delivery
+variance V their cost pays (the input Gramian's diagonal for udp, none
+for tcp).
 
     python3 demos/scalar_channel_attack.py
 """
@@ -22,9 +25,8 @@ from dropattack import (
     empirical_increase,
     expected_attacked_cost,
     feedback_benefit,
-    nominal_expected_cost,
+    flooding_condition,
     optimal_alpha,
-    perfect_channel_condition_tcp,
     SystemModel,
 )
 
@@ -51,7 +53,7 @@ def describe(protocol):
     ens = build_prediction_ensemble(model)
     ctx = attack_context(ens, model, channel, detection, protocol, x)
     lo, hi = ctx.require_region()
-    baseline = nominal_expected_cost(ens, model, ctx.gain, x)
+    baseline = expected_attacked_cost(ctx, model)  # the nominal law
     print(f"admissible rate band      [{lo:.2f}, {hi:.2f}]")
     print(f"nominal expected cost     {baseline:.4f}")
     print(f"feedback benefit          {feedback_benefit(ctx):.4f}")
@@ -85,13 +87,14 @@ def describe(protocol):
         print(f"  {name:<10} alpha={alpha:5.3f}  analytic {analytic:+9.4f}"
               f"  empirical {mean:+9.4f} +- {se:.4f}  (z {z:+.2f})")
 
-    if protocol is Protocol.TCP_LIKE:
-        report = perfect_channel_condition_tcp(ctx)
-        print("\nflooding check: does a perfect channel raise the cost here?")
-        print(f"  objective at rate 1     {report.objective_at_one:+.4f}")
-        print(f"  state-independent part  "
-              f"{'positive definite' if report.matrix_definite else 'indefinite'}"
-              f"  (min eigenvalue {report.min_eigenvalue:+.4f})")
+    report = flooding_condition(ctx)
+    print("\nflooding check: does a perfect channel raise the cost here?")
+    print(f"  u'(I - 2 nu)(G - V)u    {report.lhs:+.4f}")
+    print(f"  u'(P + V)u              {report.rhs:+.4f}")
+    print(f"  objective at rate 1     {report.objective_at_one:+.4f}")
+    print(f"  state-independent part  "
+          f"{'positive definite' if report.matrix_definite else 'not definite'}"
+          f"  (min eigenvalue {report.min_eigenvalue:+.4f})")
 
 
 def main():

@@ -15,15 +15,15 @@ from .attack_iid import (
     AttackContext,
     BoxQP,
     Convexity,
+    FloodingCondition,
     ObjectiveQuadratic,
-    PerfectChannelReport,
     attack_context,
     build_qp,
+    flooding_condition,
     objective_coeffs,
     optimal_alpha,
     optimal_alpha_tcp,
     optimal_alpha_udp,
-    perfect_channel_condition_tcp,
     stationary_alpha,
 )
 from .attack_qp import (
@@ -52,7 +52,6 @@ from .controller import (
     ControllerGain,
     Protocol,
     control_gain,
-    nominal_expected_cost,
     optimal_input_sequence,
     stack_channel_means,
 )
@@ -61,7 +60,6 @@ from .costs import (
     cost_regimes,
     expected_attacked_cost,
     feedback_benefit,
-    initial_state_average,
 )
 from .errors import (
     ConfigError,
@@ -112,11 +110,11 @@ __all__ = [
     "DropAttackError",
     "EpisodeConfig",
     "ExperimentConfig",
+    "FloodingCondition",
     "InfeasibleRegionError",
     "MonitorState",
     "NumericalError",
     "ObjectiveQuadratic",
-    "PerfectChannelReport",
     "PredictionEnsemble",
     "Protocol",
     "ReachabilityReport",
@@ -137,21 +135,19 @@ __all__ = [
     "empirical_increase",
     "expected_attacked_cost",
     "feedback_benefit",
+    "flooding_condition",
     "fresh_monitor",
     "horizon_cost_samples",
     "in_safe_region",
-    "initial_state_average",
     "load_experiment",
     "monte_carlo",
     "monte_carlo_arms",
-    "nominal_expected_cost",
     "objective_coeffs",
     "optimal_alpha",
     "optimal_alpha_tcp",
     "optimal_alpha_udp",
     "optimal_input_sequence",
     "parse_experiment",
-    "perfect_channel_condition_tcp",
     "philox_stream",
     "resolve_attack",
     "run_episode",

@@ -4,24 +4,18 @@ With the operator's input sequence held at its nominal gain, letting the
 attacker choose the stacked per-step, per-channel delivery rates ``z``
 (step-major, matching the input stack) shifts the expected horizon cost by
 
-    obj(z) = z' H z + c' z
+    obj(z) = z' H z + c' z,
+    H = (G_in - V) o U,
+    c = -[(V + P + 2 (G_in - V) Nu) U]_diag
 
-with ``U = u u'`` the outer product of the nominal optimal sequence and, for
-the udp-like loop,
-
-    H = (G_in - D_in) o U
-    c = -[(D_in + P + 2 (G_in - D_in) Nu) U]_diag
-
-and for the tcp-like loop
-
-    H = G_in o U
-    c = -[(P + 2 G_in Nu) U]_diag
-
-(``G_in`` the input Gramian, ``D_in`` its diagonal, ``P`` the input
-penalty, ``Nu`` the stacked nominal means, ``o`` the elementwise product and
-``_diag`` the matrix diagonal).  The two protocols differ only in whether
-the delivery variance enters the cost, and :func:`build_qp` is the one
-place that decides it.
+with ``U = u u'`` the outer product of the nominal optimal sequence,
+``G_in`` the input Gramian, ``P`` the input penalty, ``Nu`` the stacked
+nominal means, ``o`` the elementwise product and ``_diag`` the matrix
+diagonal.  ``V = diag(gain.paid_variance)`` is the delivery variance the
+protocol pays: the Gramian's diagonal for the udp-like loop, zero for the
+tcp-like loop.  The gain decides it once (``controller.control_gain``);
+:func:`build_qp` and :func:`flooding_condition` read it and never the
+protocol.
 
 The stationary attack replaces every channel's rate by one shared ``alpha``
 inside the monitor's tolerance band, i.e. restricts the quadratic to the
@@ -53,7 +47,7 @@ __all__ = [
     "BoxQP",
     "ObjectiveQuadratic",
     "AttackCharacterization",
-    "PerfectChannelReport",
+    "FloodingCondition",
     "attack_context",
     "build_qp",
     "objective_coeffs",
@@ -61,7 +55,7 @@ __all__ = [
     "optimal_alpha",
     "optimal_alpha_udp",
     "optimal_alpha_tcp",
-    "perfect_channel_condition_tcp",
+    "flooding_condition",
 ]
 
 
@@ -200,15 +194,14 @@ class BoxQP:
 
 
 def build_qp(ctx: AttackContext) -> BoxQP:
-    """Schedule-attack QP at the context's state, for its protocol."""
+    """Schedule-attack QP at the context's state.
+
+    The paid delivery variance V leaves the coupling and joins the load.
+    """
     ens, u = ctx.ens, ctx.u_star
-    coupling = ens.input_gram
-    load = ctx.input_penalty
-    if ctx.protocol is Protocol.UDP_LIKE:
-        # without acknowledgements a delivery's variance is paid too: the
-        # same-entry terms leave the coupling and join the load
-        coupling = coupling - np.diag(ens.input_gram_diag)
-        load = np.diag(ens.input_gram_diag) + load
+    paid = np.diag(ctx.gain.paid_variance)
+    coupling = ens.input_gram - paid
+    load = paid + ctx.input_penalty
     load = load + 2.0 * coupling * ctx.gain.mean_stack[None, :]
     H = coupling * np.outer(u, u)
     H = 0.5 * (H + H.T)
@@ -244,10 +237,6 @@ class ObjectiveQuadratic:
     def slope(self, alpha: float) -> float:
         return self.linear + 2.0 * self.curvature * alpha
 
-    @property
-    def second_derivative(self) -> float:
-        return 2.0 * self.curvature
-
 
 @dataclass(frozen=True)
 class AttackCharacterization:
@@ -267,10 +256,10 @@ def objective_coeffs(source: AttackContext | BoxQP) -> ObjectiveQuadratic:
     """The attack quadratic restricted to a shared rate, z = a 1.
 
     ``source`` is a context (its quadratic is used) or a QP.  The curvature
-    1'H1 is, for udp, the off-diagonal form u'(G_in - D_in)u: it vanishes
-    identically for decoupled plants (A = 0 with diagonal B) and for a
-    single-step horizon with one channel.  For tcp it is u'G_in u, strictly
-    positive on input-reachable plants.
+    1'H1 is u'(G_in - V)u.  For udp (V = D_in) that is the off-diagonal
+    form: it vanishes identically for decoupled plants (A = 0 with diagonal
+    B) and for a single-step horizon with one channel.  For tcp (V = 0) it
+    is u'G_in u, strictly positive on input-reachable plants.
     """
     qp = source.qp if isinstance(source, AttackContext) else source
     return ObjectiveQuadratic(
@@ -339,11 +328,11 @@ def optimal_alpha(ctx: AttackContext) -> AttackCharacterization:
     lo, hi = ctx.require_region()
     coeffs = objective_coeffs(ctx)
     convexity = _convexity(ctx, coeffs)
-    assert ctx.protocol is Protocol.UDP_LIKE or convexity is not Convexity.CONCAVE, (
-        "tcp-like curvature u'G_in u is nonnegative"
+    assert ctx.gain.paid_variance.any() or convexity is not Convexity.CONCAVE, (
+        "with no variance paid the curvature u'G_in u is nonnegative"
     )
 
-    # the linear coefficient is u'(P [+ D_in] - 2 K)u for either protocol
+    # the linear coefficient is u'(P + V - 2 K)u
     slope_scale = (
         float(np.linalg.norm(ctx.input_penalty))
         + float(np.linalg.norm(ctx.ens.input_gram))
@@ -394,32 +383,58 @@ def optimal_alpha_tcp(ctx: AttackContext) -> AttackCharacterization:
     return optimal_alpha(ctx)
 
 
-@dataclass(frozen=True)
-class PerfectChannelReport:
-    """Does delivering EVERY packet hurt the tcp-like operator?
+@dataclass(frozen=True, eq=False)
+class FloodingCondition:
+    """Does delivering EVERY packet hurt the operator at this state?
 
-    ``state_positive`` answers for the given state (objective at rate 1 is
-    positive); ``matrix_definite`` is the state-independent sufficient
-    condition, positive definiteness of
+    With V = diag(paid variance), the attack objective at rate 1 is
+    ``objective_at_one`` = lhs - rhs, with
 
-        sym(G_in (I - 2 nu)) - P.
+        lhs = u'(I - 2 Nu)(G_in - V)u,    rhs = u'(P + V)u.
+
+    It is the cost of flooding over that of a total blackout, so when it is
+    positive (``state_positive``) a perfect channel is worse for the
+    operator than no channel at all, and so than the nominal lossy one.
+    ``matrix_definite`` is the state-independent sufficient condition,
+    positive definiteness of
+
+        S = sym((G_in - V)(I - 2 Nu)) - P - V,
+
+    whose eigenvalues are computed only when ``min_eigenvalue`` is read.
     """
 
-    state_positive: bool
+    lhs: float
+    rhs: float
     objective_at_one: float
-    matrix_definite: bool
-    min_eigenvalue: float
+    _ctx: AttackContext = field(repr=False)
+
+    @property
+    def state_positive(self) -> bool:
+        return bool(self.objective_at_one > 0.0)
+
+    @cached_property
+    def min_eigenvalue(self) -> float:
+        ctx = self._ctx
+        paid = np.diag(ctx.gain.paid_variance)
+        scaled = (ctx.ens.input_gram - paid) * (
+            1.0 - 2.0 * ctx.gain.mean_stack
+        )[None, :]
+        S = 0.5 * (scaled + scaled.T) - ctx.input_penalty - paid
+        return float(np.linalg.eigvalsh(S)[0])
+
+    @property
+    def matrix_definite(self) -> bool:
+        return bool(self.min_eigenvalue > 0.0)
 
 
-def perfect_channel_condition_tcp(ctx: AttackContext) -> PerfectChannelReport:
-    ctx.require_protocol(Protocol.TCP_LIKE, "perfect_channel_condition_tcp")
-    g1 = objective_coeffs(ctx).value(1.0)
-    scaled = ctx.ens.input_gram * (1.0 - 2.0 * ctx.gain.mean_stack)[None, :]
-    S = 0.5 * (scaled + scaled.T) - ctx.input_penalty
-    min_eig = float(np.linalg.eigvalsh(S)[0])
-    return PerfectChannelReport(
-        state_positive=bool(g1 > 0.0),
-        objective_at_one=g1,
-        matrix_definite=bool(min_eig > 0.0),
-        min_eigenvalue=min_eig,
+def flooding_condition(ctx: AttackContext) -> FloodingCondition:
+    """The two sides of the flooding condition at the context's state."""
+    u, nu = ctx.u_star, ctx.gain.mean_stack
+    paid = ctx.gain.paid_variance
+    off = ctx.ens.input_gram - np.diag(paid)
+    return FloodingCondition(
+        lhs=float(u @ (((1.0 - 2.0 * nu)[:, None] * off) @ u)),
+        rhs=float(u @ (ctx.input_penalty @ u)) + float(u @ (paid * u)),
+        objective_at_one=objective_coeffs(ctx).value(1.0),
+        _ctx=ctx,
     )

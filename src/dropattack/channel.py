@@ -5,7 +5,13 @@ of the loss matrix at step k is 1 with probability mean_i.  The operator
 watches the running empirical delivery rate of every channel and flags the
 link as soon as any rate leaves the declared tolerance band
 
-    |observed_mean_i - mean_i| <= tol_i        (boundary inclusive).
+    |observed_mean_i - mean_i| <= tol_i.
+
+The test runs in float arithmetic, so its two band edges are not treated
+alike: at 0.7 +- 0.1 a running mean of exactly 4/5, 24/30 or 40/50 (the
+upper edge) is flagged, while 3/5, 18/30 and 30/50 (the lower edge) are
+not: there the rounded difference lands just above the tolerance at the
+upper edge and just below it at the lower edge.
 
 An attacker who keeps the per-step means inside that band therefore stays
 undetected up to the usual concentration error of the empirical mean.
@@ -145,7 +151,11 @@ def update_monitor(state: MonitorState, v: np.ndarray) -> MonitorState:
 def in_safe_region(
     observed: np.ndarray, channel: ChannelSpec, detection: DetectionSpec
 ) -> bool:
-    """Elementwise |observed - mean| <= tol, boundary inclusive."""
+    """Elementwise |observed - mean| <= tol, in float arithmetic.
+
+    A mean exactly on a band edge may fall either way: at 0.7 +- 0.1 the
+    upper edge 4/5 is flagged and the lower edge 3/5 is not.
+    """
     observed = np.asarray(observed, dtype=float)
     dev = np.abs(observed - channel.mean_diag)
     return bool(np.all(dev <= detection.tol_diag))

@@ -29,14 +29,14 @@ import sys
 import numpy as np
 
 from .attack_iid import (
+    Convexity,
     attack_context,
+    flooding_condition,
     optimal_alpha,
-    perfect_channel_condition_tcp,
     stationary_alpha,
 )
 from .attack_qp import solve_box_qp_max, solve_iid_constrained
 from .config import load_experiment
-from .controller import Protocol, control_gain, nominal_expected_cost
 from .costs import cost_regimes, expected_attacked_cost, feedback_benefit
 from .errors import ConfigError, DimensionError, InfeasibleRegionError, NumericalError
 from .model import build_prediction_ensemble
@@ -178,10 +178,9 @@ def _cmd_synthesize(args) -> int:
     exp = load_experiment(args.config)
     model = exp.model
     ens = build_prediction_ensemble(model)
-    gain = control_gain(ens, model, exp.channel.mean_diag, exp.protocol)
     x = model.init_mean
     ctx = attack_context(
-        ens, model, exp.channel, exp.detection, exp.protocol, x, gain
+        ens, model, exp.channel, exp.detection, exp.protocol, x
     )
 
     out = {
@@ -216,16 +215,15 @@ def _cmd_synthesize(args) -> int:
         "stationarity": sched_sol.stationarity,
     }
 
-    if exp.protocol is Protocol.TCP_LIKE:
-        perfect = perfect_channel_condition_tcp(ctx)
-        out["perfect_channel"] = {
-            "state_positive": perfect.state_positive,
-            "objective_at_one": perfect.objective_at_one,
-            "matrix_definite": perfect.matrix_definite,
-            "min_eigenvalue": perfect.min_eigenvalue,
-        }
+    flooding = flooding_condition(ctx)
+    out["perfect_channel"] = {
+        "state_positive": flooding.state_positive,
+        "objective_at_one": flooding.objective_at_one,
+        "matrix_definite": flooding.matrix_definite,
+        "min_eigenvalue": flooding.min_eigenvalue,
+    }
 
-    baseline = nominal_expected_cost(ens, model, gain, x)
+    baseline = expected_attacked_cost(ctx, model)
     q0 = feedback_benefit(ctx)
     out["cost"] = {
         "baseline": baseline,
@@ -261,10 +259,9 @@ def _cmd_analyze(args) -> int:
     exp = load_experiment(args.config)
     model = exp.model
     ens = build_prediction_ensemble(model)
-    gain = control_gain(ens, model, exp.channel.mean_diag, exp.protocol)
     x = model.init_mean
     ctx = attack_context(
-        ens, model, exp.channel, exp.detection, exp.protocol, x, gain
+        ens, model, exp.channel, exp.detection, exp.protocol, x
     )
     regimes = cost_regimes(ctx, model)
     q0 = feedback_benefit(ctx)
@@ -284,7 +281,7 @@ def _cmd_analyze(args) -> int:
                 ctx, model, char.alpha_star
             ),
         }
-        if exp.protocol is Protocol.TCP_LIKE and char.curvature > 0:
+        if char.convexity is Convexity.CONVEX:
             optimal["trough_alpha"] = stationary_alpha(ctx)
         out["optimal_iid"] = optimal
     else:
@@ -295,7 +292,7 @@ def _cmd_analyze(args) -> int:
         empirical = {}
         if char is not None:
             mean, se = empirical_increase(
-                ens, model, gain, x, char.alpha_star, samples, exp.seed
+                ens, model, ctx.gain, x, char.alpha_star, samples, exp.seed
             )
             empirical["optimal_iid"] = {
                 "alpha": char.alpha_star,
@@ -306,7 +303,7 @@ def _cmd_analyze(args) -> int:
             }
         sched = solve_box_qp_max(ctx.qp)
         mean, se = empirical_increase(
-            ens, model, gain, x, sched.means, samples, exp.seed
+            ens, model, ctx.gain, x, sched.means, samples, exp.seed
         )
         empirical["nonstationary"] = {
             "analytic_increase": sched.objective + q0,

@@ -242,6 +242,8 @@ def parse_experiment(data: dict) -> ExperimentConfig:
 
     kind = attack_raw.get("kind", "none")
     onset = _as_int(attack_raw.get("onset", 0), "attack.onset", problems, minimum=0)
+    if onset is not None and T is not None and onset > T:
+        problems.append("attack.onset: must be <= simulation.T")
     resynthesize = attack_raw.get("resynthesize", False)
     if not isinstance(resynthesize, bool):
         problems.append("attack.resynthesize: must be true or false")

@@ -3,16 +3,21 @@
 Two acknowledgement disciplines are supported.  Under the TCP-like protocol
 the operator learns each packet's fate, so only the expected delivery rate
 enters the input-sequence gain.  Under the UDP-like protocol no
-acknowledgements arrive and the gain additionally carries the per-entry
-delivery variance (the diagonal of the input Gramian weighted by the missing
-mass of each channel).
+acknowledgements arrive, so the operator also pays each delivery's
+variance: the diagonal of the input Gramian weighted by the missing mass
+of each channel.  :func:`control_gain` is the one place that reads the
+protocol; it records the variance the gain pays as
+``ControllerGain.paid_variance`` (the input Gramian's diagonal for udp,
+zeros for tcp), and every later formula reads that instead.
 
 Both controllers minimize the same horizon-quadratic cost and produce a
 stacked input sequence that is linear in the current state,
 
     ups = -gain_kernel^{-1} @ cross_gram @ x,
 
-of which only the first input block is transmitted each step.
+of which only the first input block is transmitted each step.  The
+expected cost this sequence achieves is the attack quadratic at the
+nominal rates, ``costs.expected_attacked_cost(ctx, model)``.
 """
 
 import enum
@@ -29,7 +34,6 @@ __all__ = [
     "ControllerGain",
     "control_gain",
     "optimal_input_sequence",
-    "nominal_expected_cost",
 ]
 
 
@@ -56,11 +60,14 @@ class ControllerGain:
 
     ``kernel`` is the (N*m, N*m) matrix inverted (implicitly, via a stored
     factorization) against ``cross_gram @ x``.  ``mean_stack`` is the
-    stacked per-step channel mean diagonal as a 1-D array of length N*m.
+    stacked per-step channel mean diagonal as a 1-D array of length N*m,
+    and ``paid_variance`` the stacked weight of each delivery's variance in
+    the cost: the input Gramian's diagonal for udp, zeros for tcp.
     """
 
     kernel: np.ndarray
     mean_stack: np.ndarray
+    paid_variance: np.ndarray
     protocol: Protocol
     _solve: object  # callable rhs -> kernel^{-1} rhs
 
@@ -127,8 +134,10 @@ def control_gain(
     """Build the input-sequence gain kernel for the given channel means.
 
     ``mean_diag`` holds the per-channel delivery probabilities, each in
-    [0, 1).  TCP-like kernel:  input_penalty + input_gram * means.
-    UDP-like adds the diagonal correction input_gram_diag * (1 - means).
+    [0, 1).  The kernel is input_penalty + input_gram * means plus the
+    diagonal paid_variance * (1 - means).  The protocol decides only the
+    paid variance: a udp-like loop never learns a packet's fate and pays
+    input_gram_diag; a tcp-like loop pays none.
     """
     mean_diag = np.asarray(mean_diag, dtype=float)
     if mean_diag.shape != (ens.m,):
@@ -138,12 +147,15 @@ def control_gain(
     if np.any(mean_diag < 0.0) or np.any(mean_diag >= 1.0):
         raise DimensionError("channel means must lie in [0, 1)")
     nu = stack_channel_means(mean_diag, ens.horizon)
+    # the one protocol decision: the delivery variance the cost pays
+    udp = protocol is Protocol.UDP_LIKE
+    paid = ens.input_gram_diag if udp else np.zeros_like(nu)
     kernel = model.input_penalty + ens.input_gram * nu[None, :]
-    if protocol is Protocol.UDP_LIKE:
-        kernel = kernel + np.diag(ens.input_gram_diag * (1.0 - nu))
+    kernel = kernel + np.diag(paid * (1.0 - nu))
     return ControllerGain(
         kernel=kernel,
         mean_stack=nu,
+        paid_variance=paid,
         protocol=protocol,
         _solve=_make_solver(kernel),
     )
@@ -157,31 +169,3 @@ def optimal_input_sequence(
     if x.shape != (ens.n,):
         raise DimensionError(f"x must have shape {(ens.n,)}, got {x.shape}")
     return -gain.solve(ens.cross_gram @ x)
-
-
-def nominal_expected_cost(
-    ens: PredictionEnsemble,
-    model: SystemModel,
-    gain: ControllerGain,
-    x: np.ndarray,
-) -> float:
-    """Expected horizon cost at ``x`` under the nominal channel law.
-
-    The closed form is
-
-        x' (Q + state_gram) x + trace(noise_gram @ noise_cov)
-          + ups' D(means) (2 cross_gram x + (input_gram D(means)
-          + input_penalty [+ diag correction for UDP]) ups)
-
-    with ups the optimal sequence and D(means) the stacked mean diagonal.
-    The bracketed matrix is exactly the gain kernel, so the feedback term
-    collapses to ups' D(means) cross_gram x; the long form is kept because
-    it is the one the attack formulas perturb.
-    """
-    x = np.asarray(x, dtype=float)
-    ups = optimal_input_sequence(gain, ens, x)
-    nu = gain.mean_stack
-    fx = ens.cross_gram @ x
-    feedback = float(ups @ (nu * (2.0 * fx + gain.kernel @ ups)))
-    const = float(x @ (model.Q + ens.state_gram) @ x)
-    return const + ens.noise_cost_trace() + feedback

@@ -574,8 +574,9 @@ def _horizon_rollout(ens, model, gain, x, samples, seed):
     # stacked noise: per-step blocks share the same covariance
     xi = noise_rng.standard_normal((samples, N, n)) @ chol.T
     noise_part = xi.reshape(samples, N * n) @ ens.noise_map.T
-    # the tcp-like state penalty bridges two independent delivery draws
-    draws = 2 if gain.protocol is Protocol.TCP_LIKE else 1
+    # a gain that pays no delivery variance (tcp-like) bridges the state
+    # penalty across two independent delivery draws
+    draws = 1 if gain.paid_variance.any() else 2
     uniforms = [loss_rng.random((samples, N * ens.m)) for _ in range(draws)]
 
     def cost_under(thresholds):

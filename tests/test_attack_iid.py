@@ -14,11 +14,11 @@ from dropattack import (
     build_prediction_ensemble,
     build_qp_tcp,
     build_qp_udp,
+    flooding_condition,
     objective_coeffs,
     optimal_alpha,
     optimal_alpha_tcp,
     optimal_alpha_udp,
-    perfect_channel_condition_tcp,
     stationary_alpha,
 )
 
@@ -217,7 +217,7 @@ def test_protocol_mismatch_is_rejected(rng):
         with pytest.raises(DimensionError):
             entry(ctx)
     ctx, _ = make_ctx(rng, Protocol.UDP_LIKE)
-    for entry in (optimal_alpha_tcp, build_qp_tcp, perfect_channel_condition_tcp):
+    for entry in (optimal_alpha_tcp, build_qp_tcp):
         with pytest.raises(DimensionError):
             entry(ctx)
 
@@ -233,7 +233,7 @@ def test_perfect_channel_report(rng):
     det = shared_detection(2, tol=0.3)
     x = np.array([1.0, -0.5])
     ctx = attack_context(ens, model, channel, det, Protocol.TCP_LIKE, x)
-    report = perfect_channel_condition_tcp(ctx)
+    report = flooding_condition(ctx)
     assert report.objective_at_one == pytest.approx(
         tcp_objective(ctx, 1.0), rel=1e-12
     )
@@ -251,7 +251,7 @@ def test_perfect_channel_report(rng):
     ctx2 = attack_context(
         ens2, tame, shared_channel(2, mean=0.6), det, Protocol.TCP_LIKE, x
     )
-    report2 = perfect_channel_condition_tcp(ctx2)
+    report2 = flooding_condition(ctx2)
     assert not report2.state_positive
     assert not report2.matrix_definite
 

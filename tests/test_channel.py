@@ -85,3 +85,19 @@ def test_safe_region_is_boundary_inclusive():
     wide = ChannelSpec(mean_diag=np.array([0.7, 0.7]))
     det2 = DetectionSpec(tol_diag=np.array([0.1, 0.1]))
     assert not in_safe_region(np.array([0.7, 0.2]), wide, det2)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the float band test flags a running mean on "
+    "the upper edge (nominal + tol) but not on the lower edge",
+)
+def test_band_edges_are_symmetric():
+    # running means exactly on either edge of 0.7 +- 0.1 lie in the band
+    channel = ChannelSpec(mean_diag=np.array([0.7]))
+    det = DetectionSpec(tol_diag=np.array([0.1]))
+    for steps in (5, 30, 50):
+        for count in (round(0.6 * steps), round(0.8 * steps)):
+            assert in_safe_region(np.array([count / steps]), channel, det), (
+                f"{count}/{steps}"
+            )

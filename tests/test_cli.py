@@ -243,6 +243,62 @@ def test_negative_seed_is_a_config_error(tmp_path, command):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["synthesize"], ["simulate"], ["analyze"], ["compare"]],
+    ids=["synthesize", "simulate", "analyze", "compare"],
+)
+def test_onset_beyond_T_is_a_config_error(tmp_path, command):
+    doc = base_doc()
+    doc["attack"]["onset"] = 60
+    doc["simulation"]["T"] = 50
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def key_tree(obj):
+    """The keys of a report, nested, with every value dropped."""
+    if isinstance(obj, dict):
+        return {key: key_tree(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [key_tree(value) for value in obj if isinstance(value, dict)]
+    return None
+
+
+@pytest.mark.parametrize(
+    "command, report, shared",
+    [
+        (["synthesize"], "synthesis.json", ("perfect_channel", "min_eigenvalue")),
+        (
+            ["analyze", "--empirical", "50"], "cost_report.json",
+            ("optimal_iid", "trough_alpha"),
+        ),
+    ],
+    ids=["synthesize", "analyze"],
+)
+def test_reports_have_one_key_tree_for_both_protocols(
+    tmp_path, command, report, shared
+):
+    # the protocol changes numbers, never which fields a report carries;
+    # base_doc's shared-rate curve is convex for both protocols
+    trees = {}
+    for protocol in ("udp", "tcp"):
+        doc = base_doc()
+        doc["protocol"] = protocol
+        path = tmp_path / f"{protocol}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / protocol
+        argv = command[:1] + ["--config", str(path), "--out", str(out)]
+        assert main(argv + command[1:]) == 0
+        trees[protocol] = key_tree(read_json(out, report))
+    assert trees["udp"] == trees["tcp"]
+    outer, inner = shared
+    assert inner in trees["udp"][outer]
+
+
+@pytest.mark.parametrize(
     "attack",
     [
         {"kind": "nonstat", "onset": 2.5},

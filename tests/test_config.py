@@ -137,6 +137,19 @@ def test_attack_onset_must_be_integer():
     assert parse_experiment(doc).plan.onset == 7
 
 
+def test_attack_onset_must_not_exceed_T():
+    # listed with the other problems, so every subcommand rejects it
+    doc = base_doc()
+    doc["attack"] = {"kind": "iid", "onset": 60, "alpha": 1.5}
+    doc["simulation"]["T"] = 50
+    with pytest.raises(ConfigError) as err:
+        parse_experiment(doc)
+    assert "attack.onset: must be <= simulation.T" in err.value.problems
+    assert len(err.value.problems) == 2  # the bad alpha is listed too
+    doc["attack"] = {"kind": "iid", "onset": 50}
+    assert parse_experiment(doc).plan.onset == 50
+
+
 def test_attack_resynthesize_must_be_boolean():
     for value in ("no", "false", 0, 1, None):
         doc = base_doc()

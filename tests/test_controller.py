@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from dropattack import (
+    ChannelSpec,
     DimensionError,
     Protocol,
+    attack_context,
     build_prediction_ensemble,
     control_gain,
-    nominal_expected_cost,
+    expected_attacked_cost,
     optimal_input_sequence,
     stack_channel_means,
 )
@@ -17,6 +19,7 @@ from conftest import (
     make_model,
     random_channel,
     random_model,
+    shared_detection,
     slow_expected_cost,
 )
 
@@ -47,6 +50,9 @@ def test_scalar_gains_by_hand():
     udp = control_gain(ens, model, mu, Protocol.UDP_LIKE)
     assert tcp.kernel[0, 0] == pytest.approx(1.5)
     assert udp.kernel[0, 0] == pytest.approx(2.0)
+    # the protocol's one effect: the delivery variance the gain pays
+    assert tcp.paid_variance.tolist() == [0.0]
+    assert udp.paid_variance[0] == pytest.approx(1.0)
     x = np.array([1.0])
     assert optimal_input_sequence(tcp, ens, x)[0] == pytest.approx(-2.0 / 3.0)
     assert optimal_input_sequence(udp, ens, x)[0] == pytest.approx(-0.5)
@@ -56,8 +62,11 @@ def test_scalar_nominal_cost_by_hand():
     # constant part 1 + 1 + 0.3, feedback benefit 1/3
     model = make_model([[1.0]], [[1.0]], horizon=1, q=[1.0], noise=[0.3])
     ens = build_prediction_ensemble(model)
-    gain = control_gain(ens, model, np.array([0.5]), Protocol.TCP_LIKE)
-    cost = nominal_expected_cost(ens, model, gain, np.array([1.0]))
+    ctx = attack_context(
+        ens, model, ChannelSpec(mean_diag=np.array([0.5])),
+        shared_detection(1), Protocol.TCP_LIKE, np.array([1.0]),
+    )
+    cost = expected_attacked_cost(ctx, model)
     assert cost == pytest.approx(1.0 + 1.0 + 0.3 - 1.0 / 3.0, rel=1e-12)
 
 
@@ -91,11 +100,14 @@ def test_nominal_cost_matches_bernoulli_moment_oracle(rng):
         for _ in range(15):
             model = random_model(rng)
             ens = build_prediction_ensemble(model)
-            mu = random_channel(rng, model.m).mean_diag
-            gain = control_gain(ens, model, mu, protocol)
+            channel = random_channel(rng, model.m)
+            mu = channel.mean_diag
             x = rng.normal(size=model.n)
-            u = optimal_input_sequence(gain, ens, x)
-            mine = nominal_expected_cost(ens, model, gain, x)
+            ctx = attack_context(
+                ens, model, channel, shared_detection(model.m), protocol, x
+            )
+            u = ctx.u_star
+            mine = expected_attacked_cost(ctx, model)
             thresholds = stack_channel_means(mu, model.horizon)
             want = slow_expected_cost(model, x, u, thresholds, protocol)
             assert mine == pytest.approx(want, rel=1e-10)

@@ -9,24 +9,21 @@ from dropattack import (
     attack_context,
     build_prediction_ensemble,
     build_qp,
-    control_gain,
     cost_regimes,
     expected_attacked_cost,
     feedback_benefit,
-    initial_state_average,
-    nominal_expected_cost,
+    flooding_condition,
     objective_coeffs,
-    perfect_channel_condition_tcp,
     solve_box_qp_max,
     stack_channel_means,
 )
 
 from conftest import (
+    make_model,
     random_channel,
     random_detection,
     random_model,
     shared_channel,
-    shared_detection,
     slow_expected_cost,
     tcp_objective,
     udp_objective,
@@ -58,7 +55,7 @@ def test_increase_is_objective_plus_blackout_benefit(rng):
             assert one.increase == pytest.approx(
                 want, rel=1e-9, abs=1e-10 * (1 + abs(want))
             )
-            baseline = nominal_expected_cost(ctx.ens, model, ctx.gain, ctx.x)
+            baseline = expected_attacked_cost(ctx, model)
             for report in regimes.values():
                 assert report.protocol is protocol
                 assert report.baseline == baseline
@@ -136,39 +133,117 @@ def test_flooding_flags_match_signs(rng):
         )
 
 
-def test_flooding_details_follow_protocol():
-    # udp carries the two sides of its flooding condition, whose difference
-    # is the objective at rate 1; tcp carries that objective itself, the
-    # number the perfect-channel check reports
+def test_flooding_details_are_protocol_free():
+    # both protocols carry the two sides of the flooding condition, whose
+    # difference is the objective at rate 1, and that objective itself
     rng = np.random.default_rng(5)
     for _ in range(4):
-        ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
-        details = cost_regimes(ctx, model)["alpha_1"].details
-        assert list(details) == [
-            "objective_condition_lhs", "objective_condition_rhs",
-            "cost_increasing",
-        ]
-        gap = details["objective_condition_lhs"] - details["objective_condition_rhs"]
-        want = udp_objective(ctx, 1.0)
-        assert gap == pytest.approx(want, rel=1e-9, abs=1e-10 * (1 + abs(want)))
+        for protocol, scalar in (
+            (Protocol.UDP_LIKE, udp_objective),
+            (Protocol.TCP_LIKE, tcp_objective),
+        ):
+            ctx, model = make_ctx(rng, protocol)
+            details = cost_regimes(ctx, model)["alpha_1"].details
+            assert list(details) == [
+                "objective_condition_lhs", "objective_condition_rhs",
+                "flooding_term", "flooding_term_positive", "cost_increasing",
+            ]
+            gap = (
+                details["objective_condition_lhs"]
+                - details["objective_condition_rhs"]
+            )
+            want = scalar(ctx, 1.0)
+            assert gap == pytest.approx(
+                want, rel=1e-9, abs=1e-10 * (1 + abs(want))
+            )
+            assert details["flooding_term"] == (
+                flooding_condition(ctx).objective_at_one
+            )
+            assert details["flooding_term"] == pytest.approx(
+                want, rel=1e-9, abs=1e-10 * (1 + abs(want))
+            )
 
-        ctx, model = make_ctx(rng, Protocol.TCP_LIKE)
-        details = cost_regimes(ctx, model)["alpha_1"].details
-        assert list(details) == ["flooding_term", "flooding_term_positive"]
-        assert details["flooding_term"] == (
-            perfect_channel_condition_tcp(ctx).objective_at_one
+
+def flooding_contexts(rng, protocol):
+    """Random contexts, then weakly penalized unstable plants on a rarely
+    delivering channel, where full delivery can hurt for any state."""
+    for _ in range(8):
+        yield make_ctx(rng, protocol)
+    for _ in range(8):
+        model = random_model(rng, spread=1.6)
+        model = make_model(
+            model.A, model.B, horizon=model.horizon,
+            psi=np.full(model.m, 0.01),
         )
-        want = tcp_objective(ctx, 1.0)
-        assert details["flooding_term"] == pytest.approx(
-            want, rel=1e-9, abs=1e-10 * (1 + abs(want))
-        )
+        channel = shared_channel(model.m, mean=rng.uniform(0.02, 0.1))
+        yield make_ctx(rng, protocol, model=model, channel=channel)
+
+
+def test_flooding_condition_sides_differ_by_objective_at_one():
+    rng = np.random.default_rng(23)
+    for protocol, scalar in (
+        (Protocol.UDP_LIKE, udp_objective),
+        (Protocol.TCP_LIKE, tcp_objective),
+    ):
+        for ctx, _ in flooding_contexts(rng, protocol):
+            cond = flooding_condition(ctx)
+            want = scalar(ctx, 1.0)
+            assert cond.lhs - cond.rhs == pytest.approx(
+                want, rel=1e-9, abs=1e-10 * (1 + abs(want))
+            )
+            assert cond.objective_at_one == pytest.approx(
+                want, rel=1e-9, abs=1e-10 * (1 + abs(want))
+            )
+            assert cond.state_positive == (cond.objective_at_one > 0)
+
+
+def test_definite_flooding_matrix_implies_state_positive():
+    rng = np.random.default_rng(23)
+    definite = {}
+    for protocol in (Protocol.UDP_LIKE, Protocol.TCP_LIKE):
+        definite[protocol] = 0
+        for ctx, _ in flooding_contexts(rng, protocol):
+            cond = flooding_condition(ctx)
+            assert cond.matrix_definite == (cond.min_eigenvalue > 0)
+            if cond.matrix_definite:
+                definite[protocol] += 1
+                assert cond.state_positive
+    # udp's matrix has diagonal -(P + D_in), so it is never definite; the
+    # tcp cases make the implication non-vacuous
+    assert definite[Protocol.UDP_LIKE] == 0
+    assert definite[Protocol.TCP_LIKE] > 0
+
+
+def test_cost_regimes_solve_no_eigenproblem(rng, monkeypatch):
+    # the flooding matrix's eigenvalues are computed only when asked for
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a)
+    )
+    for protocol in Protocol:
+        ctx, model = make_ctx(rng, protocol)
+        cost_regimes(ctx, model)
+        assert calls == []
+        assert flooding_condition(ctx).matrix_definite in (True, False)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_attacked_cost_none_reproduces_nominal(rng):
+    # the nominal law's quadratic against the operator's own closed form,
+    # x'(Q + state_gram)x + noise trace + ups' D(means) (2 cross_gram x
+    # + kernel ups), with ups the optimal sequence
     for protocol in Protocol:
         for _ in range(8):
             ctx, model = make_ctx(rng, protocol)
-            want = nominal_expected_cost(ctx.ens, model, ctx.gain, ctx.x)
+            ens, ups, nu = ctx.ens, ctx.u_star, ctx.gain.mean_stack
+            fx = ens.cross_gram @ ctx.x
+            want = (
+                float(ctx.x @ (model.Q + ens.state_gram) @ ctx.x)
+                + ens.noise_cost_trace()
+                + float(ups @ (nu * (2.0 * fx + ctx.gain.kernel @ ups)))
+            )
             got = expected_attacked_cost(ctx, model, attack=None)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -226,45 +301,3 @@ def test_attacked_cost_accepts_solver_output(rng):
     # solver output can only raise the cost relative to the nominal law
     nominal = expected_attacked_cost(ctx, model, None)
     assert via_object >= nominal - 1e-9 * (1.0 + abs(nominal))
-
-
-def test_initial_state_average_exact_on_known_quadratic(rng):
-    # contract: closure is a quadratic form plus a constant, which is what
-    # every per-state expected cost in the package looks like (u* is linear
-    # in x, so no linear term survives)
-    model = random_model(rng, n=3)
-    H = rng.normal(size=(3, 3))
-    H = H @ H.T
-    c0 = 1.7
-
-    def cost(x):
-        return float(x @ H @ x) + c0
-
-    got = initial_state_average(model, cost)
-    want = cost(model.init_mean) + float(np.sum(H * model.init_cov))
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_initial_state_average_consistent_with_pointwise(rng):
-    # aggregate minus pointwise equals the covariance trace term
-    model = random_model(rng, n=2)
-    ens = build_prediction_ensemble(model)
-    channel = shared_channel(model.m, 0.7)
-    detection = shared_detection(model.m, 0.1)
-    gain = control_gain(ens, model, channel.mean_diag, Protocol.UDP_LIKE)
-
-    def attacked(x):
-        ctx = attack_context(
-            ens, model, channel, detection, Protocol.UDP_LIKE, x, gain=gain
-        )
-        return expected_attacked_cost(ctx, model, 0.4)
-
-    agg = initial_state_average(model, attacked)
-    # recompute the trace correction by finite polarization at scale 1
-    e = np.eye(2)
-    z = attacked(np.zeros(2))
-    d = [attacked(e[i]) - z for i in range(2)]
-    cross = attacked(e[0] + e[1]) - z - d[0] - d[1]
-    Hm = np.array([[d[0], cross / 2.0], [cross / 2.0, d[1]]])
-    want = attacked(model.init_mean) + float(np.sum(Hm * model.init_cov))
-    assert agg == pytest.approx(want, rel=1e-10)

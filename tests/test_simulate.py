@@ -17,7 +17,6 @@ from dropattack import (
     expected_attacked_cost,
     horizon_cost_samples,
     monte_carlo,
-    nominal_expected_cost,
     resolve_attack,
     run_episode,
     stage_cost,
@@ -453,7 +452,7 @@ def test_horizon_estimator_is_unbiased(rng):
         samples = horizon_cost_samples(
             ens, model, gain, x, channel.mean_diag, 60000, seed=9
         )
-        want = nominal_expected_cost(ens, model, gain, x)
+        want = expected_attacked_cost(ctx, model)
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean() - want) < 5 * se
 
