@@ -239,7 +239,7 @@ def _cmd_synthesize(args) -> int:
 def _cmd_simulate(args) -> int:
     exp = load_experiment(args.config)
     realizations = args.realizations or exp.realizations
-    report = monte_carlo(exp.episode(), realizations)
+    report = monte_carlo(exp, realizations)
     _write_json(
         os.path.join(args.out, "aggregate.json"), _aggregate_json(report)
     )
@@ -360,7 +360,7 @@ def _cmd_compare(args) -> int:
 
     # one lockstep batch: the arms share the set-up and every random draw
     plans = [_plan_for_kind(exp.plan, kind) for kind in kinds]
-    arms = monte_carlo_arms(exp.episode(plan=plans[0]), plans, realizations)
+    arms = monte_carlo_arms(exp, plans, realizations)
     reports = dict(zip(kinds, arms))
     for kind in kinds:
         log.info(

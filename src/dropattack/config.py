@@ -24,19 +24,24 @@ Schema (keys beginning with "_" are comments and ignored at every level):
 
 Per-step weight diagonals may be given for a single step (length n or m)
 and are tiled across the horizon, or in full (length N*n or N*m).
-Covariances may be given as full matrices or as diagonal vectors.  The
-"attack" section is optional and defaults to no attack.  Validation is
-collective: every problem found is reported in one ConfigError.
+Covariances may be given as full matrices or as diagonal vectors.
+"Sigma_X" is required and validated, but only an episode with
+``sample_x0=True`` reads it; no subcommand sets that, so no report depends
+on it.  The "attack" section is optional and defaults to no attack.
+Validation is collective: every problem found is reported in one
+ConfigError.  The parsed experiment is itself the
+:class:`~dropattack.simulate.EpisodeConfig` it runs, plus its realization
+count.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelSpec, DetectionSpec
 from .controller import Protocol
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .model import SystemModel
 from .simulate import AttackPlan, EpisodeConfig
 
@@ -55,31 +60,10 @@ _SIMULATION_KEYS = ("T", "R", "seed")
 
 
 @dataclass(frozen=True, eq=False)
-class ExperimentConfig:
-    """Validated experiment: plant, channel, protocol, attack, run sizes."""
+class ExperimentConfig(EpisodeConfig):
+    """Validated experiment: the episode it runs, and how many times."""
 
-    model: SystemModel
-    channel: ChannelSpec
-    detection: DetectionSpec
-    protocol: Protocol
-    plan: AttackPlan
-    T: int
-    realizations: int
-    seed: int
-
-    def episode(self, **overrides) -> EpisodeConfig:
-        """Build the EpisodeConfig this experiment describes."""
-        kwargs = dict(
-            model=self.model,
-            channel=self.channel,
-            detection=self.detection,
-            protocol=self.protocol,
-            plan=self.plan,
-            T=self.T,
-            seed=self.seed,
-        )
-        kwargs.update(overrides)
-        return EpisodeConfig(**kwargs)
+    realizations: int = field(kw_only=True)
 
 
 def _strip_private(obj):
@@ -221,15 +205,6 @@ def parse_experiment(data: dict) -> ExperimentConfig:
         sys_raw["Psi_diag"], "system.Psi_diag", m, horizon, problems
     )
 
-    m_diag = _as_array(chan_raw["M_diag"], "channel.M_diag", problems, ndim=1)
-    l_diag = _as_array(chan_raw["L_diag"], "channel.L_diag", problems, ndim=1)
-    if m is not None:
-        for name, vec in (("M_diag", m_diag), ("L_diag", l_diag)):
-            if vec is not None and vec.size != m:
-                problems.append(
-                    f"channel.{name}: expected length {m}, got {vec.size}"
-                )
-
     try:
         protocol = Protocol.parse(data["protocol"])
     except (ValueError, TypeError) as exc:
@@ -262,6 +237,31 @@ def parse_experiment(data: dict) -> ExperimentConfig:
         )
     except Exception as exc:
         problems.append(f"attack: {exc}")
+
+    # every size that m fixes: the channel vectors and a fixed attack
+    specs = {}
+    for name, spec in (("M_diag", ChannelSpec), ("L_diag", DetectionSpec)):
+        vec = _as_array(chan_raw[name], f"channel.{name}", problems, ndim=1)
+        if vec is None:
+            continue
+        if m is not None and vec.size != m:
+            problems.append(
+                f"channel.{name}: expected length {m}, got {vec.size}"
+            )
+        try:
+            specs[name] = spec(vec)
+        except DimensionError as exc:
+            problems.append(f"channel.{name}: {exc}")
+    if plan is not None and m is not None:
+        if plan.means is not None and plan.means.size != m:
+            problems.append(
+                f"attack.means: expected length {m}, got {plan.means.size}"
+            )
+        if plan.schedule is not None and plan.schedule.shape[1] != m:
+            problems.append(
+                f"attack.schedule: expected {m} columns, "
+                f"got {plan.schedule.shape[1]}"
+            )
     if problems:
         raise ConfigError(problems)
 
@@ -279,33 +279,13 @@ def parse_experiment(data: dict) -> ExperimentConfig:
         )
     except Exception as exc:
         problems.append(f"system: {exc}")
-    try:
-        channel = ChannelSpec(mean_diag=m_diag)
-    except Exception as exc:
-        problems.append(f"channel.M_diag: {exc}")
-    try:
-        detection = DetectionSpec(tol_diag=l_diag)
-    except Exception as exc:
-        problems.append(f"channel.L_diag: {exc}")
     if problems:
         raise ConfigError(problems)
 
-    if plan.means is not None and plan.means.size != model.m:
-        raise ConfigError(
-            [f"attack.means: expected length {model.m}, got {plan.means.size}"]
-        )
-    if plan.schedule is not None and plan.schedule.shape[1] != model.m:
-        raise ConfigError(
-            [
-                "attack.schedule: expected "
-                f"{model.m} columns, got {plan.schedule.shape[1]}"
-            ]
-        )
-
     return ExperimentConfig(
         model=model,
-        channel=channel,
-        detection=detection,
+        channel=specs["M_diag"],
+        detection=specs["L_diag"],
         protocol=protocol,
         plan=plan,
         T=T,

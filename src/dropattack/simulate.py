@@ -14,11 +14,15 @@ steps and records its first detection step.  One engine steps a batch in
 lockstep as one (rows, n) state array, whose rows are (attack arm,
 realization) pairs: :func:`monte_carlo_arms` runs several attack plans
 as one batch on one set of draws, :func:`monte_carlo` is its one-plan
-case and :func:`run_episode` its batch of one.  All share one set-up and
-channel law per plan, so :func:`run_episode` for realization r is bitwise
-the episode :func:`monte_carlo` runs for r, and every arm of
-:func:`monte_carlo_arms` is bitwise the plan's :func:`monte_carlo` run.
-A block of 64 realizations holds O(arms * 64 * T * (n + m)) floats.
+case and :func:`run_episode` its batch of one.  All share one set-up,
+which decides each arm's channel law once per call: the (T, m) delivery
+means its episodes start from, and the steps at which each episode
+synthesizes from its own state instead (none, onset, or every step from
+onset under per-step resynthesis).  So :func:`run_episode` for
+realization r is bitwise the episode :func:`monte_carlo` runs for r, and
+every arm of :func:`monte_carlo_arms` is bitwise the plan's
+:func:`monte_carlo` run.  A block of 64 realizations holds
+O(arms * 64 * T * (n + m)) floats.
 
 Horizon experiments (:func:`horizon_cost_samples`,
 :func:`empirical_increase`) estimate the expected horizon cost that the
@@ -89,8 +93,9 @@ class AttackPlan:
     at onset from the state ("onset" mode) or from the model's initial mean
     ("mean" mode).  kind "nonstat" plays a per-step schedule: a fixed
     ``schedule`` array replayed cyclically, or one synthesized at onset by
-    the box-QP solver; with ``resynthesize`` the solver reruns every step
-    and applies the first row, mirroring the controller's receding horizon.
+    the box-QP solver; with ``resynthesize`` (and no ``schedule``) the
+    solver reruns every step and applies the first row, mirroring the
+    controller's receding horizon.
     """
 
     kind: str = "none"
@@ -112,8 +117,10 @@ class AttackPlan:
             raise DimensionError("attack alpha must lie in [0, 1]")
         if self.means is not None:
             means = np.array(self.means, dtype=float)
-            if np.any(means < 0.0) or np.any(means > 1.0):
-                raise DimensionError("attack means must lie in [0, 1]")
+            if means.ndim != 1 or np.any(means < 0.0) or np.any(means > 1.0):
+                raise DimensionError(
+                    "attack means must be a per-channel vector in [0, 1]"
+                )
             means.setflags(write=False)
             object.__setattr__(self, "means", means)
         if self.schedule is not None:
@@ -124,6 +131,11 @@ class AttackPlan:
                 )
             sched.setflags(write=False)
             object.__setattr__(self, "schedule", sched)
+            if self.kind == "nonstat" and self.resynthesize:
+                raise DimensionError(
+                    "a nonstat attack takes a fixed schedule or "
+                    "resynthesize, not both"
+                )
 
     @property
     def needs_state(self) -> bool:
@@ -239,6 +251,16 @@ class EpisodeConfig:
                 f"{self.model.m} actuator channels"
             )
         self.detection.bounds(self.channel)  # raises on length mismatch
+        m, means, schedule = self.model.m, self.plan.means, self.plan.schedule
+        if means is not None and means.size != m:
+            raise DimensionError(
+                f"attack means have {means.size} entries for {m} channels"
+            )
+        if schedule is not None and schedule.shape[1] != m:
+            raise DimensionError(
+                f"attack schedule has {schedule.shape[1]} columns for "
+                f"{m} channels"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,34 +306,51 @@ def _quad(M, X):
     return (X[..., None, :] @ _matvec(M, X)[..., None])[..., 0, 0]
 
 
-def _shared_law(cfg, plan, ens, gain):
-    """The channel law every episode of ``plan`` plays, or None.
+@dataclass(frozen=True, eq=False)
+class _Arm:
+    """One attack plan of a batch, with what its set-up decided."""
 
-    The law is resolved once, at the initial mean, when the episode cannot
-    change it: fixed parameters, synthesis from the initial mean, or onset
-    0 with a deterministic initial state.  It is None for kind "none", for
-    synthesis at each episode's own onset state, and under per-step
-    resynthesis (nonstat only), which would never play a law resolved at
-    onset.
+    plan: AttackPlan
+    means: np.ndarray  # (T, m) delivery means before per-episode synthesis
+    info: dict         # the report's attack info
+    synthesis: range   # steps at which each episode synthesizes from its state
+
+
+def _arm(cfg, plan, ens, gain) -> _Arm:
+    """Decide once how every episode of ``plan`` gets its channel law.
+
+    The means are nominal before onset.  After onset they are the law
+    resolved once, at the initial mean, and cycled from onset, whenever no
+    episode can change it: fixed parameters, ``state_mode`` "mean", or
+    onset 0 without a sampled initial state.  Otherwise each episode
+    synthesizes from its own state: at onset, or at every step from onset
+    under per-step resynthesis (nonstat only), which never plays a law
+    resolved at onset.
     """
-    resynthesize = plan.kind == "nonstat" and plan.resynthesize
-    deterministic_onset_state = plan.onset == 0 and not cfg.sample_x0
-    if plan.kind == "none" or resynthesize or (
-        plan.needs_state and not deterministic_onset_state
-    ):
-        return None
-    return resolve_attack(
-        plan, cfg.model, ens, cfg.channel, cfg.detection,
-        cfg.protocol, cfg.model.init_mean, gain,
-    )
+    T = cfg.T
+    means = np.tile(cfg.channel.mean_diag, (T, 1))
+    steps = range(0)
+    if plan.kind == "nonstat" and plan.resynthesize:
+        steps = range(plan.onset, T)
+    elif plan.needs_state and (plan.onset > 0 or cfg.sample_x0):
+        steps = range(plan.onset, plan.onset + 1)
+    elif plan.kind != "none":
+        law = resolve_attack(
+            plan, cfg.model, ens, cfg.channel, cfg.detection,
+            cfg.protocol, cfg.model.init_mean, gain,
+        )
+        means[plan.onset :] = _cycled(law.table, plan.onset, T)
+        return _Arm(plan, means, law.info, steps)
+    info = {"kind": plan.kind, "per_episode_synthesis": plan.kind != "none"}
+    return _Arm(plan, means, info, steps)
 
 
 def _prepare(cfg, plans):
-    """The ensemble and the gain every arm shares, and each arm's law."""
+    """The ensemble and the gain every arm shares, and each plan's arm."""
     model = cfg.model
     ens = build_prediction_ensemble(model)
     gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
-    return ens, gain, [_shared_law(cfg, plan, ens, gain) for plan in plans]
+    return ens, gain, [_arm(cfg, plan, ens, gain) for plan in plans]
 
 
 def _cycled(table, onset, T):
@@ -322,20 +361,19 @@ def _cycled(table, onset, T):
 def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
     """The episodes of every arm on ``realizations``, stepped together.
 
-    ``arms`` pairs each attack plan with its shared law, or None (see
-    :func:`_shared_law`); the rows of the batch are (arm, realization)
-    pairs, arm-major.  Each realization draws its whole loss-uniform and
-    noise blocks up front from its own streams, the same values
-    step-by-step draws give, and every arm replays them: the streams are
-    keyed without the attack.  Every product is the unbatched matrix-vector
-    product applied per row, so each episode is bitwise the one it would
-    be alone.
+    ``arms`` are the plans' arms from :func:`_prepare`; the rows of the
+    batch are (arm, realization) pairs, arm-major.  Each realization draws
+    its whole loss-uniform and noise blocks up front from its own streams,
+    the same values step-by-step draws give, and every arm replays them:
+    the streams are keyed without the attack.  Every product is the
+    unbatched matrix-vector product applied per row, so each episode is
+    bitwise the one it would be alone.
 
-    The delivery means of every row and step are laid out before the
-    loop: nominal before onset, the arm's law cycled from it.  An arm with
-    no shared law fills each row at onset from that row's state, and a
-    resynthesizing arm fills step k of its rows at step k.  The monitor's
-    running means and first detections follow from the losses afterwards.
+    Every row starts from its arm's delivery means.  At each of the arm's
+    synthesis steps k, a row resolves the plan at its own state and plays
+    that law cycled from k; under per-step resynthesis the next step
+    overwrites all but its first row.  The monitor's running means and
+    first detections follow from the losses afterwards.
 
     Returns the array fields of :class:`SimulationTrace` by name, each
     with the row as a leading axis, and ``first_detection`` of shape
@@ -368,19 +406,7 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
     # first input block of the sequence gain, precomputed as a feedback map
     feedback = -gain.solve(ens.cross_gram)[:m, :]
     nominal = cfg.channel.mean_diag
-    means = np.empty((rows, T, m))
-    means[:] = nominal
-    at_onset, resynthesized = [], []  # (plan, the arm's rows)
-    for a, (plan, law) in enumerate(arms):
-        own = range(a * size, (a + 1) * size)
-        if law is not None:
-            means[own.start : own.stop, plan.onset :] = _cycled(
-                law.table, plan.onset, T
-            )
-        elif plan.kind == "nonstat" and plan.resynthesize:
-            resynthesized.append((plan, own))
-        elif plan.kind != "none":
-            at_onset.append((plan, own))
+    means = np.repeat(np.stack([arm.means for arm in arms]), size, axis=0)
 
     states = np.empty((rows, T + 1, n))
     inputs = np.zeros((rows, T, m))
@@ -388,24 +414,15 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
     states[:, 0] = x
 
     for k in range(T):
-        for plan, own in at_onset:
-            if k != plan.onset:
+        for a, arm in enumerate(arms):
+            if k not in arm.synthesis:
                 continue
-            for row in own:
+            for row in range(a * size, (a + 1) * size):
                 law = resolve_attack(
-                    plan, model, ens, cfg.channel, cfg.detection,
+                    arm.plan, model, ens, cfg.channel, cfg.detection,
                     cfg.protocol, x[row], gain,
                 )
                 means[row, k:] = _cycled(law.table, k, T)
-        for plan, own in resynthesized:
-            if k < plan.onset:
-                continue
-            for row in own:
-                ctx = attack_context(
-                    ens, model, cfg.channel, cfg.detection, cfg.protocol,
-                    x[row], gain,
-                )
-                means[row, k] = solve_box_qp_max(ctx.qp).means[0]
 
         if not cfg.zero_input:
             inputs[:, k] = _matvec(feedback, x)
@@ -443,11 +460,11 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
 def run_episode(cfg: EpisodeConfig, realization: int = 0) -> SimulationTrace:
     """One closed-loop episode: the lockstep engine on a batch of one.
 
-    Shares :func:`monte_carlo`'s set-up and channel law, so it is bitwise
-    the episode :func:`monte_carlo` runs for the same realization.
+    Shares :func:`monte_carlo`'s set-up, so it is bitwise the episode
+    :func:`monte_carlo` runs for the same realization.
     """
-    ens, gain, laws = _prepare(cfg, [cfg.plan])
-    batch = _lockstep(cfg, [(cfg.plan, laws[0])], [realization], ens, gain)
+    ens, gain, arms = _prepare(cfg, [cfg.plan])
+    batch = _lockstep(cfg, arms, [realization], ens, gain)
     first = int(batch.pop("first_detection")[0])
     row = {name: values[0] for name, values in batch.items()}
     return SimulationTrace(
@@ -486,9 +503,9 @@ def monte_carlo_arms(
     (seed, realization, purpose) stream, so the arms are compared on
     common random numbers and each report is bitwise the one
     ``monte_carlo`` gives for its plan alone.  An arm's channel law is
-    resolved once and shared across episodes whenever it does not depend
-    on the episode (see :func:`_shared_law`); otherwise each episode
-    synthesizes at its own onset state.
+    decided once per call (see :func:`_arm`): resolved once and shared
+    across episodes whenever no episode can change it, and otherwise
+    synthesized by each episode from its own state.
     """
     if realizations < 1:
         raise DimensionError("realizations must be >= 1")
@@ -496,8 +513,7 @@ def monte_carlo_arms(
         raise DimensionError("at least one attack plan is needed")
     for plan in plans:
         replace(cfg, plan=plan)  # validates the plan against the episode
-    ens, gain, laws = _prepare(cfg, plans)
-    arms = list(zip(plans, laws))
+    ens, gain, arms = _prepare(cfg, plans)
 
     count, T, n = len(arms), cfg.T, cfg.model.n
     sum_states = np.zeros((count, T + 1, n))
@@ -520,7 +536,7 @@ def monte_carlo_arms(
             hits.extend(arm_first[arm_first >= 0].tolist())
 
     reports = []
-    for a, (plan, law) in enumerate(arms):
+    for a, arm in enumerate(arms):
         hits = first_hits[a]
         se = np.std(terminal[a], ddof=1) / math.sqrt(realizations) \
             if realizations > 1 else 0.0
@@ -533,8 +549,7 @@ def monte_carlo_arms(
             se_terminal=float(se),
             detection_rate=len(hits) / realizations,
             mean_first_detection=float(np.mean(hits)) if hits else None,
-            attack_info=dict(law.info) if law is not None else
-            {"kind": plan.kind, "per_episode_synthesis": plan.kind != "none"},
+            attack_info=dict(arm.info),
         ))
     return reports
 

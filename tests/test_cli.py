@@ -2,6 +2,7 @@
 
 import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from dropattack import InfeasibleRegionError, NumericalError
 from dropattack.cli import main
 
 from test_config import base_doc
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMO_CONFIGS = ROOT / "demos" / "configs"
 
 
 @pytest.fixture
@@ -303,6 +307,7 @@ def test_reports_have_one_key_tree_for_both_protocols(
     [
         {"kind": "nonstat", "onset": 2.5},
         {"kind": "nonstat", "resynthesize": "no"},
+        {"kind": "nonstat", "schedule": [[0.5, 0.5]], "resynthesize": True},
     ],
 )
 def test_malformed_attack_keys_are_config_errors(tmp_path, attack):
@@ -312,6 +317,33 @@ def test_malformed_attack_keys_are_config_errors(tmp_path, attack):
     path.write_text(json.dumps(doc))
     argv = ["simulate", "--config", str(path), "--out", str(tmp_path)]
     assert main(argv + ["--realizations", "2"]) == 2
+
+
+def test_compare_arms_share_one_attack_section(tmp_path):
+    # alpha and means set up the iid arm; schedule and resynthesize the
+    # nonstat arm, which synthesizes from each episode's own state
+    with open(DEMO_CONFIGS / "scalar_udp.json") as handle:
+        doc = json.load(handle)
+    doc["attack"] = {
+        "kind": "iid", "alpha": 0.6, "onset": 7, "resynthesize": True,
+    }
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    rc = main([
+        "compare", "--config", str(path), "--out", str(tmp_path),
+        "--realizations", "3",
+    ])
+    assert rc == 0
+    attacks = read_json(tmp_path, "comparison.json")["attacks"]
+    assert attacks["none"]["attack"] == {
+        "kind": "none", "per_episode_synthesis": False,
+    }
+    assert attacks["iid"]["attack"] == {
+        "kind": "iid", "alpha": 0.6, "fixed": True,
+    }
+    assert attacks["nonstat"]["attack"] == {
+        "kind": "nonstat", "per_episode_synthesis": True,
+    }
 
 
 def test_error_exit_code_mapping(tmp_path, config_path, monkeypatch):

@@ -1,12 +1,14 @@
 """JSON experiment schema: parsing, tiling, and collective validation."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dropattack import (
     ConfigError,
+    EpisodeConfig,
     Protocol,
     load_experiment,
     parse_experiment,
@@ -47,10 +49,11 @@ def test_round_trip():
     assert exp.model.input_penalty.shape == (10, 10)
     np.testing.assert_allclose(np.diagonal(exp.model.state_penalty), 1.0)
 
-    cfg = exp.episode()
-    assert cfg.T == 50 and cfg.seed == 11
-    cfg = exp.episode(T=7)
-    assert cfg.T == 7
+    # the experiment is the episode it runs
+    assert isinstance(exp, EpisodeConfig)
+    assert not exp.sample_x0 and not exp.zero_input
+    cfg = replace(exp, T=7)
+    assert cfg.T == 7 and cfg.seed == 11 and cfg.realizations == 200
 
 
 def test_full_length_weights_pass_through():
@@ -173,6 +176,37 @@ def test_attack_column_counts_checked():
     doc["attack"] = {"kind": "nonstat", "schedule": [[0.5, 0.5], [0.6, 0.6]]}
     exp = parse_experiment(doc)
     assert exp.plan.schedule.shape == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "attack, channel, problems",
+    [
+        (
+            {"kind": "iid", "means": [0.5, 0.5, 0.5], "schedule": [[0.5]]},
+            {},
+            [
+                "attack.means: expected length 2, got 3",
+                "attack.schedule: expected 2 columns, got 1",
+            ],
+        ),
+        (
+            {"kind": "iid", "means": [0.5, 0.5, 0.5]},
+            {"M_diag": [0.7, 1.5]},
+            [
+                "channel.M_diag: channel means must lie in [0, 1)",
+                "attack.means: expected length 2, got 3",
+            ],
+        ),
+    ],
+    ids=["means-and-schedule", "means-and-M_diag"],
+)
+def test_attack_sizes_listed_with_other_problems(attack, channel, problems):
+    doc = base_doc()
+    doc["attack"] = attack
+    doc["channel"].update(channel)
+    with pytest.raises(ConfigError) as err:
+        parse_experiment(doc)
+    assert err.value.problems == problems
 
 
 def test_load_experiment_io_errors(tmp_path):

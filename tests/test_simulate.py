@@ -65,6 +65,11 @@ def test_attack_plan_validation():
         AttackPlan(kind="nonstat", schedule=np.full((2, 2), 2.0))
     with pytest.raises(DimensionError):
         AttackPlan(kind="nonstat", schedule=np.full(4, 0.5))  # needs 2-d
+    with pytest.raises(DimensionError):
+        # resynthesis would never play the fixed schedule
+        AttackPlan(
+            kind="nonstat", schedule=np.full((2, 2), 0.5), resynthesize=True
+        )
 
     assert not AttackPlan().needs_state
     assert AttackPlan(kind="iid").needs_state
@@ -81,6 +86,21 @@ def test_episode_config_validation():
         small_cfg(T=5, plan=AttackPlan(kind="iid", alpha=0.2, onset=9))
     with pytest.raises(DimensionError):
         small_cfg(channel=shared_channel(3, 0.7))
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        # one column would be broadcast over both channels
+        AttackPlan(kind="nonstat", schedule=[[0.5]]),
+        AttackPlan(kind="iid", means=[0.5, 0.5, 0.5]),
+        AttackPlan(kind="nonstat", schedule=np.full((2, 3), 0.5)),
+    ],
+    ids=["schedule-1-column", "means-3-entries", "schedule-3-columns"],
+)
+def test_episode_config_rejects_plan_that_does_not_fit(plan):
+    with pytest.raises(DimensionError):
+        small_cfg(plan=plan)
 
 
 def test_episode_reproducible_and_consistent():
