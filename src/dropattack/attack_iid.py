@@ -338,22 +338,13 @@ def optimal_alpha(ctx: AttackContext) -> AttackCharacterization:
         + float(np.linalg.norm(ctx.ens.input_gram))
         + 2.0 * float(np.linalg.norm(ctx.gain.kernel))
     ) * float(ctx.u_star @ ctx.u_star)
-    if convexity is Convexity.LINEAR and abs(coeffs.linear) <= 1e-12 * max(
-        1e-300, slope_scale
-    ):
+    flat = abs(coeffs.linear) <= 1e-12 * max(1e-300, slope_scale)
+    degenerate = convexity is Convexity.LINEAR and flat
+    if degenerate:
         mu = min(max(ctx.nominal_scalar, lo), hi)
-        return AttackCharacterization(
-            protocol=ctx.protocol,
-            convexity=convexity,
-            alpha_star=mu,
-            objective_star=coeffs.value(mu),
-            candidates=[(mu, coeffs.value(mu))],
-            alpha_peak=None,
-            curvature=coeffs.curvature,
-            degenerate=True,
-        )
-
-    candidates = [(lo, coeffs.value(lo)), (hi, coeffs.value(hi))]
+        candidates = [(mu, coeffs.value(mu))]
+    else:
+        candidates = [(lo, coeffs.value(lo)), (hi, coeffs.value(hi))]
     alpha_peak = None
     if convexity is Convexity.CONCAVE:
         alpha_peak = stationary_alpha(ctx, coeffs)
@@ -368,6 +359,7 @@ def optimal_alpha(ctx: AttackContext) -> AttackCharacterization:
         candidates=candidates,
         alpha_peak=alpha_peak,
         curvature=coeffs.curvature,
+        degenerate=degenerate,
     )
 
 

@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,13 +41,7 @@ from .config import load_experiment
 from .costs import cost_regimes, expected_attacked_cost, feedback_benefit
 from .errors import ConfigError, DimensionError, InfeasibleRegionError, NumericalError
 from .model import build_prediction_ensemble
-from .simulate import (
-    _KINDS,
-    AttackPlan,
-    empirical_increase,
-    monte_carlo,
-    monte_carlo_arms,
-)
+from .simulate import _KINDS, empirical_increase, monte_carlo, monte_carlo_arms
 
 __all__ = ["main"]
 
@@ -319,26 +314,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _plan_for_kind(base: AttackPlan, kind: str) -> AttackPlan:
-    if kind == "none":
-        return AttackPlan(kind="none")
-    if kind == "iid":
-        return AttackPlan(
-            kind="iid",
-            onset=base.onset,
-            alpha=base.alpha,
-            means=base.means,
-            state_mode=base.state_mode,
-        )
-    return AttackPlan(
-        kind="nonstat",
-        onset=base.onset,
-        schedule=base.schedule,
-        state_mode=base.state_mode,
-        resynthesize=base.resynthesize,
-    )
-
-
 def _attack_kinds(text):
     """The kinds of a ``--attacks`` list: at least one, known and distinct."""
     kinds = [kind.strip() for kind in text.split(",") if kind.strip()]
@@ -358,8 +333,9 @@ def _cmd_compare(args) -> int:
     exp = load_experiment(args.config)
     realizations = args.realizations or exp.realizations
 
-    # one lockstep batch: the arms share the set-up and every random draw
-    plans = [_plan_for_kind(exp.plan, kind) for kind in kinds]
+    # one lockstep batch: the arms share the set-up and every random draw;
+    # each arm is the attack section read as its kind
+    plans = [replace(exp.plan, kind=kind) for kind in kinds]
     arms = monte_carlo_arms(exp, plans, realizations)
     reports = dict(zip(kinds, arms))
     for kind in kinds:
@@ -458,10 +434,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionError as exc:
+    except (ConfigError, DimensionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

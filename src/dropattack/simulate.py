@@ -87,15 +87,19 @@ _BLOCK = 64
 class AttackPlan:
     """What the attacker does and when.
 
-    kind "none" leaves the channel nominal.  kind "iid" holds one rate per
-    channel from ``onset`` on: either ``alpha`` (shared scalar), ``means``
-    (per-channel vector), or, when both are None, the rate is synthesized
-    at onset from the state ("onset" mode) or from the model's initial mean
-    ("mean" mode).  kind "nonstat" plays a per-step schedule: a fixed
-    ``schedule`` array replayed cyclically, or one synthesized at onset by
-    the box-QP solver; with ``resynthesize`` (and no ``schedule``) the
+    One plan carries every kind's keys, and each kind reads only its own,
+    so a plan with ``kind`` replaced is that kind's plan for the same
+    section.  kind "none" leaves the channel nominal.  kind "iid" holds
+    one rate per channel from ``onset`` on: either ``alpha`` (shared
+    scalar), ``means`` (per-channel vector), or, when both are None, the
+    rate is synthesized at onset from the state ("onset" mode) or from the
+    model's initial mean ("mean" mode).  kind "nonstat" plays a per-step
+    schedule: a fixed ``schedule`` array replayed cyclically, or one
+    synthesized at onset by the box-QP solver; with ``resynthesize`` the
     solver reruns every step and applies the first row, mirroring the
-    controller's receding horizon.
+    controller's receding horizon.  ``alpha`` with ``means``, and
+    ``schedule`` with ``resynthesize``, form no law and are rejected
+    whatever the kind.
     """
 
     kind: str = "none"
@@ -131,23 +135,20 @@ class AttackPlan:
                 )
             sched.setflags(write=False)
             object.__setattr__(self, "schedule", sched)
-            if self.kind == "nonstat" and self.resynthesize:
-                raise DimensionError(
-                    "a nonstat attack takes a fixed schedule or "
-                    "resynthesize, not both"
-                )
+        if self.alpha is not None and self.means is not None:
+            raise DimensionError("attack alpha and means exclude each other")
+        if self.schedule is not None and self.resynthesize:
+            raise DimensionError(
+                "attack schedule and resynthesize exclude each other"
+            )
 
     @property
     def needs_state(self) -> bool:
         """True when synthesis happens at onset from the realized state."""
         if self.kind == "none":
             return False
-        fixed = (
-            self.alpha is not None
-            or self.means is not None
-            or self.schedule is not None
-        )
-        return not fixed and self.state_mode == "onset"
+        own = (self.alpha, self.means) if self.kind == "iid" else (self.schedule,)
+        return self.state_mode == "onset" and all(key is None for key in own)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +156,10 @@ class ResolvedAttack:
     """Concrete per-step channel law from ``onset`` on.
 
     ``table`` holds the (period, m) delivery means played cyclically from
-    onset, one row for a stationary law; it is None for kind "none".
+    onset, one row for a stationary law; it is None for a plan of kind
+    "none".
     """
 
-    kind: str
     onset: int
     table: np.ndarray | None
     info: dict = field(default_factory=dict)
@@ -181,22 +182,22 @@ def resolve_attack(
 ) -> ResolvedAttack:
     """Turn a plan into a concrete channel law, synthesizing if needed."""
     if plan.kind == "none":
-        return ResolvedAttack("none", plan.onset, None, {"kind": "none"})
+        return ResolvedAttack(plan.onset, None, {"kind": "none"})
     if plan.kind == "iid":
         if plan.alpha is not None:
             return ResolvedAttack(
-                "iid", plan.onset, np.full((1, ens.m), float(plan.alpha)),
+                plan.onset, np.full((1, ens.m), float(plan.alpha)),
                 {"kind": "iid", "alpha": float(plan.alpha), "fixed": True},
             )
         if plan.means is not None:
             return ResolvedAttack(
-                "iid", plan.onset, plan.means[None, :],
+                plan.onset, plan.means[None, :],
                 {"kind": "iid", "fixed": True},
             )
         ctx = attack_context(ens, model, channel, detection, protocol, x, gain)
         sol = solve_iid_constrained(ctx.qp)
         return ResolvedAttack(
-            "iid", plan.onset, sol.means[:1].copy(),
+            plan.onset, sol.means[:1].copy(),
             {
                 "kind": "iid",
                 "objective": sol.objective,
@@ -207,13 +208,13 @@ def resolve_attack(
     # nonstat
     if plan.schedule is not None:
         return ResolvedAttack(
-            "nonstat", plan.onset, plan.schedule,
+            plan.onset, plan.schedule,
             {"kind": "nonstat", "fixed": True},
         )
     ctx = attack_context(ens, model, channel, detection, protocol, x, gain)
     sol = solve_box_qp_max(ctx.qp)
     return ResolvedAttack(
-        "nonstat", plan.onset, sol.means.copy(),
+        plan.onset, sol.means.copy(),
         {
             "kind": "nonstat",
             "objective": sol.objective,

@@ -308,15 +308,25 @@ def test_reports_have_one_key_tree_for_both_protocols(
         {"kind": "nonstat", "onset": 2.5},
         {"kind": "nonstat", "resynthesize": "no"},
         {"kind": "nonstat", "schedule": [[0.5, 0.5]], "resynthesize": True},
+        # pairs that form no law are rejected whatever the kind
+        {
+            "kind": "iid", "alpha": 0.6, "schedule": [[0.5, 0.5]],
+            "resynthesize": True,
+        },
+        {"kind": "iid", "alpha": 0.6, "means": [0.5, 0.05]},
     ],
 )
-def test_malformed_attack_keys_are_config_errors(tmp_path, attack):
+def test_malformed_attack_keys_are_config_errors(tmp_path, attack, capsys):
     doc = base_doc()
     doc["attack"] = attack
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(doc))
-    argv = ["simulate", "--config", str(path), "--out", str(tmp_path)]
-    assert main(argv + ["--realizations", "2"]) == 2
+    # compare reads the same section, so it rejects it the same way
+    for command in ("simulate", "compare"):
+        argv = [command, "--config", str(path), "--out", str(tmp_path)]
+        assert main(argv + ["--realizations", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: attack")
 
 
 def test_compare_arms_share_one_attack_section(tmp_path):
@@ -344,6 +354,40 @@ def test_compare_arms_share_one_attack_section(tmp_path):
     assert attacks["nonstat"]["attack"] == {
         "kind": "nonstat", "per_episode_synthesis": True,
     }
+
+
+@pytest.mark.parametrize("config", ["scalar_udp.json", "two_channel_schedule.json"])
+@pytest.mark.parametrize("kind, other", [
+    ("nonstat", "alpha"),
+    ("iid", "schedule"),
+])
+def test_simulate_equals_compare_arm(tmp_path, config, kind, other):
+    # another kind's keys leave the plan's own law alone: simulate runs
+    # exactly compare's arm of the same kind
+    with open(DEMO_CONFIGS / config) as handle:
+        doc = json.load(handle)
+    m = len(doc["channel"]["M_diag"])
+    keys = {"alpha": 0.6, "schedule": [[0.65] * m]}
+    doc["attack"] = {"kind": kind, other: keys[other], "onset": 7}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    reports = {}
+    for command in ("simulate", "compare"):
+        out = tmp_path / command
+        rc = main([
+            command, "--config", str(path), "--out", str(out),
+            "--realizations", "20",
+        ])
+        assert rc == 0
+        with open(out / "realizations.csv") as handle:
+            reports[command] = list(csv.DictReader(handle))
+    column = f"terminal_cost_{kind}"
+    assert [row[column] for row in reports["simulate"]] == [
+        row[column] for row in reports["compare"]
+    ]
+    arm = read_json(tmp_path / "compare", "comparison.json")["attacks"][kind]
+    assert read_json(tmp_path / "simulate", "aggregate.json") == arm
+    assert arm["attack"] == {"kind": kind, "per_episode_synthesis": True}
 
 
 def test_error_exit_code_mapping(tmp_path, config_path, monkeypatch):

@@ -70,6 +70,12 @@ def test_attack_plan_validation():
         AttackPlan(
             kind="nonstat", schedule=np.full((2, 2), 0.5), resynthesize=True
         )
+    # one plan reads as every kind, so no kind takes a pair that forms
+    # no law
+    with pytest.raises(DimensionError):
+        AttackPlan(kind="iid", schedule=np.full((2, 2), 0.5), resynthesize=True)
+    with pytest.raises(DimensionError):
+        AttackPlan(kind="iid", alpha=0.3, means=[0.5, 0.5])
 
     assert not AttackPlan().needs_state
     assert AttackPlan(kind="iid").needs_state
@@ -77,6 +83,9 @@ def test_attack_plan_validation():
     assert not AttackPlan(kind="iid", state_mode="mean").needs_state
     assert AttackPlan(kind="nonstat").needs_state
     assert not AttackPlan(kind="nonstat", schedule=np.full((3, 1), 0.5)).needs_state
+    # each kind reads only its own keys
+    assert AttackPlan(kind="nonstat", alpha=0.3).needs_state
+    assert AttackPlan(kind="iid", schedule=[[0.5]]).needs_state
 
 
 def test_episode_config_validation():
@@ -162,6 +171,10 @@ LOCKSTEP_CASES = [
     ("nonstat", "tcp", 0, {"resynthesize": True, "sample_x0": True}, 10, 1),
     ("nonstat", "udp", 3, {"zero_input": True}, 1, 3),
     ("nonstat", "tcp", 8, {"resynthesize": True}, 10, 3),
+    # another kind's keys leave the plan's own law alone
+    ("nonstat", "udp", 7, {"alpha": 0.6}, 1, BLOCK + 2),
+    ("nonstat", "tcp", 7, {"means": [0.6, 0.6]}, 10, 3),
+    ("iid", "tcp", 6, {"schedule": [[0.6, 0.6]]}, 1, 3),
 ]
 
 
@@ -181,6 +194,9 @@ def test_lockstep_matches_slow_episode(
     flags = dict(flags)
     plan = AttackPlan(
         kind=kind, onset=onset,
+        alpha=flags.pop("alpha", None),
+        means=flags.pop("means", None),
+        schedule=flags.pop("schedule", None),
         state_mode=flags.pop("state_mode", "onset"),
         resynthesize=flags.pop("resynthesize", False),
     )
