@@ -157,16 +157,14 @@ def attack_context(
 class BoxQP:
     """maximize z' H z + c' z subject to lo <= z <= hi elementwise.
 
-    ``index_map[i]`` gives the (horizon step, actuator channel) pair of
-    decision entry i; ``nominal`` holds the stacked nominal rates, used only
-    to break ties and seed the solver.
+    ``nominal`` holds the stacked nominal rates, used only to break ties
+    and seed the solver.
     """
 
     H: np.ndarray
     c: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    index_map: tuple
     nominal: np.ndarray
     horizon: int
     m: int
@@ -213,7 +211,6 @@ def build_qp(ctx: AttackContext) -> BoxQP:
         c=c,
         lo=np.tile(ctx.channel_lo, N),
         hi=np.tile(ctx.channel_hi, N),
-        index_map=tuple((k, i) for k in range(N) for i in range(m)),
         nominal=np.tile(ctx.nominal_means, N),
         horizon=N,
         m=m,

@@ -3,15 +3,8 @@
 Each actuator channel drops packets independently: the i-th diagonal entry
 of the loss matrix at step k is 1 with probability mean_i.  The operator
 watches the running empirical delivery rate of every channel and flags the
-link as soon as any rate leaves the declared tolerance band
-
-    |observed_mean_i - mean_i| <= tol_i.
-
-The test runs in float arithmetic, so its two band edges are not treated
-alike: at 0.7 +- 0.1 a running mean of exactly 4/5, 24/30 or 40/50 (the
-upper edge) is flagged, while 3/5, 18/30 and 30/50 (the lower edge) are
-not: there the rounded difference lands just above the tolerance at the
-upper edge and just below it at the lower edge.
+link as soon as any rate leaves the declared tolerance band mean_i +- tol_i,
+clamped to [0, 1], with both edges included (within a slack of 1e-12).
 
 An attacker who keeps the per-step means inside that band therefore stays
 undetected up to the usual concentration error of the empirical mean.
@@ -75,6 +68,11 @@ class ChannelSpec:
         return self.mean_diag.size
 
 
+# nominal +- tol and count/k each round a few ulps off their exact values;
+# the slack keeps a mean exactly on either band edge inside the band
+_EDGE_SLACK = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class DetectionSpec:
     """Per-channel tolerance band half-widths, each nonnegative.
@@ -106,6 +104,24 @@ class DetectionSpec:
         lo = np.maximum(0.0, channel.mean_diag - self.tol_diag)
         hi = np.minimum(1.0, channel.mean_diag + self.tol_diag)
         return lo, hi
+
+    def contains(self, channel: ChannelSpec, means) -> np.ndarray:
+        """Band membership of ``means`` (channels last), edges included."""
+        lo, hi = self.bounds(channel)
+        inside = (lo - _EDGE_SLACK <= means) & (means <= hi + _EDGE_SLACK)
+        return np.all(inside, axis=-1)
+
+    def monitor(self, channel: ChannelSpec, deliveries, min_steps: int = 1):
+        """Running means and first flag steps of (..., T, m) 0/1 deliveries.
+
+        The means are bitwise :func:`update_monitor`'s (the counts are exact
+        integers); armed from step ``min_steps``, -1 where none flags.
+        """
+        means = np.cumsum(deliveries, axis=-2, dtype=float)
+        means /= np.arange(1, means.shape[-2] + 1)[:, None]
+        outside = ~self.contains(channel, means)
+        outside[..., : max(min_steps - 1, 0)] = False
+        return means, np.where(outside.any(-1), outside.argmax(-1), -1)
 
 
 def sample_losses(mean_diag: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -151,11 +167,5 @@ def update_monitor(state: MonitorState, v: np.ndarray) -> MonitorState:
 def in_safe_region(
     observed: np.ndarray, channel: ChannelSpec, detection: DetectionSpec
 ) -> bool:
-    """Elementwise |observed - mean| <= tol, in float arithmetic.
-
-    A mean exactly on a band edge may fall either way: at 0.7 +- 0.1 the
-    upper edge 4/5 is flagged and the lower edge 3/5 is not.
-    """
-    observed = np.asarray(observed, dtype=float)
-    dev = np.abs(observed - channel.mean_diag)
-    return bool(np.all(dev <= detection.tol_diag))
+    """Whether every mean is in its band, edges included, within 1e-12."""
+    return bool(detection.contains(channel, observed))

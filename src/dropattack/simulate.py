@@ -59,6 +59,7 @@ from .channel import (
     philox_stream,
 )
 from .controller import ControllerGain, Protocol, _expand_step_means, control_gain
+from .controller import optimal_input_sequence
 from .errors import DimensionError
 from .model import PredictionEnsemble, SystemModel, build_prediction_ensemble
 
@@ -406,7 +407,6 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
 
     # first input block of the sequence gain, precomputed as a feedback map
     feedback = -gain.solve(ens.cross_gram)[:m, :]
-    nominal = cfg.channel.mean_diag
     means = np.repeat(np.stack([arm.means for arm in arms]), size, axis=0)
 
     states = np.empty((rows, T + 1, n))
@@ -436,15 +436,9 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
         losses[:, k] = v
         states[:, k + 1] = x
 
-    # the delivery counts are exact integers, so the running means are
-    # bitwise those a step-by-step monitor keeps
-    monitor_means = np.cumsum(losses, axis=1) / np.arange(1, T + 1)[:, None]
-    outside = ~np.all(
-        np.abs(monitor_means - nominal) <= cfg.detection.tol_diag, axis=2
+    monitor_means, first_detection = cfg.detection.monitor(
+        cfg.channel, losses, cfg.detector_min_steps
     )
-    # the monitor is armed once it has seen detector_min_steps steps
-    outside[:, : max(cfg.detector_min_steps - 1, 0)] = False
-    first_detection = np.where(outside.any(axis=1), outside.argmax(axis=1), -1)
 
     stage_costs = (
         _quad(model.Q, states[:, :T])
@@ -578,7 +572,7 @@ def _horizon_rollout(ens, model, gain, x, samples, seed):
     if samples < 2:
         raise DimensionError(f"samples must be >= 2, got {samples}")
     x = np.asarray(x, dtype=float)
-    u_star = -gain.solve(ens.cross_gram @ x)
+    u_star = optimal_input_sequence(gain, ens, x)
     base = ens.state_map @ x  # (N n,)
     om = np.diagonal(model.state_penalty)
     ps = np.diagonal(model.input_penalty)

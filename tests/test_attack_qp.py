@@ -64,9 +64,8 @@ def test_qp_construction_matches_definitions(rng):
         np.testing.assert_allclose(qp.H, qp.H.T, atol=0)
         if protocol is Protocol.UDP_LIKE:
             assert np.trace(qp.H) == pytest.approx(0.0, abs=1e-14)
-        # step-major decision layout and per-channel box tiling
-        N, m = ens.horizon, ens.m
-        assert qp.index_map == tuple((k, i) for k in range(N) for i in range(m))
+        # per-channel box tiling
+        N = ens.horizon
         np.testing.assert_array_equal(qp.lo, np.tile(ctx.channel_lo, N))
         np.testing.assert_array_equal(qp.hi, np.tile(ctx.channel_hi, N))
 
@@ -110,7 +109,6 @@ def hand_qp(H, c, lo, hi, nominal=None, m=1):
     horizon = d // m
     return BoxQP(
         H=H, c=c, lo=lo, hi=hi,
-        index_map=tuple((k, i) for k in range(horizon) for i in range(m)),
         nominal=nominal, horizon=horizon, m=m,
     )
 

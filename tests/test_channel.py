@@ -87,11 +87,6 @@ def test_safe_region_is_boundary_inclusive():
     assert not in_safe_region(np.array([0.7, 0.2]), wide, det2)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the float band test flags a running mean on "
-    "the upper edge (nominal + tol) but not on the lower edge",
-)
 def test_band_edges_are_symmetric():
     # running means exactly on either edge of 0.7 +- 0.1 lie in the band
     channel = ChannelSpec(mean_diag=np.array([0.7]))

@@ -234,6 +234,32 @@ def test_lockstep_matches_slow_episode(
     assert rep.mean_first_detection == (np.mean(hits) if hits else None)
 
 
+# (0/1 schedule, detector_min_steps, first detection): every delivery is
+# certain, so at the arming step the running mean sits exactly on an edge
+# of 0.7 +- 0.1; both edges lie inside the band, so the monitor fires only
+# once the cycle restarts above it, and never on the lower edge
+EDGE_CASES = [
+    ([1, 1, 1, 1, 0], 5, 5),  # 4/5 on the upper edge
+    ([1] * 24 + [0] * 6, 30, 30),  # 24/30 on the upper edge
+    ([1, 1, 1, 0, 0], 5, None),  # 3/5 on the lower edge
+]
+
+
+@pytest.mark.parametrize("pattern, min_steps, first", EDGE_CASES)
+def test_running_mean_on_a_band_edge_is_inside(pattern, min_steps, first):
+    schedule = np.repeat(np.array(pattern, dtype=float)[:, None], 2, axis=1)
+    cfg = small_cfg(
+        plan=AttackPlan(kind="nonstat", schedule=schedule),
+        T=40,
+        detector_min_steps=min_steps,
+    )
+    edge = sum(pattern) / len(pattern)
+    for trace in (run_episode(cfg), slow_episode(cfg, 0)):
+        np.testing.assert_array_equal(trace.monitor_means[min_steps - 1], edge)
+        assert trace.first_detection == first
+        assert trace.detected == (first is not None)
+
+
 def test_zero_input_matches_all_drop_attack():
     # criterion-6 identity at unit-test scale: blackout = open loop
     drop = small_cfg(plan=AttackPlan(kind="iid", alpha=0.0))
