@@ -22,7 +22,7 @@ from dropattack import (
     attack_context,
     build_prediction_ensemble,
     cost_regimes,
-    empirical_increase,
+    empirical_increases,
     expected_attacked_cost,
     feedback_benefit,
     flooding_condition,
@@ -80,9 +80,10 @@ def describe(protocol):
         ("flooding", 1.0, regimes["alpha_1"].increase),
         ("optimum", char.alpha_star, attacked - baseline),
     ]
-    for name, alpha, analytic in checks:
-        mean, se = empirical_increase(
-            ens, model, ctx.gain, x, alpha, samples=100_000, seed=7)
+    increases = empirical_increases(
+        ens, model, ctx.gain, x, [alpha for _, alpha, _ in checks],
+        samples=100_000, seed=7)
+    for (name, alpha, analytic), (mean, se) in zip(checks, increases):
         z = (mean - analytic) / se if se > 0 else 0.0
         print(f"  {name:<10} alpha={alpha:5.3f}  analytic {analytic:+9.4f}"
               f"  empirical {mean:+9.4f} +- {se:.4f}  (z {z:+.2f})")

@@ -83,6 +83,7 @@ from .simulate import (
     ResolvedAttack,
     SimulationTrace,
     empirical_increase,
+    empirical_increases,
     horizon_cost_samples,
     monte_carlo,
     monte_carlo_arms,
@@ -133,6 +134,7 @@ __all__ = [
     "control_gain",
     "cost_regimes",
     "empirical_increase",
+    "empirical_increases",
     "expected_attacked_cost",
     "feedback_benefit",
     "flooding_condition",

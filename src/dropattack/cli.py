@@ -41,7 +41,7 @@ from .config import load_experiment
 from .costs import cost_regimes, expected_attacked_cost, feedback_benefit
 from .errors import ConfigError, DimensionError, InfeasibleRegionError, NumericalError
 from .model import build_prediction_ensemble
-from .simulate import _KINDS, empirical_increase, monte_carlo, monte_carlo_arms
+from .simulate import _KINDS, empirical_increases, monte_carlo, monte_carlo_arms
 
 __all__ = ["main"]
 
@@ -284,11 +284,15 @@ def _cmd_analyze(args) -> int:
 
     if args.empirical:
         samples = args.empirical
+        sched = solve_box_qp_max(ctx.qp)
+        laws = [sched.means] if char is None else [char.alpha_star, sched.means]
+        # every law is paired with the nominal one on one shared rollout
+        increases = empirical_increases(
+            ens, model, ctx.gain, x, laws, samples, exp.seed
+        )
         empirical = {}
         if char is not None:
-            mean, se = empirical_increase(
-                ens, model, ctx.gain, x, char.alpha_star, samples, exp.seed
-            )
+            mean, se = increases[0]
             empirical["optimal_iid"] = {
                 "alpha": char.alpha_star,
                 "analytic_increase": char.objective_star + q0,
@@ -296,10 +300,7 @@ def _cmd_analyze(args) -> int:
                 "standard_error": se,
                 "samples": samples,
             }
-        sched = solve_box_qp_max(ctx.qp)
-        mean, se = empirical_increase(
-            ens, model, ctx.gain, x, sched.means, samples, exp.seed
-        )
+        mean, se = increases[-1]
         empirical["nonstationary"] = {
             "analytic_increase": sched.objective + q0,
             "empirical_increase": mean,

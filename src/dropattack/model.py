@@ -182,7 +182,7 @@ class PredictionEnsemble:
 
 def build_prediction_ensemble(model: SystemModel) -> PredictionEnsemble:
     """Assemble the stacked prediction maps and Gramians for ``model``."""
-    A, B, W = model.A, model.B, model.state_penalty
+    A, B = model.A, model.B
     n, m, N = model.n, model.m, model.horizon
 
     # powers[p] = A^p, p = 0..N
@@ -192,23 +192,29 @@ def build_prediction_ensemble(model: SystemModel) -> PredictionEnsemble:
 
     state_map = np.vstack(powers[1:])
 
+    # block (i, j) depends only on the lag i - j: one assignment per lag
+    # into (step, row, step, column) views of the block lower triangles
     input_map = np.zeros((N * n, N * m))
     noise_map = np.zeros((N * n, N * n))
-    for i in range(N):
-        for j in range(i + 1):
-            input_map[i * n:(i + 1) * n, j * m:(j + 1) * m] = powers[i - j] @ B
-            noise_map[i * n:(i + 1) * n, j * n:(j + 1) * n] = powers[i - j]
+    input_blocks = input_map.reshape(N, n, N, m)
+    noise_blocks = noise_map.reshape(N, n, N, n)
+    steps = np.arange(N)
+    for lag in range(N):
+        rows, cols = steps[lag:], steps[: N - lag]
+        input_blocks[rows, :, cols, :] = powers[lag] @ B
+        noise_blocks[rows, :, cols, :] = powers[lag]
 
-    w_state = W @ state_map
-    w_input = W @ input_map
+    # state_penalty is diagonal (SystemModel checks it), so W @ X is a row
+    # scaling: every other term of the product is an exact zero
+    w = np.diagonal(model.state_penalty)[:, None]
+    w_state = w * state_map
     state_gram = state_map.T @ w_state
-    input_gram = input_map.T @ w_input
-    noise_gram = noise_map.T @ (W @ noise_map)
+    input_gram = input_map.T @ (w * input_map)
+    noise_gram = noise_map.T @ (w * noise_map)
     cross_gram = input_map.T @ w_state
 
     noise_cov = np.zeros((N * n, N * n))
-    for i in range(N):
-        noise_cov[i * n:(i + 1) * n, i * n:(i + 1) * n] = model.noise_cov
+    noise_cov.reshape(N, n, N, n)[steps, :, steps, :] = model.noise_cov
 
     return PredictionEnsemble(
         state_map=_frozen(state_map),

@@ -25,11 +25,14 @@ every arm of :func:`monte_carlo_arms` is bitwise the plan's
 O(arms * 64 * T * (n + m)) floats.
 
 Horizon experiments (:func:`horizon_cost_samples`,
+:func:`empirical_increases` and its one-law case
 :func:`empirical_increase`) estimate the expected horizon cost that the
 closed-form attack formulas talk about: the operator computes its sequence
 once at a fixed state, the whole horizon is rolled out under a given
-channel law, and the stacked quadratic cost is accumulated.  For the
-udp-like loop the realized cost is an unbiased sample of the closed form.
+channel law, and the stacked quadratic cost is accumulated.  One rollout's
+draws serve every law of an :func:`empirical_increases` call, and its
+nominal law is evaluated once.  For the udp-like loop the realized cost
+is an unbiased sample of the closed form.
 The tcp-like accounting treats packet fates as known by the time the
 predicted-state penalty is charged (acknowledgements plus re-planning), so
 its closed form carries no delivery-variance term; sampling that
@@ -76,6 +79,7 @@ __all__ = [
     "monte_carlo_arms",
     "horizon_cost_samples",
     "empirical_increase",
+    "empirical_increases",
 ]
 
 _KINDS = ("none", "iid", "nonstat")
@@ -569,8 +573,9 @@ def _horizon_rollout(ens, model, gain, x, samples, seed):
     uniforms, so different channel laws are compared on common random
     numbers.
     """
-    if samples < 2:
-        raise DimensionError(f"samples must be >= 2, got {samples}")
+    if (not isinstance(samples, (int, np.integer)) or isinstance(samples, bool)
+            or samples < 2):
+        raise DimensionError(f"samples must be an integer >= 2, got {samples!r}")
     x = np.asarray(x, dtype=float)
     u_star = optimal_input_sequence(gain, ens, x)
     base = ens.state_map @ x  # (N n,)
@@ -628,6 +633,39 @@ def horizon_cost_samples(
     return float(x @ (model.Q @ x)) + cost_under(thresholds)
 
 
+def empirical_increases(
+    ens: PredictionEnsemble,
+    model: SystemModel,
+    gain: ControllerGain,
+    x: np.ndarray,
+    laws,
+    samples: int,
+    seed: int = 0,
+) -> list[tuple[float, float]]:
+    """Paired common-random-number estimates of several attack cost increases.
+
+    ``laws`` lists channel laws, each a scalar, per-channel vector or
+    (N, m) schedule.  One horizon rollout is drawn and the nominal law is
+    evaluated on it once; every law's attacked rollout shares its noise and
+    loss uniforms, and only the thresholds differ.  Returns one (mean
+    difference, standard error of the mean difference) per law, each
+    bitwise what :func:`empirical_increase` gives for that law alone.
+    """
+    if not laws:
+        raise DimensionError("at least one channel law is needed")
+    thresholds = [_expand_step_means(ens, law).reshape(-1) for law in laws]
+    cost_under = _horizon_rollout(ens, model, gain, x, samples, seed)
+    # x'Qx cancels in the pairing
+    nominal = cost_under(gain.mean_stack)
+    out = []
+    for attacked in thresholds:
+        diffs = cost_under(attacked) - nominal
+        mean = float(np.mean(diffs))
+        se = float(np.std(diffs, ddof=1) / math.sqrt(samples))
+        out.append((mean, se))
+    return out
+
+
 def empirical_increase(
     ens: PredictionEnsemble,
     model: SystemModel,
@@ -639,14 +677,11 @@ def empirical_increase(
 ):
     """Paired common-random-number estimate of the attack cost increase.
 
-    Attacked and nominal horizon rollouts share noise and loss uniforms;
-    only the thresholds differ.  Returns (mean difference, standard error
-    of the mean difference).
+    The one-law case of :func:`empirical_increases`: attacked and nominal
+    horizon rollouts share noise and loss uniforms; only the thresholds
+    differ.  Returns (mean difference, standard error of the mean
+    difference).
     """
-    attacked_thresholds = _expand_step_means(ens, step_means).reshape(-1)
-    cost_under = _horizon_rollout(ens, model, gain, x, samples, seed)
-    # x'Qx cancels in the pairing
-    diffs = cost_under(attacked_thresholds) - cost_under(gain.mean_stack)
-    mean = float(np.mean(diffs))
-    se = float(np.std(diffs, ddof=1) / math.sqrt(samples))
-    return mean, se
+    return empirical_increases(
+        ens, model, gain, x, [step_means], samples, seed
+    )[0]

@@ -150,6 +150,40 @@ def test_empirical_needs_two_samples(tmp_path, config_path, samples):
     assert not (tmp_path / "cost_report.json").exists()
 
 
+@pytest.mark.parametrize("config, channel, laws", [
+    ("scalar_udp.json", None, {"optimal_iid", "nonstationary"}),
+    ("two_channel_schedule.json", None, {"nonstationary"}),
+    # overlapping bands give the two-channel plant a stationary optimum
+    ("two_channel_schedule.json", [0.7, 0.6], {"optimal_iid", "nonstationary"}),
+])
+def test_analyze_draws_one_horizon_rollout(
+    tmp_path, monkeypatch, config, channel, laws
+):
+    from dropattack import simulate
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rollout(*args)
+
+    rollout = simulate._horizon_rollout
+    monkeypatch.setattr(simulate, "_horizon_rollout", counted)
+    with open(DEMO_CONFIGS / config) as handle:
+        doc = json.load(handle)
+    if channel is not None:
+        doc["channel"]["M_diag"] = channel
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    rc = main([
+        "analyze", "--config", str(path), "--out", str(tmp_path),
+        "--empirical", "200",
+    ])
+    assert rc == 0
+    assert len(calls) == 1
+    assert set(read_json(tmp_path, "cost_report.json")["empirical"]) == laws
+
+
 def test_non_finite_report_value_fails(tmp_path, config_path, monkeypatch):
     # a non-finite number fails the run instead of becoming a silent null
     import dropattack.cli as cli

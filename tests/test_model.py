@@ -1,5 +1,7 @@
 """Plant description, prediction stack, and Gramians."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from dropattack import (
     step_plant,
 )
 
-from conftest import make_model, random_model, slow_stack
+from conftest import make_model, random_model, slow_ensemble, slow_stack
 
 
 def test_prediction_matrices_match_loop_assembly(rng):
@@ -22,6 +24,27 @@ def test_prediction_matrices_match_loop_assembly(rng):
         np.testing.assert_allclose(ens.state_map, Phi, rtol=0, atol=1e-13)
         np.testing.assert_allclose(ens.input_map, Gamma, rtol=0, atol=1e-13)
         np.testing.assert_allclose(ens.noise_map, Lam, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 5, 20, 80])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_ensemble_is_bitwise_the_block_loop(rng, horizon, m):
+    # the lag-at-a-time build and the row-scaled Gramians repeat the
+    # per-block loop's floating-point operations exactly
+    for n in (1, 3):
+        base = random_model(rng, n=n, m=m, horizon=horizon)
+        root = rng.normal(size=(n, n))
+        # a non-diagonal noise covariance for n = 3
+        model = replace(base, noise_cov=root @ root.T + 0.1 * np.eye(n))
+        ens = build_prediction_ensemble(model)
+        want = slow_ensemble(model)
+        for field in fields(ens):
+            got = getattr(ens, field.name)
+            if not isinstance(got, np.ndarray):
+                continue
+            ref = want[field.name]
+            assert np.array_equal(got, ref), field.name
+            assert np.array_equal(np.signbit(got), np.signbit(ref)), field.name
 
 
 def test_gramians_match_definitions(rng):

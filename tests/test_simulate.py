@@ -14,6 +14,7 @@ from dropattack import (
     build_prediction_ensemble,
     control_gain,
     empirical_increase,
+    empirical_increases,
     expected_attacked_cost,
     horizon_cost_samples,
     monte_carlo,
@@ -551,6 +552,25 @@ def test_empirical_increase_pairs_draws(rng):
         assert se < unpaired_se
 
 
+def test_empirical_increases_are_each_the_one_law_estimate(rng):
+    # one shared rollout for several laws changes no bit of any estimate
+    model = random_model(rng, n=2, m=2, horizon=4)
+    ens = build_prediction_ensemble(model)
+    channel = shared_channel(2, 0.7)
+    x = np.array([0.9, -1.1])
+    laws = [0.55, np.array([0.6, 0.8]), rng.uniform(0.5, 0.9, (4, 2))]
+    for protocol in Protocol:
+        gain = control_gain(ens, model, channel.mean_diag, protocol)
+        got = empirical_increases(ens, model, gain, x, laws, 500, seed=4)
+        assert len(got) == len(laws)
+        for law, pair in zip(laws, got):
+            alone = empirical_increase(ens, model, gain, x, law, 500, seed=4)
+            assert np.array_equal(pair, alone)
+            assert np.array_equal(np.signbit(pair), np.signbit(alone))
+        with pytest.raises(DimensionError):
+            empirical_increases(ens, model, gain, x, [], 500, seed=4)
+
+
 def test_step_means_validation(rng):
     model = random_model(rng, n=2, m=2, horizon=3)
     ens = build_prediction_ensemble(model)
@@ -564,3 +584,19 @@ def test_step_means_validation(rng):
         horizon_cost_samples(ens, model, gain, x, np.full((2, 2), 0.5), 10)
     with pytest.raises(DimensionError):
         horizon_cost_samples(ens, model, gain, x, 1.2, 10)
+
+
+@pytest.mark.parametrize("samples", [100.0, True, 1])
+def test_horizon_samples_must_be_an_integer_of_at_least_two(rng, samples):
+    model = random_model(rng, n=2, m=2, horizon=3)
+    ens = build_prediction_ensemble(model)
+    gain = control_gain(
+        ens, model, np.array([0.5, 0.5]), Protocol.UDP_LIKE
+    )
+    x = np.zeros(2)
+    with pytest.raises(DimensionError, match="integer >= 2"):
+        empirical_increase(ens, model, gain, x, 0.5, samples)
+    with pytest.raises(DimensionError, match="integer >= 2"):
+        horizon_cost_samples(ens, model, gain, x, 0.5, samples)
+    # a numpy integer is an integer
+    assert horizon_cost_samples(ens, model, gain, x, 0.5, np.int64(2)).shape == (2,)
