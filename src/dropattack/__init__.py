@@ -44,7 +44,6 @@ from .channel import (
     fresh_monitor,
     in_safe_region,
     philox_stream,
-    sample_losses,
     update_monitor,
 )
 from .config import ExperimentConfig, load_experiment, parse_experiment
@@ -53,7 +52,6 @@ from .controller import (
     Protocol,
     control_gain,
     optimal_input_sequence,
-    stack_channel_means,
 )
 from .costs import (
     CostReport,
@@ -70,17 +68,13 @@ from .errors import (
 )
 from .model import (
     PredictionEnsemble,
-    ReachabilityReport,
     SystemModel,
     build_prediction_ensemble,
-    check_reachable,
-    step_plant,
 )
 from .simulate import (
     AggregateReport,
     AttackPlan,
     EpisodeConfig,
-    ResolvedAttack,
     SimulationTrace,
     empirical_increase,
     empirical_increases,
@@ -89,7 +83,6 @@ from .simulate import (
     monte_carlo_arms,
     resolve_attack,
     run_episode,
-    stage_cost,
 )
 
 __version__ = "0.1.0"
@@ -118,8 +111,6 @@ __all__ = [
     "ObjectiveQuadratic",
     "PredictionEnsemble",
     "Protocol",
-    "ReachabilityReport",
-    "ResolvedAttack",
     "SimulationTrace",
     "STREAM_INIT",
     "STREAM_LOSS",
@@ -130,7 +121,6 @@ __all__ = [
     "build_qp",
     "build_qp_tcp",
     "build_qp_udp",
-    "check_reachable",
     "control_gain",
     "cost_regimes",
     "empirical_increase",
@@ -153,13 +143,9 @@ __all__ = [
     "philox_stream",
     "resolve_attack",
     "run_episode",
-    "sample_losses",
     "schedule_objective",
     "solve_box_qp_max",
     "solve_iid_constrained",
-    "stack_channel_means",
-    "stage_cost",
     "stationary_alpha",
-    "step_plant",
     "update_monitor",
 ]

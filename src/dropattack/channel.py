@@ -29,7 +29,6 @@ __all__ = [
     "STREAM_NOISE",
     "STREAM_LOSS",
     "STREAM_INIT",
-    "sample_losses",
     "fresh_monitor",
     "update_monitor",
     "in_safe_region",
@@ -58,7 +57,7 @@ class ChannelSpec:
         md = np.array(self.mean_diag, dtype=float)
         if md.ndim != 1 or md.size == 0:
             raise DimensionError("mean_diag must be a non-empty 1-D array")
-        if np.any(md < 0.0) or np.any(md >= 1.0):
+        if not np.all((0.0 <= md) & (md < 1.0)):
             raise DimensionError("channel means must lie in [0, 1)")
         md.setflags(write=False)
         object.__setattr__(self, "mean_diag", md)
@@ -90,7 +89,7 @@ class DetectionSpec:
         td = np.array(self.tol_diag, dtype=float)
         if td.ndim != 1 or td.size == 0:
             raise DimensionError("tol_diag must be a non-empty 1-D array")
-        if np.any(td < 0.0):
+        if not np.all(td >= 0.0):
             raise DimensionError("detection tolerances must be >= 0")
         td.setflags(write=False)
         object.__setattr__(self, "tol_diag", td)
@@ -122,16 +121,6 @@ class DetectionSpec:
         outside = ~self.contains(channel, means)
         outside[..., : max(min_steps - 1, 0)] = False
         return means, np.where(outside.any(-1), outside.argmax(-1), -1)
-
-
-def sample_losses(mean_diag: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One step of per-channel 0/1 delivery outcomes, as floats.
-
-    Drawn by thresholding uniforms, so coupling two channel laws through a
-    shared stream yields common-random-number pairs.
-    """
-    mean_diag = np.asarray(mean_diag, dtype=float)
-    return (rng.random(mean_diag.shape) < mean_diag).astype(float)
 
 
 @dataclass(frozen=True, eq=False)

@@ -105,6 +105,18 @@ def _as_int(value, name: str, problems: list, minimum: int):
     return value
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, never a bool or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _all_numbers(value) -> bool:
+    """Whether every entry of ``value``, a number or nested lists, is one."""
+    if isinstance(value, list):
+        return all(_all_numbers(entry) for entry in value)
+    return _is_number(value)
+
+
 def _covariance(value, name: str, size, problems: list):
     """Accept an n x n matrix or a length-n diagonal vector."""
     arr = np.asarray(value, dtype=float) if value is not None else None
@@ -222,16 +234,24 @@ def parse_experiment(data: dict) -> ExperimentConfig:
     resynthesize = attack_raw.get("resynthesize", False)
     if not isinstance(resynthesize, bool):
         problems.append("attack.resynthesize: must be true or false")
+    rates = {}
+    for key, problem, check in (
+        ("alpha", "must be a number", _is_number),
+        ("means", "every entry must be a number", _all_numbers),
+        ("schedule", "every entry must be a number", _all_numbers),
+    ):
+        rates[key] = attack_raw.get(key)
+        if rates[key] is not None and not check(rates[key]):
+            problems.append(f"attack.{key}: {problem}")
+            rates[key] = None
     plan = None
     try:
-        # a bad onset or resynthesize is already listed; stand-ins keep
-        # the remaining attack keys checked
+        # a bad onset, resynthesize or rate is already listed; stand-ins
+        # keep the remaining attack keys checked
         plan = AttackPlan(
             kind=kind,
             onset=0 if onset is None else onset,
-            alpha=attack_raw.get("alpha"),
-            means=attack_raw.get("means"),
-            schedule=attack_raw.get("schedule"),
+            **rates,
             state_mode=attack_raw.get("state_mode", "onset"),
             resynthesize=resynthesize is True,
         )

@@ -96,12 +96,6 @@ def _make_solver(kernel: np.ndarray):
         raise NumericalError(f"gain kernel factorization failed: {e}") from e
 
 
-def stack_channel_means(mean_diag: np.ndarray, horizon: int) -> np.ndarray:
-    """Tile the per-channel means over the horizon (step-major), 1-D."""
-    mean_diag = np.asarray(mean_diag, dtype=float)
-    return np.tile(mean_diag, horizon)
-
-
 def _expand_step_means(ens: PredictionEnsemble, step_means) -> np.ndarray:
     """(N, m) per-step delivery rates from a scalar, a per-channel vector
     tiled over the horizon, or a full schedule, each rate in [0, 1]."""
@@ -120,7 +114,7 @@ def _expand_step_means(ens: PredictionEnsemble, step_means) -> np.ndarray:
             f"step means must have shape {(ens.horizon, ens.m)}, "
             f"got {step_means.shape}"
         )
-    if np.any(step_means < 0.0) or np.any(step_means > 1.0):
+    if not np.all((0.0 <= step_means) & (step_means <= 1.0)):
         raise DimensionError("step means must lie in [0, 1]")
     return step_means
 
@@ -144,9 +138,10 @@ def control_gain(
         raise DimensionError(
             f"mean_diag must have shape {(ens.m,)}, got {mean_diag.shape}"
         )
-    if np.any(mean_diag < 0.0) or np.any(mean_diag >= 1.0):
+    if not np.all((0.0 <= mean_diag) & (mean_diag < 1.0)):
         raise DimensionError("channel means must lie in [0, 1)")
-    nu = stack_channel_means(mean_diag, ens.horizon)
+    # stacked step-major: channel i of step k at k*m + i
+    nu = np.tile(mean_diag, ens.horizon)
     # the one protocol decision: the delivery variance the cost pays
     udp = protocol is Protocol.UDP_LIKE
     paid = ens.input_gram_diag if udp else np.zeros_like(nu)

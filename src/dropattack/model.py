@@ -29,10 +29,7 @@ from .errors import DimensionError
 __all__ = [
     "SystemModel",
     "PredictionEnsemble",
-    "ReachabilityReport",
     "build_prediction_ensemble",
-    "step_plant",
-    "check_reachable",
 ]
 
 
@@ -231,58 +228,3 @@ def build_prediction_ensemble(model: SystemModel) -> PredictionEnsemble:
         horizon=N,
     )
 
-
-def step_plant(model: SystemModel, x, u_applied, v, w):
-    """One plant step: A x + B (v * u) + w.
-
-    ``v`` is the per-channel 0/1 delivery outcome as a 1-D array; a dropped
-    packet zeroes the corresponding input entry exactly.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u_applied, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != (model.n,):
-        raise DimensionError(f"x must have shape {(model.n,)}, got {x.shape}")
-    if u.shape != (model.m,) or v.shape != (model.m,):
-        raise DimensionError(
-            f"u_applied and v must have shape {(model.m,)}, "
-            f"got {u.shape} and {v.shape}"
-        )
-    if w.shape != (model.n,):
-        raise DimensionError(f"w must have shape {(model.n,)}, got {w.shape}")
-    return model.A @ x + model.B @ (v * u) + w
-
-
-@dataclass(frozen=True)
-class ReachabilityReport:
-    reachable: bool
-    rank: int
-    max_rank: int
-    threshold: float
-
-
-def check_reachable(model: SystemModel) -> ReachabilityReport:
-    """Rank test on [B, AB, ..., A^(N-1) B] over the prediction horizon.
-
-    ``reachable`` is true when the numerical rank equals the maximal rank the
-    stack could possibly have, min(n, N*m).  The singular-value threshold is
-    the usual max-dimension * eps * largest-singular-value cutoff.
-    """
-    n, m, N = model.n, model.m, model.horizon
-    blocks = []
-    P = np.eye(n)
-    for _ in range(N):
-        blocks.append(P @ model.B)
-        P = model.A @ P
-    K = np.hstack(blocks)
-    sv = np.linalg.svd(K, compute_uv=False)
-    threshold = max(K.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > threshold))
-    max_rank = min(n, N * m)
-    return ReachabilityReport(
-        reachable=(rank == max_rank),
-        rank=rank,
-        max_rank=max_rank,
-        threshold=float(threshold),
-    )

@@ -5,11 +5,11 @@ Two kinds of experiment live here.
 Closed-loop episodes (:func:`run_episode`, :func:`monte_carlo`,
 :func:`monte_carlo_arms`) run the receding-horizon loop for T steps: the
 controller transmits the first block of its optimal sequence, the channel
-drops packets, the plant steps, and the monitor folds the realized
-outcomes into its running means.  The realized cost ledger charges, per
-step, the current-state weight, the first input-penalty block on the
-delivered input, and the first state-penalty block on the successor
-state.  Detection never interrupts an episode: every episode runs all T
+drops packets and the plant steps; the monitor's running means and first
+detections follow from the realized outcomes.  The realized cost ledger
+charges, per step, the current-state weight, the first input-penalty
+block on the delivered input, and the first state-penalty block on the
+successor state.  Detection never interrupts an episode: every episode runs all T
 steps and records its first detection step.  One engine steps a batch in
 lockstep as one (rows, n) state array, whose rows are (attack arm,
 realization) pairs: :func:`monte_carlo_arms` runs several attack plans
@@ -22,7 +22,9 @@ onset under per-step resynthesis).  So :func:`run_episode` for
 realization r is bitwise the episode :func:`monte_carlo` runs for r, and
 every arm of :func:`monte_carlo_arms` is bitwise the plan's
 :func:`monte_carlo` run.  A block of 64 realizations holds
-O(arms * 64 * T * (n + m)) floats.
+O(arms * 64 * T * (n + m)) floats.  The package keeps no per-step
+version of this loop: the tests gate the engine against an independent
+one-step-at-a-time episode of their own.
 
 Horizon experiments (:func:`horizon_cost_samples`,
 :func:`empirical_increases` and its one-law case
@@ -68,11 +70,9 @@ from .model import PredictionEnsemble, SystemModel, build_prediction_ensemble
 
 __all__ = [
     "AttackPlan",
-    "ResolvedAttack",
     "EpisodeConfig",
     "SimulationTrace",
     "AggregateReport",
-    "stage_cost",
     "resolve_attack",
     "run_episode",
     "monte_carlo",
@@ -126,7 +126,7 @@ class AttackPlan:
             raise DimensionError("attack alpha must lie in [0, 1]")
         if self.means is not None:
             means = np.array(self.means, dtype=float)
-            if means.ndim != 1 or np.any(means < 0.0) or np.any(means > 1.0):
+            if means.ndim != 1 or not np.all((0.0 <= means) & (means <= 1.0)):
                 raise DimensionError(
                     "attack means must be a per-channel vector in [0, 1]"
                 )
@@ -134,7 +134,7 @@ class AttackPlan:
             object.__setattr__(self, "means", means)
         if self.schedule is not None:
             sched = np.array(self.schedule, dtype=float)
-            if sched.ndim != 2 or np.any(sched < 0.0) or np.any(sched > 1.0):
+            if sched.ndim != 2 or not np.all((0.0 <= sched) & (sched <= 1.0)):
                 raise DimensionError(
                     "attack schedule must be a (steps, channels) array in [0, 1]"
                 )
@@ -156,25 +156,6 @@ class AttackPlan:
         return self.state_mode == "onset" and all(key is None for key in own)
 
 
-@dataclass(frozen=True, eq=False)
-class ResolvedAttack:
-    """Concrete per-step channel law from ``onset`` on.
-
-    ``table`` holds the (period, m) delivery means played cyclically from
-    onset, one row for a stationary law; it is None for a plan of kind
-    "none".
-    """
-
-    onset: int
-    table: np.ndarray | None
-    info: dict = field(default_factory=dict)
-
-    def means_at(self, step: int, nominal: np.ndarray) -> np.ndarray:
-        if self.table is None or step < self.onset:
-            return nominal
-        return self.table[(step - self.onset) % self.table.shape[0]]
-
-
 def resolve_attack(
     plan: AttackPlan,
     model: SystemModel,
@@ -184,25 +165,28 @@ def resolve_attack(
     protocol: Protocol,
     x: np.ndarray,
     gain: ControllerGain | None = None,
-) -> ResolvedAttack:
-    """Turn a plan into a concrete channel law, synthesizing if needed."""
+) -> tuple[np.ndarray | None, dict]:
+    """Turn a plan into a concrete channel law, synthesizing if needed.
+
+    Returns ``(table, info)``: ``table`` holds the (period, m) delivery
+    means played cyclically from the step the law starts at, one row for
+    a stationary law, and is None for a plan of kind "none"; ``info`` is
+    the report's attack info.  Synthesis reads the state ``x``.
+    """
     if plan.kind == "none":
-        return ResolvedAttack(plan.onset, None, {"kind": "none"})
+        return None, {"kind": "none"}
     if plan.kind == "iid":
         if plan.alpha is not None:
-            return ResolvedAttack(
-                plan.onset, np.full((1, ens.m), float(plan.alpha)),
+            return (
+                np.full((1, ens.m), float(plan.alpha)),
                 {"kind": "iid", "alpha": float(plan.alpha), "fixed": True},
             )
         if plan.means is not None:
-            return ResolvedAttack(
-                plan.onset, plan.means[None, :],
-                {"kind": "iid", "fixed": True},
-            )
+            return plan.means[None, :], {"kind": "iid", "fixed": True}
         ctx = attack_context(ens, model, channel, detection, protocol, x, gain)
         sol = solve_iid_constrained(ctx.qp)
-        return ResolvedAttack(
-            plan.onset, sol.means[:1].copy(),
+        return (
+            sol.means[:1].copy(),
             {
                 "kind": "iid",
                 "objective": sol.objective,
@@ -212,14 +196,11 @@ def resolve_attack(
         )
     # nonstat
     if plan.schedule is not None:
-        return ResolvedAttack(
-            plan.onset, plan.schedule,
-            {"kind": "nonstat", "fixed": True},
-        )
+        return plan.schedule, {"kind": "nonstat", "fixed": True}
     ctx = attack_context(ens, model, channel, detection, protocol, x, gain)
     sol = solve_box_qp_max(ctx.qp)
-    return ResolvedAttack(
-        plan.onset, sol.means.copy(),
+    return (
+        sol.means.copy(),
         {
             "kind": "nonstat",
             "objective": sol.objective,
@@ -285,23 +266,6 @@ class SimulationTrace:
     terminal_cost: float
 
 
-def stage_cost(model: SystemModel, x, u_applied, v, x_next) -> float:
-    """Realized per-step cost.
-
-    Charges x'Qx, the first input-penalty block on the delivered input
-    v * u, and the first state-penalty block on the successor ``x_next``,
-    so each step of the episode is billed once for where it lands.
-    """
-    x = np.asarray(x, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
-    u_eff = np.asarray(v, dtype=float) * np.asarray(u_applied, dtype=float)
-    m, n = model.m, model.n
-    psi1 = model.input_penalty[:m, :m]
-    omega1 = model.state_penalty[:n, :n]
-    cost = float(x @ (model.Q @ x)) + float(u_eff @ (psi1 @ u_eff))
-    return cost + float(x_next @ (omega1 @ x_next))
-
-
 def _matvec(M, X):
     """``M @ x`` for every row x of X, bitwise the unbatched product."""
     return (M @ X[..., None])[..., 0]
@@ -341,12 +305,12 @@ def _arm(cfg, plan, ens, gain) -> _Arm:
     elif plan.needs_state and (plan.onset > 0 or cfg.sample_x0):
         steps = range(plan.onset, plan.onset + 1)
     elif plan.kind != "none":
-        law = resolve_attack(
+        table, info = resolve_attack(
             plan, cfg.model, ens, cfg.channel, cfg.detection,
             cfg.protocol, cfg.model.init_mean, gain,
         )
-        means[plan.onset :] = _cycled(law.table, plan.onset, T)
-        return _Arm(plan, means, law.info, steps)
+        means[plan.onset :] = _cycled(table, plan.onset, T)
+        return _Arm(plan, means, info, steps)
     info = {"kind": plan.kind, "per_episode_synthesis": plan.kind != "none"}
     return _Arm(plan, means, info, steps)
 
@@ -423,11 +387,11 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
             if k not in arm.synthesis:
                 continue
             for row in range(a * size, (a + 1) * size):
-                law = resolve_attack(
+                table, _ = resolve_attack(
                     arm.plan, model, ens, cfg.channel, cfg.detection,
                     cfg.protocol, x[row], gain,
                 )
-                means[row, k:] = _cycled(law.table, k, T)
+                means[row, k:] = _cycled(table, k, T)
 
         if not cfg.zero_input:
             inputs[:, k] = _matvec(feedback, x)

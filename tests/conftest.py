@@ -3,10 +3,11 @@
 The slow oracles rebuild every stacked operator with explicit loops and
 evaluate expected costs from first and second Bernoulli moments directly.
 They share no code with the package internals beyond the model dataclass,
-so agreement is evidence, not tautology.  The exception is
-``slow_episode``, the closed loop one step at a time: it is built from the
-package's public single-step helpers, which keeps those helpers the tested
-reference for the lockstep engine.
+so agreement is evidence, not tautology.  ``slow_episode``, the closed
+loop one step at a time, is the reference for the lockstep engine: it
+steps the plant, draws the losses and bills the stage cost with its own
+one-line helpers below, and takes from the package only the set-up the
+engine also takes (ensemble, gain, streams, attack resolution, monitor).
 """
 
 import itertools
@@ -30,10 +31,7 @@ from dropattack import (
     in_safe_region,
     philox_stream,
     resolve_attack,
-    sample_losses,
     solve_box_qp_max,
-    stage_cost,
-    step_plant,
     update_monitor,
 )
 
@@ -149,6 +147,35 @@ def shared_detection(m, tol=0.1):
 
 # ------------------------------------------------------------ slow oracles
 
+def slow_step(model, x, u, v, w):
+    """One plant step, A x + B (v * u) + w: a dropped packet (v = 0)
+    zeroes its input entry exactly."""
+    return model.A @ x + model.B @ (v * u) + w
+
+
+def slow_stage_cost(model, x, u, v, x_next):
+    """Realized per-step cost: x'Qx, the first input-penalty block on the
+    delivered input v * u and the first state-penalty block on x_next, so
+    each step is billed once for where it lands."""
+    m, n, delivered = model.m, model.n, v * u
+    return (
+        float(x @ (model.Q @ x))
+        + float(delivered @ (model.input_penalty[:m, :m] @ delivered))
+        + float(x_next @ (model.state_penalty[:n, :n] @ x_next))
+    )
+
+
+def reachable(model):
+    """Whether [B, AB, ..., A^(N-1) B] has the largest rank it could,
+    min(n, N*m), at numpy's default rank tolerance."""
+    blocks, power = [], np.eye(model.n)
+    for _ in range(model.horizon):
+        blocks.append(power @ model.B)
+        power = model.A @ power
+    rank = np.linalg.matrix_rank(np.hstack(blocks))
+    return rank == min(model.n, model.horizon * model.m)
+
+
 def slow_stack(model):
     """Prediction operators assembled block by block with matrix powers."""
     n, m, N = model.n, model.m, model.horizon
@@ -262,8 +289,8 @@ def tcp_objective(ctx, alpha):
 
 def slow_episode(cfg, realization=0):
     """One closed-loop episode stepped one realization and one step at a
-    time, from the public single-step helpers: the reference the lockstep
-    engine behind ``run_episode`` and ``monte_carlo`` is gated against.
+    time, with the helpers above: the reference the lockstep engine behind
+    ``run_episode`` and ``monte_carlo`` is gated against.
 
     Draws step by step from the same per-realization streams, resolves the
     attack at onset from the episode's own state, and re-solves the
@@ -287,11 +314,11 @@ def slow_episode(cfg, realization=0):
     states, inputs, losses, noises, costs, means = [x], [], [], [], [], []
     monitor = fresh_monitor(m)
     first_detection = None
-    resolved = None
+    table = None
     for k in range(cfg.T):
         if k == plan.onset and plan.kind != "none":
             x_syn = x if plan.state_mode == "onset" else model.init_mean
-            resolved = resolve_attack(
+            table, _ = resolve_attack(
                 plan, model, ens, cfg.channel, cfg.detection,
                 cfg.protocol, x_syn, gain,
             )
@@ -300,16 +327,16 @@ def slow_episode(cfg, realization=0):
                 ens, model, cfg.channel, cfg.detection, cfg.protocol, x, gain
             )
             means_k = solve_box_qp_max(ctx.qp).means[0]
-        elif resolved is not None:
-            means_k = resolved.means_at(k, nominal)
+        elif table is not None:
+            means_k = table[(k - plan.onset) % len(table)]
         else:
             means_k = nominal
 
         u = np.zeros(m) if cfg.zero_input else feedback @ x
-        v = sample_losses(means_k, loss_rng)
+        v = (loss_rng.random(m) < means_k).astype(float)
         w = noise_chol @ noise_rng.standard_normal(n)
-        x_next = step_plant(model, x, u, v, w)
-        costs.append(stage_cost(model, x, u, v, x_next))
+        x_next = slow_step(model, x, u, v, w)
+        costs.append(slow_stage_cost(model, x, u, v, x_next))
         inputs.append(u)
         losses.append(v)
         noises.append(w)

@@ -21,7 +21,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_model, record_criterion, tcp_objective, udp_objective
+from conftest import (
+    make_model, reachable, record_criterion, slow_step, tcp_objective,
+    udp_objective,
+)
 from dropattack import (
     AttackPlan,
     ChannelSpec,
@@ -33,7 +36,6 @@ from dropattack import (
     attack_context,
     build_prediction_ensemble,
     build_qp,
-    check_reachable,
     cost_regimes,
     empirical_increase,
     in_safe_region,
@@ -44,7 +46,6 @@ from dropattack import (
     solve_box_qp_max,
     solve_iid_constrained,
     stationary_alpha,
-    step_plant,
 )
 
 
@@ -170,7 +171,7 @@ def test_criterion_01_stacked_prediction_matches_iteration(rng):
         xk = x
         blocks = []
         for k in range(N):
-            xk = step_plant(
+            xk = slow_step(
                 model, xk,
                 u[k * m:(k + 1) * m], v[k * m:(k + 1) * m],
                 w[k * n:(k + 1) * n],
@@ -250,7 +251,7 @@ def test_criterion_03_tcp_optimum_matches_grid_and_is_convex(rng):
     done = 0
     while done < 100:
         model = wild_model(rng)
-        if not check_reachable(model).reachable:
+        if not reachable(model):
             continue
         ctx, ens = shared_rate_context(rng, model, Protocol.TCP_LIKE)
         if float(ctx.u_star @ ctx.u_star) < 1e-16:

@@ -12,7 +12,6 @@ from dropattack import (
     fresh_monitor,
     in_safe_region,
     philox_stream,
-    sample_losses,
     update_monitor,
 )
 
@@ -37,6 +36,8 @@ def test_channel_spec_validation():
     with pytest.raises(DimensionError):
         ChannelSpec(mean_diag=np.array([-0.01]))
     with pytest.raises(DimensionError):
+        ChannelSpec(mean_diag=np.array([0.5, np.nan]))  # fails every comparison
+    with pytest.raises(DimensionError):
         ChannelSpec(mean_diag=np.zeros((2, 2)))
 
 
@@ -49,15 +50,9 @@ def test_detection_bounds_clamp_to_unit_interval():
     with pytest.raises(DimensionError):
         DetectionSpec(tol_diag=np.array([-0.1]))
     with pytest.raises(DimensionError):
+        DetectionSpec(tol_diag=np.array([0.1, np.nan]))
+    with pytest.raises(DimensionError):
         det.bounds(ChannelSpec(mean_diag=np.array([0.5])))
-
-
-def test_sample_losses_threshold_law(rng):
-    mean = np.array([0.1, 0.5, 0.9])
-    draws = np.array([sample_losses(mean, rng) for _ in range(20000)])
-    assert set(np.unique(draws)) <= {0.0, 1.0}
-    assert draws.dtype == float
-    np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.02)
 
 
 def test_monitor_running_means(rng):

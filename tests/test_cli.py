@@ -348,6 +348,11 @@ def test_reports_have_one_key_tree_for_both_protocols(
             "resynthesize": True,
         },
         {"kind": "iid", "alpha": 0.6, "means": [0.5, 0.05]},
+        # Python's json reads the NaN literal; no uniform is below a NaN
+        # rate, so every packet would drop
+        {"kind": "iid", "means": [float("nan"), 0.5]},
+        {"kind": "nonstat", "schedule": [[float("nan"), 0.5]]},
+        {"kind": "iid", "alpha": True},
     ],
 )
 def test_malformed_attack_keys_are_config_errors(tmp_path, attack, capsys):

@@ -165,6 +165,35 @@ def test_attack_resynthesize_must_be_boolean():
         assert parse_experiment(doc).plan.resynthesize is value
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("iid", "alpha", True), ("iid", "alpha", "0.6"), ("iid", "alpha", [0.6]),
+        ("iid", "means", [True, 0.5]), ("iid", "means", [None, 0.5]),
+        ("nonstat", "schedule", [[0.5, "0.5"]]),
+        ("nonstat", "alpha", False),  # another kind's key is checked too
+    ],
+)
+def test_attack_rates_must_be_numbers(kind, key, value):
+    # bools and strings would otherwise pass through float() as rates
+    doc = base_doc()
+    doc["attack"] = {"kind": kind, "onset": 2.5, key: value}
+    with pytest.raises(ConfigError) as err:
+        parse_experiment(doc)
+    problem = "must be a number" if key == "alpha" else "every entry must be a number"
+    assert err.value.problems == [
+        "attack.onset: must be an integer", f"attack.{key}: {problem}",
+    ]
+
+
+def test_attack_rates_may_be_integers():
+    doc = base_doc()
+    doc["attack"] = {"kind": "iid", "alpha": 1}
+    assert parse_experiment(doc).plan.alpha == 1
+    doc["attack"] = {"kind": "nonstat", "means": [1, 0], "schedule": [[0, 1]]}
+    assert parse_experiment(doc).plan.schedule.tolist() == [[0.0, 1.0]]
+
+
 def test_attack_column_counts_checked():
     doc = base_doc()
     doc["attack"] = {"kind": "iid", "means": [0.5, 0.5, 0.5]}

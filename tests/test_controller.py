@@ -12,7 +12,6 @@ from dropattack import (
     control_gain,
     expected_attacked_cost,
     optimal_input_sequence,
-    stack_channel_means,
 )
 
 from conftest import (
@@ -29,11 +28,6 @@ def test_protocol_parse():
     assert Protocol.parse(" TCP ") is Protocol.TCP_LIKE
     with pytest.raises(ValueError):
         Protocol.parse("smtp")
-
-
-def test_stack_channel_means_is_step_major():
-    stacked = stack_channel_means(np.array([0.2, 0.9]), 3)
-    np.testing.assert_array_equal(stacked, [0.2, 0.9, 0.2, 0.9, 0.2, 0.9])
 
 
 def scalar_setup(mean=0.5):
@@ -108,7 +102,7 @@ def test_nominal_cost_matches_bernoulli_moment_oracle(rng):
             )
             u = ctx.u_star
             mine = expected_attacked_cost(ctx, model)
-            thresholds = stack_channel_means(mu, model.horizon)
+            thresholds = np.tile(mu, model.horizon)
             want = slow_expected_cost(model, x, u, thresholds, protocol)
             assert mine == pytest.approx(want, rel=1e-10)
 
@@ -119,5 +113,7 @@ def test_mean_validation():
         control_gain(ens, model, np.array([1.0]), Protocol.TCP_LIKE)  # kernel needs < 1
     with pytest.raises(DimensionError):
         control_gain(ens, model, np.array([-0.1]), Protocol.TCP_LIKE)
+    with pytest.raises(DimensionError):
+        control_gain(ens, model, np.array([np.nan]), Protocol.TCP_LIKE)
     with pytest.raises(DimensionError):
         control_gain(ens, model, np.array([0.5, 0.5]), Protocol.TCP_LIKE)

@@ -15,7 +15,6 @@ from dropattack import (
     flooding_condition,
     objective_coeffs,
     solve_box_qp_max,
-    stack_channel_means,
 )
 
 from conftest import (
@@ -279,14 +278,14 @@ def test_attacked_cost_matches_bernoulli_moment_oracle(rng):
             got = expected_attacked_cost(ctx, model, vec)
             want = slow_expected_cost(
                 model, x, ctx.u_star,
-                stack_channel_means(vec, model.horizon), protocol,
+                np.tile(vec, model.horizon), protocol,
             )
             assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_attacked_cost_rejects_bad_rates(rng):
     ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
-    for attack in (1.5, -0.1, np.full(ctx.ens.m + 1, 0.5)):
+    for attack in (1.5, -0.1, np.nan, np.full(ctx.ens.m + 1, 0.5)):
         with pytest.raises(DimensionError):
             expected_attacked_cost(ctx, model, attack)
 

@@ -20,8 +20,6 @@ from dropattack import (
     monte_carlo,
     resolve_attack,
     run_episode,
-    stage_cost,
-    step_plant,
 )
 from dropattack import simulate
 
@@ -31,6 +29,8 @@ from conftest import (
     shared_channel,
     shared_detection,
     slow_episode,
+    slow_stage_cost,
+    slow_step,
 )
 
 
@@ -66,6 +66,10 @@ def test_attack_plan_validation():
         AttackPlan(kind="nonstat", schedule=np.full((2, 2), 2.0))
     with pytest.raises(DimensionError):
         AttackPlan(kind="nonstat", schedule=np.full(4, 0.5))  # needs 2-d
+    # NaN fails every comparison: a NaN delivery rate drops every packet
+    for rates in ({"alpha": np.nan}, {"means": [np.nan]}, {"schedule": [[np.nan]]}):
+        with pytest.raises(DimensionError):
+            AttackPlan(kind="iid", **rates)
     with pytest.raises(DimensionError):
         # resynthesis would never play the fixed schedule
         AttackPlan(
@@ -132,11 +136,11 @@ def test_episode_reproducible_and_consistent():
     np.testing.assert_allclose(a.cumulative, np.cumsum(a.stage_costs), atol=0)
     assert a.terminal_cost == a.cumulative[-1]
     for k in range(T):
-        want = step_plant(
+        want = slow_step(
             model, a.states[k], a.inputs[k], a.losses[k], a.noises[k]
         )
         np.testing.assert_allclose(a.states[k + 1], want, atol=1e-12)
-        want_cost = stage_cost(
+        want_cost = slow_stage_cost(
             model, a.states[k], a.inputs[k], a.losses[k], a.states[k + 1]
         )
         assert a.stage_costs[k] == pytest.approx(want_cost, rel=1e-12)
@@ -391,10 +395,11 @@ def test_arms_need_a_plan():
 def test_stage_cost_blocks():
     model = make_model([[1.0]], [[1.0]], horizon=3, q=[2.0], psi=[0.5, 1, 1])
     # x=2, u=3 delivered, next state 1: 2*4 + 0.5*9 + 1*1
-    got = stage_cost(model, [2.0], [3.0], [1.0], [1.0])
+    x, u, x_next = np.array([2.0]), np.array([3.0]), np.array([1.0])
+    got = slow_stage_cost(model, x, u, np.array([1.0]), x_next)
     assert got == pytest.approx(8.0 + 4.5 + 1.0)
     # dropped packet erases the input charge
-    got = stage_cost(model, [2.0], [3.0], [0.0], [1.0])
+    got = slow_stage_cost(model, x, u, np.array([0.0]), x_next)
     assert got == pytest.approx(8.0 + 0.0 + 1.0)
 
 
@@ -418,33 +423,37 @@ def test_resolve_attack_paths(rng):
     x = rng.normal(size=2)
     args = (model, ens, channel, detection, Protocol.UDP_LIKE, x)
 
-    none = resolve_attack(AttackPlan(), *args)
-    np.testing.assert_array_equal(none.means_at(0, channel.mean_diag), [0.6, 0.6])
+    table, info = resolve_attack(AttackPlan(), *args)
+    assert table is None and info == {"kind": "none"}
 
-    fixed = resolve_attack(AttackPlan(kind="iid", alpha=0.2, onset=3), *args)
-    np.testing.assert_array_equal(fixed.means_at(1, channel.mean_diag), [0.6, 0.6])
-    np.testing.assert_array_equal(fixed.means_at(3, channel.mean_diag), [0.2, 0.2])
+    # fixed laws ignore onset: it says when the table starts, not its rows
+    table, info = resolve_attack(
+        AttackPlan(kind="iid", alpha=0.2, onset=3), *args
+    )
+    np.testing.assert_array_equal(table, [[0.2, 0.2]])
+    assert info == {"kind": "iid", "alpha": 0.2, "fixed": True}
 
-    vec = resolve_attack(
+    table, _ = resolve_attack(
         AttackPlan(kind="iid", means=np.array([0.5, 0.45])), *args
     )
-    np.testing.assert_array_equal(vec.means_at(9, channel.mean_diag), [0.5, 0.45])
+    np.testing.assert_array_equal(table, [[0.5, 0.45]])
 
-    synth = resolve_attack(AttackPlan(kind="iid"), *args)
-    assert synth.table.shape == (1, 2)
-    assert "objective" in synth.info
+    synth, info = resolve_attack(AttackPlan(kind="iid"), *args)
+    assert synth.shape == (1, 2)
+    assert "objective" in info
     lo, hi = detection.bounds(channel)
-    assert np.all(synth.table >= lo - 1e-12)
-    assert np.all(synth.table <= hi + 1e-12)
+    assert np.all(synth >= lo - 1e-12)
+    assert np.all(synth <= hi + 1e-12)
 
     sched = np.array([[0.45, 0.75], [0.55, 0.65], [0.5, 0.7]])
-    cyc = resolve_attack(AttackPlan(kind="nonstat", schedule=sched, onset=2), *args)
-    np.testing.assert_array_equal(cyc.means_at(2, channel.mean_diag), sched[0])
-    np.testing.assert_array_equal(cyc.means_at(6, channel.mean_diag), sched[1])
+    cyc, _ = resolve_attack(
+        AttackPlan(kind="nonstat", schedule=sched, onset=2), *args
+    )
+    np.testing.assert_array_equal(cyc, sched)
 
-    qp_synth = resolve_attack(AttackPlan(kind="nonstat"), *args)
-    assert qp_synth.table.shape == (4, 2)
-    assert "stationarity" in qp_synth.info
+    qp_synth, info = resolve_attack(AttackPlan(kind="nonstat"), *args)
+    assert qp_synth.shape == (4, 2)
+    assert "stationarity" in info
 
 
 def test_monte_carlo_aggregates():
