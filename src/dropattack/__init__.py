@@ -20,11 +20,9 @@ from .attack_iid import (
     attack_context,
     build_qp,
     flooding_condition,
-    objective_coeffs,
     optimal_alpha,
     optimal_alpha_tcp,
     optimal_alpha_udp,
-    stationary_alpha,
 )
 from .attack_qp import (
     AttackSchedule,
@@ -134,7 +132,6 @@ __all__ = [
     "load_experiment",
     "monte_carlo",
     "monte_carlo_arms",
-    "objective_coeffs",
     "optimal_alpha",
     "optimal_alpha_tcp",
     "optimal_alpha_udp",
@@ -146,6 +143,5 @@ __all__ = [
     "schedule_objective",
     "solve_box_qp_max",
     "solve_iid_constrained",
-    "stationary_alpha",
     "update_monitor",
 ]

@@ -50,8 +50,6 @@ __all__ = [
     "FloodingCondition",
     "attack_context",
     "build_qp",
-    "objective_coeffs",
-    "stationary_alpha",
     "optimal_alpha",
     "optimal_alpha_udp",
     "optimal_alpha_tcp",
@@ -95,6 +93,29 @@ class AttackContext:
     def qp(self) -> "BoxQP":
         """The attack quadratic at this state, built on first use."""
         return build_qp(self)
+
+    @cached_property
+    def line(self) -> "ObjectiveQuadratic":
+        """The attack quadratic restricted to a shared rate, z = a 1.
+
+        Its curvature 1'H1 = u'(G_in - V)u counts as flat within
+        1e-12 |G_in| u'u of zero.  For udp (V = D_in) it is the off-diagonal
+        form, zero for decoupled plants (A = 0, diagonal B) and for one step
+        of one channel; for tcp (V = 0) it is positive on reachable plants.
+        """
+        qp = self.qp
+        curvature = float(np.sum(qp.H))
+        u2 = float(self.u_star @ self.u_star)
+        tol = 1e-12 * (float(np.linalg.norm(self.ens.input_gram)) * u2)
+        if curvature < -tol:
+            convexity = Convexity.CONCAVE
+        elif curvature > tol:
+            convexity = Convexity.CONVEX
+        else:
+            convexity = Convexity.LINEAR
+        return ObjectiveQuadratic(
+            linear=float(np.sum(qp.c)), curvature=curvature, convexity=convexity
+        )
 
     def require_protocol(self, protocol: Protocol, fname: str):
         if self.protocol is not protocol:
@@ -222,11 +243,22 @@ class ObjectiveQuadratic:
     """The attack objective as a quadratic through the origin.
 
     obj(a) = curvature * a^2 + linear * a.  ``curvature`` is half the second
-    derivative; its sign decides concavity and hence where the maximum sits.
+    derivative; its sign decides ``convexity`` and hence where the maximum
+    sits.
     """
 
     linear: float
     curvature: float
+    convexity: Convexity
+
+    @property
+    def stationary(self) -> float | None:
+        """The peak of a concave line, the trough of a convex one (the attack
+        that HELPS most; on tcp it exceeds the nominal rate, where the slope
+        is -u'Pu < 0), None for a flat one.  Unclamped to [0, 1)."""
+        if self.convexity is Convexity.LINEAR:
+            return None
+        return -self.linear / (2.0 * self.curvature)
 
     def value(self, alpha: float) -> float:
         return alpha * (self.linear + alpha * self.curvature)
@@ -247,55 +279,6 @@ class AttackCharacterization:
     alpha_peak: float | None = None  # interior stationary point, if concave
     curvature: float = 0.0
     degenerate: bool = field(default=False)  # flat objective, rate moot
-
-
-def objective_coeffs(source: AttackContext | BoxQP) -> ObjectiveQuadratic:
-    """The attack quadratic restricted to a shared rate, z = a 1.
-
-    ``source`` is a context (its quadratic is used) or a QP.  The curvature
-    1'H1 is u'(G_in - V)u.  For udp (V = D_in) that is the off-diagonal
-    form: it vanishes identically for decoupled plants (A = 0 with diagonal
-    B) and for a single-step horizon with one channel.  For tcp (V = 0) it
-    is u'G_in u, strictly positive on input-reachable plants.
-    """
-    qp = source.qp if isinstance(source, AttackContext) else source
-    return ObjectiveQuadratic(
-        linear=float(np.sum(qp.c)), curvature=float(np.sum(qp.H))
-    )
-
-
-def _curvature_scale(ctx: AttackContext) -> float:
-    u2 = float(ctx.u_star @ ctx.u_star)
-    return float(np.linalg.norm(ctx.ens.input_gram)) * u2
-
-
-def stationary_alpha(ctx: AttackContext, coeffs: ObjectiveQuadratic | None = None) -> float:
-    """Stationary rate of the shared-rate objective.
-
-    For a concave (udp) curve this is its peak.  For a convex curve it is
-    the minimizer, the attack that HELPS most: on the tcp curve it always
-    exceeds the nominal rate (the slope at nominal is the negated
-    input-penalty form, strictly negative for a nonzero sequence).  It is
-    returned unclamped, also when it falls outside [0, 1).
-    """
-    if coeffs is None:
-        coeffs = objective_coeffs(ctx)
-    tol = 1e-12 * _curvature_scale(ctx)
-    if abs(coeffs.curvature) <= tol:
-        raise ValueError(
-            "objective has no interior stationary point: curvature is zero"
-        )
-    return -coeffs.linear / (2.0 * coeffs.curvature)
-
-
-def _convexity(ctx: AttackContext, coeffs: ObjectiveQuadratic) -> Convexity:
-    # a curvature within rounding of zero counts as flat
-    tol = 1e-12 * _curvature_scale(ctx)
-    if coeffs.curvature < -tol:
-        return Convexity.CONCAVE
-    if coeffs.curvature > tol:
-        return Convexity.CONVEX
-    return Convexity.LINEAR
 
 
 def _pick(candidates, nominal):
@@ -323,9 +306,9 @@ def optimal_alpha(ctx: AttackContext) -> AttackCharacterization:
     is flagged degenerate and answered with the nominal rate.
     """
     lo, hi = ctx.require_region()
-    coeffs = objective_coeffs(ctx)
-    convexity = _convexity(ctx, coeffs)
-    assert ctx.gain.paid_variance.any() or convexity is not Convexity.CONCAVE, (
+    line = ctx.line
+    concave = line.convexity is Convexity.CONCAVE
+    assert ctx.gain.paid_variance.any() or not concave, (
         "with no variance paid the curvature u'G_in u is nonnegative"
     )
 
@@ -335,27 +318,25 @@ def optimal_alpha(ctx: AttackContext) -> AttackCharacterization:
         + float(np.linalg.norm(ctx.ens.input_gram))
         + 2.0 * float(np.linalg.norm(ctx.gain.kernel))
     ) * float(ctx.u_star @ ctx.u_star)
-    flat = abs(coeffs.linear) <= 1e-12 * max(1e-300, slope_scale)
-    degenerate = convexity is Convexity.LINEAR and flat
+    flat = abs(line.linear) <= 1e-12 * max(1e-300, slope_scale)
+    degenerate = line.convexity is Convexity.LINEAR and flat
     if degenerate:
         mu = min(max(ctx.nominal_scalar, lo), hi)
-        candidates = [(mu, coeffs.value(mu))]
+        candidates = [(mu, line.value(mu))]
     else:
-        candidates = [(lo, coeffs.value(lo)), (hi, coeffs.value(hi))]
-    alpha_peak = None
-    if convexity is Convexity.CONCAVE:
-        alpha_peak = stationary_alpha(ctx, coeffs)
-        if lo <= alpha_peak <= hi:
-            candidates.append((alpha_peak, coeffs.value(alpha_peak)))
+        candidates = [(lo, line.value(lo)), (hi, line.value(hi))]
+    alpha_peak = line.stationary if concave else None
+    if concave and lo <= alpha_peak <= hi:
+        candidates.append((alpha_peak, line.value(alpha_peak)))
     alpha_star, objective_star = _pick(candidates, ctx.nominal_scalar)
     return AttackCharacterization(
         protocol=ctx.protocol,
-        convexity=convexity,
+        convexity=line.convexity,
         alpha_star=alpha_star,
         objective_star=objective_star,
         candidates=candidates,
         alpha_peak=alpha_peak,
-        curvature=coeffs.curvature,
+        curvature=line.curvature,
         degenerate=degenerate,
     )
 
@@ -424,6 +405,6 @@ def flooding_condition(ctx: AttackContext) -> FloodingCondition:
     return FloodingCondition(
         lhs=float(u @ (((1.0 - 2.0 * nu)[:, None] * off) @ u)),
         rhs=float(u @ (ctx.input_penalty @ u)) + float(u @ (paid * u)),
-        objective_at_one=objective_coeffs(ctx).value(1.0),
+        objective_at_one=ctx.line.value(1.0),
         _ctx=ctx,
     )

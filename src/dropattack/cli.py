@@ -29,13 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .attack_iid import (
-    Convexity,
-    attack_context,
-    flooding_condition,
-    optimal_alpha,
-    stationary_alpha,
-)
+from .attack_iid import Convexity, attack_context, flooding_condition, optimal_alpha
 from .attack_qp import solve_box_qp_max, solve_iid_constrained
 from .config import load_experiment
 from .costs import cost_regimes, expected_attacked_cost, feedback_benefit
@@ -277,7 +271,7 @@ def _cmd_analyze(args) -> int:
             ),
         }
         if char.convexity is Convexity.CONVEX:
-            optimal["trough_alpha"] = stationary_alpha(ctx)
+            optimal["trough_alpha"] = ctx.line.stationary
         out["optimal_iid"] = optimal
     else:
         out["optimal_iid"] = None

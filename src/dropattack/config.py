@@ -82,14 +82,20 @@ def _check_keys(section: dict, allowed, where: str, problems: list):
             problems.append(f"{where}: unknown key '{key}'")
 
 
-def _as_array(value, name: str, problems: list, ndim: int):
+def _as_array(value, name: str, problems: list, ndim):
+    """A finite non-empty float array with ``ndim`` (an int or a tuple of
+    ints) dimensions, or None with the problem listed."""
+    if not _all_numbers(value):
+        problems.append(f"{name}: every entry must be a number")
+        return None
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        problems.append(f"{name}: not numeric")
+    except ValueError:  # ragged nested lists
+        problems.append(f"{name}: rows must all have one length")
         return None
-    if arr.ndim != ndim or arr.size == 0 or not np.all(np.isfinite(arr)):
-        kind = "vector" if ndim == 1 else "matrix"
+    if arr.ndim not in np.atleast_1d(ndim) or arr.size == 0 \
+            or not np.all(np.isfinite(arr)):
+        kind = {1: "vector", 2: "matrix"}.get(ndim, "matrix or diagonal vector")
         problems.append(f"{name}: must be a finite non-empty {kind}")
         return None
     return arr
@@ -119,13 +125,12 @@ def _all_numbers(value) -> bool:
 
 def _covariance(value, name: str, size, problems: list):
     """Accept an n x n matrix or a length-n diagonal vector."""
-    arr = np.asarray(value, dtype=float) if value is not None else None
-    if arr is None or arr.size == 0 or not np.all(np.isfinite(np.atleast_1d(arr))):
-        problems.append(f"{name}: must be a finite matrix or diagonal vector")
+    arr = _as_array(value, name, problems, ndim=(1, 2))
+    if arr is None:
         return None
     if arr.ndim == 1:
         arr = np.diag(arr)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.shape[0] != arr.shape[1]:
         problems.append(f"{name}: must be square")
         return None
     if size is not None and arr.shape[0] != size:

@@ -19,14 +19,7 @@ the independent Bernoulli-moment oracle.
 
 from dataclasses import dataclass, field
 
-from .attack_iid import (
-    AttackContext,
-    Convexity,
-    _convexity,
-    flooding_condition,
-    objective_coeffs,
-    stationary_alpha,
-)
+from .attack_iid import AttackContext, Convexity, flooding_condition
 from .attack_qp import AttackSchedule, schedule_objective
 from .controller import Protocol, _expand_step_means
 from .model import SystemModel
@@ -74,12 +67,12 @@ def cost_regimes(ctx: AttackContext, model: SystemModel) -> dict[str, CostReport
     let alone the nominal lossy channel; ``cost_increasing`` says whether
     it is worse than the nominal channel.
     """
-    coeffs = objective_coeffs(ctx)
+    line = ctx.line
     q0 = feedback_benefit(ctx)
     baseline = expected_attacked_cost(ctx, model)
 
     def report(regime, alpha, details=None):
-        increase = coeffs.value(alpha) + q0
+        increase = line.value(alpha) + q0
         return CostReport(
             regime=regime,
             protocol=ctx.protocol,
@@ -101,11 +94,11 @@ def cost_regimes(ctx: AttackContext, model: SystemModel) -> dict[str, CostReport
         "alpha_0": report("alpha0", 0.0),
         "alpha_1": report("alpha1", 1.0, details),
     }
-    if _convexity(ctx, coeffs) is Convexity.CONCAVE:
-        peak = stationary_alpha(ctx, coeffs)
+    if line.convexity is Convexity.CONCAVE:
+        peak = line.stationary
         regimes["alpha_peak"] = report(
             "alpha_peak", peak,
-            {"alpha_peak": peak, "peak_bonus": coeffs.value(peak)},
+            {"alpha_peak": peak, "peak_bonus": line.value(peak)},
         )
     return regimes
 

@@ -88,6 +88,15 @@ _KINDS = ("none", "iid", "nonstat")
 _BLOCK = 64
 
 
+def _count(value, name: str, minimum: int):
+    """Raise unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < minimum):
+        raise DimensionError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class AttackPlan:
     """What the attacker does and when.
@@ -118,8 +127,7 @@ class AttackPlan:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DimensionError(f"attack kind must be one of {_KINDS}")
-        if self.onset < 0:
-            raise DimensionError("attack onset must be >= 0")
+        _count(self.onset, "attack onset", 0)
         if self.state_mode not in ("onset", "mean"):
             raise DimensionError("state_mode must be 'onset' or 'mean'")
         if self.alpha is not None and not 0.0 <= float(self.alpha) <= 1.0:
@@ -226,8 +234,7 @@ class EpisodeConfig:
     detector_min_steps: int = 1
 
     def __post_init__(self):
-        if self.T < 1:
-            raise DimensionError("T must be >= 1")
+        _count(self.T, "T", 1)
         if self.plan.onset > self.T:
             raise DimensionError(
                 f"attack onset {self.plan.onset} exceeds episode length {self.T}"
@@ -470,8 +477,7 @@ def monte_carlo_arms(
     across episodes whenever no episode can change it, and otherwise
     synthesized by each episode from its own state.
     """
-    if realizations < 1:
-        raise DimensionError("realizations must be >= 1")
+    _count(realizations, "realizations", 1)
     if not plans:
         raise DimensionError("at least one attack plan is needed")
     for plan in plans:
@@ -537,9 +543,7 @@ def _horizon_rollout(ens, model, gain, x, samples, seed):
     uniforms, so different channel laws are compared on common random
     numbers.
     """
-    if (not isinstance(samples, (int, np.integer)) or isinstance(samples, bool)
-            or samples < 2):
-        raise DimensionError(f"samples must be an integer >= 2, got {samples!r}")
+    _count(samples, "samples", 2)
     x = np.asarray(x, dtype=float)
     u_star = optimal_input_sequence(gain, ens, x)
     base = ens.state_map @ x  # (N n,)

@@ -45,7 +45,6 @@ from dropattack import (
     schedule_objective,
     solve_box_qp_max,
     solve_iid_constrained,
-    stationary_alpha,
 )
 
 
@@ -292,7 +291,7 @@ def test_criterion_04_concave_peak_closed_form(rng):
         c2, c1 = udp_coeffs(ctx)
         if c2 >= -1e-10:
             continue
-        peak = stationary_alpha(ctx)
+        peak = ctx.line.stationary
         if abs(peak) > 9.0:  # keep the peak inside the scan window below
             continue
         done += 1

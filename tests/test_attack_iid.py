@@ -15,11 +15,9 @@ from dropattack import (
     build_qp_tcp,
     build_qp_udp,
     flooding_condition,
-    objective_coeffs,
     optimal_alpha,
     optimal_alpha_tcp,
     optimal_alpha_udp,
-    stationary_alpha,
 )
 
 from conftest import (
@@ -53,13 +51,13 @@ def test_coeffs_reproduce_objective_on_grid(rng):
     alphas = np.linspace(0.0, 1.0, 21)
     for _ in range(12):
         ctx, _ = make_ctx(rng, Protocol.UDP_LIKE)
-        coeffs = objective_coeffs(ctx)
+        coeffs = ctx.line
         for a in alphas:
             assert coeffs.value(a) == pytest.approx(
                 udp_objective(ctx, a), rel=1e-10, abs=1e-10
             )
         ctx, _ = make_ctx(rng, Protocol.TCP_LIKE)
-        coeffs = objective_coeffs(ctx)
+        coeffs = ctx.line
         for a in alphas:
             assert coeffs.value(a) == pytest.approx(
                 tcp_objective(ctx, a), rel=1e-10, abs=1e-10
@@ -75,12 +73,12 @@ def test_slope_at_nominal_rate(rng):
         ctx, _ = make_ctx(rng, Protocol.UDP_LIKE, model=model, channel=channel)
         u = ctx.u_star
         want = -(u @ (model.input_penalty @ u) + u @ (ctx.ens.input_gram_diag * u))
-        assert objective_coeffs(ctx).slope(mu) == pytest.approx(want, rel=1e-9)
+        assert ctx.line.slope(mu) == pytest.approx(want, rel=1e-9)
 
         ctx, _ = make_ctx(rng, Protocol.TCP_LIKE, model=model, channel=channel)
         u = ctx.u_star
         want = -u @ (model.input_penalty @ u)
-        assert objective_coeffs(ctx).slope(mu) == pytest.approx(want, rel=1e-9)
+        assert ctx.line.slope(mu) == pytest.approx(want, rel=1e-9)
 
 
 def test_tcp_trough_exceeds_nominal(rng):
@@ -91,7 +89,7 @@ def test_tcp_trough_exceeds_nominal(rng):
         ctx, _ = make_ctx(rng, Protocol.TCP_LIKE, model=model, channel=channel)
         if float(ctx.u_star @ ctx.u_star) < 1e-12:
             continue
-        assert stationary_alpha(ctx) > float(channel.mean_diag[0])
+        assert ctx.line.stationary > float(channel.mean_diag[0])
 
 
 def test_scalar_tcp_trough_by_hand():
@@ -103,8 +101,8 @@ def test_scalar_tcp_trough_by_hand():
         ens, model, channel, det, Protocol.TCP_LIKE, np.array([1.0])
     )
     # objective -a u^2 (2 - a) has its trough exactly at rate 1
-    assert stationary_alpha(ctx) == pytest.approx(1.0, abs=1e-12)
-    coeffs = objective_coeffs(ctx)
+    assert ctx.line.stationary == pytest.approx(1.0, abs=1e-12)
+    coeffs = ctx.line
     u2 = (2.0 / 3.0) ** 2
     assert coeffs.curvature == pytest.approx(u2, rel=1e-12)
     assert coeffs.linear == pytest.approx(-2.0 * u2, rel=1e-12)
@@ -149,13 +147,12 @@ def test_memoryless_plant_is_exactly_linear(rng):
         rng, Protocol.UDP_LIKE, model=model, channel=channel,
         detection=shared_detection(3, tol=0.15),
     )
-    coeffs = objective_coeffs(ctx)
+    coeffs = ctx.line
     assert coeffs.curvature == 0.0  # off-diagonal coupling identically absent
     char = optimal_alpha(ctx)
     assert char.convexity is Convexity.LINEAR
     assert char.degenerate and char.alpha_star == pytest.approx(0.6)
-    with pytest.raises(ValueError):
-        stationary_alpha(ctx)
+    assert ctx.line.stationary is None
 
 
 def test_single_step_single_input_is_linear_with_signal(rng):
@@ -169,7 +166,7 @@ def test_single_step_single_input_is_linear_with_signal(rng):
             detection=shared_detection(1, tol=0.2),
             x=np.array([1.0, -2.0]),
         )
-        coeffs = objective_coeffs(ctx)
+        coeffs = ctx.line
         assert coeffs.curvature == 0.0
         assert coeffs.linear < 0  # slope -u'(P + D_in)u
         char = optimal_alpha(ctx)

@@ -12,7 +12,6 @@ from dropattack import (
     Protocol,
     build_prediction_ensemble,
     build_qp,
-    objective_coeffs,
     optimal_alpha,
     schedule_objective,
     solve_box_qp_max,
@@ -80,7 +79,7 @@ def test_constant_schedules_reduce_to_rate_objectives(rng):
         for _ in range(8):
             ctx, qp = build_for(rng, protocol)
             ones = np.ones(qp.c.size)
-            coeffs = objective_coeffs(qp)
+            coeffs = ctx.line
             for a in alphas:
                 want = scalar(ctx, a)
                 got = qp.objective(a * ones)

@@ -7,7 +7,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from dropattack import InfeasibleRegionError, NumericalError
+from dropattack import (
+    Convexity,
+    InfeasibleRegionError,
+    NumericalError,
+    attack_context,
+    build_prediction_ensemble,
+    load_experiment,
+)
 from dropattack.cli import main
 
 from test_config import base_doc
@@ -205,6 +212,81 @@ def test_analyze_tcp_carries_trough(tmp_path):
     assert out["protocol"] == "tcp"
     assert out["optimal_iid"]["characterization"]["convexity"] == "convex"
     assert out["optimal_iid"]["trough_alpha"] > 0.7
+
+
+def concave_udp_doc():
+    """A udp plant whose shared-rate curve is concave inside its band."""
+    return {
+        "system": {
+            "A": [[-0.29, -0.59], [-0.49, 0.64]],
+            "B": [[-0.81], [-0.03]],
+            "Sigma_W": [0.01, 0.01],
+            "Sigma_X": [0.01, 0.01],
+            "X_bar": [1.77, -1.17],
+            "Q_diag": [1, 1],
+            "Omega_diag": [0.88, 2.65],
+            "Psi_diag": [0.265],
+            "N": 3,
+        },
+        "channel": {"M_diag": [0.5], "L_diag": [0.45]},
+        "protocol": "udp",
+        "simulation": {"T": 50, "R": 10, "seed": 101},
+    }
+
+
+def demo_doc(name, protocol):
+    with open(DEMO_CONFIGS / name) as handle:
+        doc = json.load(handle)
+    doc["protocol"] = protocol
+    return doc
+
+
+@pytest.mark.parametrize("doc, convexity", [
+    (concave_udp_doc(), Convexity.CONCAVE),
+    (demo_doc("scalar_udp.json", "udp"), Convexity.CONVEX),
+    (demo_doc("scalar_udp.json", "tcp"), Convexity.CONVEX),
+    # disjoint bands: no characterization, so no trough either
+    (demo_doc("two_channel_schedule.json", "udp"), Convexity.CONVEX),
+    (demo_doc("two_channel_schedule.json", "tcp"), Convexity.CONVEX),
+], ids=[
+    "concave-udp", "scalar-udp", "scalar-tcp", "two-channel-udp",
+    "two-channel-tcp",
+])
+def test_reports_read_one_shared_rate_line(tmp_path, doc, convexity):
+    # synthesize's characterization, analyze's regimes and its trough all
+    # come from the context's one shared-rate line
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    for command in ("synthesize", "analyze"):
+        argv = [command, "--config", str(path), "--out", str(tmp_path)]
+        assert main(argv) == 0
+    synth = read_json(tmp_path, "synthesis.json")
+    report = read_json(tmp_path, "cost_report.json")
+    exp = load_experiment(path)
+    model = exp.model
+    ctx = attack_context(
+        build_prediction_ensemble(model), model, exp.channel, exp.detection,
+        exp.protocol, model.init_mean,
+    )
+    line = ctx.line
+    assert line.convexity is convexity
+    optimal = report["optimal_iid"]
+    char = synth["iid_scalar"]
+    if ctx.region is None:
+        assert char is None and optimal is None
+    else:
+        assert char == optimal["characterization"]
+        assert char["convexity"] == convexity.value
+        assert char["curvature"] == line.curvature
+    regimes = report["regimes"]
+    if convexity is Convexity.CONCAVE:
+        peak = regimes["alpha_peak"]["details"]["alpha_peak"]
+        assert peak == line.stationary == char["alpha_peak"]
+        assert "trough_alpha" not in optimal
+    else:
+        assert "alpha_peak" not in regimes
+        if optimal is not None:
+            assert optimal["trough_alpha"] == line.stationary
 
 
 def test_compare_pairs_attacks(tmp_path, config_path):

@@ -186,6 +186,62 @@ def test_attack_rates_must_be_numbers(kind, key, value):
     ]
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("system", "A", [[1.03, 0.005], [0.35, False]]),
+        ("system", "A", [["1.03", 0.005], [0.35, 0.5]]),
+        ("system", "B", [[True, 0.0], [0.0, 1.0]]),
+        ("system", "B", [[1.0, 0.0], [0.0, "1"]]),
+        ("system", "Sigma_W", [[0.01, False], [0.0, 0.01]]),
+        ("system", "Sigma_W", [["0.01", 0.0], [0.0, 0.01]]),
+        ("system", "Sigma_W", [True, 0.01]),
+        ("system", "Sigma_W", [0.01, "0.01"]),
+        ("system", "Sigma_X", [0.01, True]),
+        ("system", "Sigma_X", ["0.01", 0.01]),
+        ("system", "X_bar", [True, 1.0]),
+        ("system", "X_bar", [1.0, "1"]),
+        ("system", "Q_diag", [1.0, True]),
+        ("system", "Q_diag", ["1", 1.0]),
+        ("system", "Omega_diag", [True, 1.0]),
+        ("system", "Omega_diag", [1.0, "1.0"]),
+        ("system", "Psi_diag", [1.0, False]),
+        ("system", "Psi_diag", ["1.0", 1.0]),
+        ("channel", "M_diag", [0.7, True]),
+        ("channel", "M_diag", ["0.7", 0.7]),
+        ("channel", "L_diag", [True, 0.1]),
+        ("channel", "L_diag", [0.1, "0.1"]),
+    ],
+)
+def test_system_and_channel_entries_must_be_numbers(section, key, value):
+    # bools and numeric strings would otherwise pass through float()
+    doc = base_doc()
+    doc[section][key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_experiment(doc)
+    assert err.value.problems == [f"{section}.{key}: every entry must be a number"]
+
+
+def test_ragged_matrix_is_listed():
+    doc = base_doc()
+    doc["system"]["A"] = [[1.03, 0.005], [0.35]]
+    with pytest.raises(ConfigError) as err:
+        parse_experiment(doc)
+    assert err.value.problems == ["system.A: rows must all have one length"]
+
+
+def test_system_and_channel_entries_may_be_integers():
+    doc = base_doc()
+    doc["system"]["A"] = [[1, 0], [0, 1]]
+    doc["system"]["Sigma_W"] = [[1, 0], [0, 1]]
+    doc["system"]["Q_diag"] = [1, 2]
+    doc["channel"]["L_diag"] = [0, 0]
+    exp = parse_experiment(doc)
+    assert exp.model.A.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert exp.model.noise_cov.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert exp.detection.tol_diag.tolist() == [0.0, 0.0]
+
+
 def test_attack_rates_may_be_integers():
     doc = base_doc()
     doc["attack"] = {"kind": "iid", "alpha": 1}

@@ -13,7 +13,6 @@ from dropattack import (
     expected_attacked_cost,
     feedback_benefit,
     flooding_condition,
-    objective_coeffs,
     solve_box_qp_max,
 )
 
@@ -87,7 +86,7 @@ def test_peak_regime_bonus(rng):
     found = absent = 0
     while found < 6 or absent < 3:
         ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
-        coeffs = objective_coeffs(ctx)
+        coeffs = ctx.line
         regimes = cost_regimes(ctx, model)
         if coeffs.curvature >= 0.0:
             absent += 1

@@ -102,6 +102,25 @@ def test_episode_config_validation():
         small_cfg(channel=shared_channel(3, 0.7))
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_counts_must_be_integers(value):
+    # a bool would run as 0 or 1, a float would fail deep inside a run
+    with pytest.raises(DimensionError, match="attack onset must be an integer >= 0"):
+        AttackPlan(kind="iid", onset=value)
+    with pytest.raises(DimensionError, match="T must be an integer >= 1"):
+        small_cfg(T=value)
+    cfg = small_cfg(T=5)
+    with pytest.raises(DimensionError, match="T must be an integer >= 1"):
+        replace(cfg, T=value)
+    with pytest.raises(DimensionError, match="realizations must be an integer >= 1"):
+        monte_carlo(cfg, value)
+    with pytest.raises(DimensionError, match="realizations must be an integer >= 1"):
+        simulate.monte_carlo_arms(cfg, [cfg.plan], value)
+    # numpy integers are integers
+    assert AttackPlan(kind="iid", onset=np.int64(2)).onset == 2
+    assert monte_carlo(replace(cfg, T=np.int64(3)), np.int64(2)).realizations == 2
+
+
 @pytest.mark.parametrize(
     "plan",
     [
