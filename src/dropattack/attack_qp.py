@@ -13,17 +13,20 @@ The maximization is NOT a convex program (for udp H is traceless, hence
 indefinite whenever it is nonzero), and the general box QP is NP-hard.
 The solver is deliberately plain, with explicit candidate bookkeeping so
 ties break toward the nominal rates.  With q the number of negative
-diagonal entries of H, it has two regimes:
+diagonal entries of H, it has three regimes:
 
-* exact: at most 2^``_VERTEX_CAP`` candidate points, 2^(d-q) 3^q.  Along
-  a coordinate with H_ii >= 0 the objective is convex, so some maximizer
-  has that coordinate at a bound; a coordinate with H_ii < 0 is at a
-  bound or stationary given the others.  Enumerating those points, one
-  linear solve per face, finds the maximum.  Every QP :func:`build_qp`
-  makes has q = 0, so up to d = 16 this is the 2^d vertices, and the
-  m-variable restriction of :func:`solve_iid_constrained` is exact at
-  least up to m = 10;
-* heuristic: beyond that budget, monotone projected gradient ascent from
+* exact vertices: q = 0 and d <= ``_VERTEX_CAP`` (20).  Along a
+  coordinate with H_ii >= 0 the objective is convex, so some vertex is a
+  maximizer.  The 2^d vertex values are summed from a low and a high
+  block of coordinates, one bounded block of values at a time, without
+  forming the 2^d x d vertex matrix.  Every QP :func:`build_qp` makes has
+  q = 0, so every built QP up to d = 20 is solved exactly;
+* exact faces: q > 0 and at most ``_FACE_BUDGET`` (2^16) candidate
+  points, 2^(d-q) 3^q.  A coordinate with H_ii < 0 is at a bound or
+  stationary given the others, so enumerating those points, one linear
+  solve per face, finds the maximum.  The m-variable restriction of
+  :func:`solve_iid_constrained` is exact at least up to m = 10;
+* heuristic: beyond both, monotone projected gradient ascent from
   ``_MULTISTARTS`` seeded starts, returned with no optimality
   certificate.
 """
@@ -53,7 +56,9 @@ _MULTISTARTS = 32
 _MAX_ITERATIONS = 500
 _BACKTRACK = 0.5
 _STATIONARITY_TOL = 1e-8
-_VERTEX_CAP = 16  # exact enumeration up to 2^cap candidate points
+_VERTEX_CAP = 20  # exact vertex evaluation up to d = cap when q = 0
+_FACE_BUDGET = 2 ** 16  # exact face enumeration up to this many points
+_VALUES_BLOCK = 2 ** 16  # vertex values held at once by _best_vertex
 _SEED = 0
 
 
@@ -162,8 +167,9 @@ def _ascend(H, c, lo, hi, Z0):
 def _corner_bits(k):
     """Read-only 2^k x k matrix whose row j holds the binary digits of j.
 
-    The enumeration budget keeps k <= ``_VERTEX_CAP``, which bounds the
-    cache.
+    Every caller keeps k <= 16: :func:`_best_vertex` asks for at most
+    ``_VERTEX_CAP`` / 2 columns, and the face budget bounds
+    :func:`_enumerate`'s.  That bounds the cache.
     """
     bits = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
     bits.flags.writeable = False
@@ -217,14 +223,51 @@ def _enumerate(H, c, lo, hi, neg):
     return Z[j].copy(), "vertex" if j < faces[0].shape[0] else "interior"
 
 
+def _best_vertex(H, c, lo, hi):
+    """First vertex of the box that maximizes z'Hz + c'z.
+
+    Vertex j sets coordinate i to hi_i when bit i of j is set, as in
+    :func:`_corner_bits`.  The coordinates split into a low block of
+    l = ceil(d / 2) and a high block of the rest, so j = low + 2^l high,
+    and the value of vertex j is the low block's self-term, plus the high
+    block's, plus 2 z_H' H_HL z_L.  Each self-term is computed once over
+    its block's corners; the cross terms are one product per chunk of
+    high corners, each chunk holding at most ``_VALUES_BLOCK`` values.
+    Ties go to the smallest j: the first maximum within a chunk, and a
+    later chunk only on a strictly larger value.
+    """
+    d = c.size
+    l = (d + 1) // 2
+    blocks = []
+    for part in (slice(0, l), slice(l, d)):
+        X = lo[part] + _corner_bits(c[part].size) * (hi[part] - lo[part])
+        own = ((X @ H[part, part]) * X).sum(axis=1) + X @ c[part]
+        blocks.append((X, own))
+    (XL, sL), (XH, sH) = blocks
+    cross = 2.0 * H[l:, :l] @ XL.T
+    rows = _VALUES_BLOCK >> l
+    best, best_j = -np.inf, 0
+    for start in range(0, XH.shape[0], rows):
+        values = XH[start:start + rows] @ cross
+        values += sH[start:start + rows, None]
+        values += sL
+        k = int(np.argmax(values))
+        if values.flat[k] > best:
+            best, best_j = values.flat[k], (start << l) + k
+    bits = ((best_j >> np.arange(d)) & 1).astype(float)
+    return lo + bits * (hi - lo)
+
+
 def _maximize_box(H, c, lo, hi, nominal):
     """Candidate-based maximization of z'Hz + c'z over a box.
 
     Returns (z, value, winner, residual).  The candidates are the nominal
-    point and either the exact maximizer by :func:`_enumerate`, when its
-    2^(d-q) 3^q points (q the number of negative diagonal entries of H)
-    number at most 2^``_VERTEX_CAP``, or else the best point of a
-    projected gradient ascent from ``_MULTISTARTS`` seeded starts.
+    point and one of: the best vertex by :func:`_best_vertex`, when H has
+    no negative diagonal entry and d <= ``_VERTEX_CAP``; the exact
+    maximizer by :func:`_enumerate`, when its 2^(d-q) 3^q points (q the
+    number of negative diagonal entries of H) number at most
+    ``_FACE_BUDGET``; or else the best point of a projected gradient
+    ascent from ``_MULTISTARTS`` seeded starts.
     """
     d = c.size
     if d == 0:
@@ -234,7 +277,9 @@ def _maximize_box(H, c, lo, hi, nominal):
 
     candidates = [(np.clip(nominal, lo, hi), "nominal")]
     neg = np.flatnonzero(np.diag(H) < 0.0)
-    if 2 ** (d - neg.size) * 3 ** neg.size <= 2 ** _VERTEX_CAP:
+    if neg.size == 0 and d <= _VERTEX_CAP:
+        candidates.append((_best_vertex(H, c, lo, hi), "vertex"))
+    elif 2 ** (d - neg.size) * 3 ** neg.size <= _FACE_BUDGET:
         candidates.append(_enumerate(H, c, lo, hi, neg))
     else:
         rng = np.random.default_rng(_SEED)
@@ -289,10 +334,11 @@ def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
 
     Substituting z = R a (R the 0/1 map repeating each channel's rate over
     the horizon) reduces the QP to m variables, solved by the same
-    candidate machinery: exactly while 3^m <= 2^``_VERTEX_CAP``, since a
-    reduced diagonal entry may be negative (udp).  On a single shared
-    channel this reproduces the stationary-rate closed forms: endpoints,
-    plus the interior peak when the reduced curvature is negative.
+    candidate machinery: exactly while 3^m <= ``_FACE_BUDGET`` (2^16),
+    since a reduced diagonal entry may be negative (udp), and up to
+    m = ``_VERTEX_CAP`` when none is.  On a single shared channel this
+    reproduces the stationary-rate closed forms: endpoints, plus the
+    interior peak when the reduced curvature is negative.
     """
     m = qp.m
     R = np.tile(np.eye(m), (qp.horizon, 1))

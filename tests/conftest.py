@@ -384,6 +384,26 @@ def slow_vertex_max(H, c, lo, hi):
     return best
 
 
+def blockwise_vertex_max(H, c, lo, hi, rows=2 ** 16):
+    """Largest z'Hz + c'z over the box's vertices, and its first index.
+
+    Vertex j puts coordinate i at hi_i when bit i of j is set.  The
+    vertices are materialized ``rows`` at a time and scored with an
+    unoptimized einsum; a later block wins only on a strictly larger
+    value, so the index is the first maximizer's.
+    """
+    d = len(c)
+    best, first = -np.inf, 0
+    for start in range(0, 2 ** d, rows):
+        j = np.arange(start, min(start + rows, 2 ** d))
+        Z = np.where((j[:, None] >> np.arange(d)) & 1, hi, lo)
+        values = np.einsum("sd,de,se->s", Z, H, Z) + Z @ c
+        k = int(np.argmax(values))
+        if values[k] > best:
+            best, first = float(values[k]), int(j[k])
+    return best, first
+
+
 def slow_box_max(H, c, lo, hi):
     """Largest z'Hz + c'z over the box, one lo/hi/free pattern at a time.
 

@@ -1,6 +1,7 @@
 """Schedule-attack QP: construction, restriction identity, and the solver."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dropattack import (
 from dropattack import attack_qp
 
 from conftest import (
+    blockwise_vertex_max,
     random_channel,
     random_detection,
     random_model,
@@ -196,6 +198,102 @@ def test_built_qps_up_to_vertex_cap_are_solved_exactly(rng, monkeypatch):
             assert sol.winner in ("vertex", "nominal")
 
 
+def plain_vertex(H, c, lo, hi):
+    """The enumeration's vertex: every vertex materialized, first maximum."""
+    Z = attack_qp._face_points(H, c, lo, hi, [])
+    return Z[int(np.argmax(attack_qp._batch_objective(H, c, Z)))]
+
+
+def twin_qp(rng, d, i, k):
+    """Integer QP with interchangeable coordinates i and k.
+
+    Every vertex value is a small integer, so it is exact in any order of
+    summation, and the best vertices set exactly one of the twins.
+    """
+    M = rng.integers(-3, 4, size=(d, d)).astype(float)
+    H = M + M.T
+    np.fill_diagonal(H, rng.integers(0, 4, size=d))
+    c = rng.integers(-3, 4, size=d).astype(float)
+    H[k] = H[i]
+    H[:, k] = H[:, i]
+    H[i, i] = H[k, k] = 0.0
+    H[i, k] = H[k, i] = -1000.0
+    c[i] = c[k] = 1000.0
+    return H, c
+
+
+def test_best_vertex_is_the_enumerations_vertex(rng):
+    # built QPs at every size the plain enumeration reaches, and exact
+    # ties, where the first vertex in enumeration order must win
+    for protocol in Protocol:
+        for horizon, m in ((1, 1), (2, 1), (5, 1), (5, 2), (8, 2)):
+            model = random_model(rng, m=m, horizon=horizon)
+            _, qp = build_for(rng, protocol, model=model)
+            args = (qp.H, qp.c, qp.lo, qp.hi)
+            np.testing.assert_array_equal(
+                attack_qp._best_vertex(*args), plain_vertex(*args)
+            )
+    for d in (1, 2, 5, 10, 16):
+        lo = rng.uniform(0.0, 0.5, size=d)
+        hi = rng.uniform(0.5, 1.0, size=d)
+        args = (np.zeros((d, d)), np.zeros(d), lo, hi)
+        np.testing.assert_array_equal(attack_qp._best_vertex(*args), lo)
+        np.testing.assert_array_equal(plain_vertex(*args), lo)
+    for d, i, k in ((2, 0, 1), (5, 1, 4), (12, 3, 11), (16, 0, 15)):
+        H, c = twin_qp(rng, d, i, k)
+        lo, hi = np.zeros(d), np.ones(d)
+        z = attack_qp._best_vertex(H, c, lo, hi)
+        np.testing.assert_array_equal(z, plain_vertex(H, c, lo, hi))
+        assert (z[i], z[k]) == (1.0, 0.0)
+
+
+def test_best_vertex_keeps_the_first_maximum_across_chunks(rng):
+    # above 2^16 vertices the values come in several chunks; a tie with a
+    # later chunk keeps the earlier vertex
+    d = 20
+    lo = rng.uniform(0.0, 0.5, size=d)
+    hi = rng.uniform(0.5, 1.0, size=d)
+    z = attack_qp._best_vertex(np.zeros((d, d)), np.zeros(d), lo, hi)
+    np.testing.assert_array_equal(z, lo)
+    d, i, k = 18, 2, 17
+    H, c = twin_qp(rng, d, i, k)
+    lo, hi = np.zeros(d), np.ones(d)
+    _, first = blockwise_vertex_max(H, c, lo, hi)
+    z = attack_qp._best_vertex(H, c, lo, hi)
+    np.testing.assert_array_equal(z, (first >> np.arange(d)) & 1)
+    assert (z[i], z[k]) == (1.0, 0.0)
+
+
+def test_built_qps_up_to_twenty_are_solved_exactly(rng, monkeypatch):
+    # beyond the plain enumeration, the split still finds the best vertex
+    for protocol in Protocol:
+        for horizon in (9, 10):
+            model = random_model(rng, m=2, horizon=horizon)
+            _, qp = build_for(rng, protocol, model=model)
+            assert qp.c.size <= attack_qp._VERTEX_CAP
+            with monkeypatch.context() as patch:
+                calls = count_ascents(patch)
+                sol = solve_box_qp_max(qp)
+            assert calls == []
+            assert sol.winner == "vertex"
+            best, _ = blockwise_vertex_max(qp.H, qp.c, qp.lo, qp.hi)
+            assert abs(sol.objective - best) <= 1e-12 * abs(best)
+
+
+def test_vertex_solve_at_twenty_stays_small(rng):
+    # the 2^20 x 20 vertex matrix alone would take 168 MB
+    model = random_model(rng, m=2, horizon=10)
+    _, qp = build_for(rng, Protocol.UDP_LIKE, model=model)
+    tracemalloc.start()
+    try:
+        sol = solve_box_qp_max(qp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.winner == "vertex"
+    assert peak < 4 * 2 ** 20
+
+
 def restriction(qp):
     """The QP in one rate per channel, z = R a, with its box."""
     R = np.tile(np.eye(qp.m), (qp.horizon, 1))
@@ -237,9 +335,9 @@ def test_small_box_qps_are_solved_exactly(rng, monkeypatch):
 
 
 def test_ascent_runs_once_beyond_the_enumeration_budget(rng, monkeypatch):
-    # a built QP beyond the cap, and a hand-built one whose every diagonal
-    # entry is negative, so 3^11 face points exceed the 2^16 budget
-    model = random_model(rng, m=2, horizon=9)
+    # a built QP beyond the vertex cap, and a hand-built one whose every
+    # diagonal entry is negative, so 3^11 face points exceed the budget
+    model = random_model(rng, m=2, horizon=11)
     _, built = build_for(rng, Protocol.TCP_LIKE, model=model)
     assert built.c.size > attack_qp._VERTEX_CAP
     d = 11
@@ -247,7 +345,7 @@ def test_ascent_runs_once_beyond_the_enumeration_budget(rng, monkeypatch):
     H = 0.5 * (M + M.T)
     np.fill_diagonal(H, -np.abs(np.diag(H)) - 0.1)
     hand = hand_qp(H, rng.normal(size=d), 0.0, 1.0)
-    assert 3 ** d > 2 ** attack_qp._VERTEX_CAP
+    assert 3 ** d > attack_qp._FACE_BUDGET
     for qp in (built, hand):
         with monkeypatch.context() as patch:
             calls = count_ascents(patch)
@@ -264,7 +362,8 @@ def test_batch_objective_matches_planned_einsum(rng):
         M = rng.normal(size=(d, d))
         H = 0.5 * (M + M.T)
         c = rng.normal(size=d)
-        sizes = (1, 32) + ((2 ** d,) if d <= attack_qp._VERTEX_CAP else ())
+        full = 2 ** d <= attack_qp._FACE_BUDGET
+        sizes = (1, 32) + ((2 ** d,) if full else ())
         for s in sizes:
             Z = rng.uniform(size=(s, d))
             want = np.einsum("sd,de,se->s", Z, H, Z, optimize=True) + Z @ c
