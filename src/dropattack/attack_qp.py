@@ -130,8 +130,14 @@ def _batch_objective(H, c, Z):
     return np.einsum(_OBJECTIVE, Z, H, Z, optimize=path) + Z @ c
 
 
-def _residuals(H, c, lo, hi, Z):
-    G = 2.0 * Z @ H + c
+def _gradient(H, c, Z):
+    return 2.0 * Z @ H + c
+
+
+def _residuals(H, c, lo, hi, Z, G=None):
+    """Projected-gradient step lengths; ``G`` is Z's gradient if known."""
+    if G is None:
+        G = _gradient(H, c, Z)
     proj = np.clip(Z + G, lo, hi)
     return np.max(np.abs(proj - Z), axis=1)
 
@@ -147,11 +153,11 @@ def _ascend(H, c, lo, hi, Z0):
     t = np.full(Z.shape[0], 1.0 / lipschitz)
     tol = _STATIONARITY_TOL * (1.0 + float(np.linalg.norm(c)))
     for _ in range(_MAX_ITERATIONS):
-        res = _residuals(H, c, lo, hi, Z)
+        G = _gradient(H, c, Z)
+        res = _residuals(H, c, lo, hi, Z, G)
         live = (res > tol) & (t > 1e-18)
         if not live.any():
             break
-        G = 2.0 * Z @ H + c
         trial = np.clip(Z + t[:, None] * G, lo, hi)
         tvals = _batch_objective(H, c, trial)
         accept = live & (tvals >= vals)

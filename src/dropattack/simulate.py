@@ -33,7 +33,14 @@ closed-form attack formulas talk about: the operator computes its sequence
 once at a fixed state, the whole horizon is rolled out under a given
 channel law, and the stacked quadratic cost is accumulated.  One rollout's
 draws serve every law of an :func:`empirical_increases` call, and its
-nominal law is evaluated once.  For the udp-like loop the realized cost
+nominal law is evaluated once.  Each law's costs are evaluated in
+near-equal blocks of consecutive samples, each holding at most
+``_ROLLOUT_VALUES`` (2^16) values of a stacked state or input array, so a
+d = 160 rollout of 4000 samples passes over ten cache-sized blocks instead
+of several 5 MB temporaries per law.  Every step of the evaluation is
+row-wise and no block is a short remainder that the BLAS would multiply
+with another kernel, so each block's costs are bitwise the same rows of
+the one-shot evaluation.  For the udp-like loop the realized cost
 is an unbiased sample of the closed form.
 The tcp-like accounting treats packet fates as known by the time the
 predicted-state penalty is charged (acknowledgements plus re-planning), so
@@ -86,6 +93,10 @@ _KINDS = ("none", "iid", "nonstat")
 # Realizations that monte_carlo_arms steps together; bounds the pre-drawn
 # and recorded arrays of a batch to O(arms * _BLOCK * T * (n + m)) floats.
 _BLOCK = 64
+# Most values of one stacked state or input array that a block of horizon
+# samples holds (see _sample_blocks): 4000 samples are ten blocks of 400
+# rows at N n = 160, and one block at N n = 10.
+_ROLLOUT_VALUES = 2 ** 16
 
 
 def _count(value, name: str, minimum: int):
@@ -235,6 +246,7 @@ class EpisodeConfig:
 
     def __post_init__(self):
         _count(self.T, "T", 1)
+        _count(self.seed, "seed", 0)
         if self.plan.onset > self.T:
             raise DimensionError(
                 f"attack onset {self.plan.onset} exceeds episode length {self.T}"
@@ -534,6 +546,25 @@ def monte_carlo(cfg: EpisodeConfig, realizations: int) -> AggregateReport:
 
 # ----------------------------------------------------- horizon experiments
 
+def _sample_blocks(samples, width):
+    """Near-equal blocks of consecutive rows of a (samples, width) array.
+
+    Each block holds at most ``_ROLLOUT_VALUES`` values (one block when
+    all rows fit), and the block sizes differ by at most one.  So no block
+    is a short remainder: a block of a few rows could send its product to
+    a small-matrix or matrix-vector BLAS kernel, which sums in another
+    order than the one-shot product (OpenBLAS rounds a 7-row tail of a
+    (samples, 80) x (80, 80) product differently).  Once the samples span
+    two or more blocks, each block has at least half the rows the bound
+    allows, rounded down; so a split block has one row, which numpy
+    multiplies as a matrix-vector product, only at widths above 2^14.
+    """
+    rows = max(1, _ROLLOUT_VALUES // width)
+    count = -(-samples // rows)
+    bounds = [samples * k // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def _horizon_rollout(ens, model, gain, x, samples, seed):
     """Shared draws of ``samples`` horizon rollouts from ``x``.
 
@@ -542,8 +573,17 @@ def _horizon_rollout(ens, model, gain, x, samples, seed):
     sequence planned at ``x``.  Every call reuses the same noise and loss
     uniforms, so different channel laws are compared on common random
     numbers.
+
+    The function evaluates the samples in the blocks of
+    :func:`_sample_blocks`, so its temporaries stay cache-sized whatever
+    ``samples`` is.  Every operation on a block is row-wise: the masks,
+    the products with the stacked maps and the sums over a row.  So each
+    block's costs are bitwise the rows of the one-shot evaluation, as long
+    as the BLAS computes every row of a block's product with the kernel of
+    the one-shot product; see :func:`_sample_blocks` for why it does.
     """
     _count(samples, "samples", 2)
+    _count(seed, "seed", 0)
     x = np.asarray(x, dtype=float)
     u_star = optimal_input_sequence(gain, ens, x)
     base = ens.state_map @ x  # (N n,)
@@ -552,28 +592,33 @@ def _horizon_rollout(ens, model, gain, x, samples, seed):
 
     noise_rng = philox_stream(seed, 0, STREAM_NOISE)
     loss_rng = philox_stream(seed, 0, STREAM_LOSS)
-    n, N = ens.n, ens.horizon
+    n, N, m = ens.n, ens.horizon, ens.m
     chol = np.linalg.cholesky(model.noise_cov)
-    # stacked noise: per-step blocks share the same covariance
-    xi = noise_rng.standard_normal((samples, N, n)) @ chol.T
+    # stacked noise: per-step blocks share the same covariance, so the
+    # (samples, N, n) draws are transformed as one flat (samples N, n) array
+    xi = noise_rng.standard_normal((samples * N, n)) @ chol.T
     noise_part = xi.reshape(samples, N * n) @ ens.noise_map.T
     # a gain that pays no delivery variance (tcp-like) bridges the state
     # penalty across two independent delivery draws
     draws = 1 if gain.paid_variance.any() else 2
-    uniforms = [loss_rng.random((samples, N * ens.m)) for _ in range(draws)]
+    uniforms = [loss_rng.random((samples, N * m)) for _ in range(draws)]
+    blocks = _sample_blocks(samples, N * max(n, m))
 
     def cost_under(thresholds):
-        delivered = [
-            (uni < thresholds[None, :]).astype(float) * u_star[None, :]
-            for uni in uniforms
-        ]
-        chi = [
-            base[None, :] + inputs @ ens.input_map.T + noise_part
-            for inputs in delivered
-        ]
-        state_cost = np.sum(chi[0] * om[None, :] * chi[-1], axis=1)
-        input_cost = np.sum(delivered[0] * ps[None, :] * delivered[0], axis=1)
-        return state_cost + input_cost
+        cost = np.empty(samples)
+        for block in blocks:
+            delivered = [
+                np.multiply(uni[block] < thresholds, u_star)
+                for uni in uniforms
+            ]
+            chi = [
+                base + inputs @ ens.input_map.T + noise_part[block]
+                for inputs in delivered
+            ]
+            state_cost = np.sum(chi[0] * om * chi[-1], axis=1)
+            input_cost = np.sum(delivered[0] * ps * delivered[0], axis=1)
+            cost[block] = state_cost + input_cost
+        return cost
 
     return cost_under
 

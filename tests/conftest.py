@@ -8,6 +8,8 @@ loop one step at a time, is the reference for the lockstep engine: it
 steps the plant, draws the losses and bills the stage cost with its own
 one-line helpers below, and takes from the package only the set-up the
 engine also takes (ensemble, gain, streams, attack resolution, monitor).
+``slow_horizon_costs`` is the horizon rollout evaluated on all samples at
+once, the reference the sample-blocked rollout is gated against bitwise.
 """
 
 import itertools
@@ -29,6 +31,7 @@ from dropattack import (
     control_gain,
     fresh_monitor,
     in_safe_region,
+    optimal_input_sequence,
     philox_stream,
     resolve_attack,
     solve_box_qp_max,
@@ -365,6 +368,40 @@ def slow_episode(cfg, realization=0):
         first_detection=first_detection,
         terminal_cost=float(cumulative[-1]),
     )
+
+
+def slow_horizon_costs(ens, model, gain, x, thresholds, samples, seed):
+    """Per-sample horizon costs (x'Qx excluded), all samples in one shot.
+
+    The rollout of ``simulate.horizon_cost_samples`` written out without
+    sample blocks: the same streams, the same stacked maps and the same
+    operations, each on the whole (samples, N n) arrays.  ``thresholds``
+    are the stacked delivery rates.
+    """
+    x = np.asarray(x, dtype=float)
+    u_star = optimal_input_sequence(gain, ens, x)
+    base = ens.state_map @ x
+    om = np.diagonal(model.state_penalty)
+    ps = np.diagonal(model.input_penalty)
+    noise_rng = philox_stream(seed, 0, STREAM_NOISE)
+    loss_rng = philox_stream(seed, 0, STREAM_LOSS)
+    n, N = ens.n, ens.horizon
+    chol = np.linalg.cholesky(model.noise_cov)
+    xi = noise_rng.standard_normal((samples, N, n)) @ chol.T
+    noise_part = xi.reshape(samples, N * n) @ ens.noise_map.T
+    draws = 1 if gain.paid_variance.any() else 2
+    uniforms = [loss_rng.random((samples, N * ens.m)) for _ in range(draws)]
+    delivered = [
+        (uni < thresholds[None, :]).astype(float) * u_star[None, :]
+        for uni in uniforms
+    ]
+    chi = [
+        base[None, :] + inputs @ ens.input_map.T + noise_part
+        for inputs in delivered
+    ]
+    state_cost = np.sum(chi[0] * om[None, :] * chi[-1], axis=1)
+    input_cost = np.sum(delivered[0] * ps[None, :] * delivered[0], axis=1)
+    return state_cost + input_cost
 
 
 def grid_argmax(fn, lo, hi, num=20001):

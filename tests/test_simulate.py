@@ -29,6 +29,7 @@ from conftest import (
     shared_channel,
     shared_detection,
     slow_episode,
+    slow_horizon_costs,
     slow_stage_cost,
     slow_step,
 )
@@ -597,6 +598,87 @@ def test_empirical_increases_are_each_the_one_law_estimate(rng):
             assert np.array_equal(np.signbit(pair), np.signbit(alone))
         with pytest.raises(DimensionError):
             empirical_increases(ens, model, gain, x, [], 500, seed=4)
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_sample_blocks_are_near_equal_and_bounded():
+    for samples, width in [(1645, 80), (4000, 160), (4000, 10), (2, 3),
+                           (2 ** 16 + 1, 1), (7, 2 ** 17)]:
+        rows = max(1, simulate._ROLLOUT_VALUES // width)
+        blocks = simulate._sample_blocks(samples, width)
+        sizes = [block.stop - block.start for block in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == samples
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
+        assert len(blocks) == -(-samples // rows)
+        if len(blocks) > 1:
+            assert min(sizes) >= rows // 2
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("horizon", [40, 4])
+def test_blocked_rollout_is_bitwise_the_one_shot_rollout(rng, m, horizon):
+    # n = 2: at horizon 40 the samples are two blocks' worth and 7 rows,
+    # three blocks of unequal size (a plain split would leave a 7-row
+    # tail); at horizon 4 they fit in one block
+    rows = simulate._ROLLOUT_VALUES // (horizon * 2)
+    samples = 2 * rows + 7 if horizon == 40 else 500
+    assert (samples > 2 * rows) == (horizon == 40) and samples % rows
+    model = random_model(rng, n=2, m=m, horizon=horizon, spread=0.9)
+    ens = build_prediction_ensemble(model)
+    channel = shared_channel(m, 0.7)
+    x = rng.normal(size=2)
+    laws = [0.55, np.linspace(0.5, 0.9, m), rng.uniform(0.4, 0.9, (horizon, m))]
+    stacked = [
+        np.broadcast_to(np.asarray(law, float), (horizon, m)).reshape(-1)
+        for law in laws
+    ]
+    for protocol in Protocol:
+        gain = control_gain(ens, model, channel.mean_diag, protocol)
+        nominal = slow_horizon_costs(
+            ens, model, gain, x, gain.mean_stack, samples, 5
+        )
+        got = empirical_increases(ens, model, gain, x, laws, samples, seed=5)
+        for law, thresholds, pair in zip(laws, stacked, got):
+            costs = slow_horizon_costs(
+                ens, model, gain, x, thresholds, samples, 5
+            )
+            want = float(x @ (model.Q @ x)) + costs
+            assert _bitwise(
+                horizon_cost_samples(ens, model, gain, x, law, samples, 5),
+                want,
+            )
+            diffs = costs - nominal
+            se = np.std(diffs, ddof=1) / np.sqrt(samples)
+            assert _bitwise(pair, (float(np.mean(diffs)), float(se)))
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+def test_seed_must_be_a_nonnegative_integer(rng, seed):
+    model = random_model(rng, n=2, m=2, horizon=3)
+    ens = build_prediction_ensemble(model)
+    gain = control_gain(
+        ens, model, np.array([0.5, 0.5]), Protocol.UDP_LIKE
+    )
+    x = np.zeros(2)
+    with pytest.raises(DimensionError, match="seed must be an integer >= 0"):
+        small_cfg(seed=seed)
+    with pytest.raises(DimensionError, match="seed must be an integer >= 0"):
+        horizon_cost_samples(ens, model, gain, x, 0.5, 10, seed)
+    with pytest.raises(DimensionError, match="seed must be an integer >= 0"):
+        empirical_increase(ens, model, gain, x, 0.5, 10, seed)
+    with pytest.raises(DimensionError, match="seed must be an integer >= 0"):
+        empirical_increases(ens, model, gain, x, [0.5], 10, seed)
+    # a numpy integer is an integer
+    assert small_cfg(seed=np.int64(3)).seed == 3
+    assert _bitwise(
+        horizon_cost_samples(ens, model, gain, x, 0.5, 10, np.int64(3)),
+        horizon_cost_samples(ens, model, gain, x, 0.5, 10, 3),
+    )
 
 
 def test_step_means_validation(rng):
