@@ -255,7 +255,15 @@ class ObjectiveQuadratic:
     def stationary(self) -> float | None:
         """The peak of a concave line, the trough of a convex one (the attack
         that HELPS most; on tcp it exceeds the nominal rate, where the slope
-        is -u'Pu < 0), None for a flat one.  Unclamped to [0, 1)."""
+        is -u'Pu < 0), None for a flat one.  Unclamped to [0, 1).
+
+        A udp peak with equal nominal means mu lies below mu - 1/2.  There
+        the curvature is u'(G_in - D_in)u and the linear coefficient
+        -u'(D_in + P)u - 2 mu curvature, so the stationary rate is
+        mu + u'(D_in + P)u / (2 curvature).  G_in is PSD, so a concave
+        line has 0 < -curvature <= u'D_in u, and the peak is at most
+        mu - 1/2 - u'Pu / (2 u'D_in u) < mu - 1/2 for positive definite P.
+        A band whose lower edge lies above mu - 1/2 never contains it."""
         if self.convexity is Convexity.LINEAR:
             return None
         return -self.linear / (2.0 * self.curvature)

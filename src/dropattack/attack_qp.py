@@ -24,7 +24,9 @@ diagonal entries of H, it has three regimes:
 * exact faces: q > 0 and at most ``_FACE_BUDGET`` (2^16) candidate
   points, 2^(d-q) 3^q.  A coordinate with H_ii < 0 is at a bound or
   stationary given the others, so enumerating those points, one linear
-  solve per face, finds the maximum.  The m-variable restriction of
+  solve per face, finds the maximum.  The best vertex comes from the
+  same split evaluation, so only the faces with a free coordinate are
+  materialized.  The m-variable restriction of
   :func:`solve_iid_constrained` is exact at least up to m = 10;
 * heuristic: beyond both, monotone projected gradient ascent from
   ``_MULTISTARTS`` seeded starts, returned with no optimality
@@ -111,23 +113,9 @@ def schedule_objective(qp: BoxQP, schedule: np.ndarray) -> float:
 
 # ------------------------------------------------------------- solver core
 
-_OBJECTIVE = "sd,de,se->s"
-
-
-@functools.lru_cache(maxsize=128)
-def _objective_path(s, d):
-    """Contraction order ``np.einsum(..., optimize=True)`` picks for (s, d).
-
-    The greedy search depends only on the shapes, so it is planned once per
-    shape instead of once per call; the contraction itself is unchanged.
-    """
-    Z, H = np.empty((s, d)), np.empty((d, d))
-    return np.einsum_path(_OBJECTIVE, Z, H, Z, optimize=True)[0]
-
-
 def _batch_objective(H, c, Z):
-    path = _objective_path(*Z.shape)
-    return np.einsum(_OBJECTIVE, Z, H, Z, optimize=path) + Z @ c
+    """z'Hz + c'z for every row z of Z."""
+    return ((Z @ H) * Z).sum(axis=1) + Z @ c
 
 
 def _gradient(H, c, Z):
@@ -193,8 +181,6 @@ def _face_points(H, c, lo, hi, free):
     the objective is flat, onto a smaller face.
     """
     d = c.size
-    if not free:
-        return lo + _corner_bits(d) * (hi - lo)
     fixed = np.setdiff1d(np.arange(d), free)
     X = lo[fixed] + _corner_bits(fixed.size) * (hi[fixed] - lo[fixed])
     rhs = c[free, None] + 2.0 * H[np.ix_(free, fixed)] @ X.T
@@ -215,18 +201,19 @@ def _enumerate(H, c, lo, hi, neg):
     bound (Rosenberg's vertex argument, one coordinate at a time).  A
     coordinate of ``neg`` is then at a bound or stationary given the rest,
     so the points of the faces with free sets F within ``neg`` contain a
-    maximizer.  Faces go in order of size, the vertices first, and the
-    first maximizer wins; it is tagged ``vertex`` when F is empty and
+    maximizer.  The best vertex (F empty) comes from :func:`_best_vertex`;
+    the faces with a free coordinate follow in order of size, and the
+    first maximizer wins.  It is tagged ``vertex`` when F is empty and
     ``interior`` otherwise.
     """
     faces = [
         _face_points(H, c, lo, hi, list(free))
-        for size in range(neg.size + 1)
+        for size in range(1, neg.size + 1)
         for free in itertools.combinations(neg.tolist(), size)
     ]
-    Z = np.concatenate(faces) if len(faces) > 1 else faces[0]
+    Z = np.concatenate([_best_vertex(H, c, lo, hi)[None, :], *faces])
     j = int(np.argmax(_batch_objective(H, c, Z)))
-    return Z[j].copy(), "vertex" if j < faces[0].shape[0] else "interior"
+    return Z[j].copy(), "vertex" if j == 0 else "interior"
 
 
 def _best_vertex(H, c, lo, hi):
@@ -247,8 +234,7 @@ def _best_vertex(H, c, lo, hi):
     blocks = []
     for part in (slice(0, l), slice(l, d)):
         X = lo[part] + _corner_bits(c[part].size) * (hi[part] - lo[part])
-        own = ((X @ H[part, part]) * X).sum(axis=1) + X @ c[part]
-        blocks.append((X, own))
+        blocks.append((X, _batch_objective(H[part, part], c[part], X)))
     (XL, sL), (XH, sH) = blocks
     cross = 2.0 * H[l:, :l] @ XL.T
     rows = _VALUES_BLOCK >> l
@@ -326,7 +312,7 @@ def solve_box_qp_max(
     )
     if iid.objective > value + 1e-12 * (1.0 + abs(value)):
         z, value, winner = iid.as_stack(), iid.objective, "iid"
-        residual = float(_residuals(qp.H, qp.c, qp.lo, qp.hi, z[None, :])[0])
+        residual = iid.stationarity
     return AttackSchedule(
         means=z.reshape(qp.horizon, qp.m),
         objective=value,
@@ -355,10 +341,11 @@ def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
     hi_r = qp.hi[:m].copy()
     nominal_r = qp.nominal[:m].copy()
     a, value, winner, _ = _maximize_box(Hr, cr, lo_r, hi_r, nominal_r)
-    z = R @ a
+    means = np.tile(a, (qp.horizon, 1))
+    z = means.reshape(-1)  # R a, bitwise: R has one 1 per row
     residual = float(_residuals(qp.H, qp.c, qp.lo, qp.hi, z[None, :])[0])
     return AttackSchedule(
-        means=np.tile(a, (qp.horizon, 1)),
+        means=means,
         objective=qp.objective(z),
         winner=f"iid-{winner}",
         stationarity=residual,

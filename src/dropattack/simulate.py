@@ -247,6 +247,7 @@ class EpisodeConfig:
     def __post_init__(self):
         _count(self.T, "T", 1)
         _count(self.seed, "seed", 0)
+        _count(self.detector_min_steps, "detector_min_steps", 1)
         if self.plan.onset > self.T:
             raise DimensionError(
                 f"attack onset {self.plan.onset} exceeds episode length {self.T}"

@@ -92,6 +92,22 @@ def test_tcp_trough_exceeds_nominal(rng):
         assert ctx.line.stationary > float(channel.mean_diag[0])
 
 
+def test_udp_peak_lies_below_half_under_equal_means(rng):
+    # the bound in ObjectiveQuadratic.stationary: with equal nominal means
+    # mu, a concave udp line peaks below mu - 1/2, outside every band
+    concave = 0
+    for _ in range(1000):
+        model = random_model(rng)
+        mu = rng.uniform(0.25, 0.85)
+        channel = shared_channel(model.m, mu)
+        ctx, _ = make_ctx(rng, Protocol.UDP_LIKE, model=model, channel=channel)
+        line = ctx.line
+        if line.convexity is Convexity.CONCAVE:
+            concave += 1
+            assert line.stationary < mu - 0.5
+    assert concave >= 20
+
+
 def test_scalar_tcp_trough_by_hand():
     model = make_model([[1.0]], [[1.0]], horizon=1)
     ens = build_prediction_ensemble(model)

@@ -122,6 +122,17 @@ def test_counts_must_be_integers(value):
     assert monte_carlo(replace(cfg, T=np.int64(3)), np.int64(2)).realizations == 2
 
 
+@pytest.mark.parametrize("value", [2.5, 0, -3, True, "3"])
+def test_detector_min_steps_must_be_a_positive_integer(value):
+    # 2.5 would fail deep inside monte_carlo's monitor slice, and 0, -3 or
+    # True would arm at step 1 in silence
+    with pytest.raises(
+        DimensionError, match="detector_min_steps must be an integer >= 1"
+    ):
+        small_cfg(T=5, detector_min_steps=value)
+    assert small_cfg(T=5, detector_min_steps=np.int64(4)).detector_min_steps == 4
+
+
 @pytest.mark.parametrize(
     "plan",
     [
