@@ -263,7 +263,10 @@ class ObjectiveQuadratic:
         mu + u'(D_in + P)u / (2 curvature).  G_in is PSD, so a concave
         line has 0 < -curvature <= u'D_in u, and the peak is at most
         mu - 1/2 - u'Pu / (2 u'D_in u) < mu - 1/2 for positive definite P.
-        A band whose lower edge lies above mu - 1/2 never contains it."""
+        A band whose lower edge lies above mu - 1/2 never contains it; once
+        the lower edge is below mu - 1/2, the peak can fall inside the band
+        and be :func:`optimal_alpha`'s answer (a tolerance of 1 about
+        mu = 0.85, band [0, 1], does it on a two-state plant)."""
         if self.convexity is Convexity.LINEAR:
             return None
         return -self.linear / (2.0 * self.curvature)

@@ -13,22 +13,21 @@ The maximization is NOT a convex program (for udp H is traceless, hence
 indefinite whenever it is nonzero), and the general box QP is NP-hard.
 The solver is deliberately plain, with explicit candidate bookkeeping so
 ties break toward the nominal rates.  With q the number of negative
-diagonal entries of H, it has three regimes:
+diagonal entries of H, it has two regimes:
 
-* exact vertices: q = 0 and d <= ``_VERTEX_CAP`` (20).  Along a
-  coordinate with H_ii >= 0 the objective is convex, so some vertex is a
-  maximizer.  The 2^d vertex values are summed from a low and a high
-  block of coordinates, one bounded block of values at a time, without
-  forming the 2^d x d vertex matrix.  Every QP :func:`build_qp` makes has
-  q = 0, so every built QP up to d = 20 is solved exactly;
-* exact faces: q > 0 and at most ``_FACE_BUDGET`` (2^16) candidate
-  points, 2^(d-q) 3^q.  A coordinate with H_ii < 0 is at a bound or
-  stationary given the others, so enumerating those points, one linear
-  solve per face, finds the maximum.  The best vertex comes from the
-  same split evaluation, so only the faces with a free coordinate are
-  materialized.  The m-variable restriction of
-  :func:`solve_iid_constrained` is exact at least up to m = 10;
-* heuristic: beyond both, monotone projected gradient ascent from
+* exact: d <= ``_VERTEX_CAP`` (20) and the faces with a free coordinate
+  hold at most ``_FACE_BUDGET`` (2^16) points, (3^q - 2^q) 2^(d-q).
+  Along a coordinate with H_ii >= 0 the objective is convex, and a
+  coordinate with H_ii < 0 is at a bound or stationary given the others,
+  so the best vertex and the best face point, one linear solve per face,
+  hold the maximum.  The 2^d vertex values are summed from a low and a
+  high block of coordinates, one bounded block of values at a time,
+  without forming the 2^d x d vertex matrix; only the face points are
+  materialized.  Every QP :func:`build_qp` makes has q = 0, hence no
+  faces, so every built QP up to d = 20 is solved exactly, and the
+  m-variable restriction of :func:`solve_iid_constrained` is exact at
+  least up to m = 10;
+* heuristic: beyond it, monotone projected gradient ascent from
   ``_MULTISTARTS`` seeded starts, returned with no optimality
   certificate.
 """
@@ -204,14 +203,18 @@ def _enumerate(H, c, lo, hi, neg):
     maximizer.  The best vertex (F empty) comes from :func:`_best_vertex`;
     the faces with a free coordinate follow in order of size, and the
     first maximizer wins.  It is tagged ``vertex`` when F is empty and
-    ``interior`` otherwise.
+    ``interior`` otherwise; with ``neg`` empty there is no face, and the
+    best vertex is returned without scoring it.
     """
+    vertex = _best_vertex(H, c, lo, hi)
+    if neg.size == 0:
+        return vertex, "vertex"
     faces = [
         _face_points(H, c, lo, hi, list(free))
         for size in range(1, neg.size + 1)
         for free in itertools.combinations(neg.tolist(), size)
     ]
-    Z = np.concatenate([_best_vertex(H, c, lo, hi)[None, :], *faces])
+    Z = np.concatenate([vertex[None, :], *faces])
     j = int(np.argmax(_batch_objective(H, c, Z)))
     return Z[j].copy(), "vertex" if j == 0 else "interior"
 
@@ -253,13 +256,12 @@ def _best_vertex(H, c, lo, hi):
 def _maximize_box(H, c, lo, hi, nominal):
     """Candidate-based maximization of z'Hz + c'z over a box.
 
-    Returns (z, value, winner, residual).  The candidates are the nominal
-    point and one of: the best vertex by :func:`_best_vertex`, when H has
-    no negative diagonal entry and d <= ``_VERTEX_CAP``; the exact
-    maximizer by :func:`_enumerate`, when its 2^(d-q) 3^q points (q the
-    number of negative diagonal entries of H) number at most
-    ``_FACE_BUDGET``; or else the best point of a projected gradient
-    ascent from ``_MULTISTARTS`` seeded starts.
+    Returns (z, value, winner).  The candidates are the nominal point and
+    one of: the exact maximizer by :func:`_enumerate`, when d <=
+    ``_VERTEX_CAP`` and the (3^q - 2^q) 2^(d-q) points of its faces with
+    a free coordinate (q the number of negative diagonal entries of H)
+    number at most ``_FACE_BUDGET``; or else the best point of a projected
+    gradient ascent from ``_MULTISTARTS`` seeded starts.
     """
     d = c.size
     if d == 0:
@@ -267,12 +269,10 @@ def _maximize_box(H, c, lo, hi, nominal):
     if np.any(lo > hi):
         raise DimensionError("box has lo > hi entries")
 
-    candidates = [(np.clip(nominal, lo, hi), "nominal")]
     neg = np.flatnonzero(np.diag(H) < 0.0)
-    if neg.size == 0 and d <= _VERTEX_CAP:
-        candidates.append((_best_vertex(H, c, lo, hi), "vertex"))
-    elif 2 ** (d - neg.size) * 3 ** neg.size <= _FACE_BUDGET:
-        candidates.append(_enumerate(H, c, lo, hi, neg))
+    q = neg.size
+    if d <= _VERTEX_CAP and (3 ** q - 2 ** q) * 2 ** (d - q) <= _FACE_BUDGET:
+        z, tag = _enumerate(H, c, lo, hi, neg)
     else:
         rng = np.random.default_rng(_SEED)
         starts = [np.clip(nominal, lo, hi), 0.5 * (lo + hi)]
@@ -283,16 +283,23 @@ def _maximize_box(H, c, lo, hi, nominal):
                 z = lo + rng.integers(0, 2, d) * (hi - lo)
             starts.append(z)
         Z, vals = _ascend(H, c, lo, hi, np.array(starts))
-        candidates.append((Z[int(np.argmax(vals))].copy(), "gradient"))
-    return _best_candidate(H, c, lo, hi, nominal, candidates)
+        z, tag = Z[int(np.argmax(vals))].copy(), "gradient"
+    candidates = ((np.clip(nominal, lo, hi), "nominal"), (z, tag))
+    return _pick(
+        [(p, float(p @ (H @ p) + c @ p), tag) for p, tag in candidates],
+        nominal,
+    )
 
 
-def _best_candidate(H, c, lo, hi, nominal, candidates):
-    """Score the (z, tag) candidates, pick one, attach its residual."""
-    scored = [(z, float(z @ (H @ z) + c @ z), tag) for z, tag in candidates]
-    z, value, winner = _pick(scored, nominal)
-    residual = float(_residuals(H, c, lo, hi, z[None, :])[0])
-    return z, value, winner, residual
+def _schedule(qp, z, value, winner):
+    """The schedule of point ``z`` of ``qp``, with its residual there."""
+    residual = _residuals(qp.H, qp.c, qp.lo, qp.hi, z[None, :])[0]
+    return AttackSchedule(
+        means=z.reshape(qp.horizon, qp.m),
+        objective=value,
+        winner=winner,
+        stationarity=float(residual),
+    )
 
 
 def solve_box_qp_max(
@@ -303,22 +310,17 @@ def solve_box_qp_max(
     The stationary (per-channel constant) optimum is always kept as a
     candidate, so the result never falls below it: varying the schedule can
     only help.  ``iid`` is that optimum when the caller has already solved
-    it with :func:`solve_iid_constrained` on the same ``qp``.
+    it with :func:`solve_iid_constrained` on the same ``qp``.  The iid
+    point lies in the box, so an exact answer is never below it, and the
+    candidate can win only over a ``gradient`` answer, which carries no
+    certificate.
     """
     if iid is None:
         iid = solve_iid_constrained(qp)
-    z, value, winner, residual = _maximize_box(
-        qp.H, qp.c, qp.lo, qp.hi, qp.nominal
-    )
+    z, value, winner = _maximize_box(qp.H, qp.c, qp.lo, qp.hi, qp.nominal)
     if iid.objective > value + 1e-12 * (1.0 + abs(value)):
         z, value, winner = iid.as_stack(), iid.objective, "iid"
-        residual = iid.stationarity
-    return AttackSchedule(
-        means=z.reshape(qp.horizon, qp.m),
-        objective=value,
-        winner=winner,
-        stationarity=residual,
-    )
+    return _schedule(qp, z, value, winner)
 
 
 def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
@@ -326,11 +328,12 @@ def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
 
     Substituting z = R a (R the 0/1 map repeating each channel's rate over
     the horizon) reduces the QP to m variables, solved by the same
-    candidate machinery: exactly while 3^m <= ``_FACE_BUDGET`` (2^16),
-    since a reduced diagonal entry may be negative (udp), and up to
-    m = ``_VERTEX_CAP`` when none is.  On a single shared channel this
-    reproduces the stationary-rate closed forms: endpoints, plus the
-    interior peak when the reduced curvature is negative.
+    candidate machinery: exactly while 3^m - 2^m <= ``_FACE_BUDGET``
+    (2^16), so up to m = 10, since a reduced diagonal entry may be
+    negative (udp), and up to m = ``_VERTEX_CAP`` when none is.  On a
+    single shared channel this reproduces the stationary-rate closed
+    forms: endpoints, plus the interior peak when the reduced curvature
+    is negative.
     """
     m = qp.m
     R = np.tile(np.eye(m), (qp.horizon, 1))
@@ -340,13 +343,6 @@ def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
     lo_r = qp.lo[:m].copy()
     hi_r = qp.hi[:m].copy()
     nominal_r = qp.nominal[:m].copy()
-    a, value, winner, _ = _maximize_box(Hr, cr, lo_r, hi_r, nominal_r)
-    means = np.tile(a, (qp.horizon, 1))
-    z = means.reshape(-1)  # R a, bitwise: R has one 1 per row
-    residual = float(_residuals(qp.H, qp.c, qp.lo, qp.hi, z[None, :])[0])
-    return AttackSchedule(
-        means=means,
-        objective=qp.objective(z),
-        winner=f"iid-{winner}",
-        stationarity=residual,
-    )
+    a, _, winner = _maximize_box(Hr, cr, lo_r, hi_r, nominal_r)
+    z = np.tile(a, qp.horizon)  # R a, bitwise: R has one 1 per row
+    return _schedule(qp, z, qp.objective(z), f"iid-{winner}")

@@ -22,6 +22,10 @@ Schema (keys beginning with "_" are comments and ignored at every level):
       "simulation": {"T": 50, "R": 1000, "seed": 0}
     }
 
+In "attack", "alpha" with "means", "schedule" with "resynthesize", and
+"resynthesize" with "state_mode": "mean" exclude each other, whatever the
+kind.
+
 Per-step weight diagonals may be given for a single step (length n or m)
 and are tiled across the horizon, or in full (length N*n or N*m).
 Covariances may be given as full matrices or as diagonal vectors.

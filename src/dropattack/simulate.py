@@ -122,9 +122,10 @@ class AttackPlan:
     schedule: a fixed ``schedule`` array replayed cyclically, or one
     synthesized at onset by the box-QP solver; with ``resynthesize`` the
     solver reruns every step and applies the first row, mirroring the
-    controller's receding horizon.  ``alpha`` with ``means``, and
-    ``schedule`` with ``resynthesize``, form no law and are rejected
-    whatever the kind.
+    controller's receding horizon.  ``alpha`` with ``means``,
+    ``schedule`` with ``resynthesize``, and ``resynthesize`` with
+    ``state_mode`` "mean" (every step from the state, or once from the
+    initial mean) form no law and are rejected whatever the kind.
     """
 
     kind: str = "none"
@@ -164,6 +165,10 @@ class AttackPlan:
         if self.schedule is not None and self.resynthesize:
             raise DimensionError(
                 "attack schedule and resynthesize exclude each other"
+            )
+        if self.state_mode == "mean" and self.resynthesize:
+            raise DimensionError(
+                "attack state_mode 'mean' and resynthesize exclude each other"
             )
 
     @property

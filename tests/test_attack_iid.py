@@ -18,6 +18,7 @@ from dropattack import (
     optimal_alpha,
     optimal_alpha_tcp,
     optimal_alpha_udp,
+    parse_experiment,
 )
 
 from conftest import (
@@ -106,6 +107,53 @@ def test_udp_peak_lies_below_half_under_equal_means(rng):
             concave += 1
             assert line.stationary < mu - 0.5
     assert concave >= 20
+
+
+def peak_doc():
+    """A udp experiment whose stationary optimum is the interior peak.
+
+    One channel with mu = 0.85 and tolerance 1, so the band is [0, 1] and
+    its lower edge lies below mu - 1/2, where a concave udp line peaks.
+    """
+    return {
+        "system": {
+            "A": [[-0.36, -0.74], [-0.66, 1.93]],
+            "B": [[0.84], [-1.08]],
+            "Sigma_W": [0.01, 0.01],
+            "Sigma_X": [0.01, 0.01],
+            "X_bar": [0.59, 0.15],
+            "Q_diag": [1.0, 1.0],
+            "Omega_diag": [2.69, 1.62],
+            "Psi_diag": [0.095],
+            "N": 3,
+        },
+        "channel": {"M_diag": [0.85], "L_diag": [1.0]},
+        "protocol": "udp",
+        "simulation": {"T": 50, "R": 10, "seed": 101},
+    }
+
+
+def test_udp_peak_inside_a_wide_band_is_the_optimum():
+    # the interior-peak candidate of optimal_alpha is reachable: the band
+    # reaches below mu - 1/2, the line is concave and peaks inside it
+    exp = parse_experiment(peak_doc())
+    model = exp.model
+    ctx = attack_context(
+        build_prediction_ensemble(model), model, exp.channel, exp.detection,
+        exp.protocol, model.init_mean,
+    )
+    char = optimal_alpha(ctx)
+    assert ctx.region == (0.0, 1.0)
+    assert char.convexity is Convexity.CONCAVE
+    assert 0.0 < char.alpha_peak < 0.85 - 0.5
+    assert char.alpha_star == char.alpha_peak
+    assert len(char.candidates) == 3
+    assert char.candidates[2] == (char.alpha_peak, char.objective_star)
+    assert char.objective_star > max(value for _, value in char.candidates[:2])
+    alphas = np.linspace(0.0, 1.0, 2001)
+    grid = max(udp_objective(ctx, a) for a in alphas)
+    assert char.objective_star >= grid - 1e-12
+    assert char.objective_star == pytest.approx(grid, rel=1e-5)
 
 
 def test_scalar_tcp_trough_by_hand():

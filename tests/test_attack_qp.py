@@ -334,9 +334,76 @@ def test_small_box_qps_are_solved_exactly(rng, monkeypatch):
     assert negative >= 20
 
 
+def free_face_max(H, c, lo, hi, i):
+    """Largest z'Hz + c'z with coordinate i stationary, the rest at bounds.
+
+    One corner of the other coordinates at a time, in blocks; z_i solves
+    2 H_ii z_i = -(c_i + 2 H_iX z_X) and must lie in its band.
+    """
+    d = len(c)
+    rest = np.delete(np.arange(d), i)
+    best = -np.inf
+    for start in range(0, 2 ** (d - 1), 2 ** 12):
+        j = np.arange(start, start + 2 ** 12)
+        Z = np.empty((j.size, d))
+        bits = (j[:, None] >> np.arange(d - 1)) & 1
+        Z[:, rest] = np.where(bits, hi[rest], lo[rest])
+        Z[:, i] = -(c[i] + 2.0 * Z[:, rest] @ H[i, rest]) / (2.0 * H[i, i])
+        Z = Z[(Z[:, i] >= lo[i]) & (Z[:, i] <= hi[i])]
+        if Z.size:
+            values = np.einsum("sd,de,se->s", Z, H, Z) + Z @ c
+            best = max(best, float(values.max()))
+    return best
+
+
+def test_one_free_coordinate_at_seventeen_is_solved_exactly(rng, monkeypatch):
+    # q = 1 at d = 17: the one face with a free coordinate has exactly
+    # 2^16 points, so the enumeration is exact there, without an ascent
+    d = 17
+    M = rng.normal(size=(d, d))
+    H = 0.5 * (M + M.T)
+    np.fill_diagonal(H, np.abs(np.diag(H)))
+    H[0, 0], H[0, 1:], H[1:, 0] = -40.0, 0.1, 0.1
+    c = rng.normal(size=d)
+    c[0] = 40.0
+    lo, hi = np.zeros(d), np.ones(d)
+    qp = hand_qp(H, c, lo, hi)
+    assert (3 - 2) * 2 ** (d - 1) == attack_qp._FACE_BUDGET
+    with monkeypatch.context() as patch:
+        calls = count_ascents(patch)
+        sol = solve_box_qp_max(qp)
+    assert calls == []
+    vertex, _ = blockwise_vertex_max(H, c, lo, hi)
+    face = free_face_max(H, c, lo, hi, 0)
+    best = max(vertex, face)
+    assert face > vertex
+    assert abs(sol.objective - best) <= 1e-12 * abs(best)
+    assert sol.winner == "interior"
+    assert 0.0 < sol.means[0, 0] < 1.0
+
+
+def test_exact_schedule_computes_two_residuals(rng, monkeypatch):
+    # one residual for the iid restriction and one for the schedule, both
+    # on the full QP; the reduced QP's residual is never computed
+    model = random_model(rng, m=2, horizon=5)
+    _, qp = build_for(rng, Protocol.UDP_LIKE, model=model)
+    calls = []
+    residuals = attack_qp._residuals
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return residuals(*args)
+
+    monkeypatch.setattr(attack_qp, "_residuals", counted)
+    sol = solve_box_qp_max(qp)
+    assert sol.winner in ("vertex", "nominal")
+    assert calls == [qp.H.shape, qp.H.shape]
+
+
 def test_ascent_runs_once_beyond_the_enumeration_budget(rng, monkeypatch):
     # a built QP beyond the vertex cap, and a hand-built one whose every
-    # diagonal entry is negative, so 3^11 face points exceed the budget
+    # diagonal entry is negative, so 3^11 - 2^11 face points exceed the
+    # budget
     model = random_model(rng, m=2, horizon=11)
     _, built = build_for(rng, Protocol.TCP_LIKE, model=model)
     assert built.c.size > attack_qp._VERTEX_CAP
@@ -345,7 +412,7 @@ def test_ascent_runs_once_beyond_the_enumeration_budget(rng, monkeypatch):
     H = 0.5 * (M + M.T)
     np.fill_diagonal(H, -np.abs(np.diag(H)) - 0.1)
     hand = hand_qp(H, rng.normal(size=d), 0.0, 1.0)
-    assert 3 ** d > attack_qp._FACE_BUDGET
+    assert 3 ** d - 2 ** d > attack_qp._FACE_BUDGET
     for qp in (built, hand):
         with monkeypatch.context() as patch:
             calls = count_ascents(patch)

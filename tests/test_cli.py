@@ -17,6 +17,7 @@ from dropattack import (
 )
 from dropattack.cli import main
 
+from test_attack_iid import peak_doc
 from test_config import base_doc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -243,13 +244,15 @@ def demo_doc(name, protocol):
 
 @pytest.mark.parametrize("doc, convexity", [
     (concave_udp_doc(), Convexity.CONCAVE),
+    # a band reaching below mu - 1/2 holds the peak
+    (peak_doc(), Convexity.CONCAVE),
     (demo_doc("scalar_udp.json", "udp"), Convexity.CONVEX),
     (demo_doc("scalar_udp.json", "tcp"), Convexity.CONVEX),
     # disjoint bands: no characterization, so no trough either
     (demo_doc("two_channel_schedule.json", "udp"), Convexity.CONVEX),
     (demo_doc("two_channel_schedule.json", "tcp"), Convexity.CONVEX),
 ], ids=[
-    "concave-udp", "scalar-udp", "scalar-tcp", "two-channel-udp",
+    "concave-udp", "peak-udp", "scalar-udp", "scalar-tcp", "two-channel-udp",
     "two-channel-tcp",
 ])
 def test_reports_read_one_shared_rate_line(tmp_path, doc, convexity):
@@ -283,6 +286,9 @@ def test_reports_read_one_shared_rate_line(tmp_path, doc, convexity):
         peak = regimes["alpha_peak"]["details"]["alpha_peak"]
         assert peak == line.stationary == char["alpha_peak"]
         assert "trough_alpha" not in optimal
+        if ctx.region[0] <= peak <= ctx.region[1]:
+            assert len(char["candidates"]) == 3
+            assert char["alpha_star"] == peak
     else:
         assert "alpha_peak" not in regimes
         if optimal is not None:
@@ -430,6 +436,7 @@ def test_reports_have_one_key_tree_for_both_protocols(
             "resynthesize": True,
         },
         {"kind": "iid", "alpha": 0.6, "means": [0.5, 0.05]},
+        {"kind": "nonstat", "state_mode": "mean", "resynthesize": True},
         # Python's json reads the NaN literal; no uniform is below a NaN
         # rate, so every packet would drop
         {"kind": "iid", "means": [float("nan"), 0.5]},

@@ -82,6 +82,11 @@ def test_attack_plan_validation():
         AttackPlan(kind="iid", schedule=np.full((2, 2), 0.5), resynthesize=True)
     with pytest.raises(DimensionError):
         AttackPlan(kind="iid", alpha=0.3, means=[0.5, 0.5])
+    # resynthesis synthesizes from the state every step, "mean" once from
+    # the initial mean
+    for kind in ("none", "iid", "nonstat"):
+        with pytest.raises(DimensionError, match="state_mode 'mean'"):
+            AttackPlan(kind=kind, state_mode="mean", resynthesize=True)
 
     assert not AttackPlan().needs_state
     assert AttackPlan(kind="iid").needs_state
@@ -200,7 +205,7 @@ LOCKSTEP_CASES = [
     ("iid", "tcp", 6, {"sample_x0": True}, 1, 3),
     ("iid", "udp", 4, {}, 1, 3),
     ("iid", "tcp", 0, {"zero_input": True, "sample_x0": True}, 10, BLOCK + 2),
-    ("iid", "udp", 5, {"state_mode": "mean", "resynthesize": True}, 10, 3),
+    ("iid", "udp", 5, {"state_mode": "mean"}, 10, 3),
     ("nonstat", "udp", 0, {}, 10, BLOCK + 2),
     ("nonstat", "tcp", 7, {"sample_x0": True}, 1, BLOCK + 2),
     ("nonstat", "udp", 12, {"resynthesize": True}, 1, 3),
