@@ -11,6 +11,7 @@ simulation.
 """
 
 from .attack_iid import (
+    AttackBox,
     AttackCharacterization,
     AttackContext,
     BoxQP,
@@ -87,6 +88,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateReport",
+    "AttackBox",
     "AttackCharacterization",
     "AttackContext",
     "AttackPlan",

@@ -32,17 +32,18 @@ its maximum is always at an endpoint.
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .channel import ChannelSpec, DetectionSpec
 from .controller import ControllerGain, Protocol, control_gain, optimal_input_sequence
 from .errors import DimensionError, InfeasibleRegionError
-from .model import PredictionEnsemble, SystemModel
+from .model import PredictionEnsemble, SystemModel, _frozen
 
 __all__ = [
     "Convexity",
+    "AttackBox",
     "AttackContext",
     "BoxQP",
     "ObjectiveQuadratic",
@@ -63,16 +64,130 @@ class Convexity(enum.Enum):
     LINEAR = "linear"
 
 
+@lru_cache(maxsize=None)
+def _corner_bits(k):
+    """Read-only 2^k x k matrix whose row j holds the binary digits of j.
+
+    Row j is vertex j of a k-coordinate box: coordinate i at its upper
+    bound when bit i of j is set.  Every caller keeps k <= 16: the vertex
+    halves of a box in the solver's exact regime (d <= 20) have at most 10
+    columns, and the solver's face budget bounds its faces'.  That bounds
+    the cache.
+    """
+    bits = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
+    bits.flags.writeable = False
+    return bits
+
+
+@dataclass(frozen=True, eq=False)
+class AttackBox:
+    """The schedule QP's box: each channel's band and nominal rate, per step.
+
+    ``lo``, ``hi`` and ``nominal`` repeat one m-entry block per horizon
+    step, step-major like the decision vector, and are read-only.  Nothing
+    here depends on the state, so :func:`attack_context` hands one box to
+    every state of an operation, and the parts the solver reads on every
+    solve are built on first use and kept: ``start``, ``rates``,
+    ``repeat`` and ``halves``.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    nominal: np.ndarray
+    horizon: int
+    m: int
+
+    def __post_init__(self):
+        d, m = self.horizon * self.m, self.m
+        if d == 0:
+            raise DimensionError("empty decision vector")
+        for name in ("lo", "hi", "nominal"):
+            values = _frozen(getattr(self, name))
+            if values.shape != (d,):
+                raise DimensionError(
+                    f"a box over {self.horizon} steps of {m} channels needs "
+                    f"length-{d} lo, hi and nominal"
+                )
+            # the iid restriction reads each channel's band off the first
+            # step, so every step must repeat it: entry i equals entry i - m
+            if values[m:].tolist() != values[:-m].tolist():
+                raise DimensionError(
+                    f"box {name} must repeat one {m}-entry block per step"
+                )
+            object.__setattr__(self, name, values)
+        if np.any(self.lo > self.hi):
+            raise DimensionError("box has lo > hi entries")
+
+    @cached_property
+    def region(self) -> tuple | None:
+        """The rates inside every channel's band, or None when there are none."""
+        m = self.m
+        lo, hi = float(np.max(self.lo[:m])), float(np.min(self.hi[:m]))
+        return (lo, hi) if lo <= hi else None
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        """The nominal point clipped into the box."""
+        return _frozen(np.clip(self.nominal, self.lo, self.hi))
+
+    @cached_property
+    def rates(self) -> "AttackBox":
+        """The box of the schedules constant in time: one rate per channel."""
+        m = self.m
+        return AttackBox(self.lo[:m], self.hi[:m], self.nominal[:m], 1, m)
+
+    @cached_property
+    def repeat(self) -> np.ndarray:
+        """The 0/1 map R with R a the schedule repeating rates a each step."""
+        return _frozen(np.tile(np.eye(self.m), (self.horizon, 1)))
+
+    @cached_property
+    def halves(self) -> tuple:
+        """The vertices of the low l = ceil(d / 2) coordinates and of the rest.
+
+        Each block lists its vertices in the order of :func:`_corner_bits`,
+        so vertex j of the box is low vertex j mod 2^l beside high vertex
+        j >> l.  The solver reads them only in its exact regime, d <= 20.
+        """
+        l = (self.lo.size + 1) // 2
+        blocks = []
+        for part in (slice(0, l), slice(l, None)):
+            lo, hi = self.lo[part], self.hi[part]
+            blocks.append(_frozen(lo + _corner_bits(lo.size) * (hi - lo)))
+        return tuple(blocks)
+
+
+@lru_cache(maxsize=1)
+def _attack_box(channel: ChannelSpec, detection: DetectionSpec, horizon: int):
+    """The box of ``channel``'s bands under ``detection`` over ``horizon``.
+
+    A one-entry memo, so the states of one operation share one box.  The
+    specs are immutable and compare by identity (``eq=False``), so a hit
+    is the box a fresh build gives; the entry holds the two specs and the
+    box, whose vertex halves take at most 160 KB (d = 20).
+    """
+    lo, hi = detection.bounds(channel)
+    return AttackBox(
+        lo=np.tile(lo, horizon),
+        hi=np.tile(hi, horizon),
+        nominal=np.tile(channel.mean_diag, horizon),
+        horizon=horizon,
+        m=channel.m,
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class AttackContext:
-    """Everything the attack formulas need, precomputed once per state.
+    """Everything the attack formulas need at one state.
 
     ``u_star`` caches the operator's optimal sequence at ``x`` so every
     quadratic form is evaluated against it instead of re-solving or forming
-    an explicit kernel inverse.  ``region`` is the scalar admissible
-    interval (the intersection of all per-channel bands), or None when the
-    channels' bands do not overlap; per-channel bounds are kept separately
-    for schedule attacks, which do not need a common rate.
+    an explicit kernel inverse.  The state-free parts are shared: the
+    gain's and the ``box`` of the channels' bands.  ``region`` is the
+    scalar admissible interval (the intersection of all per-channel bands),
+    or None when the channels' bands do not overlap; per-channel bounds
+    are kept separately for schedule attacks, which do not need a common
+    rate.
     """
 
     ens: PredictionEnsemble
@@ -80,14 +195,27 @@ class AttackContext:
     input_penalty: np.ndarray
     x: np.ndarray
     u_star: np.ndarray
-    nominal_means: np.ndarray
-    channel_lo: np.ndarray
-    channel_hi: np.ndarray
-    region: tuple | None
+    box: AttackBox
 
     @property
     def protocol(self) -> Protocol:
         return self.gain.protocol
+
+    @property
+    def nominal_means(self) -> np.ndarray:
+        return self.box.nominal[: self.box.m]
+
+    @property
+    def channel_lo(self) -> np.ndarray:
+        return self.box.lo[: self.box.m]
+
+    @property
+    def channel_hi(self) -> np.ndarray:
+        return self.box.hi[: self.box.m]
+
+    @property
+    def region(self) -> tuple | None:
+        return self.box.region
 
     @cached_property
     def qp(self) -> "BoxQP":
@@ -147,30 +275,31 @@ def attack_context(
     x: np.ndarray,
     gain: ControllerGain | None = None,
 ) -> AttackContext:
-    """Assemble an :class:`AttackContext` for state ``x``."""
+    """Assemble an :class:`AttackContext` for state ``x``.
+
+    A given ``gain`` must have been built by ``control_gain`` for ``model``,
+    ``protocol`` and the channel's nominal means: its coupling and load
+    then carry the quadratic's state-free parts.
+    """
     if channel.m != ens.m:
         raise DimensionError(
             f"channel has {channel.m} entries for {ens.m} actuator channels"
         )
+    box = _attack_box(channel, detection, ens.horizon)
     if gain is None:
         gain = control_gain(ens, model, channel.mean_diag, protocol)
     elif gain.protocol is not protocol:
         raise DimensionError("gain was built for a different protocol")
+    elif not np.array_equal(gain.mean_stack, box.nominal):
+        raise DimensionError("gain was built for other nominal means")
     x = np.asarray(x, dtype=float)
-    u_star = optimal_input_sequence(gain, ens, x)
-    lo, hi = detection.bounds(channel)
-    reg_lo, reg_hi = float(np.max(lo)), float(np.min(hi))
-    region = (reg_lo, reg_hi) if reg_lo <= reg_hi else None
     return AttackContext(
         ens=ens,
         gain=gain,
         input_penalty=model.input_penalty,
         x=x,
-        u_star=u_star,
-        nominal_means=channel.mean_diag,
-        channel_lo=lo,
-        channel_hi=hi,
-        region=region,
+        u_star=optimal_input_sequence(gain, ens, x),
+        box=box,
     )
 
 
@@ -178,34 +307,43 @@ def attack_context(
 class BoxQP:
     """maximize z' H z + c' z subject to lo <= z <= hi elementwise.
 
-    ``nominal`` holds the stacked nominal rates, used only to break ties
-    and seed the solver.
+    The bounds, and the nominal rates that only break ties and seed the
+    solver, are the state-free ``box``'s; ``lo``, ``hi``, ``nominal``,
+    ``horizon`` and ``m`` read it.
     """
 
     H: np.ndarray
     c: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    nominal: np.ndarray
-    horizon: int
-    m: int
+    box: AttackBox
 
     def __post_init__(self):
-        d, m = self.horizon * self.m, self.m
-        vectors = (self.c, self.lo, self.hi, self.nominal)
-        if self.H.shape != (d, d) or {v.shape for v in vectors} != {(d,)}:
+        box = self.box
+        d = box.lo.size
+        if self.H.shape != (d, d) or self.c.shape != (d,):
             raise DimensionError(
-                f"BoxQP over {self.horizon} steps of {m} channels needs "
-                f"a {d}x{d} H and length-{d} c, lo, hi and nominal"
+                f"BoxQP over {box.horizon} steps of {box.m} channels needs "
+                f"a {d}x{d} H and length-{d} c"
             )
-        # the iid restriction reads each channel's band off the first step,
-        # so every step must repeat it: entry i equals entry i - m
-        for name in ("lo", "hi", "nominal"):
-            values = getattr(self, name)
-            if values[m:].tolist() != values[:-m].tolist():
-                raise DimensionError(
-                    f"BoxQP {name} must repeat one {m}-entry block per step"
-                )
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self.box.lo
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.box.hi
+
+    @property
+    def nominal(self) -> np.ndarray:
+        return self.box.nominal
+
+    @property
+    def horizon(self) -> int:
+        return self.box.horizon
+
+    @property
+    def m(self) -> int:
+        return self.box.m
 
     def objective(self, z: np.ndarray) -> float:
         z = np.asarray(z, dtype=float)
@@ -215,27 +353,15 @@ class BoxQP:
 def build_qp(ctx: AttackContext) -> BoxQP:
     """Schedule-attack QP at the context's state.
 
-    The paid delivery variance V leaves the coupling and joins the load.
+    H and c are the gain's state-free coupling and load weighted by the
+    optimal sequence u; the box is the context's shared one.
     """
-    ens, u = ctx.ens, ctx.u_star
-    paid = np.diag(ctx.gain.paid_variance)
-    coupling = ens.input_gram - paid
-    load = paid + ctx.input_penalty
-    load = load + 2.0 * coupling * ctx.gain.mean_stack[None, :]
-    H = coupling * np.outer(u, u)
+    u, gain = ctx.u_star, ctx.gain
+    H = gain.coupling * np.outer(u, u)
     H = 0.5 * (H + H.T)
     # c_i = -[(load) U]_ii = -u_i * (load @ u)_i
-    c = -(u * (load @ u))
-    N, m = ens.horizon, ens.m
-    return BoxQP(
-        H=H,
-        c=c,
-        lo=np.tile(ctx.channel_lo, N),
-        hi=np.tile(ctx.channel_hi, N),
-        nominal=np.tile(ctx.nominal_means, N),
-        horizon=N,
-        m=m,
-    )
+    c = -(u * (gain.load @ u))
+    return BoxQP(H=H, c=c, box=ctx.box)
 
 
 @dataclass(frozen=True)
@@ -302,6 +428,8 @@ def _pick(candidates, nominal):
     best = max(item[1] for item in candidates)
     tol = 1e-12 * (1.0 + abs(best))
     tied = [item for item in candidates if best - item[1] <= tol]
+    if len(tied) == 1:  # the usual case: no distance to measure
+        return tied[0]
     return min(
         tied,
         key=lambda item: float(np.linalg.norm(np.subtract(item[0], nominal))),
@@ -395,12 +523,15 @@ class FloodingCondition:
 
     @cached_property
     def min_eigenvalue(self) -> float:
-        ctx = self._ctx
-        paid = np.diag(ctx.gain.paid_variance)
-        scaled = (ctx.ens.input_gram - paid) * (
-            1.0 - 2.0 * ctx.gain.mean_stack
-        )[None, :]
-        S = 0.5 * (scaled + scaled.T) - ctx.input_penalty - paid
+        gain = self._ctx.gain
+        # in place, with one d x d temporary: at d = 160 this step sets a
+        # synthesis's peak memory, on top of the gain's coupling and load.
+        # The paid variance is diagonal, and x - 0 is x.
+        S = gain.coupling * (1.0 - 2.0 * gain.mean_stack)[None, :]
+        S = S + S.T
+        S *= 0.5
+        S -= self._ctx.input_penalty
+        S[np.diag_indices_from(S)] -= gain.paid_variance
         return float(np.linalg.eigvalsh(S)[0])
 
     @property
@@ -412,9 +543,8 @@ def flooding_condition(ctx: AttackContext) -> FloodingCondition:
     """The two sides of the flooding condition at the context's state."""
     u, nu = ctx.u_star, ctx.gain.mean_stack
     paid = ctx.gain.paid_variance
-    off = ctx.ens.input_gram - np.diag(paid)
     return FloodingCondition(
-        lhs=float(u @ (((1.0 - 2.0 * nu)[:, None] * off) @ u)),
+        lhs=float(u @ (((1.0 - 2.0 * nu)[:, None] * ctx.gain.coupling) @ u)),
         rhs=float(u @ (ctx.input_penalty @ u)) + float(u @ (paid * u)),
         objective_at_one=ctx.line.value(1.0),
         _ctx=ctx,

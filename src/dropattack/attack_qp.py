@@ -30,15 +30,20 @@ diagonal entries of H, it has two regimes:
 * heuristic: beyond it, monotone projected gradient ascent from
   ``_MULTISTARTS`` seeded starts, returned with no optimality
   certificate.
+
+What does not depend on the state is read off the QP's
+:class:`~dropattack.attack_iid.AttackBox`, which every state of an
+operation shares: the clipped nominal point, the vertex halves, the box
+of the constant schedules and the map R onto them.  A solve computes
+only the vertex values, the picks and the residuals.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attack_iid import AttackContext, BoxQP, _pick, build_qp
+from .attack_iid import AttackContext, BoxQP, _corner_bits, _pick, build_qp
 from .controller import Protocol
 from .errors import DimensionError
 
@@ -156,19 +161,6 @@ def _ascend(H, c, lo, hi, Z0):
     return Z, vals
 
 
-@functools.lru_cache(maxsize=None)
-def _corner_bits(k):
-    """Read-only 2^k x k matrix whose row j holds the binary digits of j.
-
-    Every caller keeps k <= 16: :func:`_best_vertex` asks for at most
-    ``_VERTEX_CAP`` / 2 columns, and the face budget bounds
-    :func:`_enumerate`'s.  That bounds the cache.
-    """
-    bits = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
-    bits.flags.writeable = False
-    return bits
-
-
 def _face_points(H, c, lo, hi, free):
     """Candidate points of the face whose coordinates ``free`` are interior.
 
@@ -192,7 +184,7 @@ def _face_points(H, c, lo, hi, free):
     return Z[np.all((zf >= lo[free]) & (zf <= hi[free]), axis=1)]
 
 
-def _enumerate(H, c, lo, hi, neg):
+def _enumerate(H, c, box, neg):
     """Exact maximizer of z'Hz + c'z over the box, and its tag.
 
     ``neg`` lists the coordinates with H_ii < 0.  Along any other
@@ -206,11 +198,11 @@ def _enumerate(H, c, lo, hi, neg):
     ``interior`` otherwise; with ``neg`` empty there is no face, and the
     best vertex is returned without scoring it.
     """
-    vertex = _best_vertex(H, c, lo, hi)
+    vertex = _best_vertex(H, c, box)
     if neg.size == 0:
         return vertex, "vertex"
     faces = [
-        _face_points(H, c, lo, hi, list(free))
+        _face_points(H, c, box.lo, box.hi, list(free))
         for size in range(1, neg.size + 1)
         for free in itertools.combinations(neg.tolist(), size)
     ]
@@ -219,26 +211,24 @@ def _enumerate(H, c, lo, hi, neg):
     return Z[j].copy(), "vertex" if j == 0 else "interior"
 
 
-def _best_vertex(H, c, lo, hi):
+def _best_vertex(H, c, box):
     """First vertex of the box that maximizes z'Hz + c'z.
 
     Vertex j sets coordinate i to hi_i when bit i of j is set, as in
-    :func:`_corner_bits`.  The coordinates split into a low block of
-    l = ceil(d / 2) and a high block of the rest, so j = low + 2^l high,
-    and the value of vertex j is the low block's self-term, plus the high
-    block's, plus 2 z_H' H_HL z_L.  Each self-term is computed once over
-    its block's corners; the cross terms are one product per chunk of
-    high corners, each chunk holding at most ``_VALUES_BLOCK`` values.
-    Ties go to the smallest j: the first maximum within a chunk, and a
-    later chunk only on a strictly larger value.
+    :func:`_corner_bits`.  The coordinates split into the box's low block
+    of l = ceil(d / 2) and its high block of the rest (``box.halves``, the
+    vertices of each), so j = low + 2^l high, and the value of vertex j is
+    the low block's self-term, plus the high block's, plus 2 z_H' H_HL z_L.
+    Each self-term is computed once over its block's vertices; the cross
+    terms are one product per chunk of high vertices, each chunk holding
+    at most ``_VALUES_BLOCK`` values.  Ties go to the smallest j: the first
+    maximum within a chunk, and a later chunk only on a strictly larger
+    value.
     """
-    d = c.size
-    l = (d + 1) // 2
-    blocks = []
-    for part in (slice(0, l), slice(l, d)):
-        X = lo[part] + _corner_bits(c[part].size) * (hi[part] - lo[part])
-        blocks.append((X, _batch_objective(H[part, part], c[part], X)))
-    (XL, sL), (XH, sH) = blocks
+    XL, XH = box.halves
+    l = XL.shape[1]
+    sL = _batch_objective(H[:l, :l], c[:l], XL)
+    sH = _batch_objective(H[l:, l:], c[l:], XH)
     cross = 2.0 * H[l:, :l] @ XL.T
     rows = _VALUES_BLOCK >> l
     best, best_j = -np.inf, 0
@@ -249,12 +239,11 @@ def _best_vertex(H, c, lo, hi):
         k = int(np.argmax(values))
         if values.flat[k] > best:
             best, best_j = values.flat[k], (start << l) + k
-    bits = ((best_j >> np.arange(d)) & 1).astype(float)
-    return lo + bits * (hi - lo)
+    return np.concatenate((XL[best_j & ((1 << l) - 1)], XH[best_j >> l]))
 
 
-def _maximize_box(H, c, lo, hi, nominal):
-    """Candidate-based maximization of z'Hz + c'z over a box.
+def _maximize_box(H, c, box):
+    """Candidate-based maximization of z'Hz + c'z over ``box``.
 
     Returns (z, value, winner).  The candidates are the nominal point and
     one of: the exact maximizer by :func:`_enumerate`, when d <=
@@ -264,18 +253,14 @@ def _maximize_box(H, c, lo, hi, nominal):
     gradient ascent from ``_MULTISTARTS`` seeded starts.
     """
     d = c.size
-    if d == 0:
-        raise DimensionError("empty decision vector")
-    if np.any(lo > hi):
-        raise DimensionError("box has lo > hi entries")
-
     neg = np.flatnonzero(np.diag(H) < 0.0)
     q = neg.size
     if d <= _VERTEX_CAP and (3 ** q - 2 ** q) * 2 ** (d - q) <= _FACE_BUDGET:
-        z, tag = _enumerate(H, c, lo, hi, neg)
+        z, tag = _enumerate(H, c, box, neg)
     else:
+        lo, hi = box.lo, box.hi
         rng = np.random.default_rng(_SEED)
-        starts = [np.clip(nominal, lo, hi), 0.5 * (lo + hi)]
+        starts = [box.start, 0.5 * (lo + hi)]
         while len(starts) < _MULTISTARTS:
             if len(starts) % 2:
                 z = lo + rng.random(d) * (hi - lo)
@@ -284,10 +269,10 @@ def _maximize_box(H, c, lo, hi, nominal):
             starts.append(z)
         Z, vals = _ascend(H, c, lo, hi, np.array(starts))
         z, tag = Z[int(np.argmax(vals))].copy(), "gradient"
-    candidates = ((np.clip(nominal, lo, hi), "nominal"), (z, tag))
+    candidates = ((box.start.copy(), "nominal"), (z, tag))
     return _pick(
         [(p, float(p @ (H @ p) + c @ p), tag) for p, tag in candidates],
-        nominal,
+        box.nominal,
     )
 
 
@@ -317,7 +302,7 @@ def solve_box_qp_max(
     """
     if iid is None:
         iid = solve_iid_constrained(qp)
-    z, value, winner = _maximize_box(qp.H, qp.c, qp.lo, qp.hi, qp.nominal)
+    z, value, winner = _maximize_box(qp.H, qp.c, qp.box)
     if iid.objective > value + 1e-12 * (1.0 + abs(value)):
         z, value, winner = iid.as_stack(), iid.objective, "iid"
     return _schedule(qp, z, value, winner)
@@ -335,14 +320,10 @@ def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
     forms: endpoints, plus the interior peak when the reduced curvature
     is negative.
     """
-    m = qp.m
-    R = np.tile(np.eye(m), (qp.horizon, 1))
+    R = qp.box.repeat
     Hr = R.T @ qp.H @ R
     Hr = 0.5 * (Hr + Hr.T)
     cr = R.T @ qp.c
-    lo_r = qp.lo[:m].copy()
-    hi_r = qp.hi[:m].copy()
-    nominal_r = qp.nominal[:m].copy()
-    a, _, winner = _maximize_box(Hr, cr, lo_r, hi_r, nominal_r)
+    a, _, winner = _maximize_box(Hr, cr, qp.box.rates)
     z = np.tile(a, qp.horizon)  # R a, bitwise: R has one 1 per row
     return _schedule(qp, z, qp.objective(z), f"iid-{winner}")

@@ -227,7 +227,9 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_simulate(args) -> int:
     exp = load_experiment(args.config)
-    realizations = args.realizations or exp.realizations
+    realizations = (
+        exp.realizations if args.realizations is None else args.realizations
+    )
     report = monte_carlo(exp, realizations)
     _write_json(
         os.path.join(args.out, "aggregate.json"), _aggregate_json(report)
@@ -276,7 +278,7 @@ def _cmd_analyze(args) -> int:
     else:
         out["optimal_iid"] = None
 
-    if args.empirical:
+    if args.empirical is not None:
         samples = args.empirical
         sched = solve_box_qp_max(ctx.qp)
         laws = [sched.means] if char is None else [char.alpha_star, sched.means]
@@ -326,7 +328,9 @@ def _attack_kinds(text):
 def _cmd_compare(args) -> int:
     kinds = _attack_kinds(args.attacks)
     exp = load_experiment(args.config)
-    realizations = args.realizations or exp.realizations
+    realizations = (
+        exp.realizations if args.realizations is None else args.realizations
+    )
 
     # one lockstep batch: the arms share the set-up and every random draw;
     # each arm is the attack section read as its kind
@@ -391,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte-Carlo closed-loop runs")
     common(p_sim)
     p_sim.add_argument(
-        "--realizations", type=int, default=0,
+        "--realizations", type=int, default=None,
         help="override the config's realization count",
     )
     p_sim.set_defaults(func=_cmd_simulate)
@@ -399,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ana = sub.add_parser("analyze", help="closed-form cost reports")
     common(p_ana)
     p_ana.add_argument(
-        "--empirical", type=int, default=0, metavar="SAMPLES",
+        "--empirical", type=int, default=None, metavar="SAMPLES",
         help="cross-check increases with paired horizon sampling",
     )
     p_ana.set_defaults(func=_cmd_analyze)
@@ -413,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated attack kinds (none, iid, nonstat)",
     )
     p_cmp.add_argument(
-        "--realizations", type=int, default=0,
+        "--realizations", type=int, default=None,
         help="override the config's realization count",
     )
     p_cmp.set_defaults(func=_cmd_compare)

@@ -63,11 +63,19 @@ class ControllerGain:
     stacked per-step channel mean diagonal as a 1-D array of length N*m,
     and ``paid_variance`` the stacked weight of each delivery's variance in
     the cost: the input Gramian's diagonal for udp, zeros for tcp.
+
+    ``coupling`` and ``load`` are the state-free matrices of the attack
+    quadratic (``attack_iid.build_qp``), C = input_gram - diag(paid) and
+    diag(paid) + input_penalty + 2 C diag(mean_stack); every state's H
+    and c are them weighted by the optimal sequence.  All arrays are
+    read-only, so one gain serves every state of an operation.
     """
 
     kernel: np.ndarray
     mean_stack: np.ndarray
     paid_variance: np.ndarray
+    coupling: np.ndarray
+    load: np.ndarray
     protocol: Protocol
     _solve: object  # callable rhs -> kernel^{-1} rhs
 
@@ -82,18 +90,27 @@ class ControllerGain:
 def _make_solver(kernel: np.ndarray):
     # Cholesky when the kernel is symmetric (homogeneous channel means make
     # it so); heterogeneous means scale its columns and break symmetry, in
-    # which case plain LU is the honest choice.
+    # which case plain LU is the honest choice.  Each solve is the one
+    # LAPACK call that cho_solve and lu_solve end in, looked up once here:
+    # their per-call argument handling costs more than a small solve.
     sym = np.allclose(kernel, kernel.T, rtol=0.0,
                       atol=1e-12 * max(1.0, float(np.abs(kernel).max())))
     try:
         if sym:
-            cf = scipy.linalg.cho_factor(kernel, check_finite=False)
-            return lambda rhs: scipy.linalg.cho_solve(cf, rhs,
-                                                      check_finite=False)
-        lu = scipy.linalg.lu_factor(kernel, check_finite=False)
-        return lambda rhs: scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+            factor, lower = scipy.linalg.cho_factor(kernel, check_finite=False)
+            potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor,))
+            return lambda rhs: _solved(*potrs(factor, rhs, lower=lower))
+        lu, piv = scipy.linalg.lu_factor(kernel, check_finite=False)
+        getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+        return lambda rhs: _solved(*getrs(lu, piv, rhs))
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError) as e:
         raise NumericalError(f"gain kernel factorization failed: {e}") from e
+
+
+def _solved(x, info):
+    if info != 0:
+        raise NumericalError(f"gain solve: bad LAPACK argument {-info}")
+    return x
 
 
 def _expand_step_means(ens: PredictionEnsemble, step_means) -> np.ndarray:
@@ -147,10 +164,19 @@ def control_gain(
     paid = ens.input_gram_diag if udp else np.zeros_like(nu)
     kernel = model.input_penalty + ens.input_gram * nu[None, :]
     kernel = kernel + np.diag(paid * (1.0 - nu))
+    # the attack quadratic's state-free parts: the paid variance leaves the
+    # coupling and joins the load
+    variance = np.diag(paid)
+    coupling = ens.input_gram - variance
+    load = variance + model.input_penalty + 2.0 * coupling * nu[None, :]
+    for array in (kernel, nu, paid, coupling, load):
+        array.setflags(write=False)
     return ControllerGain(
         kernel=kernel,
         mean_stack=nu,
         paid_variance=paid,
+        coupling=coupling,
+        load=load,
         protocol=protocol,
         _solve=_make_solver(kernel),
     )

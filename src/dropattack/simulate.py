@@ -195,7 +195,10 @@ def resolve_attack(
     Returns ``(table, info)``: ``table`` holds the (period, m) delivery
     means played cyclically from the step the law starts at, one row for
     a stationary law, and is None for a plan of kind "none"; ``info`` is
-    the report's attack info.  Synthesis reads the state ``x``.
+    the report's attack info.  Synthesis reads the state ``x``; the
+    quadratic's state-free parts come from ``gain`` and from the box that
+    :func:`~dropattack.attack_iid.attack_context` shares between the
+    calls of one set-up, so a per-step resynthesis rebuilds none of them.
     """
     if plan.kind == "none":
         return None, {"kind": "none"}

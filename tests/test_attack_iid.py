@@ -1,5 +1,7 @@
 """Stationary attack rates: objective shapes and closed-form optimizers."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,12 @@ from dropattack import (
     Protocol,
     attack_context,
     build_prediction_ensemble,
+    build_qp,
     build_qp_tcp,
     build_qp_udp,
+    control_gain,
     flooding_condition,
+    load_experiment,
     optimal_alpha,
     optimal_alpha_tcp,
     optimal_alpha_udp,
@@ -33,6 +38,8 @@ from conftest import (
     tcp_objective,
     udp_objective,
 )
+
+DEMO_CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def make_ctx(rng, protocol, model=None, channel=None, detection=None, x=None):
@@ -281,6 +288,25 @@ def test_protocol_mismatch_is_rejected(rng):
     for entry in (optimal_alpha_tcp, build_qp_tcp):
         with pytest.raises(DimensionError):
             entry(ctx)
+
+
+def test_gain_for_another_law_is_rejected():
+    # the gain carries the quadratic's coupling and load, which read its
+    # protocol and its nominal means: a gain built for other means or the
+    # other protocol would put them into every state's QP
+    exp = load_experiment(DEMO_CONFIGS / "two_channel_schedule.json")
+    model, channel, detection = exp.model, exp.channel, exp.detection
+    ens = build_prediction_ensemble(model)
+    x = model.init_mean
+    udp, tcp = Protocol.UDP_LIKE, Protocol.TCP_LIKE
+    for means, protocol in (([0.3, 0.3], udp), (channel.mean_diag, tcp)):
+        gain = control_gain(ens, model, np.array(means), protocol)
+        with pytest.raises(DimensionError, match="gain was built for"):
+            attack_context(ens, model, channel, detection, udp, x, gain)
+    gain = control_gain(ens, model, channel.mean_diag, udp)
+    ctx = attack_context(ens, model, channel, detection, udp, x, gain)
+    fresh = attack_context(ens, model, channel, detection, udp, x)
+    np.testing.assert_array_equal(build_qp(ctx).c, build_qp(fresh).c)
 
 
 def test_perfect_channel_report(rng):

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from dropattack import (
+    AttackBox,
     AttackSchedule,
     BoxQP,
     DimensionError,
     Protocol,
+    attack_context,
     build_prediction_ensemble,
     build_qp,
+    control_gain,
     optimal_alpha,
     schedule_objective,
     solve_box_qp_max,
@@ -107,11 +110,13 @@ def hand_qp(H, c, lo, hi, nominal=None, m=1):
     lo = np.full(d, lo, dtype=float) if np.isscalar(lo) else np.asarray(lo, float)
     hi = np.full(d, hi, dtype=float) if np.isscalar(hi) else np.asarray(hi, float)
     nominal = 0.5 * (lo + hi) if nominal is None else np.asarray(nominal, float)
-    horizon = d // m
-    return BoxQP(
-        H=H, c=c, lo=lo, hi=hi,
-        nominal=nominal, horizon=horizon, m=m,
-    )
+    box = AttackBox(lo=lo, hi=hi, nominal=nominal, horizon=d // m, m=m)
+    return BoxQP(H=H, c=c, box=box)
+
+
+def box_of(lo, hi):
+    """The box of one step of per-entry channels, nominal at its centre."""
+    return AttackBox(lo=lo, hi=hi, nominal=0.5 * (lo + hi), horizon=1, m=lo.size)
 
 
 def test_box_must_be_tiled_per_channel():
@@ -229,20 +234,22 @@ def test_best_vertex_is_the_enumerations_vertex(rng):
         for horizon, m in ((1, 1), (2, 1), (5, 1), (5, 2), (8, 2)):
             model = random_model(rng, m=m, horizon=horizon)
             _, qp = build_for(rng, protocol, model=model)
-            args = (qp.H, qp.c, qp.lo, qp.hi)
             np.testing.assert_array_equal(
-                attack_qp._best_vertex(*args), plain_vertex(*args)
+                attack_qp._best_vertex(qp.H, qp.c, qp.box),
+                plain_vertex(qp.H, qp.c, qp.lo, qp.hi),
             )
     for d in (1, 2, 5, 10, 16):
         lo = rng.uniform(0.0, 0.5, size=d)
         hi = rng.uniform(0.5, 1.0, size=d)
-        args = (np.zeros((d, d)), np.zeros(d), lo, hi)
-        np.testing.assert_array_equal(attack_qp._best_vertex(*args), lo)
-        np.testing.assert_array_equal(plain_vertex(*args), lo)
+        H, c = np.zeros((d, d)), np.zeros(d)
+        np.testing.assert_array_equal(
+            attack_qp._best_vertex(H, c, box_of(lo, hi)), lo
+        )
+        np.testing.assert_array_equal(plain_vertex(H, c, lo, hi), lo)
     for d, i, k in ((2, 0, 1), (5, 1, 4), (12, 3, 11), (16, 0, 15)):
         H, c = twin_qp(rng, d, i, k)
         lo, hi = np.zeros(d), np.ones(d)
-        z = attack_qp._best_vertex(H, c, lo, hi)
+        z = attack_qp._best_vertex(H, c, box_of(lo, hi))
         np.testing.assert_array_equal(z, plain_vertex(H, c, lo, hi))
         assert (z[i], z[k]) == (1.0, 0.0)
 
@@ -253,13 +260,13 @@ def test_best_vertex_keeps_the_first_maximum_across_chunks(rng):
     d = 20
     lo = rng.uniform(0.0, 0.5, size=d)
     hi = rng.uniform(0.5, 1.0, size=d)
-    z = attack_qp._best_vertex(np.zeros((d, d)), np.zeros(d), lo, hi)
+    z = attack_qp._best_vertex(np.zeros((d, d)), np.zeros(d), box_of(lo, hi))
     np.testing.assert_array_equal(z, lo)
     d, i, k = 18, 2, 17
     H, c = twin_qp(rng, d, i, k)
     lo, hi = np.zeros(d), np.ones(d)
     _, first = blockwise_vertex_max(H, c, lo, hi)
-    z = attack_qp._best_vertex(H, c, lo, hi)
+    z = attack_qp._best_vertex(H, c, box_of(lo, hi))
     np.testing.assert_array_equal(z, (first >> np.arange(d)) & 1)
     assert (z[i], z[k]) == (1.0, 0.0)
 
@@ -514,3 +521,87 @@ def test_multistart_determinism(rng):
     b = solve_box_qp_max(qp)
     np.testing.assert_array_equal(a.means, b.means)
     assert a.objective == b.objective and a.winner == b.winner
+
+
+def fresh_qp(ctx):
+    """The context's QP with every state-free part built anew.
+
+    H and c follow the definitions from the ensemble, the model's penalty
+    and the gain's means and paid variance, and the box is a new one, so
+    its solver parts are built on this QP's first solve.
+    """
+    ens, gain, u = ctx.ens, ctx.gain, ctx.u_star
+    paid = np.diag(gain.paid_variance)
+    coupling = ens.input_gram - paid
+    load = paid + ctx.input_penalty
+    load = load + 2.0 * coupling * gain.mean_stack[None, :]
+    H = coupling * np.outer(u, u)
+    H = 0.5 * (H + H.T)
+    N = ens.horizon
+    box = AttackBox(
+        lo=np.tile(ctx.channel_lo, N),
+        hi=np.tile(ctx.channel_hi, N),
+        nominal=np.tile(ctx.nominal_means, N),
+        horizon=N,
+        m=ens.m,
+    )
+    return BoxQP(H=H, c=-(u * (load @ u)), box=box)
+
+
+def assert_same_schedule(got, want):
+    np.testing.assert_array_equal(got.means, want.means)
+    assert (got.objective, got.winner, got.stationarity) == (
+        want.objective, want.winner, want.stationarity
+    )
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_shared_parts_solve_bitwise_as_fresh_ones(rng, protocol):
+    # the states of one operation share the gain's coupling and load and
+    # one box with its solver parts; every solve must be bitwise the solve
+    # of a QP whose parts are all built for it alone
+    for horizon, m, states in (
+        (1, 1, 40), (2, 1, 40), (5, 1, 40), (5, 2, 40), (8, 2, 12), (10, 2, 3)
+    ):
+        model = random_model(rng, m=m, horizon=horizon)
+        ens = build_prediction_ensemble(model)
+        channel = random_channel(rng, m)
+        detection = random_detection(rng, m)
+        gain = control_gain(ens, model, channel.mean_diag, protocol)
+        box = None
+        for _ in range(states):
+            x = rng.normal(size=model.n) * rng.uniform(0.1, 3.0)
+            ctx = attack_context(
+                ens, model, channel, detection, protocol, x, gain
+            )
+            box = box or ctx.box
+            assert ctx.box is box
+            qp, fresh = ctx.qp, fresh_qp(ctx)
+            np.testing.assert_array_equal(qp.H, fresh.H)
+            np.testing.assert_array_equal(qp.c, fresh.c)
+            assert_same_schedule(
+                solve_iid_constrained(qp), solve_iid_constrained(fresh)
+            )
+            assert_same_schedule(solve_box_qp_max(qp), solve_box_qp_max(fresh))
+
+
+def test_shared_parts_are_read_only(rng):
+    model = random_model(rng, m=2, horizon=5)
+    ctx, qp = build_for(rng, Protocol.UDP_LIKE, model=model)
+    solve_box_qp_max(qp)
+    box, rates, gain = qp.box, qp.box.rates, ctx.gain
+    shared = [
+        gain.kernel, gain.mean_stack, gain.paid_variance, gain.coupling,
+        gain.load, box.lo, box.hi, box.nominal, box.start, box.repeat,
+        *box.halves, rates.lo, rates.hi, rates.nominal, rates.start,
+        *rates.halves,
+    ]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.5
+    # a nominal winner is the caller's own array, not the shared start
+    ctx, qp = build_for(rng, Protocol.UDP_LIKE, model=model, x=np.zeros(model.n))
+    for sol in (solve_box_qp_max(qp), solve_iid_constrained(qp)):
+        assert sol.winner in ("nominal", "iid-nominal")
+        assert sol.means.flags.writeable
+        assert not np.shares_memory(sol.means, qp.box.start)

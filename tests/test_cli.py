@@ -147,9 +147,10 @@ def test_analyze_reports_regimes(tmp_path, config_path):
     )
 
 
-@pytest.mark.parametrize("samples", ["1", "-5"])
+@pytest.mark.parametrize("samples", ["0", "1", "-5"])
 def test_empirical_needs_two_samples(tmp_path, config_path, samples):
-    # a standard error needs at least two samples
+    # a standard error needs at least two samples; 0 asks for a cross-check
+    # of no samples, not for none
     rc = main([
         "analyze", "--config", config_path, "--out", str(tmp_path),
         "--empirical", samples,
@@ -555,6 +556,18 @@ def test_compare_rejects_empty_or_repeated_attack_list(
     assert rc == 2
     assert not (out / "comparison.json").exists()
     assert not (out / "realizations.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_zero_realizations_are_rejected(tmp_path, config_path, command):
+    # an explicit 0 is a count for the validator, not the config's R
+    out = tmp_path / "out"
+    rc = main([
+        command, "--config", config_path, "--out", str(out),
+        "--realizations", "0",
+    ])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_out_directory_is_made_only_by_a_report(tmp_path, config_path):

@@ -7,6 +7,8 @@ import pytest
 
 from dropattack import (
     AttackPlan,
+    ChannelSpec,
+    DetectionSpec,
     DimensionError,
     EpisodeConfig,
     Protocol,
@@ -542,6 +544,42 @@ def test_detection_rate_grows_with_deviation():
     for lo, hi in zip(rates, rates[1:]):
         assert hi >= lo - 0.03  # monotone up to Monte-Carlo slack
     assert rates[0] < 0.1 and rates[-1] > 0.95
+
+
+def test_consecutive_resyntheses_equal_independent_ones(rng):
+    # one arm resolves its law at every step from the same set-up, so the
+    # calls share the gain and one box; each must be the call made alone,
+    # on specs, ensemble and gain of its own.  Two bands about the same
+    # rates take turns, so a box shared across them shows.
+    model = random_model(rng, n=2, m=2, horizon=5)
+    channel = ChannelSpec(rng.uniform(0.5, 0.9, 2))
+    bands = [DetectionSpec(rng.uniform(0.05, 0.2, 2)) for _ in range(2)]
+    states = [rng.normal(size=2) * rng.uniform(0.1, 3.0) for _ in range(12)]
+    plans = [
+        AttackPlan(kind="nonstat", onset=3, resynthesize=True),
+        AttackPlan(kind="iid", onset=3),
+    ]
+    for protocol in Protocol:
+        ens = build_prediction_ensemble(model)
+        gain = control_gain(ens, model, channel.mean_diag, protocol)
+        for plan in plans:
+            for run in range(2):
+                shared = [
+                    resolve_attack(
+                        plan, model, ens, channel, bands[k % 2 if run else 0],
+                        protocol, x, gain,
+                    )
+                    for k, x in enumerate(states)
+                ]
+                for k, (x, (table, info)) in enumerate(zip(states, shared)):
+                    band = bands[k % 2 if run else 0]
+                    alone, alone_info = resolve_attack(
+                        plan, model, build_prediction_ensemble(model),
+                        ChannelSpec(channel.mean_diag),
+                        DetectionSpec(band.tol_diag), protocol, x,
+                    )
+                    np.testing.assert_array_equal(table, alone)
+                    assert info == alone_info
 
 
 def test_horizon_estimator_is_unbiased(rng):
