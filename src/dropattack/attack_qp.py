@@ -35,11 +35,11 @@ What does not depend on the state is read off the QP's
 :class:`~dropattack.attack_iid.AttackBox`, which every state of an
 operation shares: the clipped nominal point, the vertex halves, the box
 of the constant schedules and the map R onto them.  A solve computes
-only the vertex values, the picks and the residuals.
+only the vertex values and the picks; residuals wait for a read.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,7 +70,7 @@ _SEED = 0
 
 @dataclass(frozen=True, eq=False)
 class AttackSchedule:
-    """A per-step deliverability schedule and the objective it achieves.
+    """A per-step deliverability schedule of ``qp`` and its objective.
 
     ``means[k, i]`` is the delivery probability of channel i at horizon
     step k.  ``winner`` records which candidate produced the returned
@@ -78,18 +78,20 @@ class AttackSchedule:
     with some coordinate strictly inside its band), ``gradient`` (the
     ascent), ``iid`` (the stationary optimum beat the schedule solve) or,
     from :func:`solve_iid_constrained`, ``iid-`` and the tag of the
-    reduced solve.  ``stationarity`` is the projected-gradient residual
-    there (unit step), zero at an exactly optimal vertex.
+    reduced solve.
     """
 
     means: np.ndarray
     objective: float
     winner: str
-    stationarity: float
+    qp: BoxQP = field(repr=False)
 
-    def as_stack(self) -> np.ndarray:
-        """Step-major flattening matching the decision vector layout."""
-        return self.means.reshape(-1).copy()
+    @property
+    def stationarity(self) -> float:
+        """Projected-gradient residual (unit step), scored when read; zero at
+        an exactly optimal vertex."""
+        qp, z = self.qp, self.means.reshape(1, -1)
+        return float(_residuals(qp.H, qp.c, qp.lo, qp.hi, z)[0])
 
 
 def build_qp_udp(ctx: AttackContext) -> BoxQP:
@@ -276,17 +278,6 @@ def _maximize_box(H, c, box):
     )
 
 
-def _schedule(qp, z, value, winner):
-    """The schedule of point ``z`` of ``qp``, with its residual there."""
-    residual = _residuals(qp.H, qp.c, qp.lo, qp.hi, z[None, :])[0]
-    return AttackSchedule(
-        means=z.reshape(qp.horizon, qp.m),
-        objective=value,
-        winner=winner,
-        stationarity=float(residual),
-    )
-
-
 def solve_box_qp_max(
     qp: BoxQP, *, iid: AttackSchedule | None = None
 ) -> AttackSchedule:
@@ -304,8 +295,8 @@ def solve_box_qp_max(
         iid = solve_iid_constrained(qp)
     z, value, winner = _maximize_box(qp.H, qp.c, qp.box)
     if iid.objective > value + 1e-12 * (1.0 + abs(value)):
-        z, value, winner = iid.as_stack(), iid.objective, "iid"
-    return _schedule(qp, z, value, winner)
+        return AttackSchedule(iid.means.copy(), iid.objective, "iid", qp)
+    return AttackSchedule(z.reshape(qp.horizon, qp.m), value, winner, qp)
 
 
 def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
@@ -326,4 +317,5 @@ def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
     cr = R.T @ qp.c
     a, _, winner = _maximize_box(Hr, cr, qp.box.rates)
     z = np.tile(a, qp.horizon)  # R a, bitwise: R has one 1 per row
-    return _schedule(qp, z, qp.objective(z), f"iid-{winner}")
+    means, value = z.reshape(qp.horizon, qp.m), qp.objective(z)
+    return AttackSchedule(means, value, f"iid-{winner}", qp)

@@ -78,8 +78,11 @@ def _json_text(obj, indent: int = 0) -> str:
 
 def _report_file(path: str, newline=None):
     """``path`` opened for writing; the first report creates ``--out``."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return open(path, "w", newline=newline)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        return open(path, "w", newline=newline)
+    except OSError as exc:  # a path that cannot be made is the user's to fix
+        raise ConfigError(f"--out: cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_json(path: str, obj) -> None:

@@ -21,7 +21,7 @@ nominal rates, ``costs.expected_attacked_cost(ctx, model)``.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -78,6 +78,7 @@ class ControllerGain:
     load: np.ndarray
     protocol: Protocol
     _solve: object  # callable rhs -> kernel^{-1} rhs
+    ens: PredictionEnsemble = field(repr=False)  # the one it was built from
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """kernel^{-1} @ rhs without forming an explicit inverse."""
@@ -179,6 +180,7 @@ def control_gain(
         load=load,
         protocol=protocol,
         _solve=_make_solver(kernel),
+        ens=ens,
     )
 
 
@@ -186,6 +188,8 @@ def optimal_input_sequence(
     gain: ControllerGain, ens: PredictionEnsemble, x: np.ndarray
 ) -> np.ndarray:
     """Stacked optimal input sequence -kernel^{-1} cross_gram x, length N*m."""
+    if gain.ens is not ens:
+        raise DimensionError("gain was built from another prediction ensemble")
     x = np.asarray(x, dtype=float)
     if x.shape != (ens.n,):
         raise DimensionError(f"x must have shape {(ens.n,)}, got {x.shape}")

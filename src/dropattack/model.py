@@ -39,6 +39,15 @@ def _frozen(a, dtype=float):
     return out
 
 
+def _count(value, name: str, minimum: int):
+    """Raise unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < minimum):
+        raise DimensionError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+
+
 def _require_diagonal_spd(M, name, shape):
     if M.shape != shape:
         raise DimensionError(
@@ -105,9 +114,8 @@ class SystemModel:
                 f"B must have {n} rows to match A, got shape {B.shape}"
             )
         m = B.shape[1]
+        _count(self.horizon, "horizon", 1)
         N = int(self.horizon)
-        if N < 1:
-            raise DimensionError(f"horizon must be >= 1, got {self.horizon}")
         Q = _frozen(self.Q)
         Om = _frozen(self.state_penalty)
         Ps = _frozen(self.input_penalty)

@@ -74,6 +74,7 @@ from .controller import ControllerGain, Protocol, _expand_step_means, control_ga
 from .controller import optimal_input_sequence
 from .errors import DimensionError
 from .model import PredictionEnsemble, SystemModel, build_prediction_ensemble
+from .model import _count
 
 __all__ = [
     "AttackPlan",
@@ -97,15 +98,6 @@ _BLOCK = 64
 # samples holds (see _sample_blocks): 4000 samples are ten blocks of 400
 # rows at N n = 160, and one block at N n = 10.
 _ROLLOUT_VALUES = 2 ** 16
-
-
-def _count(value, name: str, minimum: int):
-    """Raise unless ``value`` is an integer (not a bool) >= ``minimum``."""
-    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or value < minimum):
-        raise DimensionError(
-            f"{name} must be an integer >= {minimum}, got {value!r}"
-        )
 
 
 @dataclass(frozen=True, eq=False)

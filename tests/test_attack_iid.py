@@ -1,6 +1,7 @@
 """Stationary attack rates: objective shapes and closed-form optimizers."""
 
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +19,14 @@ from dropattack import (
     build_qp_tcp,
     build_qp_udp,
     control_gain,
+    empirical_increases,
     flooding_condition,
+    horizon_cost_samples,
     load_experiment,
     optimal_alpha,
     optimal_alpha_tcp,
     optimal_alpha_udp,
+    optimal_input_sequence,
     parse_experiment,
 )
 
@@ -280,14 +284,30 @@ def test_disjoint_bands_have_no_common_rate(rng):
 
 def test_protocol_mismatch_is_rejected(rng):
     # the protocol-specific entry points refuse the other protocol's context
-    ctx, _ = make_ctx(rng, Protocol.TCP_LIKE)
+    # and answer their own protocol's as the protocol-free ones do; the
+    # shared band gives the scalar search a region
+    model = random_model(rng)
+    band = dict(
+        model=model, channel=shared_channel(model.m),
+        detection=shared_detection(model.m),
+    )
+    tcp_ctx, _ = make_ctx(rng, Protocol.TCP_LIKE, **band)
     for entry in (optimal_alpha_udp, build_qp_udp):
         with pytest.raises(DimensionError):
-            entry(ctx)
-    ctx, _ = make_ctx(rng, Protocol.UDP_LIKE)
+            entry(tcp_ctx)
+    udp_ctx, _ = make_ctx(rng, Protocol.UDP_LIKE, **band)
     for entry in (optimal_alpha_tcp, build_qp_tcp):
         with pytest.raises(DimensionError):
-            entry(ctx)
+            entry(udp_ctx)
+    for ctx, qp_entry, alpha_entry in (
+        (udp_ctx, build_qp_udp, optimal_alpha_udp),
+        (tcp_ctx, build_qp_tcp, optimal_alpha_tcp),
+    ):
+        got, want = qp_entry(ctx), build_qp(ctx)
+        for part in ("H", "c", "lo", "hi"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+        assert got.box is want.box
+        assert alpha_entry(ctx) == optimal_alpha(ctx)
 
 
 def test_gain_for_another_law_is_rejected():
@@ -307,6 +327,32 @@ def test_gain_for_another_law_is_rejected():
     ctx = attack_context(ens, model, channel, detection, udp, x, gain)
     fresh = attack_context(ens, model, channel, detection, udp, x)
     np.testing.assert_array_equal(build_qp(ctx).c, build_qp(fresh).c)
+
+
+def test_gain_from_another_ensemble_is_rejected():
+    # the same channel law on another plant: model A's gain would plan
+    # model B's sequence from A's kernel (qp.c[0] -0.0553 instead of
+    # -0.1893 on this demo) and roll B's horizon out under it
+    exp = load_experiment(DEMO_CONFIGS / "two_channel_schedule.json")
+    model_a, channel, detection = exp.model, exp.channel, exp.detection
+    model_b = replace(model_a, A=np.array([[0.5, 0.0], [0.0, 0.2]]))
+    ens_a = build_prediction_ensemble(model_a)
+    ens_b = build_prediction_ensemble(model_b)
+    protocol, x = exp.protocol, model_a.init_mean
+    gain_a = control_gain(ens_a, model_a, channel.mean_diag, protocol)
+    match = "gain was built from another prediction ensemble"
+    with pytest.raises(DimensionError, match=match):
+        attack_context(ens_b, model_b, channel, detection, protocol, x, gain_a)
+    rollouts = ((empirical_increases, [0.5]), (horizon_cost_samples, 0.5))
+    for rollout, law in rollouts:
+        with pytest.raises(DimensionError, match=match):
+            rollout(ens_b, model_b, gain_a, x, law, 10)
+    # an equal ensemble built anew is another ensemble too
+    with pytest.raises(DimensionError, match=match):
+        optimal_input_sequence(gain_a, build_prediction_ensemble(model_a), x)
+    gain_b = control_gain(ens_b, model_b, channel.mean_diag, protocol)
+    ctx = attack_context(ens_b, model_b, channel, detection, protocol, x, gain_b)
+    assert build_qp(ctx).c[0] == pytest.approx(-0.1893, abs=5e-5)
 
 
 def test_perfect_channel_report(rng):

@@ -389,9 +389,9 @@ def test_one_free_coordinate_at_seventeen_is_solved_exactly(rng, monkeypatch):
     assert 0.0 < sol.means[0, 0] < 1.0
 
 
-def test_exact_schedule_computes_two_residuals(rng, monkeypatch):
-    # one residual for the iid restriction and one for the schedule, both
-    # on the full QP; the reduced QP's residual is never computed
+def test_schedule_scores_its_residual_when_read(rng, monkeypatch):
+    # a solve scores no residual, neither the schedule's nor the iid
+    # candidate's; reading stationarity scores one, on the full QP
     model = random_model(rng, m=2, horizon=5)
     _, qp = build_for(rng, Protocol.UDP_LIKE, model=model)
     calls = []
@@ -404,7 +404,25 @@ def test_exact_schedule_computes_two_residuals(rng, monkeypatch):
     monkeypatch.setattr(attack_qp, "_residuals", counted)
     sol = solve_box_qp_max(qp)
     assert sol.winner in ("vertex", "nominal")
-    assert calls == [qp.H.shape, qp.H.shape]
+    assert calls == []
+    z = sol.means.reshape(1, -1)
+    want = float(residuals(qp.H, qp.c, qp.lo, qp.hi, z)[0])
+    assert sol.stationarity == want
+    assert calls == [qp.H.shape]
+
+
+def test_iid_winner_is_relabelled_on_its_own_means(rng):
+    # an iid candidate above the schedule's value wins as "iid", on a copy
+    # of its means, and scores its residual at that point
+    model = random_model(rng, m=2, horizon=3)
+    _, qp = build_for(rng, Protocol.TCP_LIKE, model=model)
+    iid = solve_iid_constrained(qp)
+    better = AttackSchedule(iid.means, iid.objective + 1.0, iid.winner, qp)
+    sol = solve_box_qp_max(qp, iid=better)
+    assert (sol.winner, sol.objective) == ("iid", better.objective)
+    np.testing.assert_array_equal(sol.means, iid.means)
+    assert not np.shares_memory(sol.means, iid.means)
+    assert sol.qp is qp and sol.stationarity == iid.stationarity
 
 
 def test_ascent_runs_once_beyond_the_enumeration_budget(rng, monkeypatch):
@@ -478,7 +496,6 @@ def test_schedule_never_loses_to_iid(rng):
             assert np.all(free.means.reshape(-1) >= qp.lo - 1e-12)
             assert np.all(free.means.reshape(-1) <= qp.hi + 1e-12)
             assert isinstance(free, AttackSchedule)
-            np.testing.assert_array_equal(free.as_stack(), free.means.reshape(-1))
 
 
 def test_iid_constrained_agrees_with_stationary_closed_forms(rng):

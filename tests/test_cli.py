@@ -587,3 +587,25 @@ def test_out_directory_is_made_only_by_a_report(tmp_path, config_path):
     rc = main(["synthesize", "--config", config_path, "--out", str(nested)])
     assert rc == 0
     assert (nested / "synthesis.json").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("synthesize", []),
+    ("simulate", ["--realizations", "2"]),
+    ("analyze", []),
+    ("compare", ["--realizations", "2"]),
+])
+def test_unwritable_out_is_a_config_error(tmp_path, command, extra, capsys):
+    # an --out below a regular file cannot be made: exit 2, naming the
+    # path, and nothing written
+    config = str(DEMO_CONFIGS / "scalar_udp.json")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"
+    rc = main([command, "--config", config, "--out", str(out)] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --out: cannot write")
+    assert str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert blocker.read_text() == ""

@@ -294,6 +294,39 @@ def test_attack_sizes_listed_with_other_problems(attack, channel, problems):
     assert err.value.problems == problems
 
 
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("A", [[1.03, 0.005, 0.0], [0.35, 0.5, 0.0]], "system.A: must be square"),
+        ("B", [[1.0, 0.0]], "system.B: row count 1 does not match state size 2"),
+        ("X_bar", [1.0], "system.X_bar: expected length 2, got 1"),
+        ("Q_diag", [1.0, 1.0, 1.0], "system.Q_diag: expected length 2, got 3"),
+        ("Sigma_W", [[0.01, 0.0, 0.0], [0.0, 0.01, 0.0]],
+         "system.Sigma_W: must be square"),
+        ("Sigma_W", [0.01, 0.01, 0.01], "system.Sigma_W: expected size 2, got 3"),
+        ("Omega_diag", [1.0, 1.0, 1.0],
+         "system.Omega_diag: expected length 2 or 10, got 3"),
+        ("A", json.loads("[[NaN, 0.005], [0.35, 0.5]]"),
+         "system.A: must be a finite non-empty matrix"),
+        ("Sigma_W", [[0.01, 0.005], [0.0, 0.01]],
+         "system: noise_cov must be symmetric"),
+        ("Sigma_W", [[0.01, 0.0], [0.0, -0.01]],
+         "system: noise_cov must be positive definite"),
+    ],
+    ids=[
+        "A-not-square", "B-rows", "X_bar-length", "Q_diag-length",
+        "Sigma_W-not-square", "Sigma_W-size", "Omega_diag-length", "A-nan",
+        "Sigma_W-asymmetric", "Sigma_W-indefinite",
+    ],
+)
+def test_system_shapes_are_checked(key, value, problem):
+    doc = base_doc()
+    doc["system"][key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_experiment(doc)
+    assert err.value.problems == [problem]
+
+
 def test_load_experiment_io_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_experiment(tmp_path / "missing.json")

@@ -117,6 +117,18 @@ def test_model_validation_rejects_bad_shapes():
         make_model([[1.0]], [[1.0]], horizon=0)
 
 
+def test_horizon_must_be_an_integer():
+    # a float or a bool was truncated by int(): 2.7 built horizon 2 and
+    # True horizon 1; a numpy integer is an integer
+    two = make_model([[1.0]], [[1.0]], horizon=2)
+    one = make_model([[1.0]], [[1.0]], horizon=1)
+    for base, horizon in ((two, 2.7), (two, 2.0), (one, True)):
+        with pytest.raises(DimensionError, match="horizon must be an integer"):
+            replace(base, horizon=horizon)
+    model = replace(two, horizon=np.int64(2))
+    assert model.horizon == 2 and type(model.horizon) is int
+
+
 def test_model_validation_rejects_bad_penalties():
     base = make_model([[1.0]], [[1.0]], horizon=4)
     fields = {
