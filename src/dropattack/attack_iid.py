@@ -277,9 +277,10 @@ def attack_context(
 ) -> AttackContext:
     """Assemble an :class:`AttackContext` for state ``x``.
 
-    A given ``gain`` must have been built by ``control_gain`` for ``model``,
-    ``protocol`` and the channel's nominal means: its coupling and load
-    then carry the quadratic's state-free parts.
+    A given ``gain`` must have been built by ``control_gain`` from ``ens``,
+    for ``protocol`` and the channel's nominal means: its coupling and
+    load then carry the quadratic's state-free parts.  The ensemble is
+    checked first, so a gain of another horizon is named as such.
     """
     if channel.m != ens.m:
         raise DimensionError(
@@ -288,6 +289,8 @@ def attack_context(
     box = _attack_box(channel, detection, ens.horizon)
     if gain is None:
         gain = control_gain(ens, model, channel.mean_diag, protocol)
+    elif gain.ens is not ens:
+        raise DimensionError("gain was built from another prediction ensemble")
     elif gain.protocol is not protocol:
         raise DimensionError("gain was built for a different protocol")
     elif not np.array_equal(gain.mean_stack, box.nominal):

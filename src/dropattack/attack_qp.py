@@ -124,39 +124,57 @@ def _batch_objective(H, c, Z):
     return ((Z @ H) * Z).sum(axis=1) + Z @ c
 
 
-def _gradient(H, c, Z):
-    return 2.0 * Z @ H + c
-
-
-def _residuals(H, c, lo, hi, Z, G=None):
-    """Projected-gradient step lengths; ``G`` is Z's gradient if known."""
-    if G is None:
-        G = _gradient(H, c, Z)
-    proj = np.clip(Z + G, lo, hi)
+def _residuals(H, c, lo, hi, Z):
+    """Projected-gradient step lengths of the rows of Z."""
+    proj = np.clip(Z + (2.0 * Z @ H + c), lo, hi)
     return np.max(np.abs(proj - Z), axis=1)
 
 
 def _ascend(H, c, lo, hi, Z0):
     """Monotone projected gradient ascent, batched over starting points.
 
-    The spectral norm of H fixes the initial step.
+    The spectral norm of H fixes the initial step.  Each step makes one
+    product with H, the trial points' ``trial @ H``; an accepted row of it
+    replaces the iterate's row of ``ZH = Z @ H``, and the gradient is
+    ``2 ZH + c``.  That is bitwise the loop that formed ``2 Z @ H + c``
+    afresh at every step, for two reasons.  Row i of a product depends
+    only on row i of a left operand of the same shape (as
+    ``simulate._sample_blocks`` relies on too), so a kept row is the row
+    ``Z @ H`` would give.  And scaling by 2 is exact, so ``(2 Z) @ H`` is
+    ``2 (Z @ H)``.  The steps work in preallocated (starts, d) buffers,
+    and bound the points with ``np.maximum`` and ``np.minimum``, which
+    select the same values as ``np.clip`` for NaN-free input.
     """
     Z = Z0.copy()
-    vals = _batch_objective(H, c, Z)
+    ZH = Z @ H
+    vals = (ZH * Z).sum(axis=1) + Z @ c  # _batch_objective(H, c, Z)
     lipschitz = 2.0 * max(float(np.abs(np.linalg.eigvalsh(H)).max()), 1e-300)
     t = np.full(Z.shape[0], 1.0 / lipschitz)
     tol = _STATIONARITY_TOL * (1.0 + float(np.linalg.norm(c)))
+    G, work, trial, trial_H = (np.empty_like(Z) for _ in range(4))
     for _ in range(_MAX_ITERATIONS):
-        G = _gradient(H, c, Z)
-        res = _residuals(H, c, lo, hi, Z, G)
-        live = (res > tol) & (t > 1e-18)
+        np.multiply(ZH, 2.0, out=G)
+        G += c
+        np.add(Z, G, out=work)  # the residual, as _residuals scores it
+        np.maximum(work, lo, out=work)
+        np.minimum(work, hi, out=work)
+        work -= Z
+        np.abs(work, out=work)
+        live = (work.max(axis=1) > tol) & (t > 1e-18)
         if not live.any():
             break
-        trial = np.clip(Z + t[:, None] * G, lo, hi)
-        tvals = _batch_objective(H, c, trial)
+        np.multiply(t[:, None], G, out=trial)
+        trial += Z
+        np.maximum(trial, lo, out=trial)
+        np.minimum(trial, hi, out=trial)
+        np.matmul(trial, H, out=trial_H)
+        np.multiply(trial_H, trial, out=work)
+        tvals = work.sum(axis=1) + trial @ c  # _batch_objective(H, c, trial)
         accept = live & (tvals >= vals)
-        Z[accept] = trial[accept]
-        vals[accept] = tvals[accept]
+        rows = accept[:, None]
+        np.copyto(Z, trial, where=rows)
+        np.copyto(ZH, trial_H, where=rows)
+        np.copyto(vals, tvals, where=accept)
         reject = live & ~accept
         t[reject] *= _BACKTRACK
         t[accept] *= 1.25  # cheap recovery after over-shrinking
@@ -223,7 +241,8 @@ def _best_vertex(H, c, box):
     the low block's self-term, plus the high block's, plus 2 z_H' H_HL z_L.
     Each self-term is computed once over its block's vertices; the cross
     terms are one product per chunk of high vertices, each chunk holding
-    at most ``_VALUES_BLOCK`` values.  Ties go to the smallest j: the first
+    at most ``_VALUES_BLOCK`` values, written into one buffer that every
+    chunk reuses.  Ties go to the smallest j: the first
     maximum within a chunk, and a later chunk only on a strictly larger
     value.
     """
@@ -233,9 +252,10 @@ def _best_vertex(H, c, box):
     sH = _batch_objective(H[l:, l:], c[l:], XH)
     cross = 2.0 * H[l:, :l] @ XL.T
     rows = _VALUES_BLOCK >> l
+    values = np.empty((min(rows, XH.shape[0]), XL.shape[0]))
     best, best_j = -np.inf, 0
     for start in range(0, XH.shape[0], rows):
-        values = XH[start:start + rows] @ cross
+        np.matmul(XH[start:start + rows], cross, out=values)
         values += sH[start:start + rows, None]
         values += sL
         k = int(np.argmax(values))

@@ -467,6 +467,50 @@ def slow_box_max(H, c, lo, hi):
     return best
 
 
+def plain_ascent(H, c, lo, hi, Z0):
+    """The box-QP ascent as a loop that forms every array afresh.
+
+    Each step forms the gradient 2 Z H + c from the iterate, scores the
+    clipped trial points with their own product, and keeps the accepted
+    rows by fancy indexing: two products with H per step.
+    ``attack_qp._ascend`` keeps the iterate's product instead, and must
+    return bitwise the same points and values.  The step rule's constants
+    are the solver's.
+    """
+    from dropattack.attack_qp import (
+        _BACKTRACK,
+        _MAX_ITERATIONS,
+        _STATIONARITY_TOL,
+    )
+
+    def objective(Z):
+        return ((Z @ H) * Z).sum(axis=1) + Z @ c
+
+    def gradient(Z):
+        return 2.0 * Z @ H + c
+
+    Z = Z0.copy()
+    vals = objective(Z)
+    lipschitz = 2.0 * max(float(np.abs(np.linalg.eigvalsh(H)).max()), 1e-300)
+    t = np.full(Z.shape[0], 1.0 / lipschitz)
+    tol = _STATIONARITY_TOL * (1.0 + float(np.linalg.norm(c)))
+    for _ in range(_MAX_ITERATIONS):
+        G = gradient(Z)
+        res = np.max(np.abs(np.clip(Z + G, lo, hi) - Z), axis=1)
+        live = (res > tol) & (t > 1e-18)
+        if not live.any():
+            break
+        trial = np.clip(Z + t[:, None] * G, lo, hi)
+        tvals = objective(trial)
+        accept = live & (tvals >= vals)
+        Z[accept] = trial[accept]
+        vals[accept] = tvals[accept]
+        reject = live & ~accept
+        t[reject] *= _BACKTRACK
+        t[accept] *= 1.25
+    return Z, vals
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)

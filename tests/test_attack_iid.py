@@ -1,5 +1,6 @@
 """Stationary attack rates: objective shapes and closed-form optimizers."""
 
+import json
 import pathlib
 from dataclasses import replace
 
@@ -353,6 +354,27 @@ def test_gain_from_another_ensemble_is_rejected():
     gain_b = control_gain(ens_b, model_b, channel.mean_diag, protocol)
     ctx = attack_context(ens_b, model_b, channel, detection, protocol, x, gain_b)
     assert build_qp(ctx).c[0] == pytest.approx(-0.1893, abs=5e-5)
+
+
+def test_gain_of_another_horizon_names_its_ensemble():
+    # the demo's N = 5 gain with an N = 3 ensemble of the same plant: its
+    # mean stack is longer than the box's, but the cause is the ensemble
+    path = DEMO_CONFIGS / "two_channel_schedule.json"
+    exp = load_experiment(path)
+    model, channel, detection = exp.model, exp.channel, exp.detection
+    doc = json.loads(path.read_text())
+    doc["system"]["N"] = 3
+    short = parse_experiment(doc).model
+    ens, ens_short = (build_prediction_ensemble(m) for m in (model, short))
+    gain = control_gain(ens, model, channel.mean_diag, exp.protocol)
+    assert gain.mean_stack.size != channel.m * short.horizon
+    with pytest.raises(
+        DimensionError, match="gain was built from another prediction ensemble"
+    ):
+        attack_context(
+            ens_short, short, channel, detection, exp.protocol,
+            model.init_mean, gain,
+        )
 
 
 def test_perfect_channel_report(rng):

@@ -26,6 +26,7 @@ from dropattack import attack_qp
 
 from conftest import (
     blockwise_vertex_max,
+    plain_ascent,
     random_channel,
     random_detection,
     random_model,
@@ -445,6 +446,39 @@ def test_ascent_runs_once_beyond_the_enumeration_budget(rng, monkeypatch):
             sol = solve_box_qp_max(qp, iid=iid)
         assert calls == [(attack_qp._MULTISTARTS, qp.c.size)]
         assert sol.objective >= iid.objective
+
+
+def test_ascent_is_bitwise_the_two_product_loop(rng):
+    # random indefinite QPs (negative diagonal entries included) with some
+    # zero-width bands, the same with H = 0, and built udp and tcp QPs
+    # beyond the vertex cap: points and values must be bitwise the loop's
+    cases = []
+    for d in (21, 40, 160):
+        M = rng.normal(size=(d, d))
+        H = 0.5 * (M + M.T)
+        assert np.any(np.diag(H) < 0.0)
+        lo = rng.uniform(0.0, 0.5, d)
+        hi = lo + rng.uniform(0.0, 0.5, d)
+        hi[::5] = lo[::5]
+        c = rng.normal(size=d)
+        cases += [(H, c, lo, hi), (np.zeros((d, d)), c, lo, hi)]
+    for protocol in Protocol:
+        for m, horizon in ((2, 11), (2, 20), (3, 9)):
+            model = random_model(rng, m=m, horizon=horizon)
+            _, qp = build_for(rng, protocol, model=model)
+            cases.append((qp.H, qp.c, qp.lo, qp.hi))
+    for H, c, lo, hi in cases:
+        # random interior points and random vertices, as the solver starts
+        d = c.size
+        draws = [
+            rng.random(d) if k % 2 else rng.integers(0, 2, d)
+            for k in range(32)
+        ]
+        Z0 = lo + np.array(draws) * (hi - lo)
+        Z, vals = attack_qp._ascend(H, c, lo, hi, Z0)
+        want_Z, want_vals = plain_ascent(H, c, lo, hi, Z0)
+        assert np.array_equal(Z, want_Z) and np.array_equal(vals, want_vals)
+        assert not np.array_equal(Z, Z0)
 
 
 def test_batch_objective_matches_a_per_row_loop(rng):
