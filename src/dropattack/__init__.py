@@ -42,6 +42,7 @@ from .channel import (
     MonitorState,
     fresh_monitor,
     in_safe_region,
+    philox_keys,
     philox_stream,
     update_monitor,
 )
@@ -139,6 +140,7 @@ __all__ = [
     "optimal_alpha_udp",
     "optimal_input_sequence",
     "parse_experiment",
+    "philox_keys",
     "philox_stream",
     "resolve_attack",
     "run_episode",

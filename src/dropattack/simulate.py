@@ -68,7 +68,8 @@ from .channel import (
     STREAM_NOISE,
     ChannelSpec,
     DetectionSpec,
-    philox_stream,
+    _rekey,
+    philox_keys,
 )
 from .controller import ControllerGain, Protocol, _expand_step_means, control_gain
 from .controller import optimal_input_sequence
@@ -378,14 +379,18 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
     uniforms = np.empty((size, T, m))
     normals = np.empty((size, T, n))
     init_chol = np.linalg.cholesky(model.init_cov) if cfg.sample_x0 else None
-    for b, r in enumerate(realizations):
-        uniforms[b] = philox_stream(cfg.seed, r, STREAM_LOSS).random((T, m))
-        normals[b] = philox_stream(cfg.seed, r, STREAM_NOISE).standard_normal(
-            (T, n)
-        )
+    purposes = [STREAM_LOSS, STREAM_NOISE]
+    if cfg.sample_x0:
+        purposes.append(STREAM_INIT)
+    # every key of the block in one pass, and one generator reset per stream
+    keys = philox_keys(cfg.seed, realizations, purposes)
+    gen = np.random.Generator(np.random.Philox(key=0))
+    for b, (loss, noise, *init) in enumerate(keys):
+        uniforms[b] = _rekey(gen, loss).random((T, m))
+        normals[b] = _rekey(gen, noise).standard_normal((T, n))
         x[b] = model.init_mean
-        if cfg.sample_x0:
-            z = philox_stream(cfg.seed, r, STREAM_INIT).standard_normal(n)
+        if init:
+            z = _rekey(gen, init[0]).standard_normal(n)
             x[b] = model.init_mean + init_chol @ z
     noises = _matvec(np.linalg.cholesky(model.noise_cov), normals)
     # every arm replays the same draws
@@ -591,18 +596,20 @@ def _horizon_rollout(ens, model, gain, x, samples, seed):
     om = np.diagonal(model.state_penalty)
     ps = np.diagonal(model.input_penalty)
 
-    noise_rng = philox_stream(seed, 0, STREAM_NOISE)
-    loss_rng = philox_stream(seed, 0, STREAM_LOSS)
+    purposes = [STREAM_NOISE, STREAM_LOSS]
+    noise_key, loss_key = philox_keys(seed, [0], purposes)[0]
+    gen = np.random.Generator(np.random.Philox(key=0))
     n, N, m = ens.n, ens.horizon, ens.m
     chol = np.linalg.cholesky(model.noise_cov)
     # stacked noise: per-step blocks share the same covariance, so the
     # (samples, N, n) draws are transformed as one flat (samples N, n) array
-    xi = noise_rng.standard_normal((samples * N, n)) @ chol.T
+    xi = _rekey(gen, noise_key).standard_normal((samples * N, n)) @ chol.T
     noise_part = xi.reshape(samples, N * n) @ ens.noise_map.T
     # a gain that pays no delivery variance (tcp-like) bridges the state
     # penalty across two independent delivery draws
     draws = 1 if gain.paid_variance.any() else 2
-    uniforms = [loss_rng.random((samples, N * m)) for _ in range(draws)]
+    _rekey(gen, loss_key)
+    uniforms = [gen.random((samples, N * m)) for _ in range(draws)]
     blocks = _sample_blocks(samples, N * max(n, m))
 
     def cost_under(thresholds):

@@ -7,9 +7,12 @@ so agreement is evidence, not tautology.  ``slow_episode``, the closed
 loop one step at a time, is the reference for the lockstep engine: it
 steps the plant, draws the losses and bills the stage cost with its own
 one-line helpers below, and takes from the package only the set-up the
-engine also takes (ensemble, gain, streams, attack resolution, monitor).
+engine also takes (ensemble, gain, attack resolution, monitor).
 ``slow_horizon_costs`` is the horizon rollout evaluated on all samples at
 once, the reference the sample-blocked rollout is gated against bitwise.
+Both build their random streams with numpy's own ``SeedSequence``
+(:func:`seeded_stream`), so they also gate the package's batched key
+derivation.
 """
 
 import itertools
@@ -32,7 +35,6 @@ from dropattack import (
     fresh_monitor,
     in_safe_region,
     optimal_input_sequence,
-    philox_stream,
     resolve_attack,
     solve_box_qp_max,
     update_monitor,
@@ -290,6 +292,15 @@ def tcp_objective(ctx, alpha):
     return -alpha * float(u @ ((scaled + ctx.input_penalty) @ u))
 
 
+def seeded_stream(seed, realization, purpose):
+    """The generator of a (seed, realization, purpose) stream, built from
+    its ``SeedSequence`` as numpy documents it."""
+    entropy = [int(seed), int(realization), int(purpose)]
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=entropy))
+    )
+
+
 def slow_episode(cfg, realization=0):
     """One closed-loop episode stepped one realization and one step at a
     time, with the helpers above: the reference the lockstep engine behind
@@ -303,9 +314,9 @@ def slow_episode(cfg, realization=0):
     n, m = model.n, model.m
     ens = build_prediction_ensemble(model)
     gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
-    noise_rng = philox_stream(cfg.seed, realization, STREAM_NOISE)
-    loss_rng = philox_stream(cfg.seed, realization, STREAM_LOSS)
-    init_rng = philox_stream(cfg.seed, realization, STREAM_INIT)
+    noise_rng = seeded_stream(cfg.seed, realization, STREAM_NOISE)
+    loss_rng = seeded_stream(cfg.seed, realization, STREAM_LOSS)
+    init_rng = seeded_stream(cfg.seed, realization, STREAM_INIT)
 
     noise_chol = np.linalg.cholesky(model.noise_cov)
     x = model.init_mean.copy()
@@ -383,8 +394,8 @@ def slow_horizon_costs(ens, model, gain, x, thresholds, samples, seed):
     base = ens.state_map @ x
     om = np.diagonal(model.state_penalty)
     ps = np.diagonal(model.input_penalty)
-    noise_rng = philox_stream(seed, 0, STREAM_NOISE)
-    loss_rng = philox_stream(seed, 0, STREAM_LOSS)
+    noise_rng = seeded_stream(seed, 0, STREAM_NOISE)
+    loss_rng = seeded_stream(seed, 0, STREAM_LOSS)
     n, N = ens.n, ens.horizon
     chol = np.linalg.cholesky(model.noise_cov)
     xi = noise_rng.standard_normal((samples, N, n)) @ chol.T

@@ -7,13 +7,18 @@ from dropattack import (
     ChannelSpec,
     DetectionSpec,
     DimensionError,
+    STREAM_INIT,
     STREAM_LOSS,
     STREAM_NOISE,
     fresh_monitor,
     in_safe_region,
+    philox_keys,
     philox_stream,
     update_monitor,
 )
+from dropattack.channel import _rekey
+
+from conftest import seeded_stream
 
 
 def test_streams_are_deterministic_and_independent():
@@ -24,6 +29,64 @@ def test_streams_are_deterministic_and_independent():
     d = philox_stream(7, 1, STREAM_NOISE).random(6)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+# one, two, three and seven 32-bit words; the last runs past the hash
+# constants computed at import
+KEY_SEEDS = [0, 1, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 70 + 3,
+             np.int64(3), 2 ** 200 + 5]
+# both sides of the 64-realization blocks of the lockstep engine
+KEY_REALIZATIONS = [0, 1, 63, 64, 65, 127, 128]
+PURPOSES = [STREAM_NOISE, STREAM_LOSS, STREAM_INIT]
+F32 = np.float32
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", KEY_SEEDS, ids=str)
+def test_keys_are_seed_sequences(seed):
+    # uint32 wraparound in the hash must raise no warning either
+    keys = philox_keys(seed, KEY_REALIZATIONS, PURPOSES)
+    assert keys.shape == (len(KEY_REALIZATIONS), len(PURPOSES), 2)
+    assert keys.dtype == np.uint64
+    gen = np.random.Generator(np.random.Philox(key=0))
+    for i, r in enumerate(KEY_REALIZATIONS):
+        for j, purpose in enumerate(PURPOSES):
+            entropy = [int(seed), r, purpose]
+            want = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+            np.testing.assert_array_equal(keys[i, j], want)
+            # the generator is reset from the last stream's mid-buffer
+            # state with a spare 32-bit half (three float32 uniforms draw
+            # three halves), and draws what one built on the SeedSequence
+            # draws; so does the one-key path
+            ref = seeded_stream(seed, r, purpose)
+            want = [ref.random(5), ref.standard_normal(7), ref.random(3, F32)]
+            one = philox_stream(seed, r, purpose)
+            for got in (_rekey(gen, keys[i, j]), one):
+                np.testing.assert_array_equal(got.random(5), want[0])
+                np.testing.assert_array_equal(got.standard_normal(7), want[1])
+                np.testing.assert_array_equal(got.random(3, F32), want[2])
+
+
+def test_key_words_are_bounded():
+    # a realization or purpose of 2^32 or more would take two entropy
+    # words, so its key is refused, not wrapped onto r mod 2^32
+    with pytest.raises(DimensionError, match=r"2\^32"):
+        philox_keys(7, [0, 2 ** 32], PURPOSES)
+    with pytest.raises(DimensionError, match=r"2\^32"):
+        philox_keys(7, [2 ** 40], PURPOSES)
+    with pytest.raises(DimensionError, match=r"2\^32"):
+        philox_stream(7, 2 ** 32, STREAM_NOISE)
+    with pytest.raises(DimensionError, match=r"2\^32"):
+        philox_keys(7, [0], [2 ** 32])
+    with pytest.raises(DimensionError):
+        philox_keys(7, [-1], PURPOSES)
+    with pytest.raises(DimensionError):
+        philox_keys(-1, [0], PURPOSES)
+    # the largest one-word realization is still a key
+    last = np.random.SeedSequence([7, 2 ** 32 - 1, 0]).generate_state(
+        2, np.uint64
+    )
+    np.testing.assert_array_equal(philox_keys(7, [2 ** 32 - 1], [0])[0, 0], last)
 
 
 def test_channel_spec_validation():

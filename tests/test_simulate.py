@@ -195,6 +195,7 @@ def test_attacks_share_noise_via_stream_split():
 
 
 BLOCK = simulate._BLOCK
+BIG_SEED = 2 ** 64 + 1
 
 # (kind, protocol, onset, flags, detector_min_steps, realizations): every
 # attack kind on both protocols at onset 0 and later, each flag and both
@@ -218,6 +219,9 @@ LOCKSTEP_CASES = [
     ("nonstat", "udp", 7, {"alpha": 0.6}, 1, BLOCK + 2),
     ("nonstat", "tcp", 7, {"means": [0.6, 0.6]}, 10, 3),
     ("iid", "tcp", 6, {"schedule": [[0.6, 0.6]]}, 1, 3),
+    # a seed of three 32-bit words: five entropy words per stream key
+    ("nonstat", "udp", 7, {"sample_x0": True, "seed": BIG_SEED}, 1, BLOCK + 2),
+    ("nonstat", "tcp", 5, {"resynthesize": True, "seed": BIG_SEED}, 10, 3),
 ]
 
 
@@ -251,7 +255,7 @@ def test_lockstep_matches_slow_episode(
         channel=shared_channel(2, 0.75),
         detection=shared_detection(2, 0.25),
         detector_min_steps=min_steps,
-        seed=11,
+        seed=flags.pop("seed", 11),
         **flags,
     )
     slow = [slow_episode(cfg, r) for r in range(realizations)]
@@ -376,17 +380,19 @@ def test_arms_match_single_arm_runs(
         **flags,
     )
     realizations = BLOCK + 2
-    calls = []
+    derived = []
 
-    def counted(*key):
-        calls.append(key)
-        return stream(*key)
+    def counted(seed, block, purposes):
+        derived.extend((r, p) for r in block for p in purposes)
+        return keys(seed, block, purposes)
 
-    stream = simulate.philox_stream
-    monkeypatch.setattr(simulate, "philox_stream", counted)
+    keys = simulate.philox_keys
+    monkeypatch.setattr(simulate, "philox_keys", counted)
     arms = simulate.monte_carlo_arms(cfg, plans, realizations)
-    # each stream is drawn once per realization, whatever the arm count
-    assert len(calls) == (3 if cfg.sample_x0 else 2) * realizations
+    # each stream's key is derived once per realization, whatever the arm
+    # count
+    assert len(derived) == (3 if cfg.sample_x0 else 2) * realizations
+    assert len(set(derived)) == len(derived)
 
     for plan, got in zip(plans, arms):
         want = monte_carlo(replace(cfg, plan=plan), realizations)
