@@ -77,6 +77,7 @@ class ControllerGain:
     coupling: np.ndarray
     load: np.ndarray
     protocol: Protocol
+    rcond: float  # LAPACK's 1-norm reciprocal condition estimate of kernel
     _solve: object  # callable rhs -> kernel^{-1} rhs
     ens: PredictionEnsemble = field(repr=False)  # the one it was built from
 
@@ -89,23 +90,32 @@ class ControllerGain:
 
 
 def _make_solver(kernel: np.ndarray):
-    # Cholesky when the kernel is symmetric (homogeneous channel means make
-    # it so); heterogeneous means scale its columns and break symmetry, in
-    # which case plain LU is the honest choice.  Each solve is the one
-    # LAPACK call that cho_solve and lu_solve end in, looked up once here:
-    # their per-call argument handling costs more than a small solve.
+    """The kernel's solve, and LAPACK's estimate of its 1-norm rcond.
+
+    Cholesky when the kernel is symmetric (homogeneous channel means make
+    it so), else LU, since heterogeneous means scale its columns.  Each
+    solve is the one LAPACK call that cho_solve and lu_solve end in, looked
+    up once: their argument handling costs more than a small solve.
+    ``pocon`` or ``gecon`` estimates rcond from the same factorization in
+    O(d^2) (Hager 1984; Higham 1988).  A backward-stable solve errs by up
+    to about d eps / rcond relative, so below rcond = d eps that bound
+    passes 1 and the input sequence may hold no correct digit: such a
+    kernel, or one whose factorization fails, raises ``NumericalError``.
+    """
     sym = np.allclose(kernel, kernel.T, rtol=0.0,
                       atol=1e-12 * max(1.0, float(np.abs(kernel).max())))
-    try:
-        if sym:
-            factor, lower = scipy.linalg.cho_factor(kernel, check_finite=False)
-            potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor,))
-            return lambda rhs: _solved(*potrs(factor, rhs, lower=lower))
-        lu, piv = scipy.linalg.lu_factor(kernel, check_finite=False)
-        getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
-        return lambda rhs: _solved(*getrs(lu, piv, rhs))
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError) as e:
-        raise NumericalError(f"gain kernel factorization failed: {e}") from e
+    names = ("potrf", "potrs", "pocon") if sym else ("getrf", "getrs", "gecon")
+    factorize, solve, estimate = scipy.linalg.get_lapack_funcs(names, (kernel,))
+    factor, *piv, info = factorize(kernel)
+    anorm = float(np.abs(kernel).sum(axis=0).max())
+    rcond = float(estimate(factor, anorm)[0]) if info == 0 else 0.0
+    threshold = kernel.shape[0] * np.finfo(float).eps
+    if not rcond >= threshold:
+        raise NumericalError(
+            f"gain kernel is numerically singular: reciprocal condition "
+            f"estimate {rcond:.3g} is below d eps = {threshold:.3g}"
+        )
+    return lambda rhs: _solved(*solve(factor, *piv, rhs)), rcond
 
 
 def _solved(x, info):
@@ -172,6 +182,7 @@ def control_gain(
     load = variance + model.input_penalty + 2.0 * coupling * nu[None, :]
     for array in (kernel, nu, paid, coupling, load):
         array.setflags(write=False)
+    solve, rcond = _make_solver(kernel)
     return ControllerGain(
         kernel=kernel,
         mean_stack=nu,
@@ -179,7 +190,8 @@ def control_gain(
         coupling=coupling,
         load=load,
         protocol=protocol,
-        _solve=_make_solver(kernel),
+        rcond=rcond,
+        _solve=solve,
         ens=ens,
     )
 

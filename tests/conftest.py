@@ -478,21 +478,23 @@ def slow_box_max(H, c, lo, hi):
     return best
 
 
-def plain_ascent(H, c, lo, hi, Z0):
-    """The box-QP ascent as a loop that forms every array afresh.
+# the projected-gradient ascent's step rule, kept as a reference solver
+ASCENT_STARTS = 32
+ASCENT_ITERATIONS = 500
+ASCENT_BACKTRACK = 0.5
+ASCENT_TOL = 1e-8
 
-    Each step forms the gradient 2 Z H + c from the iterate, scores the
-    clipped trial points with their own product, and keeps the accepted
-    rows by fancy indexing: two products with H per step.
-    ``attack_qp._ascend`` keeps the iterate's product instead, and must
-    return bitwise the same points and values.  The step rule's constants
-    are the solver's.
+
+def plain_ascent(H, c, lo, hi, Z0):
+    """Monotone projected gradient ascent, batched over the rows of Z0.
+
+    The spectral norm of H fixes the initial step.  Each step forms the
+    gradient 2 Z H + c from the iterate, scores the clipped trial points
+    with their own product, keeps the accepted rows and halves the step
+    of the rejected ones; a row stops once its unit-step projected
+    residual is below ``ASCENT_TOL`` (1 + |c|).  Returns the final points
+    and their values.
     """
-    from dropattack.attack_qp import (
-        _BACKTRACK,
-        _MAX_ITERATIONS,
-        _STATIONARITY_TOL,
-    )
 
     def objective(Z):
         return ((Z @ H) * Z).sum(axis=1) + Z @ c
@@ -504,8 +506,8 @@ def plain_ascent(H, c, lo, hi, Z0):
     vals = objective(Z)
     lipschitz = 2.0 * max(float(np.abs(np.linalg.eigvalsh(H)).max()), 1e-300)
     t = np.full(Z.shape[0], 1.0 / lipschitz)
-    tol = _STATIONARITY_TOL * (1.0 + float(np.linalg.norm(c)))
-    for _ in range(_MAX_ITERATIONS):
+    tol = ASCENT_TOL * (1.0 + float(np.linalg.norm(c)))
+    for _ in range(ASCENT_ITERATIONS):
         G = gradient(Z)
         res = np.max(np.abs(np.clip(Z + G, lo, hi) - Z), axis=1)
         live = (res > tol) & (t > 1e-18)
@@ -517,9 +519,91 @@ def plain_ascent(H, c, lo, hi, Z0):
         Z[accept] = trial[accept]
         vals[accept] = tvals[accept]
         reject = live & ~accept
-        t[reject] *= _BACKTRACK
+        t[reject] *= ASCENT_BACKTRACK
         t[accept] *= 1.25
     return Z, vals
+
+
+def multistart_ascent_max(H, c, lo, hi, start):
+    """Best value of :func:`plain_ascent` from ``ASCENT_STARTS`` starts.
+
+    The starts are ``start``, the box's centre, then seeded draws that
+    alternate between uniform interior points and random vertices.
+    """
+    d = c.size
+    draws = np.random.default_rng(0)
+    starts = [start, 0.5 * (lo + hi)]
+    while len(starts) < ASCENT_STARTS:
+        if len(starts) % 2:
+            starts.append(lo + draws.random(d) * (hi - lo))
+        else:
+            starts.append(lo + draws.integers(0, 2, d) * (hi - lo))
+    return float(plain_ascent(H, c, lo, hi, np.array(starts))[1].max())
+
+
+def best_single_move(H, c, lo, hi, z):
+    """Largest gain of z'Hz + c'z from moving one coordinate of ``z``.
+
+    One coordinate at a time, a per-coordinate loop: the gain of the move
+    by s is s (g_i + H_ii s) with g_i = 2 H_i z + c_i, tried at both bounds
+    and, where H_ii < 0, at the clipped stationary point.
+    """
+    best = 0.0
+    for i in range(c.size):
+        g = 2.0 * float(H[i] @ z) + c[i]
+        targets = [lo[i], hi[i]]
+        if H[i, i] < 0.0:
+            targets.append(min(max(z[i] - g / (2.0 * H[i, i]), lo[i]), hi[i]))
+        for target in targets:
+            s = target - z[i]
+            best = max(best, s * (g + H[i, i] * s))
+    return best
+
+
+def milp_vertex_max(H, c, lo, hi):
+    """Best vertex value of z'Hz + c'z over the box, by a HiGHS MILP.
+
+    With z = lo + w b (w = hi - lo, b binary) the objective is a constant,
+    a linear term in b (b_i^2 = b_i) and a term 2 H_ij w_i w_j y_ij per
+    pair i < j, where y_ij = b_i b_j is linearized by y <= b_i, y <= b_j
+    and y >= b_i + b_j - 1 (Fortet 1960).  HiGHS stops within an absolute
+    gap of 1e-6, so the objective is scaled to about 1e8 first; the
+    optimal b is then scored in floats.  Valid as the box maximum when
+    diag(H) >= 0, where some maximizer is a vertex.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    d = c.size
+    w = hi - lo
+    linear = w * (2.0 * H @ lo + c) + np.diag(H) * w * w
+    i, j = np.triu_indices(d, 1)
+    pair = 2.0 * H[i, j] * w[i] * w[j]
+    keep = pair != 0.0
+    i, j, pair = i[keep], j[keep], pair[keep]
+    p = np.arange(pair.size)
+    y = d + p
+    # rows: y - b_i <= 0, y - b_j <= 0, b_i + b_j - y <= 1
+    rows = np.concatenate([p, p, p + pair.size, p + pair.size,
+                           p + 2 * pair.size, p + 2 * pair.size,
+                           p + 2 * pair.size])
+    cols = np.concatenate([y, i, y, j, i, j, y])
+    vals = np.concatenate([np.ones(pair.size), -np.ones(pair.size)] * 2
+                          + [np.ones(pair.size)] * 2 + [-np.ones(pair.size)])
+    A = coo_array((vals, (rows, cols)), shape=(3 * pair.size, d + pair.size))
+    upper = np.concatenate([np.zeros(2 * pair.size), np.ones(pair.size)])
+    cost = -np.concatenate([linear, pair])
+    scale = 1e8 / max(1.0, float(np.abs(cost).sum()))
+    result = milp(
+        scale * cost,
+        integrality=np.concatenate([np.ones(d), np.zeros(pair.size)]),
+        bounds=Bounds(0.0, 1.0),
+        constraints=LinearConstraint(A.tocsr(), -np.inf, upper),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert result.success, result.message
+    z = lo + w * np.round(result.x[:d])
+    return float(z @ (H @ z) + c @ z)
 
 
 @pytest.fixture

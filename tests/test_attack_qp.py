@@ -1,6 +1,8 @@
 """Schedule-attack QP: construction, restriction identity, and the solver."""
 
+import dataclasses
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from dropattack import (
     build_qp,
     control_gain,
     optimal_alpha,
+    parse_experiment,
     schedule_objective,
     solve_box_qp_max,
     solve_iid_constrained,
@@ -25,8 +28,10 @@ from dropattack import (
 from dropattack import attack_qp
 
 from conftest import (
+    best_single_move,
     blockwise_vertex_max,
-    plain_ascent,
+    milp_vertex_max,
+    multistart_ascent_max,
     random_channel,
     random_detection,
     random_model,
@@ -38,7 +43,7 @@ from conftest import (
     udp_objective,
 )
 
-from test_attack_iid import make_ctx
+from test_attack_iid import DEMO_CONFIGS, make_ctx
 
 
 def build_for(rng, protocol, **kw):
@@ -174,14 +179,15 @@ def test_vertex_enumeration_matches_brute_force(rng):
 
 
 def count_ascents(monkeypatch):
+    """Record the start shape of every coordinate ascent."""
     calls = []
-    ascend = attack_qp._ascend
+    ascend = attack_qp._coordinate_ascent
 
     def counted(*args):
         calls.append(args[4].shape)
         return ascend(*args)
 
-    monkeypatch.setattr(attack_qp, "_ascend", counted)
+    monkeypatch.setattr(attack_qp, "_coordinate_ascent", counted)
     return calls
 
 
@@ -412,24 +418,48 @@ def test_schedule_scores_its_residual_when_read(rng, monkeypatch):
     assert calls == [qp.H.shape]
 
 
-def test_iid_winner_is_relabelled_on_its_own_means(rng):
-    # an iid candidate above the schedule's value wins as "iid", on a copy
-    # of its means, and scores its residual at that point
-    model = random_model(rng, m=2, horizon=3)
-    _, qp = build_for(rng, Protocol.TCP_LIKE, model=model)
-    iid = solve_iid_constrained(qp)
-    better = AttackSchedule(iid.means, iid.objective + 1.0, iid.winner, qp)
-    sol = solve_box_qp_max(qp, iid=better)
-    assert (sol.winner, sol.objective) == ("iid", better.objective)
-    np.testing.assert_array_equal(sol.means, iid.means)
-    assert not np.shares_memory(sol.means, iid.means)
-    assert sol.qp is qp and sol.stationarity == iid.stationarity
+def test_unmoved_iid_start_is_returned_as_iid(rng, monkeypatch):
+    # beyond the enumeration budget, an iid optimum that no single move
+    # improves comes back as "iid", on a copy of its means, with its
+    # residual scored only when read: a linear objective whose iid optimum
+    # is the upper vertex, and built QPs whose ascent does not move
+    d = 21
+    cases = [hand_qp(np.zeros((d, d)), np.ones(d), 0.0, 1.0)]
+    for protocol in Protocol:
+        for _ in range(4):
+            model = random_model(rng, m=2, horizon=20)
+            cases.append(build_for(rng, protocol, model=model)[1])
+    residuals = attack_qp._residuals
+    unmoved = 0
+    for qp in cases:
+        iid = solve_iid_constrained(qp)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return residuals(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(attack_qp, "_residuals", counted)
+            sol = solve_box_qp_max(qp, iid=iid)
+            assert calls == []
+            if sol.winner != "iid":
+                assert sol.winner == "coordinate"
+                assert sol.objective > iid.objective
+                continue
+            unmoved += 1
+            assert sol.objective == iid.objective
+            np.testing.assert_array_equal(sol.means, iid.means)
+            assert not np.shares_memory(sol.means, iid.means)
+            assert sol.qp is qp and sol.stationarity == iid.stationarity
+            assert calls == [qp.H.shape, qp.H.shape]
+    assert unmoved >= 2
 
 
 def test_ascent_runs_once_beyond_the_enumeration_budget(rng, monkeypatch):
     # a built QP beyond the vertex cap, and a hand-built one whose every
     # diagonal entry is negative, so 3^11 - 2^11 face points exceed the
-    # budget
+    # budget; their m-channel restrictions are exact
     model = random_model(rng, m=2, horizon=11)
     _, built = build_for(rng, Protocol.TCP_LIKE, model=model)
     assert built.c.size > attack_qp._VERTEX_CAP
@@ -444,15 +474,29 @@ def test_ascent_runs_once_beyond_the_enumeration_budget(rng, monkeypatch):
             calls = count_ascents(patch)
             iid = solve_iid_constrained(qp)
             sol = solve_box_qp_max(qp, iid=iid)
-        assert calls == [(attack_qp._MULTISTARTS, qp.c.size)]
+        assert calls == [(qp.c.size,)]
         assert sol.objective >= iid.objective
+        assert sol.winner in ("coordinate", "iid")
 
 
-def test_ascent_is_bitwise_the_two_product_loop(rng):
-    # random indefinite QPs (negative diagonal entries included) with some
-    # zero-width bands, the same with H = 0, and built udp and tcp QPs
-    # beyond the vertex cap: points and values must be bitwise the loop's
-    cases = []
+def stable_model(rng, m, horizon):
+    """A random plant rescaled to spectral radius 0.95, so that its gain
+    kernel stays well conditioned over long horizons."""
+    model = random_model(rng, m=m, horizon=horizon)
+    radius = np.abs(np.linalg.eigvals(model.A)).max()
+    return dataclasses.replace(model, A=model.A * (0.95 / radius))
+
+
+def ascent_cases(rng):
+    """Built udp and tcp QPs at d = 22, 40 and 160, and hand-built QPs at
+    d = 21, 40 and 160 with negative diagonal entries, once with one band
+    over all steps and once as one step of channels with their own bands,
+    some of zero width; each hand-built QP also with H = 0."""
+    built, hand = [], []
+    for protocol in Protocol:
+        for m, horizon in ((2, 11), (1, 22), (2, 20), (2, 80)):
+            model = stable_model(rng, m, horizon)
+            built.append(build_for(rng, protocol, model=model)[1])
     for d in (21, 40, 160):
         M = rng.normal(size=(d, d))
         H = 0.5 * (M + M.T)
@@ -461,24 +505,91 @@ def test_ascent_is_bitwise_the_two_product_loop(rng):
         hi = lo + rng.uniform(0.0, 0.5, d)
         hi[::5] = lo[::5]
         c = rng.normal(size=d)
-        cases += [(H, c, lo, hi), (np.zeros((d, d)), c, lo, hi)]
+        for H in (H, np.zeros((d, d))):
+            hand += [hand_qp(H, c, 0.2, 0.7), hand_qp(H, c, lo, hi, m=d)]
+    return built, hand
+
+
+def test_ascent_ends_optimal_along_every_coordinate(rng):
+    # from the iid optimum, or on a one-step box, whose iid restriction is
+    # the QP itself, from the clipped nominal rates: within the move cap,
+    # never below its start, and no single coordinate move gains more than
+    # the tie rule
+    built, hand = ascent_cases(rng)
+    moved = 0
+    for qp in built + hand:
+        iid = solve_iid_constrained(qp)
+        one_step = qp.horizon == 1
+        start = qp.box.start if one_step else iid.means.reshape(-1)
+        d = start.size
+        z, moves = attack_qp._coordinate_ascent(qp.H, qp.c, qp.lo, qp.hi, start)
+        moved += moves > 0
+        assert moves < attack_qp._MOVES_PER_COORDINATE * d
+        assert np.all((qp.lo <= z) & (z <= qp.hi))
+        value = qp.objective(z)
+        assert value >= qp.objective(start)
+        gain = best_single_move(qp.H, qp.c, qp.lo, qp.hi, z)
+        assert gain <= 1e-12 * (1.0 + abs(value)), (d, gain, value)
+        if one_step:
+            np.testing.assert_array_equal(iid.means.reshape(-1), z)
+            assert iid.winner == ("iid-coordinate" if moves else "iid-nominal")
+        else:
+            sol = solve_box_qp_max(qp, iid=iid)
+            np.testing.assert_array_equal(sol.means.reshape(-1), z)
+            assert sol.winner == ("coordinate" if moves else "iid")
+    assert moved >= 10
+    # without H, every free coordinate goes to the bound that c favours,
+    # one move each
+    for qp in (qp for qp in hand if not qp.H.any()):
+        z, moves = attack_qp._coordinate_ascent(
+            qp.H, qp.c, qp.lo, qp.hi, qp.box.start
+        )
+        np.testing.assert_array_equal(z, np.where(qp.c > 0.0, qp.hi, qp.lo))
+        assert moves == np.count_nonzero(qp.lo < qp.hi)
+
+
+def test_ascent_is_at_least_the_multistart_ascent(rng):
+    # on built QPs beyond the vertex cap, one ascent from the iid optimum
+    # never ends below the best of the 32-start projected-gradient ascent
+    built, _ = ascent_cases(rng)
+    for qp in built:
+        sol = solve_box_qp_max(qp)
+        best = multistart_ascent_max(qp.H, qp.c, qp.lo, qp.hi, qp.box.start)
+        assert sol.objective >= best - 1e-12 * (1.0 + abs(best))
+
+
+def demo_qp(horizon, protocol):
+    """The two-channel demo's QP at its initial state, over ``horizon``."""
+    with open(DEMO_CONFIGS / "two_channel_schedule.json") as handle:
+        doc = json.load(handle)
+    doc["system"]["N"], doc["protocol"] = horizon, protocol
+    exp = parse_experiment(doc)
+    ens = build_prediction_ensemble(exp.model)
+    return attack_context(
+        ens, exp.model, exp.channel, exp.detection, exp.protocol,
+        exp.model.init_mean,
+    ).qp
+
+
+def test_built_schedules_match_a_milp_optimum(rng):
+    # beyond the vertex cap, on built QPs at d = 22 and 40 and on the
+    # two-channel demo at N = 11 and 20 as tcp, the schedule's value is
+    # the exact optimum of the 0/1 linearization, solved by HiGHS
+    cases = []
     for protocol in Protocol:
-        for m, horizon in ((2, 11), (2, 20), (3, 9)):
-            model = random_model(rng, m=m, horizon=horizon)
-            _, qp = build_for(rng, protocol, model=model)
-            cases.append((qp.H, qp.c, qp.lo, qp.hi))
-    for H, c, lo, hi in cases:
-        # random interior points and random vertices, as the solver starts
-        d = c.size
-        draws = [
-            rng.random(d) if k % 2 else rng.integers(0, 2, d)
-            for k in range(32)
-        ]
-        Z0 = lo + np.array(draws) * (hi - lo)
-        Z, vals = attack_qp._ascend(H, c, lo, hi, Z0)
-        want_Z, want_vals = plain_ascent(H, c, lo, hi, Z0)
-        assert np.array_equal(Z, want_Z) and np.array_equal(vals, want_vals)
-        assert not np.array_equal(Z, Z0)
+        for m, horizon in ((2, 11), (1, 22), (2, 20)):
+            model = stable_model(rng, m, horizon)
+            cases.append(build_for(rng, protocol, model=model)[1])
+    cases += [demo_qp(11, "tcp"), demo_qp(20, "tcp")]
+    for qp in cases:
+        assert qp.c.size > attack_qp._VERTEX_CAP
+        best = milp_vertex_max(qp.H, qp.c, qp.lo, qp.hi)
+        sol = solve_box_qp_max(qp)
+        assert abs(sol.objective - best) <= 1e-12 * (1.0 + abs(best))
+    # at N = 20 the schedule beats the iid optimum by 0.0216
+    iid = solve_iid_constrained(qp)
+    assert sol.winner == "coordinate"
+    assert sol.objective - iid.objective == pytest.approx(0.0216, abs=1e-4)
 
 
 def test_batch_objective_matches_a_per_row_loop(rng):

@@ -1,8 +1,10 @@
 """Command-line entry points, file formats, and exit codes."""
 
 import csv
+import importlib.util
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -534,6 +536,42 @@ def test_error_exit_code_mapping(tmp_path, config_path, monkeypatch):
 
     monkeypatch.setattr(cli, "load_experiment", boom_region)
     assert main(["analyze", "--config", config_path, "--out", str(tmp_path)]) == 4
+
+
+def bench_workloads():
+    """``bench/workloads.py``, the benchmark's config generator."""
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("horizon, code", [(160, 0), (320, 3)])
+def test_numerically_singular_gain_exits_3(tmp_path, capsys, horizon, code):
+    # synth-sweep's d160-tcp-0 at seed 101 (spectral radius about 1.034)
+    # over N = 320 steps has a kernel rcond of 4.7e-19, below d eps =
+    # 1.4e-13; at N = 160 it is 1.6e-10, and the run goes through
+    workloads = bench_workloads()
+    ops = workloads.build(
+        "synth-sweep", 101, str(tmp_path / "work"), str(ROOT), workloads.FULL
+    )
+    (op,) = [op for op in ops if op["name"] == "d160-tcp-0"]
+    with open(op["config"]) as handle:
+        doc = json.load(handle)
+    doc["system"]["N"] = horizon
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["synthesize", "--config", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        found = re.search(r"condition estimate (\S+) is below d eps = (\S+)", err)
+        assert float(found[1]) < 1e-15
+        assert float(found[2]) == pytest.approx(640 * np.finfo(float).eps, rel=1e-2)
+        assert not out.exists()
+    else:
+        assert (out / "synthesis.json").exists()
 
 
 def test_compare_rejects_unknown_attack_kind(tmp_path, config_path):

@@ -6,6 +6,7 @@ import pytest
 from dropattack import (
     ChannelSpec,
     DimensionError,
+    NumericalError,
     Protocol,
     attack_context,
     build_prediction_ensemble,
@@ -13,6 +14,7 @@ from dropattack import (
     expected_attacked_cost,
     optimal_input_sequence,
 )
+from dropattack.controller import _make_solver
 
 from conftest import (
     make_model,
@@ -87,6 +89,52 @@ def test_heterogeneous_means_take_lu_path(rng):
     assert not np.allclose(gain.kernel, gain.kernel.T)
     rhs = rng.normal(size=ens.horizon * ens.m)
     np.testing.assert_allclose(gain.kernel @ gain.solve(rhs), rhs, atol=1e-8)
+
+
+def conditioned(rng, d, smallest, symmetric):
+    """A d x d matrix with singular values from 1 down to ``smallest``."""
+    U = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    V = U if symmetric else np.linalg.qr(rng.normal(size=(d, d)))[0]
+    values = np.geomspace(1.0, smallest or 1e-3, d)
+    values[-1] = smallest
+    return U @ np.diag(values) @ V.T
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["cholesky", "lu"])
+def test_nearly_singular_kernels_are_refused(rng, symmetric):
+    # below rcond = d eps the solve may hold no correct digit; above it the
+    # estimate is the kernel's 1-norm rcond within LAPACK's factor of it
+    d = 6
+    eps_d = d * np.finfo(float).eps
+    for smallest in (1e-6, 1e-12):
+        K = conditioned(rng, d, smallest, symmetric)
+        K = 0.5 * (K + K.T) if symmetric else K
+        solve, rcond = _make_solver(K)
+        exact = 1.0 / (np.linalg.norm(K, 1) * np.linalg.norm(np.linalg.inv(K), 1))
+        # inv(K) itself errs by about cond(K) eps relative
+        assert 0.99 * exact <= rcond <= 10.0 * exact
+        assert rcond >= eps_d
+        rhs = rng.normal(size=d)
+        np.testing.assert_allclose(K @ solve(rhs), rhs, atol=1e-3)
+    for smallest in (1e-17, 0.0):
+        K = conditioned(rng, d, smallest, symmetric)
+        K = 0.5 * (K + K.T) if symmetric else K
+        with pytest.raises(NumericalError, match="reciprocal condition estimate"):
+            _make_solver(K)
+
+
+def test_indefinite_symmetric_kernel_is_refused():
+    with pytest.raises(NumericalError, match="estimate 0 "):
+        _make_solver(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_gain_keeps_its_kernels_rcond(rng):
+    model = random_model(rng, m=2)
+    ens = build_prediction_ensemble(model)
+    for mu in (np.array([0.6, 0.6]), np.array([0.2, 0.8])):
+        gain = control_gain(ens, model, mu, Protocol.UDP_LIKE)
+        assert gain.rcond == _make_solver(gain.kernel)[1]
+        assert len(ens.input_gram) * np.finfo(float).eps <= gain.rcond <= 1.0
 
 
 def test_nominal_cost_matches_bernoulli_moment_oracle(rng):
