@@ -13,9 +13,12 @@ All subcommands read one JSON experiment file (--config) and write their
 outputs into --out (default: current directory), which the first report
 creates, so a rejected run leaves no directory behind.  Outputs are
 deterministic for a fixed config: floats are serialized with %.17g and no
-timestamps are emitted.  Exit codes: 0 success, 2 configuration problem,
-3 numerical failure, 4 infeasible attack region.  Log verbosity comes
-from the DROPATTACK_LOG environment variable (DEBUG, INFO, WARNING, ...).
+timestamps are emitted, and a non-finite number in any report is a
+numerical failure.  Exit codes: 0 success, 2 configuration problem, 3
+numerical failure, 4 a library InfeasibleRegionError; no subcommand
+raises it, since synthesize and analyze report a missing common rate band
+as null.  Log verbosity comes from the DROPATTACK_LOG environment variable
+(DEBUG, INFO, WARNING, ...).
 """
 
 import argparse
@@ -55,10 +58,7 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not np.isfinite(value):
-            raise NumericalError(f"non-finite value {value} in a report")
-        return format(value, ".17g")
+        return _fmt(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
@@ -93,37 +93,42 @@ def _write_json(path: str, obj) -> None:
 
 
 def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+    """A report number: %.17g, and a non-finite value fails the run."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise NumericalError(f"non-finite value {value} in a report")
+    return format(value, ".17g")
+
+
+def _write_csv(path: str, header: list, rows: list) -> None:
+    with _report_file(path, newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    log.info("wrote %s", path)
 
 
 def _write_trace_csv(path: str, mean_states, mean_cumulative) -> None:
     n = mean_states.shape[1]
-    with _report_file(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step"] + [f"x{i + 1}" for i in range(n)] + ["cost"])
-        for k in range(mean_states.shape[0]):
-            cost = 0.0 if k == 0 else mean_cumulative[k - 1]
-            writer.writerow(
-                [k] + [_fmt(v) for v in mean_states[k]] + [_fmt(cost)]
-            )
-    log.info("wrote %s", path)
+    rows = [
+        [k] + [_fmt(v) for v in mean_states[k]]
+        + [_fmt(0.0 if k == 0 else mean_cumulative[k - 1])]
+        for k in range(mean_states.shape[0])
+    ]
+    _write_csv(path, ["step"] + [f"x{i + 1}" for i in range(n)] + ["cost"], rows)
 
 
 def _write_realizations_csv(path: str, reports: dict) -> None:
     """One row per realization, one terminal-cost column per attack kind."""
     kinds = list(reports)
-    counts = {report.realizations for report in reports.values()}
-    rows = max(counts)
-    with _report_file(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["realization"] + [f"terminal_cost_{kind}" for kind in kinds]
-        )
-        for r in range(rows):
-            writer.writerow(
-                [r] + [_fmt(reports[k].terminal_costs[r]) for k in kinds]
-            )
-    log.info("wrote %s", path)
+    count = max(report.realizations for report in reports.values())
+    rows = [
+        [r] + [_fmt(reports[k].terminal_costs[r]) for k in kinds]
+        for r in range(count)
+    ]
+    _write_csv(
+        path, ["realization"] + [f"terminal_cost_{kind}" for kind in kinds], rows
+    )
 
 
 def _report_json(report) -> dict:
@@ -166,18 +171,31 @@ def _aggregate_json(report) -> dict:
 
 # ------------------------------------------------------------- subcommands
 
-def _cmd_synthesize(args) -> int:
+def _initial_attack(args):
+    """The experiment, its attack context at the initial mean, and the
+    shared-rate optimum there (None when the bands share no rate)."""
     exp = load_experiment(args.config)
     model = exp.model
-    ens = build_prediction_ensemble(model)
-    x = model.init_mean
     ctx = attack_context(
-        ens, model, exp.channel, exp.detection, exp.protocol, x
+        build_prediction_ensemble(model), model, exp.channel, exp.detection,
+        exp.protocol, model.init_mean,
     )
+    char = optimal_alpha(ctx) if ctx.region is not None else None
+    return exp, ctx, char
+
+
+def _realizations(args, exp) -> int:
+    """``--realizations`` when given, else the config's count."""
+    return exp.realizations if args.realizations is None else args.realizations
+
+
+def _cmd_synthesize(args) -> int:
+    exp, ctx, char = _initial_attack(args)
+    model = exp.model
 
     out = {
         "protocol": exp.protocol.value,
-        "state": x,
+        "state": ctx.x,
         "nominal_rates": exp.channel.mean_diag,
         "region": {
             "per_channel_lo": ctx.channel_lo,
@@ -185,12 +203,8 @@ def _cmd_synthesize(args) -> int:
             "scalar_lo": None if ctx.region is None else ctx.region[0],
             "scalar_hi": None if ctx.region is None else ctx.region[1],
         },
+        "iid_scalar": None if char is None else _characterization_json(char),
     }
-
-    if ctx.region is not None:
-        out["iid_scalar"] = _characterization_json(optimal_alpha(ctx))
-    else:
-        out["iid_scalar"] = None
 
     qp = ctx.qp
     iid_sol = solve_iid_constrained(qp)
@@ -230,10 +244,7 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_simulate(args) -> int:
     exp = load_experiment(args.config)
-    realizations = (
-        exp.realizations if args.realizations is None else args.realizations
-    )
-    report = monte_carlo(exp, realizations)
+    report = monte_carlo(exp, _realizations(args, exp))
     _write_json(
         os.path.join(args.out, "aggregate.json"), _aggregate_json(report)
     )
@@ -250,24 +261,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    exp = load_experiment(args.config)
+    exp, ctx, char = _initial_attack(args)
     model = exp.model
-    ens = build_prediction_ensemble(model)
-    x = model.init_mean
-    ctx = attack_context(
-        ens, model, exp.channel, exp.detection, exp.protocol, x
-    )
     regimes = cost_regimes(ctx, model)
     q0 = feedback_benefit(ctx)
     out = {
         "protocol": exp.protocol.value,
-        "state": x,
+        "state": ctx.x,
         "baseline_expected_cost": regimes["alpha_0"].baseline,
         "feedback_benefit": q0,
         "regimes": {key: _report_json(rep) for key, rep in regimes.items()},
     }
 
-    char = optimal_alpha(ctx) if ctx.region is not None else None
     if char is not None:
         optimal = {
             "characterization": _characterization_json(char),
@@ -287,7 +292,7 @@ def _cmd_analyze(args) -> int:
         laws = [sched.means] if char is None else [char.alpha_star, sched.means]
         # every law is paired with the nominal one on one shared rollout
         increases = empirical_increases(
-            ens, model, ctx.gain, x, laws, samples, exp.seed
+            ctx.ens, model, ctx.gain, ctx.x, laws, samples, exp.seed
         )
         empirical = {}
         if char is not None:
@@ -331,9 +336,7 @@ def _attack_kinds(text):
 def _cmd_compare(args) -> int:
     kinds = _attack_kinds(args.attacks)
     exp = load_experiment(args.config)
-    realizations = (
-        exp.realizations if args.realizations is None else args.realizations
-    )
+    realizations = _realizations(args, exp)
 
     # one lockstep batch: the arms share the set-up and every random draw;
     # each arm is the attack section read as its kind
@@ -385,45 +388,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help_text, realizations=False):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--out", default=".", help="output directory")
+        if realizations:
+            p.add_argument(
+                "--realizations", type=int, default=None,
+                help="override the config's realization count",
+            )
+        p.set_defaults(func=func)
+        return p
 
-    p_syn = sub.add_parser(
-        "synthesize", help="characterize and synthesize attacks"
+    command(
+        "synthesize", _cmd_synthesize, "characterize and synthesize attacks"
     )
-    common(p_syn)
-    p_syn.set_defaults(func=_cmd_synthesize)
-
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo closed-loop runs")
-    common(p_sim)
-    p_sim.add_argument(
-        "--realizations", type=int, default=None,
-        help="override the config's realization count",
+    command(
+        "simulate", _cmd_simulate, "Monte-Carlo closed-loop runs",
+        realizations=True,
     )
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_ana = sub.add_parser("analyze", help="closed-form cost reports")
-    common(p_ana)
-    p_ana.add_argument(
+    command("analyze", _cmd_analyze, "closed-form cost reports").add_argument(
         "--empirical", type=int, default=None, metavar="SAMPLES",
         help="cross-check increases with paired horizon sampling",
     )
-    p_ana.set_defaults(func=_cmd_analyze)
-
-    p_cmp = sub.add_parser(
-        "compare", help="Monte-Carlo comparison across attack kinds"
-    )
-    common(p_cmp)
-    p_cmp.add_argument(
+    command(
+        "compare", _cmd_compare, "Monte-Carlo comparison across attack kinds",
+        realizations=True,
+    ).add_argument(
         "--attacks", default="none,iid,nonstat",
         help="comma-separated attack kinds (none, iid, nonstat)",
     )
-    p_cmp.add_argument(
-        "--realizations", type=int, default=None,
-        help="override the config's realization count",
-    )
-    p_cmp.set_defaults(func=_cmd_compare)
     return parser
 
 

@@ -39,7 +39,7 @@ count.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,9 +57,7 @@ _SYSTEM_KEYS = (
     "Q_diag", "Omega_diag", "Psi_diag", "N",
 )
 _CHANNEL_KEYS = ("M_diag", "L_diag")
-_ATTACK_KEYS = (
-    "kind", "onset", "alpha", "means", "schedule", "state_mode", "resynthesize",
-)
+_ATTACK_KEYS = tuple(plan_field.name for plan_field in fields(AttackPlan))
 _SIMULATION_KEYS = ("T", "R", "seed")
 
 

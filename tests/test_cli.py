@@ -205,6 +205,51 @@ def test_non_finite_report_value_fails(tmp_path, config_path, monkeypatch):
     assert not (tmp_path / "cost_report.json").exists()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_csv_value_fails(tmp_path, bad):
+    # the CSV writers follow the JSON writer's rule, and leave no file
+    from types import SimpleNamespace
+
+    import dropattack.cli as cli
+
+    states = np.array([[1.0, 2.0], [bad, 0.5]])
+    with pytest.raises(NumericalError, match="non-finite"):
+        cli._write_trace_csv(str(tmp_path / "trace.csv"), states, np.array([1.0]))
+    with pytest.raises(NumericalError, match="non-finite"):
+        cli._write_trace_csv(
+            str(tmp_path / "trace.csv"), np.ones((2, 2)), np.array([bad])
+        )
+    report = SimpleNamespace(realizations=2, terminal_costs=np.array([1.0, bad]))
+    with pytest.raises(NumericalError, match="non-finite"):
+        cli._write_realizations_csv(
+            str(tmp_path / "realizations.csv"), {"none": report}
+        )
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_with_non_finite_trace_exits_3(
+    tmp_path, config_path, monkeypatch
+):
+    import dropattack.cli as cli
+    from dataclasses import replace
+
+    real = cli.monte_carlo
+
+    def poisoned(exp, realizations):
+        report = real(exp, realizations)
+        states = report.mean_states.copy()
+        states[-1, 0] = np.nan
+        return replace(report, mean_states=states)
+
+    monkeypatch.setattr(cli, "monte_carlo", poisoned)
+    rc = main([
+        "simulate", "--config", config_path, "--out", str(tmp_path / "out"),
+        "--realizations", "3",
+    ])
+    assert rc == 3
+    assert not (tmp_path / "out" / "trace_mean.csv").exists()
+
+
 def test_analyze_tcp_carries_trough(tmp_path):
     doc = base_doc()
     doc["protocol"] = "tcp"
