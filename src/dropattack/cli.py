@@ -11,10 +11,11 @@ Subcommands:
 
 All subcommands read one JSON experiment file (--config) and write their
 outputs into --out (default: current directory), which the first report
-creates, so a rejected run leaves no directory behind.  Outputs are
-deterministic for a fixed config: floats are serialized with %.17g and no
-timestamps are emitted, and a non-finite number in any report is a
-numerical failure.  Exit codes: 0 success, 2 configuration problem, 3
+creates.  Every report of a run is formatted before the first is
+written, so a rejected or failed run leaves no directory behind.
+Outputs are deterministic for a fixed config: floats are serialized with
+%.17g and no timestamps are emitted, and a non-finite number in any
+report is a numerical failure.  Exit codes: 0 success, 2 configuration problem, 3
 numerical failure, 4 a library InfeasibleRegionError; no subcommand
 raises it, since synthesize and analyze report a missing common rate band
 as null.  Log verbosity comes from the DROPATTACK_LOG environment variable
@@ -24,6 +25,7 @@ as null.  Log verbosity comes from the DROPATTACK_LOG environment variable
 import argparse
 import csv
 import functools
+import io
 import json
 import logging
 import os
@@ -76,20 +78,30 @@ def _json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _report_file(path: str, newline=None):
-    """``path`` opened for writing; the first report creates ``--out``."""
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        return open(path, "w", newline=newline)
-    except OSError as exc:  # a path that cannot be made is the user's to fix
-        raise ConfigError(f"--out: cannot write {path}: {exc.strerror}") from exc
+def _write_reports(out: str, reports: dict) -> None:
+    """Write each named report text of ``reports`` into the directory ``out``.
+
+    Every text is formatted before this call, so a run that fails on a
+    non-finite value writes no report; the first file creates ``out``.
+    Files are written without newline translation: JSON lines end in LF
+    and the csv module's rows in CRLF on every platform.
+    """
+    for name, text in reports.items():
+        path = os.path.join(out, name)
+        try:
+            os.makedirs(out or ".", exist_ok=True)
+            handle = open(path, "w", newline="")
+        except OSError as exc:  # a path that cannot be made is the user's
+            raise ConfigError(
+                f"--out: cannot write {path}: {exc.strerror}"
+            ) from exc
+        with handle:
+            handle.write(text)
+        log.info("wrote %s", path)
 
 
-def _write_json(path: str, obj) -> None:
-    text = _json_text(obj) + "\n"
-    with _report_file(path) as handle:
-        handle.write(text)
-    log.info("wrote %s", path)
+def _json_report(obj) -> str:
+    return _json_text(obj) + "\n"
 
 
 def _fmt(value: float) -> str:
@@ -100,25 +112,27 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
-    with _report_file(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-    log.info("wrote %s", path)
+def _csv_report(header: list, rows: list) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
-def _write_trace_csv(path: str, mean_states, mean_cumulative) -> None:
+def _trace_csv(mean_states, mean_cumulative) -> str:
     n = mean_states.shape[1]
     rows = [
         [k] + [_fmt(v) for v in mean_states[k]]
         + [_fmt(0.0 if k == 0 else mean_cumulative[k - 1])]
         for k in range(mean_states.shape[0])
     ]
-    _write_csv(path, ["step"] + [f"x{i + 1}" for i in range(n)] + ["cost"], rows)
+    return _csv_report(
+        ["step"] + [f"x{i + 1}" for i in range(n)] + ["cost"], rows
+    )
 
 
-def _write_realizations_csv(path: str, reports: dict) -> None:
+def _realizations_csv(reports: dict) -> str:
     """One row per realization, one terminal-cost column per attack kind."""
     kinds = list(reports)
     count = max(report.realizations for report in reports.values())
@@ -126,8 +140,8 @@ def _write_realizations_csv(path: str, reports: dict) -> None:
         [r] + [_fmt(reports[k].terminal_costs[r]) for k in kinds]
         for r in range(count)
     ]
-    _write_csv(
-        path, ["realization"] + [f"terminal_cost_{kind}" for kind in kinds], rows
+    return _csv_report(
+        ["realization"] + [f"terminal_cost_{kind}" for kind in kinds], rows
     )
 
 
@@ -238,25 +252,20 @@ def _cmd_synthesize(args) -> int:
         "attacked_nonstationary": baseline + (sched_sol.objective + q0),
     }
 
-    _write_json(os.path.join(args.out, "synthesis.json"), out)
+    _write_reports(args.out, {"synthesis.json": _json_report(out)})
     return 0
 
 
 def _cmd_simulate(args) -> int:
     exp = load_experiment(args.config)
     report = monte_carlo(exp, _realizations(args, exp))
-    _write_json(
-        os.path.join(args.out, "aggregate.json"), _aggregate_json(report)
-    )
-    _write_trace_csv(
-        os.path.join(args.out, "trace_mean.csv"),
-        report.mean_states,
-        report.mean_cumulative,
-    )
-    _write_realizations_csv(
-        os.path.join(args.out, "realizations.csv"),
-        {exp.plan.kind: report},
-    )
+    _write_reports(args.out, {
+        "aggregate.json": _json_report(_aggregate_json(report)),
+        "trace_mean.csv": _trace_csv(
+            report.mean_states, report.mean_cumulative
+        ),
+        "realizations.csv": _realizations_csv({exp.plan.kind: report}),
+    })
     return 0
 
 
@@ -315,7 +324,7 @@ def _cmd_analyze(args) -> int:
     else:
         out["empirical"] = None
 
-    _write_json(os.path.join(args.out, "cost_report.json"), out)
+    _write_reports(args.out, {"cost_report.json": _json_report(out)})
     return 0
 
 
@@ -367,10 +376,10 @@ def _cmd_compare(args) -> int:
             }
     out["paired_differences"] = diffs
 
-    _write_json(os.path.join(args.out, "comparison.json"), out)
-    _write_realizations_csv(
-        os.path.join(args.out, "realizations.csv"), reports
-    )
+    _write_reports(args.out, {
+        "comparison.json": _json_report(out),
+        "realizations.csv": _realizations_csv(reports),
+    })
     return 0
 
 

@@ -33,15 +33,20 @@ closed-form attack formulas talk about: the operator computes its sequence
 once at a fixed state, the whole horizon is rolled out under a given
 channel law, and the stacked quadratic cost is accumulated.  One rollout's
 draws serve every law of an :func:`empirical_increases` call, and its
-nominal law is evaluated once.  Each law's costs are evaluated in
-near-equal blocks of consecutive samples, each holding at most
-``_ROLLOUT_VALUES`` (2^16) values of a stacked state or input array, so a
-d = 160 rollout of 4000 samples passes over ten cache-sized blocks instead
-of several 5 MB temporaries per law.  Every step of the evaluation is
-row-wise and no block is a short remainder that the BLAS would multiply
-with another kernel, so each block's costs are bitwise the same rows of
-the one-shot evaluation.  For the udp-like loop the realized cost
-is an unbiased sample of the closed form.
+nominal law is evaluated once.  The cost is evaluated through the
+ensemble's Gramians, not the predicted states: the noise and the state
+enter once per rollout, as the law-free state's cross term with the
+inputs, and each law costs one product with ``input_gram``.  The
+law-free state's own cost is the same under every law, so it cancels in
+every paired difference and only :func:`horizon_cost_samples` forms it.
+Each law's costs are evaluated in near-equal blocks of consecutive
+samples, each holding at most ``_ROLLOUT_VALUES`` (2^16) values of a
+stacked input array, so a d = 160 rollout of 4000 samples passes over
+ten cache-sized blocks instead of 5 MB temporaries per law.  Every step
+of the evaluation is row-wise and no block is a short remainder that the
+BLAS would multiply with another kernel, so each block's costs are
+bitwise the same rows of the one-shot evaluation.  For the udp-like loop
+the realized cost is an unbiased sample of the closed form.
 The tcp-like accounting treats packet fates as known by the time the
 predicted-state penalty is charged (acknowledgements plus re-planning), so
 its closed form carries no delivery-variance term; sampling that
@@ -95,9 +100,9 @@ _KINDS = ("none", "iid", "nonstat")
 # Realizations that monte_carlo_arms steps together; bounds the pre-drawn
 # and recorded arrays of a batch to O(arms * _BLOCK * T * (n + m)) floats.
 _BLOCK = 64
-# Most values of one stacked state or input array that a block of horizon
-# samples holds (see _sample_blocks): 4000 samples are ten blocks of 400
-# rows at N n = 160, and one block at N n = 10.
+# Most values of one stacked input array that a block of horizon samples
+# holds (see _sample_blocks): 4000 samples are ten blocks of 400 rows at
+# N m = 160, and one block at N m = 10.
 _ROLLOUT_VALUES = 2 ** 16
 
 
@@ -193,16 +198,29 @@ def resolve_attack(
     :func:`~dropattack.attack_iid.attack_context` shares between the
     calls of one set-up, so a per-step resynthesis rebuilds none of them.
     """
+    table, info, schedule = _resolve(
+        plan, model, ens, channel, detection, protocol, x, gain
+    )
+    if schedule is not None:
+        info["stationarity"] = schedule.stationarity
+    return table, info
+
+
+def _resolve(plan, model, ens, channel, detection, protocol, x, gain):
+    """:func:`resolve_attack`'s table and info, the info without the
+    synthesized schedule's residual, and that schedule (None unless the
+    box QP synthesized the law), whose residual is scored only if read."""
     if plan.kind == "none":
-        return None, {"kind": "none"}
+        return None, {"kind": "none"}, None
     if plan.kind == "iid":
         if plan.alpha is not None:
             return (
                 np.full((1, ens.m), float(plan.alpha)),
                 {"kind": "iid", "alpha": float(plan.alpha), "fixed": True},
+                None,
             )
         if plan.means is not None:
-            return plan.means[None, :], {"kind": "iid", "fixed": True}
+            return plan.means[None, :], {"kind": "iid", "fixed": True}, None
         ctx = attack_context(ens, model, channel, detection, protocol, x, gain)
         sol = solve_iid_constrained(ctx.qp)
         return (
@@ -213,21 +231,17 @@ def resolve_attack(
                 "winner": sol.winner,
                 "means": [float(v) for v in sol.means[0]],
             },
+            None,
         )
     # nonstat
     if plan.schedule is not None:
-        return plan.schedule, {"kind": "nonstat", "fixed": True}
+        return plan.schedule, {"kind": "nonstat", "fixed": True}, None
     ctx = attack_context(ens, model, channel, detection, protocol, x, gain)
     sol = solve_box_qp_max(ctx.qp)
-    return (
-        sol.means.copy(),
-        {
-            "kind": "nonstat",
-            "objective": sol.objective,
-            "winner": sol.winner,
-            "stationarity": sol.stationarity,
-        },
-    )
+    info = {
+        "kind": "nonstat", "objective": sol.objective, "winner": sol.winner,
+    }
+    return sol.means.copy(), info, sol
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,7 +426,8 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
             if k not in arm.synthesis:
                 continue
             for row in range(a * size, (a + 1) * size):
-                table, _ = resolve_attack(
+                # only the table: no residual is scored for a report
+                table, _, _ = _resolve(
                     arm.plan, model, ens, cfg.channel, cfg.detection,
                     cfg.protocol, x[row], gain,
                 )
@@ -571,19 +586,42 @@ def _sample_blocks(samples, width):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _horizon_rollout(ens, model, gain, x, samples, seed):
+def _horizon_rollout(
+    ens, model, gain, x, samples, seed, with_law_free=False
+):
     """Shared draws of ``samples`` horizon rollouts from ``x``.
 
     Returns a function mapping stacked delivery thresholds to the per-sample
     predicted-state and input cost (x'Qx excluded) of the operator's
-    sequence planned at ``x``.  Every call reuses the same noise and loss
+    sequence planned at ``x``, net of the law-free term a'Wa unless
+    ``with_law_free`` is set.  Every call reuses the same noise and loss
     uniforms, so different channel laws are compared on common random
-    numbers.
+    numbers, and a'Wa cancels in each paired difference.
+
+    The cost is evaluated through the ensemble's Gramians rather than the
+    predicted states.  With W = ``state_penalty``, P = ``input_penalty``
+    and M = ``input_map``, draw j's state stack is chi_j = a + M delta_j:
+    a = ``state_map`` x + ``noise_map`` xi is the law-free state and
+    delta_j = (U_j < thresholds) * u* the inputs draw j delivers
+    (delta_1 = delta_0 with one draw).  So chi_0' W chi_1 + delta_0' P
+    delta_0 is a'Wa plus
+
+        c = L (delta_0 + delta_1) + (delta_0 G) delta_1 + delta_0' P delta_0,
+
+    with G = ``input_gram`` and L = a'WM = ``cross_gram`` x +
+    xi (``noise_map``' W M), one (samples, N n) x (N n, N m) product for
+    every law; the Cholesky factors that make xi from standard normals
+    fold into that map.  A law then costs one product with G per block,
+    summed as (delta_0 G + L) delta_1 + (delta_0 P + L) delta_0, or with
+    one draw as (delta_0 (G + P) + 2 L) delta_0.  The expanded form adds
+    terms of size |a|^2 where the stacked form adds |chi|^2, so its
+    rounding error grows by (|a| / |chi|)^2, most where the inputs nearly
+    cancel the law-free state.
 
     The function evaluates the samples in the blocks of
     :func:`_sample_blocks`, so its temporaries stay cache-sized whatever
     ``samples`` is.  Every operation on a block is row-wise: the masks,
-    the products with the stacked maps and the sums over a row.  So each
+    the products with the Gramian and the sums over a row.  So each
     block's costs are bitwise the rows of the one-shot evaluation, as long
     as the BLAS computes every row of a block's product with the kernel of
     the one-shot product; see :func:`_sample_blocks` for why it does.
@@ -592,25 +630,41 @@ def _horizon_rollout(ens, model, gain, x, samples, seed):
     _count(seed, "seed", 0)
     x = np.asarray(x, dtype=float)
     u_star = optimal_input_sequence(gain, ens, x)
-    base = ens.state_map @ x  # (N n,)
     om = np.diagonal(model.state_penalty)
-    ps = np.diagonal(model.input_penalty)
 
     purposes = [STREAM_NOISE, STREAM_LOSS]
     noise_key, loss_key = philox_keys(seed, [0], purposes)[0]
     gen = np.random.Generator(np.random.Philox(key=0))
     n, N, m = ens.n, ens.horizon, ens.m
-    chol = np.linalg.cholesky(model.noise_cov)
-    # stacked noise: per-step blocks share the same covariance, so the
-    # (samples, N, n) draws are transformed as one flat (samples N, n) array
-    xi = _rekey(gen, noise_key).standard_normal((samples * N, n)) @ chol.T
-    noise_part = xi.reshape(samples, N * n) @ ens.noise_map.T
+    # the stacked noise is xi = z C' for standard normal z, with C the
+    # block diagonal of N Cholesky factors of the per-step covariance, so
+    # C' folds into each map the noise passes through
+    chol_t = np.linalg.cholesky(model.noise_cov).T
+
+    def from_draws(noise_to):
+        return (chol_t @ noise_to.reshape(N, n, -1)).reshape(N * n, -1)
+
+    z = _rekey(gen, noise_key).standard_normal((samples, N * n))
+    cross = z @ from_draws(ens.noise_map.T @ (om[:, None] * ens.input_map))
+    cross += ens.cross_gram @ x
+    free = None
+    if with_law_free:
+        a = z @ from_draws(ens.noise_map.T)
+        a += ens.state_map @ x
+        free = np.einsum("ij,ij->i", a * om, a)
+        del a
+    del z
     # a gain that pays no delivery variance (tcp-like) bridges the state
     # penalty across two independent delivery draws
     draws = 1 if gain.paid_variance.any() else 2
     _rekey(gen, loss_key)
     uniforms = [gen.random((samples, N * m)) for _ in range(draws)]
-    blocks = _sample_blocks(samples, N * max(n, m))
+    ps = np.diagonal(model.input_penalty)
+    gram = ens.input_gram
+    if draws == 1:  # delta_1 = delta_0: P joins G, and L counts twice
+        gram = gram + model.input_penalty
+        cross *= 2.0
+    blocks = _sample_blocks(samples, N * m)
 
     def cost_under(thresholds):
         cost = np.empty(samples)
@@ -619,13 +673,16 @@ def _horizon_rollout(ens, model, gain, x, samples, seed):
                 np.multiply(uni[block] < thresholds, u_star)
                 for uni in uniforms
             ]
-            chi = [
-                base + inputs @ ens.input_map.T + noise_part[block]
-                for inputs in delivered
-            ]
-            state_cost = np.sum(chi[0] * om * chi[-1], axis=1)
-            input_cost = np.sum(delivered[0] * ps * delivered[0], axis=1)
-            cost[block] = state_cost + input_cost
+            head = delivered[0] @ gram
+            head += cross[block]
+            row = np.einsum("ij,ij->i", head, delivered[-1])
+            if draws == 2:
+                tail = delivered[0] * ps
+                tail += cross[block]
+                row += np.einsum("ij,ij->i", tail, delivered[0])
+            if free is not None:
+                row += free[block]
+            cost[block] = row
         return cost
 
     return cost_under
@@ -650,7 +707,9 @@ def horizon_cost_samples(
     """
     x = np.asarray(x, dtype=float)
     thresholds = _expand_step_means(ens, step_means).reshape(-1)
-    cost_under = _horizon_rollout(ens, model, gain, x, samples, seed)
+    cost_under = _horizon_rollout(
+        ens, model, gain, x, samples, seed, with_law_free=True
+    )
     return float(x @ (model.Q @ x)) + cost_under(thresholds)
 
 
@@ -676,7 +735,7 @@ def empirical_increases(
         raise DimensionError("at least one channel law is needed")
     thresholds = [_expand_step_means(ens, law).reshape(-1) for law in laws]
     cost_under = _horizon_rollout(ens, model, gain, x, samples, seed)
-    # x'Qx cancels in the pairing
+    # x'Qx and the law-free a'Wa cancel in the pairing
     nominal = cost_under(gain.mean_stack)
     out = []
     for attacked in thresholds:

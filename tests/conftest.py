@@ -8,11 +8,14 @@ loop one step at a time, is the reference for the lockstep engine: it
 steps the plant, draws the losses and bills the stage cost with its own
 one-line helpers below, and takes from the package only the set-up the
 engine also takes (ensemble, gain, attack resolution, monitor).
-``slow_horizon_costs`` is the horizon rollout evaluated on all samples at
-once, the reference the sample-blocked rollout is gated against bitwise.
-Both build their random streams with numpy's own ``SeedSequence``
-(:func:`seeded_stream`), so they also gate the package's batched key
-derivation.
+``slow_horizon_costs`` is the horizon rollout evaluated from the stacked
+predicted states on all samples at once, the independent reference the
+Gramian-form rollout is gated against within rounding;
+``gramian_horizon_costs`` is the package's Gramian form on all samples
+at once, the reference the sample-blocked rollout is gated against
+bitwise.  All three build their random streams with numpy's own
+``SeedSequence`` (:func:`seeded_stream`), so they also gate the
+package's batched key derivation.
 """
 
 import itertools
@@ -384,10 +387,11 @@ def slow_episode(cfg, realization=0):
 def slow_horizon_costs(ens, model, gain, x, thresholds, samples, seed):
     """Per-sample horizon costs (x'Qx excluded), all samples in one shot.
 
-    The rollout of ``simulate.horizon_cost_samples`` written out without
-    sample blocks: the same streams, the same stacked maps and the same
-    operations, each on the whole (samples, N n) arrays.  ``thresholds``
-    are the stacked delivery rates.
+    The rollout of ``simulate.horizon_cost_samples`` from the stacked
+    predicted states chi = S x + M delta + noise_map xi, without the
+    Gramians: the same streams, each predicted state formed and weighted
+    on the whole (samples, N n) arrays.  ``thresholds`` are the stacked
+    delivery rates.
     """
     x = np.asarray(x, dtype=float)
     u_star = optimal_input_sequence(gain, ens, x)
@@ -413,6 +417,49 @@ def slow_horizon_costs(ens, model, gain, x, thresholds, samples, seed):
     state_cost = np.sum(chi[0] * om[None, :] * chi[-1], axis=1)
     input_cost = np.sum(delivered[0] * ps[None, :] * delivered[0], axis=1)
     return state_cost + input_cost
+
+
+def gramian_horizon_costs(ens, model, gain, x, thresholds, samples, seed):
+    """The Gramian-form horizon costs, all samples in one shot.
+
+    The rollout of ``simulate.horizon_cost_samples`` written out without
+    sample blocks: the same streams, Gramians and operations, each on the
+    whole (samples, N n) or (samples, N m) arrays.  Returns the law-free
+    term a'Wa of each sample and its cost net of that term (x'Qx excluded
+    from both); ``thresholds`` are the stacked delivery rates.
+    """
+    x = np.asarray(x, dtype=float)
+    u_star = optimal_input_sequence(gain, ens, x)
+    om = np.diagonal(model.state_penalty)
+    ps = np.diagonal(model.input_penalty)
+    n, N, m = ens.n, ens.horizon, ens.m
+    chol_t = np.linalg.cholesky(model.noise_cov).T
+
+    def from_draws(noise_to):
+        return (chol_t @ noise_to.reshape(N, n, -1)).reshape(N * n, -1)
+
+    z = seeded_stream(seed, 0, STREAM_NOISE).standard_normal((samples, N, n))
+    z = z.reshape(samples, N * n)
+    cross = z @ from_draws(ens.noise_map.T @ (om[:, None] * ens.input_map))
+    cross = cross + ens.cross_gram @ x
+    a = z @ from_draws(ens.noise_map.T) + ens.state_map @ x
+    free = np.einsum("ij,ij->i", a * om, a)
+    loss_rng = seeded_stream(seed, 0, STREAM_LOSS)
+    draws = 1 if gain.paid_variance.any() else 2
+    delivered = [
+        (loss_rng.random((samples, N * m)) < thresholds[None, :]).astype(float)
+        * u_star[None, :]
+        for _ in range(draws)
+    ]
+    first = delivered[0]
+    if draws == 1:
+        gram = ens.input_gram + model.input_penalty
+        cost = np.einsum("ij,ij->i", first @ gram + 2.0 * cross, first)
+    else:
+        cost = np.einsum(
+            "ij,ij->i", first @ ens.input_gram + cross, delivered[1]
+        ) + np.einsum("ij,ij->i", first * ps + cross, first)
+    return free, cost
 
 
 def grid_argmax(fn, lo, hi, num=20001):

@@ -207,23 +207,20 @@ def test_non_finite_report_value_fails(tmp_path, config_path, monkeypatch):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_csv_value_fails(tmp_path, bad):
-    # the CSV writers follow the JSON writer's rule, and leave no file
+    # the CSV reports follow the JSON report's rule, and are formatted
+    # before any file is opened
     from types import SimpleNamespace
 
     import dropattack.cli as cli
 
     states = np.array([[1.0, 2.0], [bad, 0.5]])
     with pytest.raises(NumericalError, match="non-finite"):
-        cli._write_trace_csv(str(tmp_path / "trace.csv"), states, np.array([1.0]))
+        cli._trace_csv(states, np.array([1.0]))
     with pytest.raises(NumericalError, match="non-finite"):
-        cli._write_trace_csv(
-            str(tmp_path / "trace.csv"), np.ones((2, 2)), np.array([bad])
-        )
+        cli._trace_csv(np.ones((2, 2)), np.array([bad]))
     report = SimpleNamespace(realizations=2, terminal_costs=np.array([1.0, bad]))
     with pytest.raises(NumericalError, match="non-finite"):
-        cli._write_realizations_csv(
-            str(tmp_path / "realizations.csv"), {"none": report}
-        )
+        cli._realizations_csv({"none": report})
     assert not list(tmp_path.iterdir())
 
 
@@ -247,7 +244,8 @@ def test_simulate_with_non_finite_trace_exits_3(
         "--realizations", "3",
     ])
     assert rc == 3
-    assert not (tmp_path / "out" / "trace_mean.csv").exists()
+    # the trace fails before aggregate.json, formatted first, is written
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_tcp_carries_trough(tmp_path):

@@ -26,6 +26,7 @@ from dropattack import (
 from dropattack import simulate
 
 from conftest import (
+    gramian_horizon_costs,
     make_model,
     random_model,
     shared_channel,
@@ -679,13 +680,11 @@ def test_sample_blocks_are_near_equal_and_bounded():
             assert min(sizes) >= rows // 2
 
 
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("horizon", [40, 4])
-def test_blocked_rollout_is_bitwise_the_one_shot_rollout(rng, m, horizon):
+def _rollout_case(rng, m, horizon):
     # n = 2: at horizon 40 the samples are two blocks' worth and 7 rows,
     # three blocks of unequal size (a plain split would leave a 7-row
     # tail); at horizon 4 they fit in one block
-    rows = simulate._ROLLOUT_VALUES // (horizon * 2)
+    rows = simulate._ROLLOUT_VALUES // (horizon * m)
     samples = 2 * rows + 7 if horizon == 40 else 500
     assert (samples > 2 * rows) == (horizon == 40) and samples % rows
     model = random_model(rng, n=2, m=m, horizon=horizon, spread=0.9)
@@ -697,17 +696,26 @@ def test_blocked_rollout_is_bitwise_the_one_shot_rollout(rng, m, horizon):
         np.broadcast_to(np.asarray(law, float), (horizon, m)).reshape(-1)
         for law in laws
     ]
+    return model, ens, channel, x, laws, stacked, samples
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("horizon", [40, 4])
+def test_blocked_rollout_is_bitwise_the_one_shot_rollout(rng, m, horizon):
+    model, ens, channel, x, laws, stacked, samples = _rollout_case(
+        rng, m, horizon
+    )
     for protocol in Protocol:
         gain = control_gain(ens, model, channel.mean_diag, protocol)
-        nominal = slow_horizon_costs(
+        _, nominal = gramian_horizon_costs(
             ens, model, gain, x, gain.mean_stack, samples, 5
         )
         got = empirical_increases(ens, model, gain, x, laws, samples, seed=5)
         for law, thresholds, pair in zip(laws, stacked, got):
-            costs = slow_horizon_costs(
+            free, costs = gramian_horizon_costs(
                 ens, model, gain, x, thresholds, samples, 5
             )
-            want = float(x @ (model.Q @ x)) + costs
+            want = float(x @ (model.Q @ x)) + (costs + free)
             assert _bitwise(
                 horizon_cost_samples(ens, model, gain, x, law, samples, 5),
                 want,
@@ -715,6 +723,42 @@ def test_blocked_rollout_is_bitwise_the_one_shot_rollout(rng, m, horizon):
             diffs = costs - nominal
             se = np.std(diffs, ddof=1) / np.sqrt(samples)
             assert _bitwise(pair, (float(np.mean(diffs)), float(se)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("horizon", [40, 4])
+def test_gramian_rollout_is_the_stacked_rollout(rng, m, horizon):
+    # The Gramian form expands chi_0' W chi_1 about the law-free state a,
+    # so it adds terms of size |a|^2 where the stacked form adds |chi|^2,
+    # and a sample's rounding error grows by (|a| / |chi|)^2: a few ulps
+    # of |cost| while the inputs do not nearly cancel a, which the bound
+    # 1e-8 (1 + |cost|) leaves ample room for.  A paired difference drops
+    # a'Wa and subtracts two costs that share every draw, so its error is
+    # a few ulps of the law terms against a spread of their own size over
+    # sqrt(samples): far below 1e-10 s.e.  These spread-0.9 plants gave
+    # at most 8.0e-16 (1 + |cost|) and 8.3e-14 s.e.
+    model, ens, channel, x, laws, stacked, samples = _rollout_case(
+        rng, m, horizon
+    )
+    for protocol in Protocol:
+        gain = control_gain(ens, model, channel.mean_diag, protocol)
+        nominal = slow_horizon_costs(
+            ens, model, gain, x, gain.mean_stack, samples, 5
+        )
+        got = empirical_increases(ens, model, gain, x, laws, samples, seed=5)
+        for law, thresholds, (mean, se) in zip(laws, stacked, got):
+            costs = slow_horizon_costs(
+                ens, model, gain, x, thresholds, samples, 5
+            )
+            want = float(x @ (model.Q @ x)) + costs
+            sampled = horizon_cost_samples(
+                ens, model, gain, x, law, samples, 5
+            )
+            assert np.all(np.abs(sampled - want) <= 1e-8 * (1 + np.abs(want)))
+            diffs = costs - nominal
+            want_se = np.std(diffs, ddof=1) / np.sqrt(samples)
+            assert abs(mean - np.mean(diffs)) <= 1e-10 * want_se
+            assert abs(se - want_se) <= 1e-10 * want_se
 
 
 @pytest.mark.parametrize("seed", [1.5, True, -1])
