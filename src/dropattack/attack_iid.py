@@ -403,9 +403,6 @@ class ObjectiveQuadratic:
     def value(self, alpha: float) -> float:
         return alpha * (self.linear + alpha * self.curvature)
 
-    def slope(self, alpha: float) -> float:
-        return self.linear + 2.0 * self.curvature * alpha
-
 
 @dataclass(frozen=True)
 class AttackCharacterization:
@@ -499,10 +496,10 @@ def optimal_alpha_tcp(ctx: AttackContext) -> AttackCharacterization:
 class FloodingCondition:
     """Does delivering EVERY packet hurt the operator at this state?
 
-    With V = diag(paid variance), the attack objective at rate 1 is
-    ``objective_at_one`` = lhs - rhs, with
+    With C = ``gain.coupling`` = G_in - V and V = diag(paid variance), the
+    attack objective at rate 1 is ``objective_at_one`` = lhs - rhs, with
 
-        lhs = u'(I - 2 Nu)(G_in - V)u,    rhs = u'(P + V)u.
+        lhs = u'(I - 2 Nu) C u,    rhs = u'(P + V)u.
 
     It is the cost of flooding over that of a total blackout, so when it is
     positive (``state_positive``) a perfect channel is worse for the
@@ -510,15 +507,18 @@ class FloodingCondition:
     ``matrix_definite`` is the state-independent sufficient condition,
     positive definiteness of
 
-        S = sym((G_in - V)(I - 2 Nu)) - P - V,
+        S = sym(C - load) = sym(C (I - 2 Nu)) - P - V,
 
-    whose eigenvalues are computed only when ``min_eigenvalue`` is read.
+    with ``gain.load`` = V + P + 2 C Nu, whose eigenvalues are computed
+    only when ``min_eigenvalue`` is read.  It never holds for a udp-like
+    loop: V is then the Gramian's diagonal, so C has a zero diagonal and
+    S's diagonal is -(V + diag P) < 0.
     """
 
     lhs: float
     rhs: float
     objective_at_one: float
-    _ctx: AttackContext = field(repr=False)
+    _gain: ControllerGain = field(repr=False)
 
     @property
     def state_positive(self) -> bool:
@@ -526,15 +526,9 @@ class FloodingCondition:
 
     @cached_property
     def min_eigenvalue(self) -> float:
-        gain = self._ctx.gain
-        # in place, with one d x d temporary: at d = 160 this step sets a
-        # synthesis's peak memory, on top of the gain's coupling and load.
-        # The paid variance is diagonal, and x - 0 is x.
-        S = gain.coupling * (1.0 - 2.0 * gain.mean_stack)[None, :]
+        S = self._gain.coupling - self._gain.load
         S = S + S.T
         S *= 0.5
-        S -= self._ctx.input_penalty
-        S[np.diag_indices_from(S)] -= gain.paid_variance
         return float(np.linalg.eigvalsh(S)[0])
 
     @property
@@ -543,12 +537,17 @@ class FloodingCondition:
 
 
 def flooding_condition(ctx: AttackContext) -> FloodingCondition:
-    """The two sides of the flooding condition at the context's state."""
-    u, nu = ctx.u_star, ctx.gain.mean_stack
-    paid = ctx.gain.paid_variance
+    """The two sides of the flooding condition at the context's state.
+
+    The objective at rate 1 is 1'H1 + 1'c = u'C u - u'(load) u, and
+    u'(load) u = rhs + 2 u'C Nu u, so lhs is rhs plus that objective.
+    """
+    u, paid = ctx.u_star, ctx.gain.paid_variance
+    rhs = float(u @ (ctx.input_penalty @ u)) + float(u @ (paid * u))
+    objective_at_one = ctx.line.value(1.0)
     return FloodingCondition(
-        lhs=float(u @ (((1.0 - 2.0 * nu)[:, None] * ctx.gain.coupling) @ u)),
-        rhs=float(u @ (ctx.input_penalty @ u)) + float(u @ (paid * u)),
-        objective_at_one=ctx.line.value(1.0),
-        _ctx=ctx,
+        lhs=rhs + objective_at_one,
+        rhs=rhs,
+        objective_at_one=objective_at_one,
+        _gain=ctx.gain,
     )

@@ -40,7 +40,8 @@ from .config import load_experiment
 from .costs import cost_regimes, expected_attacked_cost, feedback_benefit
 from .errors import ConfigError, DimensionError, InfeasibleRegionError, NumericalError
 from .model import build_prediction_ensemble
-from .simulate import _KINDS, empirical_increases, monte_carlo, monte_carlo_arms
+from .simulate import _KINDS, _standard_error, empirical_increases
+from .simulate import monte_carlo, monte_carlo_arms
 
 __all__ = ["main"]
 
@@ -371,8 +372,7 @@ def _cmd_compare(args) -> int:
             delta = reports[b].terminal_costs - reports[a].terminal_costs
             diffs[f"{b}_minus_{a}"] = {
                 "mean": float(np.mean(delta)),
-                "se": float(np.std(delta, ddof=1) / np.sqrt(delta.size))
-                if delta.size > 1 else 0.0,
+                "se": _standard_error(delta),
             }
     out["paired_differences"] = diffs
 

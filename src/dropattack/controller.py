@@ -159,7 +159,7 @@ def control_gain(
     [0, 1).  The kernel is input_penalty + input_gram * means plus the
     diagonal paid_variance * (1 - means).  The protocol decides only the
     paid variance: a udp-like loop never learns a packet's fate and pays
-    input_gram_diag; a tcp-like loop pays none.
+    the input Gramian's diagonal; a tcp-like loop pays none.
     """
     mean_diag = np.asarray(mean_diag, dtype=float)
     if mean_diag.shape != (ens.m,):
@@ -172,7 +172,7 @@ def control_gain(
     nu = np.tile(mean_diag, ens.horizon)
     # the one protocol decision: the delivery variance the cost pays
     udp = protocol is Protocol.UDP_LIKE
-    paid = ens.input_gram_diag if udp else np.zeros_like(nu)
+    paid = np.diagonal(ens.input_gram) if udp else np.zeros_like(nu)
     kernel = model.input_penalty + ens.input_gram * nu[None, :]
     kernel = kernel + np.diag(paid * (1.0 - nu))
     # the attack quadratic's state-free parts: the paid variance leaves the

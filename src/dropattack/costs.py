@@ -118,7 +118,7 @@ def expected_attacked_cost(
     [0, 1] or of the wrong shape raise :class:`DimensionError`.
     """
     const = float(ctx.x @ ((model.Q + ctx.ens.state_gram) @ ctx.x))
-    const += ctx.ens.noise_cost_trace()
+    const += ctx.ens.noise_cost
     qp = ctx.qp
     if attack is None:
         # nominal law == constant schedule at the nominal means

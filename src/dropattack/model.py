@@ -11,9 +11,10 @@ the prediction used by the receding-horizon controller,
     chi = state_map @ x + input_map @ (nu * ups) + noise_map @ xi,
 
 with ``ups`` the stacked input sequence, ``nu`` the stacked loss outcomes and
-``xi`` the stacked process noise.  The quadratic-cost Gramians of those three
-maps (and the cross term between input and state maps) are what every
-downstream formula consumes, so they are assembled once here and reused.
+``xi`` the stacked process noise.  The quadratic-cost Gramians of the state
+and input maps (and the cross term between them), with the noise map's
+expected cost, are what every downstream formula consumes, so they are
+assembled once here and reused.
 
 Diagonal matrices are passed around as 1-D arrays of their diagonals wherever
 that is unambiguous (loss outcomes, channel means); penalty matrices are kept
@@ -159,12 +160,13 @@ class PredictionEnsemble:
 
         state_gram = state_map' W state_map      (n, n)
         input_gram = input_map' W input_map      (N*m, N*m)
-        noise_gram = noise_map' W noise_map      (N*n, N*n)
         cross_gram = input_map' W state_map      (N*m, n)
 
-    ``input_gram_diag`` is the 1-D diagonal of ``input_gram`` (the Hadamard
-    mask that separates same-entry loss terms from cross terms), and
-    ``noise_cov`` is the block-diagonal covariance of the stacked noise.
+    The noise enters the cost only as the constant ``noise_cost``, the
+    expected stacked-noise cost trace(noise_map' W noise_map (I kron
+    Sigma_W)).  With L = chol(Sigma_W) it is the weighted squared norm
+    sum_i w_i |row i of noise_map (I kron L)|^2, one (N*N*n, n) x (n, n)
+    product: O(N^2 n^3), against O((N n)^3) for the noise Gramian.
     """
 
     state_map: np.ndarray
@@ -172,17 +174,11 @@ class PredictionEnsemble:
     noise_map: np.ndarray
     state_gram: np.ndarray
     input_gram: np.ndarray
-    noise_gram: np.ndarray
     cross_gram: np.ndarray
-    input_gram_diag: np.ndarray
-    noise_cov: np.ndarray
+    noise_cost: float
     n: int
     m: int
     horizon: int
-
-    def noise_cost_trace(self) -> float:
-        """Expected stacked-noise cost, trace(noise_gram @ noise_cov)."""
-        return float(np.sum(self.noise_gram * self.noise_cov.T))
 
 
 def build_prediction_ensemble(model: SystemModel) -> PredictionEnsemble:
@@ -215,11 +211,12 @@ def build_prediction_ensemble(model: SystemModel) -> PredictionEnsemble:
     w_state = w * state_map
     state_gram = state_map.T @ w_state
     input_gram = input_map.T @ (w * input_map)
-    noise_gram = noise_map.T @ (w * noise_map)
     cross_gram = input_map.T @ w_state
 
-    noise_cov = np.zeros((N * n, N * n))
-    noise_cov.reshape(N, n, N, n)[steps, :, steps, :] = model.noise_cov
+    # each row of noise_map (I kron L) is its row's n-column blocks times L
+    chol = np.linalg.cholesky(model.noise_cov)
+    noise_root = noise_map.reshape(N * n * N, n) @ chol
+    noise_cost = float(np.sum(w * noise_root.reshape(N * n, N * n) ** 2))
 
     return PredictionEnsemble(
         state_map=_frozen(state_map),
@@ -227,10 +224,8 @@ def build_prediction_ensemble(model: SystemModel) -> PredictionEnsemble:
         noise_map=_frozen(noise_map),
         state_gram=_frozen(state_gram),
         input_gram=_frozen(input_gram),
-        noise_gram=_frozen(noise_gram),
         cross_gram=_frozen(cross_gram),
-        input_gram_diag=_frozen(np.diagonal(input_gram).copy()),
-        noise_cov=_frozen(noise_cov),
+        noise_cost=noise_cost,
         n=n,
         m=m,
         horizon=N,

@@ -493,6 +493,12 @@ class AggregateReport:
     attack_info: dict = field(default_factory=dict)
 
 
+def _standard_error(values) -> float:
+    """The standard error of the mean of 1-D ``values``; 0 for one value."""
+    size = len(values)
+    return float(np.std(values, ddof=1) / math.sqrt(size)) if size > 1 else 0.0
+
+
 def monte_carlo_arms(
     cfg: EpisodeConfig, plans, realizations: int
 ) -> list[AggregateReport]:
@@ -540,15 +546,13 @@ def monte_carlo_arms(
     reports = []
     for a, arm in enumerate(arms):
         hits = first_hits[a]
-        se = np.std(terminal[a], ddof=1) / math.sqrt(realizations) \
-            if realizations > 1 else 0.0
         reports.append(AggregateReport(
             realizations=realizations,
             mean_states=sum_states[a] / realizations,
             mean_cumulative=sum_cumulative[a] / realizations,
             terminal_costs=terminal[a],
             mean_terminal=float(np.mean(terminal[a])),
-            se_terminal=float(se),
+            se_terminal=_standard_error(terminal[a]),
             detection_rate=len(hits) / realizations,
             mean_first_detection=float(np.mean(hits)) if hits else None,
             attack_info=dict(arm.info),
@@ -740,9 +744,7 @@ def empirical_increases(
     out = []
     for attacked in thresholds:
         diffs = cost_under(attacked) - nominal
-        mean = float(np.mean(diffs))
-        se = float(np.std(diffs, ddof=1) / math.sqrt(samples))
-        out.append((mean, se))
+        out.append((float(np.mean(diffs)), _standard_error(diffs)))
     return out
 
 

@@ -203,8 +203,7 @@ def slow_ensemble(model):
     """Every field of ``PredictionEnsemble``, assembled one block at a time.
 
     The maps are written block by block with one ``A^(i-j) B`` product
-    per block, the Gramians weight by the dense ``state_penalty`` and the
-    stacked noise covariance is written one diagonal block at a time: the
+    per block and the Gramians weight by the dense ``state_penalty``: the
     same floating-point operations as the package's build, so the two must
     agree bit for bit, signs of zero included.
     """
@@ -216,24 +215,18 @@ def slow_ensemble(model):
     state_map = np.vstack(powers[1:])
     input_map = np.zeros((N * n, N * m))
     noise_map = np.zeros((N * n, N * n))
-    noise_cov = np.zeros((N * n, N * n))
     for i in range(N):
-        noise_cov[i * n:(i + 1) * n, i * n:(i + 1) * n] = model.noise_cov
         for j in range(i + 1):
             input_map[i * n:(i + 1) * n, j * m:(j + 1) * m] = powers[i - j] @ B
             noise_map[i * n:(i + 1) * n, j * n:(j + 1) * n] = powers[i - j]
     w_state = W @ state_map
-    input_gram = input_map.T @ (W @ input_map)
     return {
         "state_map": state_map,
         "input_map": input_map,
         "noise_map": noise_map,
         "state_gram": state_map.T @ w_state,
-        "input_gram": input_gram,
-        "noise_gram": noise_map.T @ (W @ noise_map),
+        "input_gram": input_map.T @ (W @ input_map),
         "cross_gram": input_map.T @ w_state,
-        "input_gram_diag": np.diagonal(input_gram).copy(),
-        "noise_cov": noise_cov,
     }
 
 
@@ -279,7 +272,7 @@ def udp_objective(ctx, alpha):
     u = ctx.u_star
     M = (
         alpha * ctx.ens.input_gram
-        + np.diag((1.0 - alpha) * ctx.ens.input_gram_diag)
+        + np.diag((1.0 - alpha) * np.diagonal(ctx.ens.input_gram))
         + ctx.input_penalty
         - 2.0 * ctx.gain.kernel
     )

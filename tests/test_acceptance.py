@@ -109,7 +109,7 @@ def udp_coeffs(ctx):
     u = ctx.u_star
     ens = ctx.ens
     s1 = float(u @ (ens.input_gram @ u))
-    s2 = float(u @ (ens.input_gram_diag * u))
+    s2 = float(u @ (np.diagonal(ens.input_gram) * u))
     s3 = float(u @ ((ctx.input_penalty - 2.0 * ctx.gain.kernel) @ u))
     return s1 - s2, s2 + s3
 

@@ -85,13 +85,18 @@ def test_slope_at_nominal_rate(rng):
         mu = float(channel.mean_diag[0])
         ctx, _ = make_ctx(rng, Protocol.UDP_LIKE, model=model, channel=channel)
         u = ctx.u_star
-        want = -(u @ (model.input_penalty @ u) + u @ (ctx.ens.input_gram_diag * u))
-        assert ctx.line.slope(mu) == pytest.approx(want, rel=1e-9)
+        gram_diag = np.diagonal(ctx.ens.input_gram)
+        want = -(u @ (model.input_penalty @ u) + u @ (gram_diag * u))
+        line = ctx.line
+        slope = line.linear + 2.0 * line.curvature * mu
+        assert slope == pytest.approx(want, rel=1e-9)
 
         ctx, _ = make_ctx(rng, Protocol.TCP_LIKE, model=model, channel=channel)
         u = ctx.u_star
         want = -u @ (model.input_penalty @ u)
-        assert ctx.line.slope(mu) == pytest.approx(want, rel=1e-9)
+        line = ctx.line
+        slope = line.linear + 2.0 * line.curvature * mu
+        assert slope == pytest.approx(want, rel=1e-9)
 
 
 def test_tcp_trough_exceeds_nominal(rng):

@@ -58,9 +58,9 @@ def test_qp_construction_matches_definitions(rng):
         ens = ctx.ens
         nu = ctx.gain.mean_stack
         if protocol is Protocol.UDP_LIKE:
-            coupling = ens.input_gram - np.diag(ens.input_gram_diag)
+            coupling = ens.input_gram - np.diag(np.diagonal(ens.input_gram))
             load = (
-                np.diag(ens.input_gram_diag)
+                np.diag(np.diagonal(ens.input_gram))
                 + ctx.input_penalty
                 + 2.0 * coupling * nu[None, :]
             )

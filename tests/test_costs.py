@@ -108,7 +108,8 @@ def test_peak_regime_bonus(rng):
         )
         # the peak is the stationary point of the unconstrained objective
         scale = abs(coeffs.linear) + abs(coeffs.curvature)
-        assert abs(coeffs.slope(peak)) <= 1e-9 * scale
+        slope = coeffs.linear + 2.0 * coeffs.curvature * peak
+        assert abs(slope) <= 1e-9 * scale
         eps = 1e-6
         slack = 1e-9 * (1.0 + abs(udp_objective(ctx, peak)))
         assert udp_objective(ctx, peak) >= udp_objective(ctx, peak + eps) - slack
@@ -212,6 +213,41 @@ def test_definite_flooding_matrix_implies_state_positive():
     assert definite[Protocol.TCP_LIKE] > 0
 
 
+def test_udp_flooding_matrix_is_never_definite():
+    # a udp gain pays the Gramian's diagonal, so its coupling's diagonal
+    # is zero and S = sym(coupling - load) has diagonal -(V + diag P) < 0
+    rng = np.random.default_rng(31)
+    for ctx, model in flooding_contexts(rng, Protocol.UDP_LIKE):
+        gain = ctx.gain
+        S = gain.coupling - gain.load
+        want = -(gain.paid_variance + np.diagonal(model.input_penalty))
+        assert np.array_equal(np.diagonal(0.5 * (S + S.T)), want)
+        assert np.all(want < 0.0)
+        cond = flooding_condition(ctx)
+        assert cond.matrix_definite is False
+        assert cond.min_eigenvalue < 0.0
+
+
+def test_flooding_condition_matches_its_defining_formulas():
+    # lhs = u'(I - 2 Nu)(G_in - V)u and S = sym((G_in - V)(I - 2 Nu)) - P - V
+    # with V the Gramian's diagonal for udp and 0 for tcp, built from the
+    # ensemble rather than the gain's coupling and load
+    rng = np.random.default_rng(37)
+    for protocol in Protocol:
+        for ctx, model in flooding_contexts(rng, protocol):
+            G = ctx.ens.input_gram
+            V = np.diag(np.diagonal(G)) if protocol is Protocol.UDP_LIKE \
+                else np.zeros_like(G)
+            scaled = (G - V) @ np.diag(1.0 - 2.0 * ctx.gain.mean_stack)
+            u = ctx.u_star
+            lhs = float(u @ (scaled.T @ u))
+            S = 0.5 * (scaled + scaled.T) - model.input_penalty - V
+            eig = float(np.linalg.eigvalsh(S)[0])
+            cond = flooding_condition(ctx)
+            assert abs(cond.lhs - lhs) <= 1e-12 * (1.0 + abs(lhs))
+            assert abs(cond.min_eigenvalue - eig) <= 1e-12 * (1.0 + abs(eig))
+
+
 def test_cost_regimes_solve_no_eigenproblem(rng, monkeypatch):
     # the flooding matrix's eigenvalues are computed only when asked for
     calls = []
@@ -239,7 +275,7 @@ def test_attacked_cost_none_reproduces_nominal(rng):
             fx = ens.cross_gram @ ctx.x
             want = (
                 float(ctx.x @ (model.Q + ens.state_gram) @ ctx.x)
-                + ens.noise_cost_trace()
+                + ens.noise_cost
                 + float(ups @ (nu * (2.0 * fx + ctx.gain.kernel @ ups)))
             )
             got = expected_attacked_cost(ctx, model, attack=None)

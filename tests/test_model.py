@@ -59,14 +59,11 @@ def test_gramians_match_definitions(rng):
             ens.input_gram, ens.input_map.T @ Om @ ens.input_map, atol=1e-10
         )
         np.testing.assert_allclose(
-            ens.noise_gram, ens.noise_map.T @ Om @ ens.noise_map, atol=1e-10
-        )
-        np.testing.assert_allclose(
             ens.cross_gram, ens.input_map.T @ Om @ ens.state_map, atol=1e-10
         )
-        np.testing.assert_allclose(
-            ens.input_gram_diag, np.diagonal(ens.input_gram), atol=0
-        )
+        Sigma = np.kron(np.eye(model.horizon), model.noise_cov)
+        want = np.trace(ens.noise_map.T @ Om @ ens.noise_map @ Sigma)
+        assert ens.noise_cost == pytest.approx(want, rel=1e-12)
 
 
 def test_scalar_hand_stack():
@@ -81,13 +78,16 @@ def test_scalar_hand_stack():
 
 
 def test_noise_cost_trace_matches_slow(rng):
+    # the row-norm form folds in the Cholesky factor of a full covariance
     for _ in range(10):
         model = random_model(rng)
+        root = rng.normal(size=(model.n, model.n))
+        model = replace(model, noise_cov=root @ root.T + 0.1 * np.eye(model.n))
         ens = build_prediction_ensemble(model)
         _, _, Lam = slow_stack(model)
         Sigma = np.kron(np.eye(model.horizon), model.noise_cov)
         want = np.trace(Lam.T @ model.state_penalty @ Lam @ Sigma)
-        assert ens.noise_cost_trace() == pytest.approx(want, rel=1e-12)
+        assert ens.noise_cost == pytest.approx(want, rel=1e-12)
 
 
 def test_step_plant_hand_example():
