@@ -71,8 +71,9 @@ def _corner_bits(k):
     Row j is vertex j of a k-coordinate box: coordinate i at its upper
     bound when bit i of j is set.  Every caller keeps k <= 16: the vertex
     halves of a box in the solver's exact regime (d <= 20) have at most 10
-    columns, and the solver's face budget bounds its faces'.  That bounds
-    the cache.
+    columns, the solver's face budget bounds its faces', and the attack
+    table's cap (2^d values per pair product of the state) bounds its
+    k = d.  That bounds the cache.
     """
     bits = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
     bits.flags.writeable = False

@@ -18,7 +18,13 @@ case and :func:`run_episode` its batch of one.  All share one set-up,
 which decides each arm's channel law once per call: the (T, m) delivery
 means its episodes start from, and the steps at which each episode
 synthesizes from its own state instead (none, onset, or every step from
-onset under per-step resynthesis).  So :func:`run_episode` for
+onset under per-step resynthesis).  A nonstat arm's syntheses at one
+step are one product of its rows' states with the gain's attack table
+(``attack_qp._attack_table``), which holds the solver's exact schedule of
+every state as long as d stays within the table's cap; the first
+synthesis of each batch is checked against the per-state solver, which
+serves every other arm, and any nonstat arm beyond the cap or failing its
+check.  So :func:`run_episode` for
 realization r is bitwise the episode :func:`monte_carlo` runs for r, and
 every arm of :func:`monte_carlo_arms` is bitwise the plan's
 :func:`monte_carlo` run.  A block of 64 realizations holds
@@ -65,8 +71,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attack_iid import attack_context
-from .attack_qp import solve_box_qp_max, solve_iid_constrained
+from .attack_iid import _attack_box, attack_context
+from .attack_qp import _attack_table, solve_box_qp_max, solve_iid_constrained
 from .channel import (
     STREAM_INIT,
     STREAM_LOSS,
@@ -359,8 +365,41 @@ def _prepare(cfg, plans):
 
 
 def _cycled(table, onset, T):
-    """The rows of ``table`` played cyclically from step ``onset`` to T."""
-    return table[np.arange(T - onset) % table.shape[0]]
+    """The rows of ``table`` played cyclically from step ``onset`` to T;
+    a stack of tables, (count, period, m), is cycled table by table."""
+    return table[..., np.arange(T - onset) % table.shape[-2], :]
+
+
+def _synthesize(cfg, plan, states, ens, gain, table, check):
+    """The laws ``plan`` synthesizes at the rows of ``states``.
+
+    Returns the (rows, period, m) laws and the table for the arm's next
+    synthesis.  ``table`` is the gain's attack table, which gives every
+    row's schedule in one product, or None, and then each row resolves
+    the plan with the per-state solver.  With ``check`` the first row is
+    solved as well, and a table whose schedule differs from that solve
+    beyond the solver's 1e-12 (1 + |value|) tie rule is dropped for the
+    solver.
+    """
+    def solve(x):
+        # the law, its report info without a residual, and the schedule
+        return _resolve(
+            plan, cfg.model, ens, cfg.channel, cfg.detection, cfg.protocol,
+            x, gain,
+        )
+
+    if table is not None:
+        laws = table.schedules(states)
+        if not check:
+            return laws, table
+        schedule = solve(states[0])[2]
+        best = schedule.objective
+        value = schedule.qp.objective(laws[0].reshape(-1))
+        if np.array_equal(laws[0], schedule.means) or abs(best - value) <= (
+            1e-12 * (1.0 + max(abs(best), abs(value)))
+        ):
+            return laws, table
+    return np.stack([solve(x)[0] for x in states]), None
 
 
 def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
@@ -375,10 +414,16 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
     bitwise the one it would be alone.
 
     Every row starts from its arm's delivery means.  At each of the arm's
-    synthesis steps k, a row resolves the plan at its own state and plays
-    that law cycled from k; under per-step resynthesis the next step
-    overwrites all but its first row.  The monitor's running means and
-    first detections follow from the losses afterwards.
+    synthesis steps k, every row synthesizes the plan's law at its own
+    state and plays it cycled from k; under per-step resynthesis the next
+    step overwrites all but its first row.  A nonstat arm reads its rows'
+    schedules off the gain's attack table (``attack_qp._attack_table``)
+    in one product per step, where one exists; the first synthesis of
+    each call also solves its first row's schedule, and an arm whose
+    table differs from that solve beyond the solver's 1e-12 tie rule
+    falls back to the per-state solver.  Every other arm resolves the
+    plan row by row.  The monitor's running means and first detections
+    follow from the losses afterwards.
 
     Returns the array fields of :class:`SimulationTrace` by name, each
     with the row as a leading axis, and ``first_detection`` of shape
@@ -421,17 +466,22 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
     losses = np.empty((rows, T, m))
     states[:, 0] = x
 
+    box = _attack_box(cfg.channel, cfg.detection, ens.horizon)
+    tables = [
+        _attack_table(gain, box)
+        if arm.plan.kind == "nonstat" and arm.synthesis else None
+        for arm in arms
+    ]
     for k in range(T):
         for a, arm in enumerate(arms):
             if k not in arm.synthesis:
                 continue
-            for row in range(a * size, (a + 1) * size):
-                # only the table: no residual is scored for a report
-                table, _, _ = _resolve(
-                    arm.plan, model, ens, cfg.channel, cfg.detection,
-                    cfg.protocol, x[row], gain,
-                )
-                means[row, k:] = _cycled(table, k, T)
+            block = slice(a * size, (a + 1) * size)
+            laws, tables[a] = _synthesize(
+                cfg, arm.plan, x[block], ens, gain, tables[a],
+                check=k == arm.synthesis.start,
+            )
+            means[block, k:] = _cycled(laws, k, T)
 
         if not cfg.zero_input:
             inputs[:, k] = _matvec(feedback, x)

@@ -18,8 +18,10 @@ from dropattack import (
     build_prediction_ensemble,
     build_qp,
     control_gain,
+    load_experiment,
     optimal_alpha,
     parse_experiment,
+    run_episode,
     schedule_objective,
     solve_box_qp_max,
     solve_iid_constrained,
@@ -35,6 +37,7 @@ from conftest import (
     random_channel,
     random_detection,
     random_model,
+    rotation_model,
     shared_channel,
     shared_detection,
     slow_box_max,
@@ -767,3 +770,161 @@ def test_shared_parts_are_read_only(rng):
         assert sol.winner in ("nominal", "iid-nominal")
         assert sol.means.flags.writeable
         assert not np.shares_memory(sol.means, qp.box.start)
+
+
+def test_schedules_are_homogeneous_in_the_state(rng):
+    # u = K x is linear in x and H, c are quadratic in u, so f(z; s x) =
+    # s^2 f(z; x) for every schedule z: the maximizers at x and s x are
+    # one point, or tie, and the optimum scales by s^2.  The attack table
+    # rests on this.
+    signs = rng.choice([-1.0, 1.0], size=4)
+    scales = (0.01, -0.01, 100.0, -100.0, -1.0) + tuple(
+        signs * np.exp(rng.uniform(np.log(0.01), np.log(100.0), 4))
+    )
+    for _ in range(10):
+        model = random_model(rng, horizon=int(rng.integers(1, 4)))
+        ens = build_prediction_ensemble(model)
+        channel = random_channel(rng, model.m)
+        detection = random_detection(rng, model.m)
+        x = rng.normal(size=model.n)
+        for protocol in Protocol:
+            gain = control_gain(ens, model, channel.mean_diag, protocol)
+
+            def qp_at(state):
+                return attack_context(
+                    ens, model, channel, detection, protocol, state, gain
+                ).qp
+
+            base = qp_at(x)
+            for s in scales:
+                qp = qp_at(s * x)
+                for solve in (solve_box_qp_max, solve_iid_constrained):
+                    want, got = solve(base), solve(qp)
+                    assert got.objective == pytest.approx(
+                        s * s * want.objective, rel=1e-12, abs=0.0
+                    )
+                    if not np.array_equal(got.means, want.means):
+                        other = schedule_objective(qp, want.means)
+                        tol = 1e-12 * (1.0 + abs(got.objective))
+                        assert abs(got.objective - other) <= tol
+
+
+def table_and_solver(model, channel, detection, protocol):
+    """The attack table of a fresh gain, and the solver's schedule at x."""
+    ens = build_prediction_ensemble(model)
+    gain = control_gain(ens, model, channel.mean_diag, protocol)
+    box = attack_context(
+        ens, model, channel, detection, protocol, model.init_mean, gain
+    ).box
+    table = attack_qp._attack_table(gain, box)
+
+    def solved(x):
+        return solve_box_qp_max(
+            attack_context(ens, model, channel, detection, protocol, x, gain).qp
+        )
+
+    return table, solved
+
+
+def assert_table_is_the_solver(table, solved, states):
+    """Each state's table schedule is the solver's, or ties with it by the
+    solver's 1e-12 (1 + |value|) rule; returns how many were equal."""
+    equal = 0
+    for x, got in zip(states, table.schedules(np.asarray(states))):
+        sol = solved(x)
+        if np.array_equal(got, sol.means):
+            equal += 1
+            continue
+        value = schedule_objective(sol.qp, got)
+        assert abs(value - sol.objective) <= 1e-12 * (1.0 + abs(sol.objective))
+    return equal
+
+
+def receding_workload_states(tmp_path, sizes):
+    """Every experiment of the benchmark's receding-attack workload at seed
+    101, with each state at which its episodes synthesize."""
+    import importlib.util
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "receding_workloads", root / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.build(
+        "receding-attack", 101, str(tmp_path), str(root),
+        getattr(workloads, sizes),
+    )
+    for op in ops:
+        exp = load_experiment(op["config"])
+        states = [
+            run_episode(exp, r).states[exp.plan.onset : exp.T]
+            for r in range(exp.realizations)
+        ]
+        yield exp, np.concatenate(states)
+
+
+@pytest.mark.parametrize("sizes", ["QUICK", "FULL"])
+def test_attack_table_is_the_solver_on_the_receding_workload(tmp_path, sizes):
+    # every per-step state of the benchmark's receding-attack workload, on
+    # its own protocol and on the other one
+    count = equal = 0
+    for exp, states in receding_workload_states(tmp_path, sizes):
+        for protocol in Protocol:
+            table, solved = table_and_solver(
+                exp.model, exp.channel, exp.detection, protocol
+            )
+            equal += assert_table_is_the_solver(table, solved, states)
+            count += len(states)
+    assert count == {"QUICK": 2 * 2 * 5, "FULL": 16 * 2 * 15}[sizes]
+    assert equal == count  # no tie was needed on these states
+
+
+def test_attack_table_is_the_solver_on_random_qps(rng):
+    # random plants, channels and bands up to d = 12 on both protocols, at
+    # random states over four decades and at x = 0, where every point
+    # scores 0 and the nominal point wins the tie
+    for _ in range(16):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        horizon = int(rng.integers(1, 12 // m + 1))
+        model = (
+            rotation_model(rng, horizon=horizon)
+            if n == 2 and m == 2 else random_model(rng, n, m, horizon)
+        )
+        channel = random_channel(rng, model.m)
+        detection = random_detection(rng, model.m)
+        scales = np.exp(rng.uniform(np.log(0.01), np.log(100.0), (24, 1)))
+        states = rng.normal(size=(24, model.n)) * scales
+        states[0] = 0.0
+        for protocol in Protocol:
+            table, solved = table_and_solver(
+                model, channel, detection, protocol
+            )
+            assert table is not None
+            assert_table_is_the_solver(table, solved, states)
+            np.testing.assert_array_equal(
+                table.schedules(states[:1])[0].reshape(-1), table.points[0]
+            )
+
+
+def test_attack_table_stays_within_its_cap(rng):
+    # 2^d n (n + 1) / 2 vertex values: one state (one pair product) at
+    # d = 16 fits the cap, two states (three) fit up to d = 14, not d = 16
+    for n, m, horizon, built in (
+        (1, 2, 8, True), (1, 1, 17, False), (2, 2, 7, True), (2, 2, 8, False),
+    ):
+        model = random_model(rng, n, m, horizon)
+        channel = random_channel(rng, m)
+        detection = random_detection(rng, m)
+        d, pairs = m * horizon, n * (n + 1) // 2
+        assert (2 ** d * pairs <= attack_qp._TABLE_CAP) == built
+        for protocol in Protocol:
+            table, solved = table_and_solver(
+                model, channel, detection, protocol
+            )
+            assert (table is not None) == built
+            if built:
+                assert table.values.shape == (2 ** d + 1, pairs)
+                states = rng.normal(size=(3, n))
+                assert_table_is_the_solver(table, solved, states)

@@ -1,5 +1,6 @@
 """Closed-loop episodes, Monte-Carlo aggregation, horizon estimators."""
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from dropattack import (
     resolve_attack,
     run_episode,
 )
-from dropattack import simulate
+from dropattack import attack_qp, simulate
 
 from conftest import (
     gramian_horizon_costs,
@@ -326,25 +327,108 @@ def test_zero_input_matches_all_drop_attack():
     np.testing.assert_array_equal(a.mean_cumulative, b.mean_cumulative)
 
 
-def test_resynthesis_solves_once_per_step(monkeypatch):
+def test_resynthesis_synthesizes_once_per_row_and_step(monkeypatch):
     # the schedule resolved at onset would be replaced by the step's own
-    # solve, so the onset resolution is skipped
-    calls = []
+    # synthesis, so set-up resolves nothing; from onset every row
+    # synthesizes once per step, the rows of a step in one table product,
+    # and only the first step's check runs the per-state solver
+    rows, solves = [], []
 
-    def counted(qp):
-        calls.append(qp)
-        return solve(qp)
+    def counted_synthesis(cfg, plan, states, *args, **kwargs):
+        rows.append(len(states))
+        return synthesize(cfg, plan, states, *args, **kwargs)
 
-    solve = simulate.solve_box_qp_max
-    monkeypatch.setattr(simulate, "solve_box_qp_max", counted)
+    def counted_solve(*args):
+        solves.append(args)
+        return resolve(*args)
+
+    synthesize, resolve = simulate._synthesize, simulate._resolve
+    monkeypatch.setattr(simulate, "_synthesize", counted_synthesis)
+    monkeypatch.setattr(simulate, "_resolve", counted_solve)
+    monkeypatch.setattr(simulate, "resolve_attack", None)  # not at set-up
     cfg = small_cfg(
         T=12, plan=AttackPlan(kind="nonstat", onset=7, resynthesize=True)
     )
-    want = slow_episode(cfg, 0)
-    calls.clear()
-    got = run_episode(cfg, 0)
-    assert len(calls) == 12 - 7
-    np.testing.assert_array_equal(got.losses, want.losses)
+    for realizations in (1, 3):
+        rows.clear(), solves.clear()
+        rep = monte_carlo(cfg, realizations)
+        assert rows == [realizations] * (12 - 7)
+        assert len(solves) == 1
+    for r in range(3):
+        rows.clear(), solves.clear()
+        got = run_episode(cfg, r)
+        assert rows == [1] * (12 - 7) and len(solves) == 1
+        assert got.terminal_cost == rep.terminal_costs[r]
+        np.testing.assert_array_equal(got.losses, slow_episode(cfg, r).losses)
+
+
+def count_solves(monkeypatch):
+    """The list that every per-state resolution of the engine appends to."""
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return resolve(*args)
+
+    resolve = simulate._resolve
+    monkeypatch.setattr(simulate, "_resolve", counted)
+    return solves
+
+
+def assert_episodes_match_slow_ones(cfg, realizations):
+    rep = monte_carlo(cfg, realizations)
+    for r in range(realizations):
+        want = slow_episode(cfg, r)
+        np.testing.assert_array_equal(
+            run_episode(cfg, r).losses, want.losses
+        )
+        _close(rep.terminal_costs[r], want.terminal_cost)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_resynthesis_beyond_the_table_cap_runs_the_solver(
+    protocol, monkeypatch
+):
+    # two channels over N = 8 steps: d = 16, so 2^16 vertex values for
+    # each of the three pair products of the state exceed the table's cap,
+    # and every row resolves its schedule with the per-state solver
+    model = make_model(
+        [[1.03, 0.005], [0.35, 0.5]], np.eye(2), horizon=8, noise=[0.01, 0.01]
+    )
+    cfg = small_cfg(
+        model=model, protocol=protocol, T=9,
+        plan=AttackPlan(kind="nonstat", onset=6, resynthesize=True),
+    )
+    ens, gain, _ = simulate._prepare(cfg, [])
+    box = simulate._attack_box(cfg.channel, cfg.detection, ens.horizon)
+    assert 2 ** 16 * 3 > attack_qp._TABLE_CAP
+    assert attack_qp._attack_table(gain, box) is None
+    solves = count_solves(monkeypatch)
+    monte_carlo(cfg, 2)
+    assert len(solves) == 2 * (9 - 6)
+    assert_episodes_match_slow_ones(cfg, 2)
+
+
+@pytest.mark.parametrize("plan", [
+    AttackPlan(kind="nonstat", onset=7, resynthesize=True),
+    AttackPlan(kind="nonstat", onset=7),
+])
+def test_a_table_that_disagrees_with_its_check_falls_back(plan, monkeypatch):
+    # a table that scores every point 0 keeps the nominal rates; the first
+    # row's solve picks a vertex, so the arm drops the table and resolves
+    # every row of that step and the later ones with the solver
+    def nominal_table(gain, box):
+        table = build(gain, box)
+        return dataclasses.replace(table, values=np.zeros_like(table.values))
+
+    build = simulate._attack_table
+    monkeypatch.setattr(simulate, "_attack_table", nominal_table)
+    solves = count_solves(monkeypatch)
+    cfg = small_cfg(T=12, plan=plan)
+    monte_carlo(cfg, 3)
+    steps = len(range(7, 12)) if plan.resynthesize else 1
+    assert len(solves) == 1 + 3 * steps
+    assert_episodes_match_slow_ones(cfg, 3)
 
 
 # (protocol, onset, flags, detector_min_steps): the flags of
