@@ -1,8 +1,10 @@
 """Schedule-attack QP: construction, restriction identity, and the solver."""
 
 import dataclasses
+import importlib.util
 import itertools
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -843,9 +845,6 @@ def assert_table_is_the_solver(table, solved, states):
 def receding_workload_states(tmp_path, sizes):
     """Every experiment of the benchmark's receding-attack workload at seed
     101, with each state at which its episodes synthesize."""
-    import importlib.util
-    import pathlib
-
     root = pathlib.Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
         "receding_workloads", root / "bench" / "workloads.py"
