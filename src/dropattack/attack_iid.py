@@ -70,7 +70,7 @@ def _corner_bits(k):
 
     Row j is vertex j of a k-coordinate box: coordinate i at its upper
     bound when bit i of j is set.  Every caller keeps k <= 16: the vertex
-    halves of a box in the solver's exact regime (d <= 20) have at most 10
+    halves the solver forms in its exact regime (d <= 20) have at most 10
     columns, the solver's face budget bounds its faces', and the attack
     table's cap (2^d values per pair product of the state) bounds its
     k = d.  That bounds the cache.
@@ -86,10 +86,8 @@ class AttackBox:
 
     ``lo``, ``hi`` and ``nominal`` repeat one m-entry block per horizon
     step, step-major like the decision vector, and are read-only.  Nothing
-    here depends on the state, so :func:`attack_context` hands one box to
-    every state of an operation, and the parts the solver reads on every
-    solve are built on first use and kept: ``start``, ``rates``,
-    ``repeat`` and ``halves``.
+    here depends on the state; ``region`` and the clipped nominal point
+    ``start`` are built on first use and kept.
     """
 
     lo: np.ndarray
@@ -131,42 +129,9 @@ class AttackBox:
         """The nominal point clipped into the box."""
         return _frozen(np.clip(self.nominal, self.lo, self.hi))
 
-    @cached_property
-    def rates(self) -> "AttackBox":
-        """The box of the schedules constant in time: one rate per channel."""
-        m = self.m
-        return AttackBox(self.lo[:m], self.hi[:m], self.nominal[:m], 1, m)
 
-    @cached_property
-    def repeat(self) -> np.ndarray:
-        """The 0/1 map R with R a the schedule repeating rates a each step."""
-        return _frozen(np.tile(np.eye(self.m), (self.horizon, 1)))
-
-    @cached_property
-    def halves(self) -> tuple:
-        """The vertices of the low l = ceil(d / 2) coordinates and of the rest.
-
-        Each block lists its vertices in the order of :func:`_corner_bits`,
-        so vertex j of the box is low vertex j mod 2^l beside high vertex
-        j >> l.  The solver reads them only in its exact regime, d <= 20.
-        """
-        l = (self.lo.size + 1) // 2
-        blocks = []
-        for part in (slice(0, l), slice(l, None)):
-            lo, hi = self.lo[part], self.hi[part]
-            blocks.append(_frozen(lo + _corner_bits(lo.size) * (hi - lo)))
-        return tuple(blocks)
-
-
-@lru_cache(maxsize=1)
 def _attack_box(channel: ChannelSpec, detection: DetectionSpec, horizon: int):
-    """The box of ``channel``'s bands under ``detection`` over ``horizon``.
-
-    A one-entry memo, so the states of one operation share one box.  The
-    specs are immutable and compare by identity (``eq=False``), so a hit
-    is the box a fresh build gives; the entry holds the two specs and the
-    box, whose vertex halves take at most 160 KB (d = 20).
-    """
+    """The box of ``channel``'s bands under ``detection`` over ``horizon``."""
     lo, hi = detection.bounds(channel)
     return AttackBox(
         lo=np.tile(lo, horizon),
@@ -183,12 +148,12 @@ class AttackContext:
 
     ``u_star`` caches the operator's optimal sequence at ``x`` so every
     quadratic form is evaluated against it instead of re-solving or forming
-    an explicit kernel inverse.  The state-free parts are shared: the
-    gain's and the ``box`` of the channels' bands.  ``region`` is the
-    scalar admissible interval (the intersection of all per-channel bands),
-    or None when the channels' bands do not overlap; per-channel bounds
-    are kept separately for schedule attacks, which do not need a common
-    rate.
+    an explicit kernel inverse.  The quadratic's state-free parts are the
+    gain's coupling and load and the ``box`` of the channels' bands.
+    ``region`` is the scalar admissible interval (the intersection of all
+    per-channel bands), or None when the channels' bands do not overlap;
+    per-channel bounds are kept separately for schedule attacks, which do
+    not need a common rate.
     """
 
     ens: PredictionEnsemble
@@ -280,7 +245,9 @@ def attack_context(
 
     A given ``gain`` must have been built by ``control_gain`` from ``ens``,
     for ``protocol`` and the channel's nominal means: its coupling and
-    load then carry the quadratic's state-free parts.  The ensemble is
+    load then carry the quadratic's state-free parts, so a caller that
+    passes one gain to many states builds them once.  The box is built
+    for each call; it is a few tiled m-entry vectors.  The ensemble is
     checked first, so a gain of another horizon is named as such.
     """
     if channel.m != ens.m:
@@ -358,7 +325,7 @@ def build_qp(ctx: AttackContext) -> BoxQP:
     """Schedule-attack QP at the context's state.
 
     H and c are the gain's state-free coupling and load weighted by the
-    optimal sequence u; the box is the context's shared one.
+    optimal sequence u; the box is the context's.
     """
     u, gain = ctx.u_star, ctx.gain
     H = gain.coupling * np.outer(u, u)

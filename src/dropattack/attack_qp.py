@@ -11,20 +11,20 @@ the stationary optimum.
 
 The maximization is NOT a convex program (for udp H is traceless, hence
 indefinite whenever it is nonzero), and the general box QP is NP-hard.
-The solver is deliberately plain, with explicit candidate bookkeeping so
-ties break toward the nominal rates.  With q the number of negative
-diagonal entries of H, it has two regimes:
+The solver is deliberately plain: one candidate against the clipped
+nominal point, which keeps ties (:func:`_beats_nominal`).  With q the
+number of negative diagonal entries of H, it has two regimes:
 
 * exact: d <= ``_VERTEX_CAP`` (20) and the faces with a free coordinate
   hold at most ``_FACE_BUDGET`` (2^16) points, (3^q - 2^q) 2^(d-q).
   Along a coordinate with H_ii >= 0 the objective is convex, and a
   coordinate with H_ii < 0 is at a bound or stationary given the others,
   so the best vertex and the best face point, one linear solve per face,
-  hold the maximum.  The 2^d vertex values are summed from a low and a
-  high block of coordinates, one bounded block of values at a time,
-  without forming the 2^d x d vertex matrix; only the face points are
-  materialized.  Every QP :func:`build_qp` makes has q = 0, hence no
-  faces, so every built QP up to d = 20 is solved exactly, and the
+  hold the maximum.  The 2^d vertex values are summed from the vertices
+  of a low and a high block of coordinates, one bounded block of values
+  at a time, without forming the 2^d x d vertex matrix; only the face
+  points are materialized.  Every QP :func:`build_qp` makes has q = 0,
+  hence no faces, so every built QP up to d = 20 is solved exactly, and the
   m-variable restriction of :func:`solve_iid_constrained` is exact at
   least up to m = 10;
 * local: beyond it, an exact coordinate ascent from a given start (the
@@ -33,20 +33,20 @@ diagonal entries of H, it has two regimes:
   so some maximizer is a vertex (Rosenberg 1972), and every move of the
   ascent sends a coordinate to a bound.
 
-What does not depend on the state is read off the QP's
-:class:`~dropattack.attack_iid.AttackBox`, which every state of an
-operation shares: the clipped nominal point, the vertex halves, the box
-of the constant schedules and the map R onto them.  A solve computes
-only the vertex values and the picks; residuals wait for a read.
+A solve reads the bands and the clipped nominal point off the QP's
+:class:`~dropattack.attack_iid.AttackBox` and forms what else it needs,
+the vertex halves or the constant schedules' map, from them; residuals
+wait for a read.  Closed-loop episodes read their schedules off an
+attack table instead (:func:`_attack_table`), which tabulates this
+solver's exact answer as a quadratic form in the state.
 """
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .attack_iid import AttackContext, BoxQP, _corner_bits, _pick, build_qp
+from .attack_iid import AttackBox, AttackContext, BoxQP, _corner_bits, build_qp
 from .controller import Protocol
 from .errors import DimensionError
 
@@ -122,6 +122,18 @@ def schedule_objective(qp: BoxQP, schedule: np.ndarray) -> float:
 def _batch_objective(H, c, Z):
     """z'Hz + c'z for every row z of Z."""
     return ((Z @ H) * Z).sum(axis=1) + Z @ c
+
+
+def _beats_nominal(value, nominal):
+    """Whether objective ``value`` beats the clipped nominal point's
+    ``nominal`` by more than 1e-12 (1 + |best|), elementwise.
+
+    A near tie keeps the nominal point, the box point closest to the
+    nominal rates, so a flat objective never sends the attacker to an
+    arbitrary vertex.
+    """
+    best = np.maximum(value, nominal)
+    return value - nominal > 1e-12 * (1.0 + np.abs(best))
 
 
 def _residuals(H, c, lo, hi, Z):
@@ -219,9 +231,9 @@ def _best_vertex(H, c, box):
     """First vertex of the box that maximizes z'Hz + c'z.
 
     Vertex j sets coordinate i to hi_i when bit i of j is set, as in
-    :func:`_corner_bits`.  The coordinates split into the box's low block
-    of l = ceil(d / 2) and its high block of the rest (``box.halves``, the
-    vertices of each), so j = low + 2^l high, and the value of vertex j is
+    :func:`_corner_bits`.  The coordinates split into a low block of
+    l = ceil(d / 2) and a high block of the rest, each with its vertices
+    XL and XH, so j = low + 2^l high, and the value of vertex j is
     the low block's self-term, plus the high block's, plus 2 z_H' H_HL z_L.
     Each self-term is computed once over its block's vertices; the cross
     terms are one product per chunk of high vertices, each chunk holding
@@ -230,8 +242,11 @@ def _best_vertex(H, c, box):
     maximum within a chunk, and a later chunk only on a strictly larger
     value.
     """
-    XL, XH = box.halves
-    l = XL.shape[1]
+    l = (c.size + 1) // 2
+    XL, XH = (
+        lo + _corner_bits(lo.size) * (hi - lo)
+        for lo, hi in ((box.lo[:l], box.hi[:l]), (box.lo[l:], box.hi[l:]))
+    )
     sL = _batch_objective(H[:l, :l], c[:l], XL)
     sH = _batch_objective(H[l:, l:], c[l:], XH)
     cross = 2.0 * H[l:, :l] @ XL.T
@@ -269,23 +284,19 @@ class _AttackTable:
     def schedules(self, X):
         """The (rows, horizon, m) schedules at the rows of the states X.
 
-        Each is the first best vertex, or the nominal point where it scores
-        within the 1e-12 (1 + |value|) tie rule of the vertex: :func:`_pick`
-        would keep it, since the clipped nominal point is the box point
-        closest to the nominal rates.  Each row's scores are one stacked
-        matrix-vector product, so a state's schedule does not depend on
-        the other rows of X.
+        Each is the first best vertex, or the nominal point unless that
+        vertex beats it (:func:`_beats_nominal`), as the solver picks.
+        Each row's scores are one stacked matrix-vector product, so a
+        state's schedule does not depend on the other rows of X.
         """
         a, b = self.pairs
         scores = (self.values @ (X[:, a] * X[:, b])[:, :, None])[:, :, 0]
         j = 1 + np.argmax(scores[:, 1:], axis=1)
         vertex, nominal = scores[np.arange(j.size), j], scores[:, 0]
-        best = np.maximum(vertex, nominal)
-        j[vertex - nominal <= 1e-12 * (1.0 + np.abs(best))] = 0
+        j[~_beats_nominal(vertex, nominal)] = 0
         return self.points[j].reshape(-1, self.horizon, self.m)
 
 
-@lru_cache(maxsize=1)
 def _attack_table(gain, box):
     """The :class:`_AttackTable` of ``gain`` over ``box``, or None.
 
@@ -300,9 +311,8 @@ def _attack_table(gain, box):
     so d <= 16 <= ``_VERTEX_CAP``, and when no diagonal entry of C is
     negative, so H_ii = C_ii u_i^2 >= 0 at every state: there the solver
     is exact and picks between the nominal point and the first best
-    vertex, as the table does.  Else the answer is None.  A one-entry
-    memo, like the box's: the states of one operation share one table,
-    whose points and values take about 100 KB at n = 2 and d = 10.
+    vertex, as the table does.  Else the answer is None.  Its points and
+    values take about 100 KB at n = 2 and d = 10.
     """
     d, n = box.lo.size, gain.ens.n
     pairs = np.triu_indices(n)
@@ -332,12 +342,13 @@ def _attack_table(gain, box):
 def _maximize_box(H, c, box, start):
     """Candidate-based maximization of z'Hz + c'z over ``box``.
 
-    Returns (z, value, winner).  The candidates are the nominal point and
-    one of: the exact maximizer by :func:`_enumerate`, when d <=
-    ``_VERTEX_CAP`` and the (3^q - 2^q) 2^(d-q) points of its faces with
-    a free coordinate (q the number of negative diagonal entries of H)
-    number at most ``_FACE_BUDGET``; or else the end of the coordinate
-    ascent from ``start``, tagged ``iid`` when it did not move.
+    Returns (z, value, winner).  The candidate is the exact maximizer by
+    :func:`_enumerate`, when d <= ``_VERTEX_CAP`` and the (3^q - 2^q)
+    2^(d-q) points of its faces with a free coordinate (q the number of
+    negative diagonal entries of H) number at most ``_FACE_BUDGET``, or
+    else the end of the coordinate ascent from ``start``, tagged ``iid``
+    when it did not move.  The clipped nominal point, on its own copy,
+    wins unless the candidate beats it (:func:`_beats_nominal`).
     """
     d = c.size
     neg = np.flatnonzero(np.diag(H) < 0.0)
@@ -347,11 +358,11 @@ def _maximize_box(H, c, box, start):
     else:
         z, moves = _coordinate_ascent(H, c, box.lo, box.hi, start)
         tag = "coordinate" if moves else "iid"
-    candidates = ((box.start.copy(), "nominal"), (z, tag))
-    return _pick(
-        [(p, float(p @ (H @ p) + c @ p), tag) for p, tag in candidates],
-        box.nominal,
-    )
+    nominal = box.start.copy()
+    value, nominal_value = (float(p @ (H @ p) + c @ p) for p in (z, nominal))
+    if _beats_nominal(value, nominal_value):
+        return z, value, tag
+    return nominal, nominal_value, "nominal"
 
 
 def solve_box_qp_max(
@@ -384,11 +395,13 @@ def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
     forms: endpoints, plus the interior peak when the reduced curvature
     is negative.
     """
-    R = qp.box.repeat
+    box, m = qp.box, qp.m
+    R = np.tile(np.eye(m), (qp.horizon, 1))
     Hr = R.T @ qp.H @ R
     Hr = 0.5 * (Hr + Hr.T)
     cr = R.T @ qp.c
-    a, _, winner = _maximize_box(Hr, cr, qp.box.rates, qp.box.rates.start)
+    rates = AttackBox(box.lo[:m], box.hi[:m], box.nominal[:m], 1, m)
+    a, _, winner = _maximize_box(Hr, cr, rates, rates.start)
     z = np.tile(a, qp.horizon)  # R a, bitwise: R has one 1 per row
     means, value = z.reshape(qp.horizon, qp.m), qp.objective(z)
     return AttackSchedule(means, value, f"iid-{winner}", qp)

@@ -19,7 +19,7 @@ report is a numerical failure.  Exit codes: 0 success, 2 configuration problem, 
 numerical failure, 4 a library InfeasibleRegionError; no subcommand
 raises it, since synthesize and analyze report a missing common rate band
 as null.  Log verbosity comes from the DROPATTACK_LOG environment variable
-(DEBUG, INFO, WARNING, ...).
+(DEBUG, INFO, WARNING, ...); any other name is a configuration problem.
 """
 
 import argparse
@@ -430,14 +430,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _configure_logging():
+    """Log at the level DROPATTACK_LOG names (default WARNING)."""
+    name = os.environ.get("DROPATTACK_LOG", "WARNING").upper()
+    level = logging.getLevelName(name)
+    if not isinstance(level, int):
+        raise ConfigError(
+            f"DROPATTACK_LOG: unknown log level {name!r} "
+            "(use DEBUG, INFO, WARNING, ERROR or CRITICAL)"
+        )
     logging.basicConfig(
-        level=os.environ.get("DROPATTACK_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
+        level=level, format="%(levelname)s %(name)s: %(message)s"
     )
+
+
+def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _configure_logging()
         return args.func(args)
     except (ConfigError, DimensionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

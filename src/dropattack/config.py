@@ -324,9 +324,9 @@ def parse_experiment(data: dict) -> ExperimentConfig:
 def load_experiment(path) -> ExperimentConfig:
     """Read and validate a JSON experiment file."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([f"invalid JSON: {exc}"]) from exc

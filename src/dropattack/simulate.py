@@ -19,12 +19,12 @@ which decides each arm's channel law once per call: the (T, m) delivery
 means its episodes start from, and the steps at which each episode
 synthesizes from its own state instead (none, onset, or every step from
 onset under per-step resynthesis).  A nonstat arm's syntheses at one
-step are one product of its rows' states with the gain's attack table
-(``attack_qp._attack_table``), which holds the solver's exact schedule of
-every state as long as d stays within the table's cap; the first
-synthesis of each batch is checked against the per-state solver, which
-serves every other arm, and any nonstat arm beyond the cap or failing its
-check.  So :func:`run_episode` for
+step are one product of its rows' states with its attack table
+(``attack_qp._attack_table``), built once at set-up, which holds the
+solver's exact schedule of every state as long as d stays within the
+table's cap; the first synthesis of each batch is checked against the
+per-state solver, which serves every other arm, and any nonstat arm
+beyond the cap or failing its check.  So :func:`run_episode` for
 realization r is bitwise the episode :func:`monte_carlo` runs for r, and
 every arm of :func:`monte_carlo_arms` is bitwise the plan's
 :func:`monte_carlo` run.  A block of 64 realizations holds
@@ -200,9 +200,8 @@ def resolve_attack(
     means played cyclically from the step the law starts at, one row for
     a stationary law, and is None for a plan of kind "none"; ``info`` is
     the report's attack info.  Synthesis reads the state ``x``; the
-    quadratic's state-free parts come from ``gain`` and from the box that
-    :func:`~dropattack.attack_iid.attack_context` shares between the
-    calls of one set-up, so a per-step resynthesis rebuilds none of them.
+    quadratic's state-free coupling and load come from ``gain``, so the
+    calls of one set-up that pass the same gain rebuild neither.
     """
     table, info, schedule = _resolve(
         plan, model, ens, channel, detection, protocol, x, gain
@@ -325,6 +324,7 @@ class _Arm:
     means: np.ndarray  # (T, m) delivery means before per-episode synthesis
     info: dict         # the report's attack info
     synthesis: range   # steps at which each episode synthesizes from its state
+    table: object = None  # the nonstat syntheses' attack table, if any
 
 
 def _arm(cfg, plan, ens, gain) -> _Arm:
@@ -336,7 +336,8 @@ def _arm(cfg, plan, ens, gain) -> _Arm:
     onset 0 without a sampled initial state.  Otherwise each episode
     synthesizes from its own state: at onset, or at every step from onset
     under per-step resynthesis (nonstat only), which never plays a law
-    resolved at onset.
+    resolved at onset.  A nonstat arm that synthesizes gets its attack
+    table here, once, or None beyond the table's cap.
     """
     T = cfg.T
     means = np.tile(cfg.channel.mean_diag, (T, 1))
@@ -353,7 +354,10 @@ def _arm(cfg, plan, ens, gain) -> _Arm:
         means[plan.onset :] = _cycled(table, plan.onset, T)
         return _Arm(plan, means, info, steps)
     info = {"kind": plan.kind, "per_episode_synthesis": plan.kind != "none"}
-    return _Arm(plan, means, info, steps)
+    if plan.kind != "nonstat":
+        return _Arm(plan, means, info, steps)
+    box = _attack_box(cfg.channel, cfg.detection, ens.horizon)
+    return _Arm(plan, means, info, steps, _attack_table(gain, box))
 
 
 def _prepare(cfg, plans):
@@ -374,7 +378,7 @@ def _synthesize(cfg, plan, states, ens, gain, table, check):
     """The laws ``plan`` synthesizes at the rows of ``states``.
 
     Returns the (rows, period, m) laws and the table for the arm's next
-    synthesis.  ``table`` is the gain's attack table, which gives every
+    synthesis.  ``table`` is the arm's attack table, which gives every
     row's schedule in one product, or None, and then each row resolves
     the plan with the per-state solver.  With ``check`` the first row is
     solved as well, and a table whose schedule differs from that solve
@@ -417,12 +421,13 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
     synthesis steps k, every row synthesizes the plan's law at its own
     state and plays it cycled from k; under per-step resynthesis the next
     step overwrites all but its first row.  A nonstat arm reads its rows'
-    schedules off the gain's attack table (``attack_qp._attack_table``)
-    in one product per step, where one exists; the first synthesis of
-    each call also solves its first row's schedule, and an arm whose
-    table differs from that solve beyond the solver's 1e-12 tie rule
-    falls back to the per-state solver.  Every other arm resolves the
-    plan row by row.  The monitor's running means and first detections
+    schedules off the attack table its set-up built (``_Arm.table``) in
+    one product per step, where one exists; the first synthesis of each
+    call also solves its first row's schedule, and an arm whose table
+    differs from that solve beyond the solver's 1e-12 tie rule falls back
+    to the per-state solver for the rest of this call only: the call
+    works on its own list of the arms' tables.  Every other arm resolves
+    the plan row by row.  The monitor's running means and first detections
     follow from the losses afterwards.
 
     Returns the array fields of :class:`SimulationTrace` by name, each
@@ -466,12 +471,7 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
     losses = np.empty((rows, T, m))
     states[:, 0] = x
 
-    box = _attack_box(cfg.channel, cfg.detection, ens.horizon)
-    tables = [
-        _attack_table(gain, box)
-        if arm.plan.kind == "nonstat" and arm.synthesis else None
-        for arm in arms
-    ]
+    tables = [arm.table for arm in arms]
     for k in range(T):
         for a, arm in enumerate(arms):
             if k not in arm.synthesis:

@@ -30,6 +30,7 @@ from dropattack import (
 )
 
 from dropattack import attack_qp
+from dropattack.attack_iid import _pick
 
 from conftest import (
     best_single_move,
@@ -682,6 +683,31 @@ def test_zero_state_ties_to_nominal(rng):
     )
 
 
+def test_nominal_tie_rule_is_the_two_candidate_pick():
+    # the solver and the attack table keep the clipped nominal point unless
+    # the other point beats it beyond 1e-12 (1 + |best|): _pick's answer on
+    # the two candidates, the nominal point first and closest to the
+    # nominal rates, at an exact tie, at and around +-tol, and at zero and
+    # negative values
+    start, other = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+    pairs = []
+    for nominal in (0.0, -0.0, 1.0, -1.0, -2.5e-3, 3.7e5, -3.7e5):
+        tol = 1e-12 * (1.0 + abs(nominal))
+        for delta in (0.0, 0.5, 1.0, 2.0, -0.5, -1.0, -2.0):
+            pairs.append((nominal, nominal + delta * tol))
+        # on either side of the value that first beats the nominal one
+        edge = nominal + tol
+        pairs += [(nominal, np.nextafter(edge, up)) for up in (-1e9, 1e9)]
+    beats = [bool(attack_qp._beats_nominal(b, a)) for a, b in pairs]
+    for (a, b), won in zip(pairs, beats):
+        candidates = [(start, a, "nominal"), (other, b, "other")]
+        assert won == (_pick(candidates, start)[2] == "other"), (a, b)
+    assert any(beats) and not all(beats)
+    assert not any(beats[i] for i, (a, b) in enumerate(pairs) if a == b)
+    values, nominals = np.array(pairs)[:, 1], np.array(pairs)[:, 0]
+    assert attack_qp._beats_nominal(values, nominals).tolist() == beats
+
+
 def test_multistart_determinism(rng):
     _, qp = build_for(rng, Protocol.UDP_LIKE)
     a = solve_box_qp_max(qp)
@@ -694,8 +720,7 @@ def fresh_qp(ctx):
     """The context's QP with every state-free part built anew.
 
     H and c follow the definitions from the ensemble, the model's penalty
-    and the gain's means and paid variance, and the box is a new one, so
-    its solver parts are built on this QP's first solve.
+    and the gain's means and paid variance, and the box is a new one.
     """
     ens, gain, u = ctx.ens, ctx.gain, ctx.u_star
     paid = np.diag(gain.paid_variance)
@@ -724,9 +749,9 @@ def assert_same_schedule(got, want):
 
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_shared_parts_solve_bitwise_as_fresh_ones(rng, protocol):
-    # the states of one operation share the gain's coupling and load and
-    # one box with its solver parts; every solve must be bitwise the solve
-    # of a QP whose parts are all built for it alone
+    # the states of one operation share the gain's coupling and load;
+    # every solve must be bitwise the solve of a QP whose parts are all
+    # built for it alone
     for horizon, m, states in (
         (1, 1, 40), (2, 1, 40), (5, 1, 40), (5, 2, 40), (8, 2, 12), (10, 2, 3)
     ):
@@ -735,14 +760,11 @@ def test_shared_parts_solve_bitwise_as_fresh_ones(rng, protocol):
         channel = random_channel(rng, m)
         detection = random_detection(rng, m)
         gain = control_gain(ens, model, channel.mean_diag, protocol)
-        box = None
         for _ in range(states):
             x = rng.normal(size=model.n) * rng.uniform(0.1, 3.0)
             ctx = attack_context(
                 ens, model, channel, detection, protocol, x, gain
             )
-            box = box or ctx.box
-            assert ctx.box is box
             qp, fresh = ctx.qp, fresh_qp(ctx)
             np.testing.assert_array_equal(qp.H, fresh.H)
             np.testing.assert_array_equal(qp.c, fresh.c)
@@ -756,12 +778,10 @@ def test_shared_parts_are_read_only(rng):
     model = random_model(rng, m=2, horizon=5)
     ctx, qp = build_for(rng, Protocol.UDP_LIKE, model=model)
     solve_box_qp_max(qp)
-    box, rates, gain = qp.box, qp.box.rates, ctx.gain
+    box, gain = qp.box, ctx.gain
     shared = [
         gain.kernel, gain.mean_stack, gain.paid_variance, gain.coupling,
-        gain.load, box.lo, box.hi, box.nominal, box.start, box.repeat,
-        *box.halves, rates.lo, rates.hi, rates.nominal, rates.start,
-        *rates.halves,
+        gain.load, box.lo, box.hi, box.nominal, box.start,
     ]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):

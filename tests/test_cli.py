@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import json
+import logging
 import pathlib
 import re
 
@@ -400,6 +401,29 @@ def test_exit_code_for_bad_config(tmp_path):
     doc["protocol"] = "смтп"
     bad.write_text(json.dumps(doc))
     assert main(["analyze", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("level", ["LOUD", "bogus", "10"])
+def test_unknown_log_level_is_a_config_error(
+    tmp_path, config_path, monkeypatch, capsys, level
+):
+    # exit 2 with a message naming the variable, and nothing written
+    monkeypatch.setenv("DROPATTACK_LOG", level)
+    out = tmp_path / "out"
+    rc = main(["synthesize", "--config", config_path, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: DROPATTACK_LOG: ")
+    assert not out.exists()
+    # a known name in any case is the level: recorded, not installed, so
+    # the root logger of the test process is left as it was
+    levels = []
+    monkeypatch.setattr(
+        "logging.basicConfig", lambda **kw: levels.append(kw["level"])
+    )
+    monkeypatch.setenv("DROPATTACK_LOG", "debug")
+    assert main(["synthesize", "--config", config_path, "--out", str(out)]) == 0
+    assert levels == [logging.DEBUG]
 
 
 @pytest.mark.parametrize(

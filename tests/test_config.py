@@ -338,3 +338,12 @@ def test_load_experiment_io_errors(tmp_path):
     good.write_text(json.dumps(base_doc()))
     exp = load_experiment(good)
     assert exp.realizations == 200
+
+
+def test_undecodable_config_is_a_read_error(tmp_path):
+    # a UTF-16 file with its byte-order mark is not UTF-8: a read error,
+    # which the CLI reports with exit 2, not a UnicodeDecodeError
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + json.dumps(base_doc()).encode("utf-16-le"))
+    with pytest.raises(ConfigError, match="^cannot read config: "):
+        load_experiment(bad)

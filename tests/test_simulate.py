@@ -1,6 +1,8 @@
 """Closed-loop episodes, Monte-Carlo aggregation, horizon estimators."""
 
 import dataclasses
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -429,6 +431,33 @@ def test_a_table_that_disagrees_with_its_check_falls_back(plan, monkeypatch):
     steps = len(range(7, 12)) if plan.resynthesize else 1
     assert len(solves) == 1 + 3 * steps
     assert_episodes_match_slow_ones(cfg, 3)
+
+
+def test_a_finished_operation_holds_no_state(monkeypatch):
+    # once a resynthesizing two-channel monte_carlo returns, nothing in
+    # the package keeps its gain, its channel and detection specs or its
+    # attack table alive
+    refs = []
+
+    def recorded(build):
+        def call(*args):
+            result = build(*args)
+            refs.append(weakref.ref(result))
+            return result
+        return call
+
+    for name in ("control_gain", "_attack_table"):
+        monkeypatch.setattr(simulate, name, recorded(getattr(simulate, name)))
+    cfg = small_cfg(
+        T=12, plan=AttackPlan(kind="nonstat", onset=7, resynthesize=True)
+    )
+    assert cfg.channel.m == 2
+    refs += [weakref.ref(cfg.channel), weakref.ref(cfg.detection)]
+    monte_carlo(cfg, 3)
+    assert len(refs) == 4  # one gain and one table
+    del cfg
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
 
 
 # (protocol, onset, flags, detector_min_steps): the flags of
