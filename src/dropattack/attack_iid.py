@@ -32,14 +32,14 @@ its maximum is always at an endpoint.
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .channel import ChannelSpec, DetectionSpec
 from .controller import ControllerGain, Protocol, control_gain, optimal_input_sequence
 from .errors import DimensionError, InfeasibleRegionError
-from .model import PredictionEnsemble, SystemModel, _frozen
+from .model import PredictionEnsemble, SystemModel, _count, _frozen
 
 __all__ = [
     "Convexity",
@@ -64,82 +64,71 @@ class Convexity(enum.Enum):
     LINEAR = "linear"
 
 
-@lru_cache(maxsize=None)
-def _corner_bits(k):
-    """Read-only 2^k x k matrix whose row j holds the binary digits of j.
-
-    Row j is vertex j of a k-coordinate box: coordinate i at its upper
-    bound when bit i of j is set.  Every caller keeps k <= 16: the vertex
-    halves the solver forms in its exact regime (d <= 20) have at most 10
-    columns, the solver's face budget bounds its faces', and the attack
-    table's cap (2^d values per pair product of the state) bounds its
-    k = d.  That bounds the cache.
-    """
-    bits = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
-    bits.flags.writeable = False
-    return bits
-
-
 @dataclass(frozen=True, eq=False)
 class AttackBox:
-    """The schedule QP's box: each channel's band and nominal rate, per step.
+    """The schedule QP's box: one detection band and nominal rate per channel.
 
-    ``lo``, ``hi`` and ``nominal`` repeat one m-entry block per horizon
-    step, step-major like the decision vector, and are read-only.  Nothing
-    here depends on the state; ``region`` and the clipped nominal point
-    ``start`` are built on first use and kept.
+    The monitor watches each channel's average rate, so its band holds at
+    every step of the ``horizon``.  ``channel_lo``, ``channel_hi`` and
+    ``channel_nominal`` are read-only m-vectors; the step-major ``lo``,
+    ``hi`` and ``nominal``, the clipped nominal point ``start`` and
+    ``region`` are built from them on first use and kept.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
-    nominal: np.ndarray
+    channel_lo: np.ndarray
+    channel_hi: np.ndarray
+    channel_nominal: np.ndarray
     horizon: int
-    m: int
 
     def __post_init__(self):
-        d, m = self.horizon * self.m, self.m
-        if d == 0:
-            raise DimensionError("empty decision vector")
-        for name in ("lo", "hi", "nominal"):
-            values = _frozen(getattr(self, name))
-            if values.shape != (d,):
-                raise DimensionError(
-                    f"a box over {self.horizon} steps of {m} channels needs "
-                    f"length-{d} lo, hi and nominal"
-                )
-            # the iid restriction reads each channel's band off the first
-            # step, so every step must repeat it: entry i equals entry i - m
-            if values[m:].tolist() != values[:-m].tolist():
-                raise DimensionError(
-                    f"box {name} must repeat one {m}-entry block per step"
-                )
+        _count(self.horizon, "box horizon", 1)
+        names = ("channel_lo", "channel_hi", "channel_nominal")
+        lo, hi, nominal = (_frozen(getattr(self, name)) for name in names)
+        if not lo.size or not (lo.size,) == lo.shape == hi.shape == nominal.shape:
+            raise DimensionError("box needs equal nonempty per-channel vectors")
+        if not np.isfinite((lo, hi, nominal)).all() or (lo > hi).any():
+            raise DimensionError("box needs finite entries and lo <= hi")
+        for name, values in zip(names, (lo, hi, nominal)):
             object.__setattr__(self, name, values)
-        if np.any(self.lo > self.hi):
-            raise DimensionError("box has lo > hi entries")
+
+    @property
+    def m(self) -> int:
+        return self.channel_lo.size
+
+    def _stacked(self, values):
+        """``values`` repeated once per step, step-major, read-only."""
+        stacked = np.concatenate((values,) * self.horizon)
+        stacked.setflags(write=False)
+        return stacked
+
+    @cached_property
+    def lo(self) -> np.ndarray:
+        return self._stacked(self.channel_lo)
+
+    @cached_property
+    def hi(self) -> np.ndarray:
+        return self._stacked(self.channel_hi)
+
+    @cached_property
+    def nominal(self) -> np.ndarray:
+        return self._stacked(self.channel_nominal)
 
     @cached_property
     def region(self) -> tuple | None:
         """The rates inside every channel's band, or None when there are none."""
-        m = self.m
-        lo, hi = float(np.max(self.lo[:m])), float(np.min(self.hi[:m]))
+        lo, hi = float(np.max(self.channel_lo)), float(np.min(self.channel_hi))
         return (lo, hi) if lo <= hi else None
 
     @cached_property
     def start(self) -> np.ndarray:
         """The nominal point clipped into the box."""
-        return _frozen(np.clip(self.nominal, self.lo, self.hi))
+        lo, hi = self.channel_lo, self.channel_hi
+        return self._stacked(np.clip(self.channel_nominal, lo, hi))
 
 
 def _attack_box(channel: ChannelSpec, detection: DetectionSpec, horizon: int):
     """The box of ``channel``'s bands under ``detection`` over ``horizon``."""
-    lo, hi = detection.bounds(channel)
-    return AttackBox(
-        lo=np.tile(lo, horizon),
-        hi=np.tile(hi, horizon),
-        nominal=np.tile(channel.mean_diag, horizon),
-        horizon=horizon,
-        m=channel.m,
-    )
+    return AttackBox(*detection.bounds(channel), channel.mean_diag, horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +141,8 @@ class AttackContext:
     gain's coupling and load and the ``box`` of the channels' bands.
     ``region`` is the scalar admissible interval (the intersection of all
     per-channel bands), or None when the channels' bands do not overlap;
-    per-channel bounds are kept separately for schedule attacks, which do
-    not need a common rate.
+    schedule attacks, which do not need a common rate, read each channel's
+    band off the box.
     """
 
     ens: PredictionEnsemble
@@ -166,18 +155,6 @@ class AttackContext:
     @property
     def protocol(self) -> Protocol:
         return self.gain.protocol
-
-    @property
-    def nominal_means(self) -> np.ndarray:
-        return self.box.nominal[: self.box.m]
-
-    @property
-    def channel_lo(self) -> np.ndarray:
-        return self.box.lo[: self.box.m]
-
-    @property
-    def channel_hi(self) -> np.ndarray:
-        return self.box.hi[: self.box.m]
 
     @property
     def region(self) -> tuple | None:
@@ -229,7 +206,7 @@ class AttackContext:
     @property
     def nominal_scalar(self) -> float:
         """Tie-break target: the nominal rate (mean of per-channel rates)."""
-        return float(np.mean(self.nominal_means))
+        return float(np.mean(self.box.channel_nominal))
 
 
 def attack_context(
@@ -247,7 +224,7 @@ def attack_context(
     for ``protocol`` and the channel's nominal means: its coupling and
     load then carry the quadratic's state-free parts, so a caller that
     passes one gain to many states builds them once.  The box is built
-    for each call; it is a few tiled m-entry vectors.  The ensemble is
+    for each call; it is three m-entry vectors.  The ensemble is
     checked first, so a gain of another horizon is named as such.
     """
     if channel.m != ens.m:
@@ -289,7 +266,7 @@ class BoxQP:
 
     def __post_init__(self):
         box = self.box
-        d = box.lo.size
+        d = box.horizon * box.m
         if self.H.shape != (d, d) or self.c.shape != (d,):
             raise DimensionError(
                 f"BoxQP over {box.horizon} steps of {box.m} channels needs "

@@ -34,19 +34,21 @@ number of negative diagonal entries of H, it has two regimes:
   ascent sends a coordinate to a bound.
 
 A solve reads the bands and the clipped nominal point off the QP's
-:class:`~dropattack.attack_iid.AttackBox` and forms what else it needs,
-the vertex halves or the constant schedules' map, from them; residuals
+:class:`~dropattack.attack_iid.AttackBox`, one band per channel; the
+constant schedules solve over it at one step.  Vertices, faces and the
+attack table share one vertex order (:func:`_corner_bits`).  Residuals
 wait for a read.  Closed-loop episodes read their schedules off an
 attack table instead (:func:`_attack_table`), which tabulates this
 solver's exact answer as a quadratic form in the state.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .attack_iid import AttackBox, AttackContext, BoxQP, _corner_bits, build_qp
+from .attack_iid import AttackContext, BoxQP, build_qp
 from .controller import Protocol
 from .errors import DimensionError
 
@@ -118,6 +120,22 @@ def schedule_objective(qp: BoxQP, schedule: np.ndarray) -> float:
 
 
 # ------------------------------------------------------------- solver core
+
+@lru_cache(maxsize=None)
+def _corner_bits(k):
+    """Read-only 2^k x k matrix whose row j holds the binary digits of j.
+
+    Row j is vertex j of a k-coordinate box: coordinate i at its upper
+    bound when bit i of j is set.  Every caller keeps k <= 16: the vertex
+    halves of :func:`_best_vertex` in the exact regime (d <= 20) have at
+    most 10 columns, the face budget bounds :func:`_face_points`', and the
+    attack table's cap (2^d values per pair product of the state) bounds
+    its k = d.  That bounds the cache.
+    """
+    bits = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
+    bits.flags.writeable = False
+    return bits
+
 
 def _batch_objective(H, c, Z):
     """z'Hz + c'z for every row z of Z."""
@@ -395,12 +413,11 @@ def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
     forms: endpoints, plus the interior peak when the reduced curvature
     is negative.
     """
-    box, m = qp.box, qp.m
-    R = np.tile(np.eye(m), (qp.horizon, 1))
+    R = np.tile(np.eye(qp.m), (qp.horizon, 1))
     Hr = R.T @ qp.H @ R
     Hr = 0.5 * (Hr + Hr.T)
     cr = R.T @ qp.c
-    rates = AttackBox(box.lo[:m], box.hi[:m], box.nominal[:m], 1, m)
+    rates = replace(qp.box, horizon=1)
     a, _, winner = _maximize_box(Hr, cr, rates, rates.start)
     z = np.tile(a, qp.horizon)  # R a, bitwise: R has one 1 per row
     means, value = z.reshape(qp.horizon, qp.m), qp.objective(z)

@@ -213,8 +213,8 @@ def _cmd_synthesize(args) -> int:
         "state": ctx.x,
         "nominal_rates": exp.channel.mean_diag,
         "region": {
-            "per_channel_lo": ctx.channel_lo,
-            "per_channel_hi": ctx.channel_hi,
+            "per_channel_lo": ctx.box.channel_lo,
+            "per_channel_hi": ctx.box.channel_hi,
             "scalar_lo": None if ctx.region is None else ctx.region[0],
             "scalar_hi": None if ctx.region is None else ctx.region[1],
         },

@@ -162,6 +162,8 @@ class AttackPlan:
                 raise DimensionError(
                     "attack schedule must be a (steps, channels) array in [0, 1]"
                 )
+            if not sched.shape[0]:
+                raise DimensionError("attack schedule needs at least one step")
             sched.setflags(write=False)
             object.__setattr__(self, "schedule", sched)
         if self.alpha is not None and self.means is not None:
@@ -567,6 +569,7 @@ def monte_carlo_arms(
     synthesized by each episode from its own state.
     """
     _count(realizations, "realizations", 1)
+    plans = list(plans)
     if not plans:
         raise DimensionError("at least one attack plan is needed")
     for plan in plans:

@@ -284,8 +284,8 @@ def test_disjoint_bands_have_no_common_rate(rng):
     with pytest.raises(InfeasibleRegionError):
         optimal_alpha(ctx)
     # per-channel bounds survive for schedule attacks
-    np.testing.assert_allclose(ctx.channel_lo, [0.15, 0.85])
-    np.testing.assert_allclose(ctx.channel_hi, [0.25, 0.95])
+    np.testing.assert_allclose(ctx.box.channel_lo, [0.15, 0.85])
+    np.testing.assert_allclose(ctx.box.channel_hi, [0.25, 0.95])
 
 
 def test_protocol_mismatch_is_rejected(rng):

@@ -29,7 +29,7 @@ from dropattack import (
     solve_iid_constrained,
 )
 
-from dropattack import attack_qp
+from dropattack import attack_iid, attack_qp
 from dropattack.attack_iid import _pick
 
 from conftest import (
@@ -82,8 +82,8 @@ def test_qp_construction_matches_definitions(rng):
             assert np.trace(qp.H) == pytest.approx(0.0, abs=1e-14)
         # per-channel box tiling
         N = ens.horizon
-        np.testing.assert_array_equal(qp.lo, np.tile(ctx.channel_lo, N))
-        np.testing.assert_array_equal(qp.hi, np.tile(ctx.channel_hi, N))
+        np.testing.assert_array_equal(qp.lo, np.tile(ctx.box.channel_lo, N))
+        np.testing.assert_array_equal(qp.hi, np.tile(ctx.box.channel_hi, N))
 
 
 def test_constant_schedules_reduce_to_rate_objectives(rng):
@@ -115,30 +115,81 @@ def test_schedule_objective_shape_guard(rng):
 
 
 def hand_qp(H, c, lo, hi, nominal=None, m=1):
-    # m channels over d / m steps; per-entry bands need m = d
+    # m channels over d / m steps: lo, hi and nominal are per channel, a
+    # scalar for every channel; per-entry bands need m = d
     H = np.asarray(H, float)
     c = np.asarray(c, float)
-    d = c.size
-    lo = np.full(d, lo, dtype=float) if np.isscalar(lo) else np.asarray(lo, float)
-    hi = np.full(d, hi, dtype=float) if np.isscalar(hi) else np.asarray(hi, float)
-    nominal = 0.5 * (lo + hi) if nominal is None else np.asarray(nominal, float)
-    box = AttackBox(lo=lo, hi=hi, nominal=nominal, horizon=d // m, m=m)
+    lo, hi = np.full(m, lo, dtype=float), np.full(m, hi, dtype=float)
+    nominal = 0.5 * (lo + hi) if nominal is None else np.full(m, nominal, float)
+    box = AttackBox(lo, hi, nominal, horizon=c.size // m)
     return BoxQP(H=H, c=c, box=box)
 
 
 def box_of(lo, hi):
     """The box of one step of per-entry channels, nominal at its centre."""
-    return AttackBox(lo=lo, hi=hi, nominal=0.5 * (lo + hi), horizon=1, m=lo.size)
+    return AttackBox(lo, hi, 0.5 * (lo + hi), horizon=1)
 
 
-def test_box_must_be_tiled_per_channel():
-    # the iid restriction reads each channel's band off the first step, so
-    # a band that changes over the horizon would let it leave the box
+def test_box_holds_one_band_per_channel(rng, monkeypatch):
+    # the box stores each channel's band once: its step-major arrays repeat
+    # the bands over the horizon, so no band can change from step to step
+    for m, horizon in ((1, 1), (1, 6), (2, 5), (3, 4)):
+        channel, detection = random_channel(rng, m), random_detection(rng, m)
+        box = attack_iid._attack_box(channel, detection, horizon)
+        lo, hi = detection.bounds(channel)
+        mean = channel.mean_diag
+        assert (box.m, box.horizon) == (m, horizon)
+        for got, want in (
+            (box.lo, lo), (box.hi, hi), (box.nominal, mean),
+            (box.start, np.clip(mean, lo, hi)),
+        ):
+            np.testing.assert_array_equal(got, np.tile(want, horizon))
+    start = AttackBox([0.2, 0.5], [0.4, 0.6], [0.9, 0.1], horizon=3).start
+    np.testing.assert_array_equal(start, np.tile([0.4, 0.5], 3))
+
+    # the iid restriction solves over the same box at one step
+    seen = []
+    maximize = attack_qp._maximize_box
+
+    def recorded(H, c, box, start):
+        seen.append(box)
+        return maximize(H, c, box, start)
+
+    model = random_model(rng, m=2, horizon=5)
+    _, qp = build_for(rng, Protocol.UDP_LIKE, model=model)
+    monkeypatch.setattr(attack_qp, "_maximize_box", recorded)
+    solve_iid_constrained(qp)
+    (rates,) = seen
+    one = dataclasses.replace(qp.box, horizon=1)
+    assert (rates.horizon, rates.m) == (1, 2)
+    for name in ("lo", "hi", "nominal", "start"):
+        np.testing.assert_array_equal(getattr(rates, name), getattr(one, name))
+        np.testing.assert_array_equal(
+            getattr(one, name), getattr(qp.box, name)[:2]
+        )
+
+    lo, hi, nominal = [0.2, 0.4], [0.6, 0.8], [0.5, 0.5]
+    AttackBox(lo, hi, nominal, horizon=1)
+    bad = [
+        ([0.2], hi, nominal, 3),  # unequal lengths
+        (lo, hi, [0.5, 0.5, 0.5], 3),
+        ([], [], [], 3),  # no channel
+        (0.2, 0.6, 0.5, 3),  # not a vector
+        ([[0.2], [0.4]], [[0.6], [0.8]], [[0.5], [0.5]], 3),
+        ([0.2, np.nan], hi, nominal, 1),  # non-finite, even at one step
+        (lo, [0.6, np.inf], nominal, 3),
+        (lo, hi, [np.nan, 0.5], 2),
+        (hi, lo, nominal, 3),  # lo > hi
+        (lo, hi, nominal, 0),  # no step
+        (lo, hi, nominal, -1),
+        (lo, hi, nominal, 2.0),
+    ]
+    for args in bad:
+        with pytest.raises(DimensionError):
+            AttackBox(*args)
+
+    # a QP's H and c must fit its box
     H, c = np.eye(3), np.ones(3)
-    with pytest.raises(DimensionError):
-        hand_qp(H, c, [0.0, 0.5, 0.2], [1.2, 0.6, 0.4])
-    with pytest.raises(DimensionError):
-        hand_qp(H, c, 0.0, 1.0, nominal=[0.5, 0.5, 0.4])
     with pytest.raises(DimensionError):
         hand_qp(np.eye(2), c, 0.0, 1.0)
     with pytest.raises(DimensionError):
@@ -161,7 +212,7 @@ def test_mixed_vertex_maximum_found():
     # indefinite coupling: the best point is a disagreeing vertex pair
     H = np.array([[0.0, -2.0], [-2.0, 0.0]])
     c = np.array([0.5, 0.5])
-    qp = hand_qp(H, c, 0.0, 1.0, nominal=[0.5, 0.5])
+    qp = hand_qp(H, c, 0.0, 1.0, nominal=0.5)
     sol = solve_box_qp_max(qp)
     # candidates: (1,0) and (0,1) give 0.5; (1,1) gives -3; interior saddle
     assert sol.objective == pytest.approx(0.5, abs=1e-12)
@@ -174,8 +225,7 @@ def test_vertex_enumeration_matches_brute_force(rng):
         M = rng.normal(size=(d, d))
         H = 0.5 * (M + M.T)
         c = rng.normal(size=d)
-        lo, hi = np.zeros(d), np.ones(d)
-        qp = hand_qp(H, c, lo, hi)
+        qp = hand_qp(H, c, 0.0, 1.0)
         sol = solve_box_qp_max(qp)
         best = -np.inf
         for corner in itertools.product((0.0, 1.0), repeat=d):
@@ -387,7 +437,7 @@ def test_one_free_coordinate_at_seventeen_is_solved_exactly(rng, monkeypatch):
     c = rng.normal(size=d)
     c[0] = 40.0
     lo, hi = np.zeros(d), np.ones(d)
-    qp = hand_qp(H, c, lo, hi)
+    qp = hand_qp(H, c, 0.0, 1.0)
     assert (3 - 2) * 2 ** (d - 1) == attack_qp._FACE_BUDGET
     with monkeypatch.context() as patch:
         calls = count_ascents(patch)
@@ -729,14 +779,8 @@ def fresh_qp(ctx):
     load = load + 2.0 * coupling * gain.mean_stack[None, :]
     H = coupling * np.outer(u, u)
     H = 0.5 * (H + H.T)
-    N = ens.horizon
-    box = AttackBox(
-        lo=np.tile(ctx.channel_lo, N),
-        hi=np.tile(ctx.channel_hi, N),
-        nominal=np.tile(ctx.nominal_means, N),
-        horizon=N,
-        m=ens.m,
-    )
+    bands = (ctx.box.channel_lo, ctx.box.channel_hi, ctx.box.channel_nominal)
+    box = AttackBox(*(band.copy() for band in bands), horizon=ens.horizon)
     return BoxQP(H=H, c=-(u * (load @ u)), box=box)
 
 
@@ -781,7 +825,8 @@ def test_shared_parts_are_read_only(rng):
     box, gain = qp.box, ctx.gain
     shared = [
         gain.kernel, gain.mean_stack, gain.paid_variance, gain.coupling,
-        gain.load, box.lo, box.hi, box.nominal, box.start,
+        gain.load, box.channel_lo, box.channel_hi, box.channel_nominal,
+        box.lo, box.hi, box.nominal, box.start,
     ]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):

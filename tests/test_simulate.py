@@ -73,6 +73,8 @@ def test_attack_plan_validation():
         AttackPlan(kind="nonstat", schedule=np.full((2, 2), 2.0))
     with pytest.raises(DimensionError):
         AttackPlan(kind="nonstat", schedule=np.full(4, 0.5))  # needs 2-d
+    with pytest.raises(DimensionError, match="at least one step"):
+        AttackPlan(kind="nonstat", schedule=np.zeros((0, 2)))  # nothing to cycle
     # NaN fails every comparison: a NaN delivery rate drops every packet
     for rates in ({"alpha": np.nan}, {"means": [np.nan]}, {"schedule": [[np.nan]]}):
         with pytest.raises(DimensionError):
@@ -548,6 +550,24 @@ def test_arms_need_a_plan():
         simulate.monte_carlo_arms(
             small_cfg(T=5), [AttackPlan(kind="iid", alpha=0.2, onset=9)], 3
         )
+
+
+def test_arms_take_plans_from_a_generator():
+    # the plans are read once, so a generator gives the list's reports
+    cfg = small_cfg(T=8)
+    plans = [
+        AttackPlan(kind=kind, onset=2) for kind in ("none", "iid", "nonstat")
+    ]
+    want = simulate.monte_carlo_arms(cfg, plans, 3)
+    got = simulate.monte_carlo_arms(cfg, (plan for plan in plans), 3)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in (field.name for field in dataclasses.fields(a)):
+            x, y = getattr(a, name), getattr(b, name)
+            if isinstance(x, np.ndarray):
+                np.testing.assert_array_equal(x, y)
+            else:
+                assert x == y, name
 
 
 def test_stage_cost_blocks():
