@@ -304,12 +304,25 @@ def build_qp(ctx: AttackContext) -> BoxQP:
     H and c are the gain's state-free coupling and load weighted by the
     optimal sequence u; the box is the context's.
     """
-    u, gain = ctx.u_star, ctx.gain
-    H = gain.coupling * np.outer(u, u)
-    H = 0.5 * (H + H.T)
-    # c_i = -[(load) U]_ii = -u_i * (load @ u)_i
-    c = -(u * (gain.load @ u))
+    H, c = _quadratic(ctx.gain, ctx.u_star)
     return BoxQP(H=H, c=c, box=ctx.box)
+
+
+def _quadratic(gain, u, v=None):
+    """The attack quadratic's (H, c) for the input sequence ``u``.
+
+    With ``v``, the (H, c) of its symmetric bilinear form in u and v: U =
+    u v' + v u' in place of u u', and c = -(u o load v + v o load u).
+    """
+    w = u if v is None else v
+    # c_i = -[(load) U]_ii = -u_i * (load @ u)_i
+    outer, linear = np.outer(u, w), u * (gain.load @ w)
+    if v is not None:
+        outer += outer.T
+        linear += v * (gain.load @ u)
+    H = gain.coupling * outer
+    H = 0.5 * (H + H.T)
+    return H, -linear
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .attack_iid import AttackContext, BoxQP, build_qp
+from .attack_iid import AttackContext, BoxQP, _quadratic, build_qp
 from .controller import Protocol
 from .errors import DimensionError
 
@@ -321,16 +321,16 @@ def _attack_table(gain, box):
     With u = K x and K = -kernel^{-1} ``cross_gram``, the objective of a
     schedule z at state x, f(z; x) = (z o u)' C (z o u) - (z o u)' (load)
     u with C = ``gain.coupling``, is a quadratic form in x.  Column (a, b)
-    of the table is the objective of every point under the QP built from
-    columns a and b of K in place of u: H = sym(C o (K_a K_b' + K_b K_a'))
-    and c = -(K_a o load K_b + K_b o load K_a) for a < b, H = sym(C o K_a
-    K_a') and c = -K_a o load K_a for a = b.  The table is built only
-    while its 2^d n (n + 1) / 2 vertex values stay within ``_TABLE_CAP``,
-    so d <= 16 <= ``_VERTEX_CAP``, and when no diagonal entry of C is
-    negative, so H_ii = C_ii u_i^2 >= 0 at every state: there the solver
-    is exact and picks between the nominal point and the first best
-    vertex, as the table does.  Else the answer is None.  Its points and
-    values take about 100 KB at n = 2 and d = 10.
+    of the table is the objective of every point under the attack
+    quadratic's bilinear form in columns a and b of K for a < b, and
+    under its quadratic at K_a for a = b (``attack_iid._quadratic``).
+    The table is built only while its 2^d n (n + 1) / 2 vertex values
+    stay within ``_TABLE_CAP``, so d <= 16 <= ``_VERTEX_CAP``, and when
+    no diagonal entry of C is negative, so H_ii = C_ii u_i^2 >= 0 at
+    every state: there the solver is exact and picks between the nominal
+    point and the first best vertex, as the table does.  Else the answer
+    is None.  Its points and values take about 100 KB at n = 2 and
+    d = 10.
     """
     d, n = box.lo.size, gain.ens.n
     pairs = np.triu_indices(n)
@@ -343,14 +343,8 @@ def _attack_table(gain, box):
     )
     columns = []
     for a, b in zip(*pairs):
-        outer = np.outer(K[:, a], K[:, b])
-        load = K[:, a] * (gain.load @ K[:, b])
-        if a != b:
-            outer += outer.T
-            load += K[:, b] * (gain.load @ K[:, a])
-        H = gain.coupling * outer
-        H = 0.5 * (H + H.T)
-        columns.append(_batch_objective(H, -load, points))
+        H, c = _quadratic(gain, K[:, a], K[:, b] if a != b else None)
+        columns.append(_batch_objective(H, c, points))
     values = np.stack(columns, axis=1)
     for array in (points, values):
         array.setflags(write=False)

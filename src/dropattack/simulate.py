@@ -15,22 +15,22 @@ lockstep as one (rows, n) state array, whose rows are (attack arm,
 realization) pairs: :func:`monte_carlo_arms` runs several attack plans
 as one batch on one set of draws, :func:`monte_carlo` is its one-plan
 case and :func:`run_episode` its batch of one.  All share one set-up,
-which decides each arm's channel law once per call: the (T, m) delivery
-means its episodes start from, and the steps at which each episode
-synthesizes from its own state instead (none, onset, or every step from
-onset under per-step resynthesis).  A nonstat arm's syntheses at one
-step are one product of its rows' states with its attack table
-(``attack_qp._attack_table``), built once at set-up, which holds the
-solver's exact schedule of every state as long as d stays within the
-table's cap; the first synthesis of each batch is checked against the
-per-state solver, which serves every other arm, and any nonstat arm
-beyond the cap or failing its check.  So :func:`run_episode` for
-realization r is bitwise the episode :func:`monte_carlo` runs for r, and
-every arm of :func:`monte_carlo_arms` is bitwise the plan's
-:func:`monte_carlo` run.  A block of 64 realizations holds
-O(arms * 64 * T * (n + m)) floats.  The package keeps no per-step
-version of this loop: the tests gate the engine against an independent
-one-step-at-a-time episode of their own.
+which decides once per call how each arm gets its channel law: the
+(T, m) delivery means its episodes start from, the steps at which each
+episode synthesizes from its own state instead (none, onset, or every
+step from onset under per-step resynthesis), and the law it synthesizes
+there.  A nonstat arm within its attack table's cap
+(``attack_qp._attack_table``) reads one step's schedules off the table,
+the solver's exact schedule of every state, in one product; the set-up
+checks the table once against the per-state solver at the model's
+initial mean.  Every other synthesizing arm, and a nonstat arm beyond
+the cap or failing its check, resolves each row with the per-state
+solver.  So :func:`run_episode` for realization r is bitwise the episode
+:func:`monte_carlo` runs for r, and every arm of
+:func:`monte_carlo_arms` is bitwise the plan's :func:`monte_carlo` run.
+A block of 64 realizations holds O(arms * 64 * T * (n + m)) floats.  The
+package keeps no per-step version of this loop: the tests gate the
+engine against an independent one-step-at-a-time episode of their own.
 
 Horizon experiments (:func:`horizon_cost_samples`,
 :func:`empirical_increases` and its one-law case
@@ -322,11 +322,10 @@ def _quad(M, X):
 class _Arm:
     """One attack plan of a batch, with what its set-up decided."""
 
-    plan: AttackPlan
     means: np.ndarray  # (T, m) delivery means before per-episode synthesis
     info: dict         # the report's attack info
     synthesis: range   # steps at which each episode synthesizes from its state
-    table: object = None  # the nonstat syntheses' attack table, if any
+    law: object = None  # states -> (rows, period, m) laws synthesized there
 
 
 def _arm(cfg, plan, ens, gain) -> _Arm:
@@ -338,8 +337,12 @@ def _arm(cfg, plan, ens, gain) -> _Arm:
     onset 0 without a sampled initial state.  Otherwise each episode
     synthesizes from its own state: at onset, or at every step from onset
     under per-step resynthesis (nonstat only), which never plays a law
-    resolved at onset.  A nonstat arm that synthesizes gets its attack
-    table here, once, or None beyond the table's cap.
+    resolved at onset.  Such an arm's ``law`` maps the states of its rows
+    to their laws.  A nonstat arm's law is its attack table's
+    ``schedules``, when the table is within its cap and its schedule at
+    the initial mean agrees with the per-state solver's there: equal
+    means, or values within the solver's 1e-12 (1 + |value|) tie rule.
+    Every other synthesizing arm resolves the plan row by row.
     """
     T = cfg.T
     means = np.tile(cfg.channel.mean_diag, (T, 1))
@@ -354,20 +357,44 @@ def _arm(cfg, plan, ens, gain) -> _Arm:
             cfg.protocol, cfg.model.init_mean, gain,
         )
         means[plan.onset :] = _cycled(table, plan.onset, T)
-        return _Arm(plan, means, info, steps)
+        return _Arm(means, info, steps)
     info = {"kind": plan.kind, "per_episode_synthesis": plan.kind != "none"}
-    if plan.kind != "nonstat":
-        return _Arm(plan, means, info, steps)
-    box = _attack_box(cfg.channel, cfg.detection, ens.horizon)
-    return _Arm(plan, means, info, steps, _attack_table(gain, box))
+    if not steps:
+        return _Arm(means, info, steps)
+
+    def solve(x):
+        # the law, its report info without a residual, and the schedule
+        return _resolve(
+            plan, cfg.model, ens, cfg.channel, cfg.detection, cfg.protocol,
+            x, gain,
+        )
+
+    def per_row(states):
+        return np.stack([solve(x)[0] for x in states])
+
+    if plan.kind == "nonstat":
+        box = _attack_box(cfg.channel, cfg.detection, ens.horizon)
+        table = _attack_table(gain, box)
+        if table is not None:
+            x = cfg.model.init_mean
+            schedule, law = solve(x)[2], table.schedules(x[None])[0]
+            best = schedule.objective
+            value = schedule.qp.objective(law.reshape(-1))
+            if np.array_equal(law, schedule.means) or abs(best - value) <= (
+                1e-12 * (1.0 + max(abs(best), abs(value)))
+            ):
+                return _Arm(means, info, steps, table.schedules)
+    return _Arm(means, info, steps, per_row)
 
 
 def _prepare(cfg, plans):
-    """The ensemble and the gain every arm shares, and each plan's arm."""
+    """Each plan's arm, and the feedback map u = feedback @ x of the
+    sequence gain's first input block, which every arm shares."""
     model = cfg.model
     ens = build_prediction_ensemble(model)
     gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
-    return ens, gain, [_arm(cfg, plan, ens, gain) for plan in plans]
+    feedback = -gain.solve(ens.cross_gram)[: model.m]
+    return [_arm(cfg, plan, ens, gain) for plan in plans], feedback
 
 
 def _cycled(table, onset, T):
@@ -376,42 +403,10 @@ def _cycled(table, onset, T):
     return table[..., np.arange(T - onset) % table.shape[-2], :]
 
 
-def _synthesize(cfg, plan, states, ens, gain, table, check):
-    """The laws ``plan`` synthesizes at the rows of ``states``.
-
-    Returns the (rows, period, m) laws and the table for the arm's next
-    synthesis.  ``table`` is the arm's attack table, which gives every
-    row's schedule in one product, or None, and then each row resolves
-    the plan with the per-state solver.  With ``check`` the first row is
-    solved as well, and a table whose schedule differs from that solve
-    beyond the solver's 1e-12 (1 + |value|) tie rule is dropped for the
-    solver.
-    """
-    def solve(x):
-        # the law, its report info without a residual, and the schedule
-        return _resolve(
-            plan, cfg.model, ens, cfg.channel, cfg.detection, cfg.protocol,
-            x, gain,
-        )
-
-    if table is not None:
-        laws = table.schedules(states)
-        if not check:
-            return laws, table
-        schedule = solve(states[0])[2]
-        best = schedule.objective
-        value = schedule.qp.objective(laws[0].reshape(-1))
-        if np.array_equal(laws[0], schedule.means) or abs(best - value) <= (
-            1e-12 * (1.0 + max(abs(best), abs(value)))
-        ):
-            return laws, table
-    return np.stack([solve(x)[0] for x in states]), None
-
-
-def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
+def _lockstep(cfg, arms, realizations, feedback) -> dict:
     """The episodes of every arm on ``realizations``, stepped together.
 
-    ``arms`` are the plans' arms from :func:`_prepare`; the rows of the
+    ``arms`` and ``feedback`` are :func:`_prepare`'s; the rows of the
     batch are (arm, realization) pairs, arm-major.  Each realization draws
     its whole loss-uniform and noise blocks up front from its own streams,
     the same values step-by-step draws give, and every arm replays them:
@@ -420,17 +415,10 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
     bitwise the one it would be alone.
 
     Every row starts from its arm's delivery means.  At each of the arm's
-    synthesis steps k, every row synthesizes the plan's law at its own
-    state and plays it cycled from k; under per-step resynthesis the next
-    step overwrites all but its first row.  A nonstat arm reads its rows'
-    schedules off the attack table its set-up built (``_Arm.table``) in
-    one product per step, where one exists; the first synthesis of each
-    call also solves its first row's schedule, and an arm whose table
-    differs from that solve beyond the solver's 1e-12 tie rule falls back
-    to the per-state solver for the rest of this call only: the call
-    works on its own list of the arms' tables.  Every other arm resolves
-    the plan row by row.  The monitor's running means and first detections
-    follow from the losses afterwards.
+    synthesis steps k, the arm's ``law`` gives every row's law at its own
+    state, played cycled from k; under per-step resynthesis the next step
+    overwrites all but its first row.  The monitor's running means and
+    first detections follow from the losses afterwards.
 
     Returns the array fields of :class:`SimulationTrace` by name, each
     with the row as a leading axis, and ``first_detection`` of shape
@@ -464,8 +452,6 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
     uniforms = np.tile(uniforms, (len(arms), 1, 1))
     noises = np.tile(noises, (len(arms), 1, 1))
 
-    # first input block of the sequence gain, precomputed as a feedback map
-    feedback = -gain.solve(ens.cross_gram)[:m, :]
     means = np.repeat(np.stack([arm.means for arm in arms]), size, axis=0)
 
     states = np.empty((rows, T + 1, n))
@@ -473,17 +459,11 @@ def _lockstep(cfg, arms, realizations, ens, gain) -> dict:
     losses = np.empty((rows, T, m))
     states[:, 0] = x
 
-    tables = [arm.table for arm in arms]
     for k in range(T):
         for a, arm in enumerate(arms):
-            if k not in arm.synthesis:
-                continue
-            block = slice(a * size, (a + 1) * size)
-            laws, tables[a] = _synthesize(
-                cfg, arm.plan, x[block], ens, gain, tables[a],
-                check=k == arm.synthesis.start,
-            )
-            means[block, k:] = _cycled(laws, k, T)
+            if k in arm.synthesis:
+                block = slice(a * size, (a + 1) * size)
+                means[block, k:] = _cycled(arm.law(x[block]), k, T)
 
         if not cfg.zero_input:
             inputs[:, k] = _matvec(feedback, x)
@@ -518,8 +498,8 @@ def run_episode(cfg: EpisodeConfig, realization: int = 0) -> SimulationTrace:
     Shares :func:`monte_carlo`'s set-up, so it is bitwise the episode
     :func:`monte_carlo` runs for the same realization.
     """
-    ens, gain, arms = _prepare(cfg, [cfg.plan])
-    batch = _lockstep(cfg, arms, [realization], ens, gain)
+    arms, feedback = _prepare(cfg, [cfg.plan])
+    batch = _lockstep(cfg, arms, [realization], feedback)
     first = int(batch.pop("first_detection")[0])
     row = {name: values[0] for name, values in batch.items()}
     return SimulationTrace(
@@ -574,7 +554,7 @@ def monte_carlo_arms(
         raise DimensionError("at least one attack plan is needed")
     for plan in plans:
         replace(cfg, plan=plan)  # validates the plan against the episode
-    ens, gain, arms = _prepare(cfg, plans)
+    arms, feedback = _prepare(cfg, plans)
 
     count, T, n = len(arms), cfg.T, cfg.model.n
     sum_states = np.zeros((count, T + 1, n))
@@ -584,7 +564,7 @@ def monte_carlo_arms(
     for start in range(0, realizations, _BLOCK):
         block = range(start, min(start + _BLOCK, realizations))
         size = len(block)
-        batch = _lockstep(cfg, arms, block, ens, gain)
+        batch = _lockstep(cfg, arms, block, feedback)
         states = batch["states"].reshape(count, size, T + 1, n)
         cumulative = batch["cumulative"].reshape(count, size, T)
         first = batch["first_detection"].reshape(count, size)
@@ -788,6 +768,7 @@ def empirical_increases(
     difference, standard error of the mean difference) per law, each
     bitwise what :func:`empirical_increase` gives for that law alone.
     """
+    laws = list(laws)
     if not laws:
         raise DimensionError("at least one channel law is needed")
     thresholds = [_expand_step_means(ens, law).reshape(-1) for law in laws]

@@ -228,6 +228,8 @@ LOCKSTEP_CASES = [
     # a seed of three 32-bit words: five entropy words per stream key
     ("nonstat", "udp", 7, {"sample_x0": True, "seed": BIG_SEED}, 1, BLOCK + 2),
     ("nonstat", "tcp", 5, {"resynthesize": True, "seed": BIG_SEED}, 10, 3),
+    # per-step resynthesis across a block boundary
+    ("nonstat", "udp", 9, {"resynthesize": True}, 1, BLOCK + 2),
 ]
 
 
@@ -333,35 +335,38 @@ def test_zero_input_matches_all_drop_attack():
 
 def test_resynthesis_synthesizes_once_per_row_and_step(monkeypatch):
     # the schedule resolved at onset would be replaced by the step's own
-    # synthesis, so set-up resolves nothing; from onset every row
-    # synthesizes once per step, the rows of a step in one table product,
-    # and only the first step's check runs the per-state solver
+    # synthesis, so set-up resolves no law: it checks the attack table
+    # once, by one table read and one per-state solve at the initial
+    # mean, whatever the number of blocks; from onset every row
+    # synthesizes once per step, the rows of a step in one table product
     rows, solves = [], []
 
-    def counted_synthesis(cfg, plan, states, *args, **kwargs):
+    def counted_schedules(table, states):
         rows.append(len(states))
-        return synthesize(cfg, plan, states, *args, **kwargs)
+        return schedules(table, states)
 
     def counted_solve(*args):
         solves.append(args)
         return resolve(*args)
 
-    synthesize, resolve = simulate._synthesize, simulate._resolve
-    monkeypatch.setattr(simulate, "_synthesize", counted_synthesis)
+    schedules, resolve = attack_qp._AttackTable.schedules, simulate._resolve
+    monkeypatch.setattr(attack_qp._AttackTable, "schedules", counted_schedules)
     monkeypatch.setattr(simulate, "_resolve", counted_solve)
     monkeypatch.setattr(simulate, "resolve_attack", None)  # not at set-up
     cfg = small_cfg(
         T=12, plan=AttackPlan(kind="nonstat", onset=7, resynthesize=True)
     )
-    for realizations in (1, 3):
+    for realizations in (1, 3, BLOCK + 2):
         rows.clear(), solves.clear()
         rep = monte_carlo(cfg, realizations)
-        assert rows == [realizations] * (12 - 7)
+        starts = range(0, realizations, BLOCK)
+        sizes = [min(BLOCK, realizations - start) for start in starts]
+        assert rows == [1] + [size for size in sizes for _ in range(12 - 7)]
         assert len(solves) == 1
-    for r in range(3):
+    for r in (0, 1, BLOCK + 1):
         rows.clear(), solves.clear()
         got = run_episode(cfg, r)
-        assert rows == [1] * (12 - 7) and len(solves) == 1
+        assert rows == [1] * (1 + 12 - 7) and len(solves) == 1
         assert got.terminal_cost == rep.terminal_costs[r]
         np.testing.assert_array_equal(got.losses, slow_episode(cfg, r).losses)
 
@@ -403,7 +408,8 @@ def test_resynthesis_beyond_the_table_cap_runs_the_solver(
         model=model, protocol=protocol, T=9,
         plan=AttackPlan(kind="nonstat", onset=6, resynthesize=True),
     )
-    ens, gain, _ = simulate._prepare(cfg, [])
+    ens = build_prediction_ensemble(model)
+    gain = control_gain(ens, model, cfg.channel.mean_diag, protocol)
     box = simulate._attack_box(cfg.channel, cfg.detection, ens.horizon)
     assert 2 ** 16 * 3 > attack_qp._TABLE_CAP
     assert attack_qp._attack_table(gain, box) is None
@@ -418,9 +424,9 @@ def test_resynthesis_beyond_the_table_cap_runs_the_solver(
     AttackPlan(kind="nonstat", onset=7),
 ])
 def test_a_table_that_disagrees_with_its_check_falls_back(plan, monkeypatch):
-    # a table that scores every point 0 keeps the nominal rates; the first
-    # row's solve picks a vertex, so the arm drops the table and resolves
-    # every row of that step and the later ones with the solver
+    # a table that scores every point 0 keeps the nominal rates; the
+    # set-up's solve at the initial mean picks a vertex, so the arm drops
+    # the table and resolves every row of every block with the solver
     def nominal_table(gain, box):
         table = build(gain, box)
         return dataclasses.replace(table, values=np.zeros_like(table.values))
@@ -429,10 +435,10 @@ def test_a_table_that_disagrees_with_its_check_falls_back(plan, monkeypatch):
     monkeypatch.setattr(simulate, "_attack_table", nominal_table)
     solves = count_solves(monkeypatch)
     cfg = small_cfg(T=12, plan=plan)
-    monte_carlo(cfg, 3)
+    monte_carlo(cfg, BLOCK + 2)
     steps = len(range(7, 12)) if plan.resynthesize else 1
-    assert len(solves) == 1 + 3 * steps
-    assert_episodes_match_slow_ones(cfg, 3)
+    assert len(solves) == 1 + (BLOCK + 2) * steps
+    assert_episodes_match_slow_ones(cfg, BLOCK + 2)
 
 
 def test_a_finished_operation_holds_no_state(monkeypatch):
@@ -776,7 +782,9 @@ def test_empirical_increase_pairs_draws(rng):
 
 
 def test_empirical_increases_are_each_the_one_law_estimate(rng):
-    # one shared rollout for several laws changes no bit of any estimate
+    # one shared rollout for several laws changes no bit of any estimate;
+    # the laws are read once, so an iterator gives the list's estimates
+    # and an empty one is rejected as an empty list is
     model = random_model(rng, n=2, m=2, horizon=4)
     ens = build_prediction_ensemble(model)
     channel = shared_channel(2, 0.7)
@@ -790,8 +798,11 @@ def test_empirical_increases_are_each_the_one_law_estimate(rng):
             alone = empirical_increase(ens, model, gain, x, law, 500, seed=4)
             assert np.array_equal(pair, alone)
             assert np.array_equal(np.signbit(pair), np.signbit(alone))
-        with pytest.raises(DimensionError):
-            empirical_increases(ens, model, gain, x, [], 500, seed=4)
+        once = empirical_increases(ens, model, gain, x, iter(laws), 500, seed=4)
+        assert _bitwise(once, got)
+        for empty in ([], iter(())):
+            with pytest.raises(DimensionError):
+                empirical_increases(ens, model, gain, x, empty, 500, seed=4)
 
 
 def _bitwise(a, b):
