@@ -70,9 +70,9 @@ class AttackBox:
 
     The monitor watches each channel's average rate, so its band holds at
     every step of the ``horizon``.  ``channel_lo``, ``channel_hi`` and
-    ``channel_nominal`` are read-only m-vectors; the step-major ``lo``,
-    ``hi`` and ``nominal``, the clipped nominal point ``start`` and
-    ``region`` are built from them on first use and kept.
+    ``channel_nominal`` are read-only m-vectors; the step-major ``lo`` and
+    ``hi``, the clipped nominal point ``start`` and ``region`` are built
+    from them on first use and kept (the gain holds the nominal stack).
     """
 
     channel_lo: np.ndarray
@@ -108,10 +108,6 @@ class AttackBox:
     @cached_property
     def hi(self) -> np.ndarray:
         return self._stacked(self.channel_hi)
-
-    @cached_property
-    def nominal(self) -> np.ndarray:
-        return self._stacked(self.channel_nominal)
 
     @cached_property
     def region(self) -> tuple | None:
@@ -238,7 +234,7 @@ def attack_context(
         raise DimensionError("gain was built from another prediction ensemble")
     elif gain.protocol is not protocol:
         raise DimensionError("gain was built for a different protocol")
-    elif not np.array_equal(gain.mean_stack, box.nominal):
+    elif not np.array_equal(gain.mean_stack[: ens.m], box.channel_nominal):
         raise DimensionError("gain was built for other nominal means")
     x = np.asarray(x, dtype=float)
     return AttackContext(
@@ -255,9 +251,10 @@ def attack_context(
 class BoxQP:
     """maximize z' H z + c' z subject to lo <= z <= hi elementwise.
 
-    The bounds, and the nominal rates that only break ties and seed the
-    solver, are the state-free ``box``'s; ``lo``, ``hi``, ``nominal``,
-    ``horizon`` and ``m`` read it.
+    H is exactly symmetric, as every solver kernel assumes.  The bounds,
+    and the clipped nominal point that only breaks ties and seeds the
+    solver, are the state-free ``box``'s; ``lo``, ``hi``, ``horizon`` and
+    ``m`` read it.
     """
 
     H: np.ndarray
@@ -272,6 +269,8 @@ class BoxQP:
                 f"BoxQP over {box.horizon} steps of {box.m} channels needs "
                 f"a {d}x{d} H and length-{d} c"
             )
+        if not np.array_equal(self.H, self.H.T):
+            raise DimensionError("BoxQP needs a symmetric H")
 
     @property
     def lo(self) -> np.ndarray:
@@ -280,10 +279,6 @@ class BoxQP:
     @property
     def hi(self) -> np.ndarray:
         return self.box.hi
-
-    @property
-    def nominal(self) -> np.ndarray:
-        return self.box.nominal
 
     @property
     def horizon(self) -> int:
@@ -376,16 +371,28 @@ class AttackCharacterization:
     degenerate: bool = field(default=False)  # flat objective, rate moot
 
 
+def _beats_nominal(value, nominal):
+    """Whether objective ``value`` beats the clipped nominal point's
+    ``nominal`` by more than 1e-12 (1 + |best|), elementwise.
+
+    A near tie keeps the nominal point, the box point closest to the
+    nominal rates, so a flat objective never sends the attacker to an
+    arbitrary vertex.  It is the one tie rule of the attack layer.
+    """
+    best = np.maximum(value, nominal)
+    return value - nominal > 1e-12 * (1.0 + np.abs(best))
+
+
 def _pick(candidates, nominal):
     """The highest-valued of the ``(point, value, ...)`` candidates.
 
-    Near ties (within 1e-12 relative) go to the point closest to
-    ``nominal``, so a flat objective never sends the attacker to an
-    arbitrary endpoint or vertex; the first such point wins.
+    The candidates that the best one does not beat (:func:`_beats_nominal`)
+    tie, and go to the point closest to ``nominal``, so a flat objective
+    never sends the attacker to an arbitrary endpoint or vertex; the first
+    such point wins.
     """
     best = max(item[1] for item in candidates)
-    tol = 1e-12 * (1.0 + abs(best))
-    tied = [item for item in candidates if best - item[1] <= tol]
+    tied = [item for item in candidates if not _beats_nominal(best, item[1])]
     if len(tied) == 1:  # the usual case: no distance to measure
         return tied[0]
     return min(

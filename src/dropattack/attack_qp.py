@@ -12,8 +12,8 @@ the stationary optimum.
 The maximization is NOT a convex program (for udp H is traceless, hence
 indefinite whenever it is nonzero), and the general box QP is NP-hard.
 The solver is deliberately plain: one candidate against the clipped
-nominal point, which keeps ties (:func:`_beats_nominal`).  With q the
-number of negative diagonal entries of H, it has two regimes:
+nominal point, which keeps ties (``attack_iid._beats_nominal``).  With q
+the number of negative diagonal entries of H, it has two regimes:
 
 * exact: d <= ``_VERTEX_CAP`` (20) and the faces with a free coordinate
   hold at most ``_FACE_BUDGET`` (2^16) points, (3^q - 2^q) 2^(d-q).
@@ -35,7 +35,7 @@ number of negative diagonal entries of H, it has two regimes:
 
 A solve reads the bands and the clipped nominal point off the QP's
 :class:`~dropattack.attack_iid.AttackBox`, one band per channel; the
-constant schedules solve over it at one step.  Vertices, faces and the
+constant schedules solve over its channel bands.  Vertices, faces and the
 attack table share one vertex order (:func:`_corner_bits`).  Residuals
 wait for a read.  Closed-loop episodes read their schedules off an
 attack table instead (:func:`_attack_table`), which tabulates this
@@ -43,12 +43,12 @@ solver's exact answer as a quadratic form in the state.
 """
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .attack_iid import AttackContext, BoxQP, _quadratic, build_qp
+from .attack_iid import AttackContext, BoxQP, _beats_nominal, _quadratic, build_qp
 from .controller import Protocol
 from .errors import DimensionError
 
@@ -142,18 +142,6 @@ def _batch_objective(H, c, Z):
     return ((Z @ H) * Z).sum(axis=1) + Z @ c
 
 
-def _beats_nominal(value, nominal):
-    """Whether objective ``value`` beats the clipped nominal point's
-    ``nominal`` by more than 1e-12 (1 + |best|), elementwise.
-
-    A near tie keeps the nominal point, the box point closest to the
-    nominal rates, so a flat objective never sends the attacker to an
-    arbitrary vertex.
-    """
-    best = np.maximum(value, nominal)
-    return value - nominal > 1e-12 * (1.0 + np.abs(best))
-
-
 def _residuals(H, c, lo, hi, Z):
     """Projected-gradient step lengths of the rows of Z."""
     proj = np.clip(Z + (2.0 * Z @ H + c), lo, hi)
@@ -218,7 +206,7 @@ def _face_points(H, c, lo, hi, free):
     return Z[np.all((zf >= lo[free]) & (zf <= hi[free]), axis=1)]
 
 
-def _enumerate(H, c, box, neg):
+def _enumerate(H, c, lo, hi, neg):
     """Exact maximizer of z'Hz + c'z over the box, and its tag.
 
     ``neg`` lists the coordinates with H_ii < 0.  Along any other
@@ -232,11 +220,11 @@ def _enumerate(H, c, box, neg):
     ``interior`` otherwise; with ``neg`` empty there is no face, and the
     best vertex is returned without scoring it.
     """
-    vertex = _best_vertex(H, c, box)
+    vertex = _best_vertex(H, c, lo, hi)
     if neg.size == 0:
         return vertex, "vertex"
     faces = [
-        _face_points(H, c, box.lo, box.hi, list(free))
+        _face_points(H, c, lo, hi, list(free))
         for size in range(1, neg.size + 1)
         for free in itertools.combinations(neg.tolist(), size)
     ]
@@ -245,7 +233,7 @@ def _enumerate(H, c, box, neg):
     return Z[j].copy(), "vertex" if j == 0 else "interior"
 
 
-def _best_vertex(H, c, box):
+def _best_vertex(H, c, lo, hi):
     """First vertex of the box that maximizes z'Hz + c'z.
 
     Vertex j sets coordinate i to hi_i when bit i of j is set, as in
@@ -262,8 +250,8 @@ def _best_vertex(H, c, box):
     """
     l = (c.size + 1) // 2
     XL, XH = (
-        lo + _corner_bits(lo.size) * (hi - lo)
-        for lo, hi in ((box.lo[:l], box.hi[:l]), (box.lo[l:], box.hi[l:]))
+        a + _corner_bits(a.size) * (b - a)
+        for a, b in ((lo[:l], hi[:l]), (lo[l:], hi[l:]))
     )
     sL = _batch_objective(H[:l, :l], c[:l], XL)
     sH = _batch_objective(H[l:, l:], c[l:], XH)
@@ -351,26 +339,26 @@ def _attack_table(gain, box):
     return _AttackTable(points, values, pairs, box.horizon, box.m)
 
 
-def _maximize_box(H, c, box, start):
-    """Candidate-based maximization of z'Hz + c'z over ``box``.
+def _maximize_box(H, c, lo, hi, nominal, start):
+    """Candidate-based maximization of z'Hz + c'z over the box [lo, hi].
 
     Returns (z, value, winner).  The candidate is the exact maximizer by
     :func:`_enumerate`, when d <= ``_VERTEX_CAP`` and the (3^q - 2^q)
     2^(d-q) points of its faces with a free coordinate (q the number of
     negative diagonal entries of H) number at most ``_FACE_BUDGET``, or
     else the end of the coordinate ascent from ``start``, tagged ``iid``
-    when it did not move.  The clipped nominal point, on its own copy,
-    wins unless the candidate beats it (:func:`_beats_nominal`).
+    when it did not move.  The clipped nominal point ``nominal``, on its
+    own copy, wins unless the candidate beats it (:func:`_beats_nominal`).
     """
     d = c.size
     neg = np.flatnonzero(np.diag(H) < 0.0)
     q = neg.size
     if d <= _VERTEX_CAP and (3 ** q - 2 ** q) * 2 ** (d - q) <= _FACE_BUDGET:
-        z, tag = _enumerate(H, c, box, neg)
+        z, tag = _enumerate(H, c, lo, hi, neg)
     else:
-        z, moves = _coordinate_ascent(H, c, box.lo, box.hi, start)
+        z, moves = _coordinate_ascent(H, c, lo, hi, start)
         tag = "coordinate" if moves else "iid"
-    nominal = box.start.copy()
+    nominal = nominal.copy()
     value, nominal_value = (float(p @ (H @ p) + c @ p) for p in (z, nominal))
     if _beats_nominal(value, nominal_value):
         return z, value, tag
@@ -390,7 +378,7 @@ def solve_box_qp_max(
     if iid is None:
         iid = solve_iid_constrained(qp)
     z, value, winner = _maximize_box(
-        qp.H, qp.c, qp.box, iid.means.reshape(-1)
+        qp.H, qp.c, qp.lo, qp.hi, qp.box.start, iid.means.reshape(-1)
     )
     return AttackSchedule(z.reshape(qp.horizon, qp.m), value, winner, qp)
 
@@ -398,21 +386,22 @@ def solve_box_qp_max(
 def solve_iid_constrained(qp: BoxQP) -> AttackSchedule:
     """Best schedule constant in time: one rate per channel.
 
-    Substituting z = R a (R the 0/1 map repeating each channel's rate over
-    the horizon) reduces the QP to m variables, solved by the same
-    candidate machinery: exactly while 3^m - 2^m <= ``_FACE_BUDGET``
-    (2^16), so up to m = 10, since a reduced diagonal entry may be
-    negative (udp), and up to m = ``_VERTEX_CAP`` when none is.  On a
-    single shared channel this reproduces the stationary-rate closed
-    forms: endpoints, plus the interior peak when the reduced curvature
-    is negative.
+    With z_k = a at every step k, the QP becomes one over the m rates a:
+    Hr sums the (N, N) grid of H's m x m step blocks and cr the N step
+    blocks of c.  It is solved over the box's own channel bands, from its
+    clipped nominal rates, by the same candidate machinery: exactly while
+    3^m - 2^m <= ``_FACE_BUDGET`` (2^16), so up to m = 10, since a
+    reduced diagonal entry may be negative (udp), and up to m =
+    ``_VERTEX_CAP`` when none is.  On a single shared channel this
+    reproduces the stationary-rate closed forms: endpoints, plus the
+    interior peak when the reduced curvature is negative.
     """
-    R = np.tile(np.eye(qp.m), (qp.horizon, 1))
-    Hr = R.T @ qp.H @ R
+    box, N, m = qp.box, qp.horizon, qp.m
+    Hr = qp.H.reshape(N, m, N, m).sum(axis=(0, 2))
     Hr = 0.5 * (Hr + Hr.T)
-    cr = R.T @ qp.c
-    rates = replace(qp.box, horizon=1)
-    a, _, winner = _maximize_box(Hr, cr, rates, rates.start)
-    z = np.tile(a, qp.horizon)  # R a, bitwise: R has one 1 per row
-    means, value = z.reshape(qp.horizon, qp.m), qp.objective(z)
+    cr = qp.c.reshape(N, m).sum(axis=0)
+    lo, hi, nominal = box.channel_lo, box.channel_hi, box.start[:m]
+    a, _, winner = _maximize_box(Hr, cr, lo, hi, nominal, nominal)
+    z = np.tile(a, N)
+    means, value = z.reshape(N, m), qp.objective(z)
     return AttackSchedule(means, value, f"iid-{winner}", qp)

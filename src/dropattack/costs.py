@@ -122,7 +122,7 @@ def expected_attacked_cost(
     qp = ctx.qp
     if attack is None:
         # nominal law == constant schedule at the nominal means
-        return const + qp.objective(qp.nominal)
+        return const + qp.objective(ctx.gain.mean_stack)
 
     if isinstance(attack, AttackSchedule):
         attack = attack.means

@@ -71,7 +71,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attack_iid import _attack_box, attack_context
+from .attack_iid import _attack_box, _beats_nominal, attack_context
 from .attack_qp import _attack_table, solve_box_qp_max, solve_iid_constrained
 from .channel import (
     STREAM_INIT,
@@ -341,7 +341,7 @@ def _arm(cfg, plan, ens, gain) -> _Arm:
     to their laws.  A nonstat arm's law is its attack table's
     ``schedules``, when the table is within its cap and its schedule at
     the initial mean agrees with the per-state solver's there: equal
-    means, or values within the solver's 1e-12 (1 + |value|) tie rule.
+    means, or values that neither beats the other by (``_beats_nominal``).
     Every other synthesizing arm resolves the plan row by row.
     """
     T = cfg.T
@@ -380,8 +380,8 @@ def _arm(cfg, plan, ens, gain) -> _Arm:
             schedule, law = solve(x)[2], table.schedules(x[None])[0]
             best = schedule.objective
             value = schedule.qp.objective(law.reshape(-1))
-            if np.array_equal(law, schedule.means) or abs(best - value) <= (
-                1e-12 * (1.0 + max(abs(best), abs(value)))
+            if np.array_equal(law, schedule.means) or not (
+                _beats_nominal(best, value) or _beats_nominal(value, best)
             ):
                 return _Arm(means, info, steps, table.schedules)
     return _Arm(means, info, steps, per_row)

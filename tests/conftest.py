@@ -463,6 +463,17 @@ def grid_argmax(fn, lo, hi, num=20001):
     return float(grid[k]), float(values[k])
 
 
+def repeat_map_restriction(qp):
+    """The QP restricted to constant schedules through the repeat map.
+
+    R is the d x m 0/1 matrix that repeats each channel's rate over the
+    horizon, z = R a; the restriction is R'HR, symmetrized, and R'c.
+    """
+    R = np.tile(np.eye(qp.m), (qp.horizon, 1))
+    Hr = R.T @ qp.H @ R
+    return 0.5 * (Hr + Hr.T), R.T @ qp.c
+
+
 def slow_vertex_max(H, c, lo, hi):
     """Largest z'Hz + c'z over the box's vertices, one vertex at a time."""
     best = -np.inf

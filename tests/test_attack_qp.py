@@ -40,6 +40,7 @@ from conftest import (
     random_channel,
     random_detection,
     random_model,
+    repeat_map_restriction,
     rotation_model,
     shared_channel,
     shared_detection,
@@ -125,11 +126,6 @@ def hand_qp(H, c, lo, hi, nominal=None, m=1):
     return BoxQP(H=H, c=c, box=box)
 
 
-def box_of(lo, hi):
-    """The box of one step of per-entry channels, nominal at its centre."""
-    return AttackBox(lo, hi, 0.5 * (lo + hi), horizon=1)
-
-
 def test_box_holds_one_band_per_channel(rng, monkeypatch):
     # the box stores each channel's band once: its step-major arrays repeat
     # the bands over the horizon, so no band can change from step to step
@@ -139,34 +135,24 @@ def test_box_holds_one_band_per_channel(rng, monkeypatch):
         lo, hi = detection.bounds(channel)
         mean = channel.mean_diag
         assert (box.m, box.horizon) == (m, horizon)
+        np.testing.assert_array_equal(box.channel_nominal, mean)
         for got, want in (
-            (box.lo, lo), (box.hi, hi), (box.nominal, mean),
-            (box.start, np.clip(mean, lo, hi)),
+            (box.lo, lo), (box.hi, hi), (box.start, np.clip(mean, lo, hi)),
         ):
             np.testing.assert_array_equal(got, np.tile(want, horizon))
     start = AttackBox([0.2, 0.5], [0.4, 0.6], [0.9, 0.1], horizon=3).start
     np.testing.assert_array_equal(start, np.tile([0.4, 0.5], 3))
 
-    # the iid restriction solves over the same box at one step
-    seen = []
-    maximize = attack_qp._maximize_box
-
-    def recorded(H, c, box, start):
-        seen.append(box)
-        return maximize(H, c, box, start)
-
+    # the iid restriction solves over the same box's channel bands, from
+    # its clipped nominal rates
+    seen, _ = record_restrictions(monkeypatch)
     model = random_model(rng, m=2, horizon=5)
     _, qp = build_for(rng, Protocol.UDP_LIKE, model=model)
-    monkeypatch.setattr(attack_qp, "_maximize_box", recorded)
     solve_iid_constrained(qp)
-    (rates,) = seen
-    one = dataclasses.replace(qp.box, horizon=1)
-    assert (rates.horizon, rates.m) == (1, 2)
-    for name in ("lo", "hi", "nominal", "start"):
-        np.testing.assert_array_equal(getattr(rates, name), getattr(one, name))
-        np.testing.assert_array_equal(
-            getattr(one, name), getattr(qp.box, name)[:2]
-        )
+    ((_, _, lo, hi, nominal, start),) = seen
+    assert lo is qp.box.channel_lo and hi is qp.box.channel_hi
+    for point in (nominal, start):
+        np.testing.assert_array_equal(point, qp.box.start[:2])
 
     lo, hi, nominal = [0.2, 0.4], [0.6, 0.8], [0.5, 0.5]
     AttackBox(lo, hi, nominal, horizon=1)
@@ -197,6 +183,22 @@ def test_box_holds_one_band_per_channel(rng, monkeypatch):
     # per-entry bands are one block when every entry is its own channel
     qp = hand_qp(H, c, [0.0, 0.5, 0.2], [1.2, 0.6, 0.4], m=3)
     assert solve_iid_constrained(qp).means.shape == (1, 3)
+
+
+def test_box_qp_needs_a_symmetric_h():
+    # every kernel reads H as symmetric (the 2 H_HL cross term, the 2 H_FF
+    # face system, the gradient 2 H z + c), so an asymmetric H would get a
+    # wrong exact answer: z1 z2 over [0, 1]^2 peaks at (1, 1) with 1, but
+    # the kernels read [[0, 1], [0, 0]] as the nominal point's 0.25
+    with pytest.raises(DimensionError, match="symmetric"):
+        hand_qp([[0.0, 1.0], [0.0, 0.0]], [0.0, 0.0], 0.0, 1.0, m=2)
+    with pytest.raises(DimensionError, match="symmetric"):
+        near = np.nextafter(0.5, 1.0)
+        hand_qp([[1.0, 0.5], [near, 1.0]], [0.0, 0.0], 0.0, 1.0, m=2)
+    qp = hand_qp([[0.0, 0.5], [0.5, 0.0]], [0.0, 0.0], 0.0, 1.0, m=2)
+    sol = solve_box_qp_max(qp)
+    np.testing.assert_array_equal(sol.means, [[1.0, 1.0]])
+    assert sol.objective == 1.0
 
 
 def test_interior_maximum_found():
@@ -298,7 +300,7 @@ def test_best_vertex_is_the_enumerations_vertex(rng):
             model = random_model(rng, m=m, horizon=horizon)
             _, qp = build_for(rng, protocol, model=model)
             np.testing.assert_array_equal(
-                attack_qp._best_vertex(qp.H, qp.c, qp.box),
+                attack_qp._best_vertex(qp.H, qp.c, qp.lo, qp.hi),
                 plain_vertex(qp.H, qp.c, qp.lo, qp.hi),
             )
     for d in (1, 2, 5, 10, 16):
@@ -306,13 +308,13 @@ def test_best_vertex_is_the_enumerations_vertex(rng):
         hi = rng.uniform(0.5, 1.0, size=d)
         H, c = np.zeros((d, d)), np.zeros(d)
         np.testing.assert_array_equal(
-            attack_qp._best_vertex(H, c, box_of(lo, hi)), lo
+            attack_qp._best_vertex(H, c, lo, hi), lo
         )
         np.testing.assert_array_equal(plain_vertex(H, c, lo, hi), lo)
     for d, i, k in ((2, 0, 1), (5, 1, 4), (12, 3, 11), (16, 0, 15)):
         H, c = twin_qp(rng, d, i, k)
         lo, hi = np.zeros(d), np.ones(d)
-        z = attack_qp._best_vertex(H, c, box_of(lo, hi))
+        z = attack_qp._best_vertex(H, c, lo, hi)
         np.testing.assert_array_equal(z, plain_vertex(H, c, lo, hi))
         assert (z[i], z[k]) == (1.0, 0.0)
 
@@ -323,13 +325,13 @@ def test_best_vertex_keeps_the_first_maximum_across_chunks(rng):
     d = 20
     lo = rng.uniform(0.0, 0.5, size=d)
     hi = rng.uniform(0.5, 1.0, size=d)
-    z = attack_qp._best_vertex(np.zeros((d, d)), np.zeros(d), box_of(lo, hi))
+    z = attack_qp._best_vertex(np.zeros((d, d)), np.zeros(d), lo, hi)
     np.testing.assert_array_equal(z, lo)
     d, i, k = 18, 2, 17
     H, c = twin_qp(rng, d, i, k)
     lo, hi = np.zeros(d), np.ones(d)
     _, first = blockwise_vertex_max(H, c, lo, hi)
-    z = attack_qp._best_vertex(H, c, box_of(lo, hi))
+    z = attack_qp._best_vertex(H, c, lo, hi)
     np.testing.assert_array_equal(z, (first >> np.arange(d)) & 1)
     assert (z[i], z[k]) == (1.0, 0.0)
 
@@ -721,6 +723,104 @@ def test_iid_constrained_agrees_with_stationary_closed_forms(rng):
             )
 
 
+def record_restrictions(monkeypatch):
+    """Record the arguments of every box solve; return the record and the
+    unpatched solve."""
+    seen, maximize = [], attack_qp._maximize_box
+
+    def recorded(*args):
+        seen.append(args)
+        return maximize(*args)
+
+    monkeypatch.setattr(attack_qp, "_maximize_box", recorded)
+    return seen, maximize
+
+
+def assert_restriction_is_the_repeat_map(qp, seen, maximize):
+    """``solve_iid_constrained(qp)`` solves as the repeat map's R'HR does.
+
+    Its (Hr, cr) must be the oracle's within 1e-13 relative, and its means
+    and winner the oracle restriction's, solved over the same bands;
+    returns that winner.
+    """
+    seen.clear()
+    sol = solve_iid_constrained(qp)
+    ((Hr, cr, *_),) = seen
+    for got, want in zip((Hr, cr), repeat_map_restriction(qp)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    box, nominal = qp.box, qp.box.start[: qp.m]
+    a, _, winner = maximize(
+        *repeat_map_restriction(qp), box.channel_lo, box.channel_hi,
+        nominal, nominal,
+    )
+    np.testing.assert_array_equal(sol.means, np.tile(a, (qp.horizon, 1)))
+    assert sol.winner == f"iid-{winner}"
+    return winner
+
+
+@pytest.mark.parametrize(
+    "workload", ["synth-sweep", "horizon-check", "receding-attack"]
+)
+def test_iid_restriction_is_the_repeat_map_on_the_workloads(
+    tmp_path, rng, monkeypatch, workload
+):
+    # every built QP of the workload's experiments, at the initial mean
+    # and at 20 random states: summing H's step blocks restricts it to the
+    # constant schedules as R'HR does
+    seen, maximize = record_restrictions(monkeypatch)
+    count = 0
+    for exp in workload_experiments(tmp_path, workload, "FULL"):
+        model = exp.model
+        ens = build_prediction_ensemble(model)
+        gain = control_gain(ens, model, exp.channel.mean_diag, exp.protocol)
+        scales = rng.uniform(0.1, 3.0, size=(20, 1))
+        for x in (model.init_mean, *rng.normal(size=(20, model.n)) * scales):
+            ctx = attack_context(
+                ens, model, exp.channel, exp.detection, exp.protocol, x, gain
+            )
+            assert_restriction_is_the_repeat_map(ctx.qp, seen, maximize)
+            count += 1
+    assert count == 21 * {
+        "synth-sweep": 50, "horizon-check": 8, "receding-attack": 16
+    }[workload]
+
+
+def test_iid_restriction_is_the_repeat_map_on_hand_built_qps(
+    rng, monkeypatch
+):
+    # integer H and c, so both restrictions are exact; negative diagonal
+    # entries of the reduced H make its faces run
+    seen, maximize = record_restrictions(monkeypatch)
+    winners = []
+    for _ in range(60):
+        m, horizon = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        d = m * horizon
+        M = rng.integers(-4, 5, size=(d, d)).astype(float)
+        c = rng.integers(-6, 7, size=d).astype(float)
+        lo = rng.uniform(0.0, 0.5, size=m)
+        hi = lo + rng.uniform(0.1, 1.0, size=m)
+        box = AttackBox(lo, hi, rng.uniform(0.0, 1.0, size=m), horizon)
+        qp = BoxQP(H=M + M.T, c=c, box=box)
+        winners.append(assert_restriction_is_the_repeat_map(qp, seen, maximize))
+    assert "interior" in winners and "vertex" in winners
+
+
+def test_iid_restriction_builds_no_box(rng, monkeypatch):
+    # the restriction solves over the schedule's own box: no AttackBox is
+    # constructed, for the restriction or for the schedule solve after it
+    model = random_model(rng, m=2, horizon=5)
+    _, qp = build_for(rng, Protocol.UDP_LIKE, model=model)
+    built, init = [], AttackBox.__post_init__
+
+    def counted(box):
+        built.append(box)
+        init(box)
+
+    monkeypatch.setattr(AttackBox, "__post_init__", counted)
+    solve_box_qp_max(qp, iid=solve_iid_constrained(qp))
+    assert built == []
+
+
 def test_zero_state_ties_to_nominal(rng):
     model = random_model(rng)
     ctx, qp = build_for(
@@ -729,7 +829,7 @@ def test_zero_state_ties_to_nominal(rng):
     sol = solve_box_qp_max(qp)
     assert sol.objective == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(
-        sol.means.reshape(-1), qp.nominal, atol=1e-12
+        sol.means.reshape(-1), ctx.gain.mean_stack, atol=1e-12
     )
 
 
@@ -826,7 +926,7 @@ def test_shared_parts_are_read_only(rng):
     shared = [
         gain.kernel, gain.mean_stack, gain.paid_variance, gain.coupling,
         gain.load, box.channel_lo, box.channel_hi, box.channel_nominal,
-        box.lo, box.hi, box.nominal, box.start,
+        box.lo, box.hi, box.start,
     ]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -907,21 +1007,25 @@ def assert_table_is_the_solver(table, solved, states):
     return equal
 
 
-def receding_workload_states(tmp_path, sizes):
-    """Every experiment of the benchmark's receding-attack workload at seed
-    101, with each state at which its episodes synthesize."""
+def workload_experiments(tmp_path, workload, sizes):
+    """Every experiment of one benchmark workload at seed 101."""
     root = pathlib.Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
-        "receding_workloads", root / "bench" / "workloads.py"
+        "bench_workloads", root / "bench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     ops = workloads.build(
-        "receding-attack", 101, str(tmp_path), str(root),
+        workload, 101, str(tmp_path / workload), str(root),
         getattr(workloads, sizes),
     )
-    for op in ops:
-        exp = load_experiment(op["config"])
+    return [load_experiment(op["config"]) for op in ops]
+
+
+def receding_workload_states(tmp_path, sizes):
+    """Every experiment of the benchmark's receding-attack workload at seed
+    101, with each state at which its episodes synthesize."""
+    for exp in workload_experiments(tmp_path, "receding-attack", sizes):
         states = [
             run_episode(exp, r).states[exp.plan.onset : exp.T]
             for r in range(exp.realizations)
