@@ -35,9 +35,9 @@ HORIZON = 5
 model = SystemModel(
     A=np.array([[1.03, 0.005], [0.35, 0.5]]),
     B=np.array([[1.0], [1.0]]),
-    Q=np.eye(2),
-    state_penalty=np.eye(HORIZON * 2),
-    input_penalty=np.eye(HORIZON * 1),
+    Q=np.ones(2),                        # weight diagonals, as vectors
+    state_penalty=np.ones(HORIZON * 2),  # stacked over the horizon
+    input_penalty=np.ones(HORIZON * 1),
     noise_cov=0.01 * np.eye(2),
     init_cov=0.01 * np.eye(2),
     init_mean=np.array([1.0, 1.0]),
@@ -53,7 +53,7 @@ def describe(protocol):
     ens = build_prediction_ensemble(model)
     ctx = attack_context(ens, model, channel, detection, protocol, x)
     lo, hi = ctx.require_region()
-    baseline = expected_attacked_cost(ctx, model)  # the nominal law
+    baseline = expected_attacked_cost(ctx)  # the nominal law
     print(f"admissible rate band      [{lo:.2f}, {hi:.2f}]")
     print(f"nominal expected cost     {baseline:.4f}")
     print(f"feedback benefit          {feedback_benefit(ctx):.4f}")
@@ -64,12 +64,12 @@ def describe(protocol):
           f"   (objective {char.objective_star:+.4f})")
 
     # closed-form increases at the band edges and notable interior points
-    regimes = cost_regimes(ctx, model)
+    regimes = cost_regimes(ctx)
     print("\nclosed-form cost increases")
     for report in regimes.values():
         print(f"  {report.regime:<10} increase {report.increase:+9.4f}")
 
-    attacked = expected_attacked_cost(ctx, model, char.alpha_star)
+    attacked = expected_attacked_cost(ctx, char.alpha_star)
     print(f"\nexpected cost at the best stationary rate  {attacked:.4f}"
           f"  (+{attacked - baseline:.4f})")
 

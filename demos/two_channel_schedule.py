@@ -33,9 +33,9 @@ def reference_plant():
     return SystemModel(
         A=np.array([[1.03, 0.005], [0.35, 0.5]]),
         B=np.eye(2),
-        Q=np.eye(2),
-        state_penalty=np.eye(N * 2),
-        input_penalty=np.eye(N * 2),
+        Q=np.ones(2),  # the weights' diagonals
+        state_penalty=np.ones(N * 2),
+        input_penalty=np.ones(N * 2),
         noise_cov=0.01 * np.eye(2),
         init_cov=0.01 * np.eye(2),
         init_mean=np.array([1.0, 1.0]),
@@ -51,9 +51,9 @@ def memory_plant():
     return SystemModel(
         A=rng.normal(size=(n, n)) / np.sqrt(n),
         B=rng.normal(size=(n, m)),
-        Q=np.eye(n),
-        state_penalty=np.eye(N * n),
-        input_penalty=0.1 * np.eye(N * m),
+        Q=np.ones(n),
+        state_penalty=np.ones(N * n),
+        input_penalty=np.full(N * m, 0.1),
         noise_cov=0.01 * np.eye(n),
         init_cov=0.01 * np.eye(n),
         init_mean=np.ones(n),

@@ -138,12 +138,13 @@ class AttackContext:
     ``region`` is the scalar admissible interval (the intersection of all
     per-channel bands), or None when the channels' bands do not overlap;
     schedule attacks, which do not need a common rate, read each channel's
-    band off the box.
+    band off the box.  ``model`` is the one ``ens`` and ``gain`` were built
+    from; the formulas read its weights.
     """
 
     ens: PredictionEnsemble
     gain: ControllerGain
-    input_penalty: np.ndarray
+    model: SystemModel
     x: np.ndarray
     u_star: np.ndarray
     box: AttackBox
@@ -240,7 +241,7 @@ def attack_context(
     return AttackContext(
         ens=ens,
         gain=gain,
-        input_penalty=model.input_penalty,
+        model=model,
         x=x,
         u_star=optimal_input_sequence(gain, ens, x),
         box=box,
@@ -251,10 +252,10 @@ def attack_context(
 class BoxQP:
     """maximize z' H z + c' z subject to lo <= z <= hi elementwise.
 
-    H is exactly symmetric, as every solver kernel assumes.  The bounds,
-    and the clipped nominal point that only breaks ties and seeds the
-    solver, are the state-free ``box``'s; ``lo``, ``hi``, ``horizon`` and
-    ``m`` read it.
+    H and c are finite and H is exactly symmetric, as every solver kernel
+    assumes.  The bounds, and the clipped nominal point that only breaks
+    ties and seeds the solver, are the state-free ``box``'s; ``lo``,
+    ``hi``, ``horizon`` and ``m`` read it.
     """
 
     H: np.ndarray
@@ -269,6 +270,8 @@ class BoxQP:
                 f"BoxQP over {box.horizon} steps of {box.m} channels needs "
                 f"a {d}x{d} H and length-{d} c"
             )
+        if not (np.all(np.isfinite(self.H)) and np.all(np.isfinite(self.c))):
+            raise DimensionError("BoxQP needs a finite H and c")
         if not np.array_equal(self.H, self.H.T):
             raise DimensionError("BoxQP needs a symmetric H")
 
@@ -418,7 +421,7 @@ def optimal_alpha(ctx: AttackContext) -> AttackCharacterization:
 
     # the linear coefficient is u'(P + V - 2 K)u
     slope_scale = (
-        float(np.linalg.norm(ctx.input_penalty))
+        float(np.linalg.norm(ctx.model.input_penalty))
         + float(np.linalg.norm(ctx.ens.input_gram))
         + 2.0 * float(np.linalg.norm(ctx.gain.kernel))
     ) * float(ctx.u_star @ ctx.u_star)
@@ -508,7 +511,7 @@ def flooding_condition(ctx: AttackContext) -> FloodingCondition:
     u'(load) u = rhs + 2 u'C Nu u, so lhs is rhs plus that objective.
     """
     u, paid = ctx.u_star, ctx.gain.paid_variance
-    rhs = float(u @ (ctx.input_penalty @ u)) + float(u @ (paid * u))
+    rhs = float(u @ (ctx.model.input_penalty * u)) + float(u @ (paid * u))
     objective_at_one = ctx.line.value(1.0)
     return FloodingCondition(
         lhs=rhs + objective_at_one,

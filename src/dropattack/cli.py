@@ -206,7 +206,6 @@ def _realizations(args, exp) -> int:
 
 def _cmd_synthesize(args) -> int:
     exp, ctx, char = _initial_attack(args)
-    model = exp.model
 
     out = {
         "protocol": exp.protocol.value,
@@ -244,7 +243,7 @@ def _cmd_synthesize(args) -> int:
         "min_eigenvalue": flooding.min_eigenvalue,
     }
 
-    baseline = expected_attacked_cost(ctx, model)
+    baseline = expected_attacked_cost(ctx)
     q0 = feedback_benefit(ctx)
     out["cost"] = {
         "baseline": baseline,
@@ -272,8 +271,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     exp, ctx, char = _initial_attack(args)
-    model = exp.model
-    regimes = cost_regimes(ctx, model)
+    regimes = cost_regimes(ctx)
     q0 = feedback_benefit(ctx)
     out = {
         "protocol": exp.protocol.value,
@@ -286,9 +284,7 @@ def _cmd_analyze(args) -> int:
     if char is not None:
         optimal = {
             "characterization": _characterization_json(char),
-            "expected_cost": expected_attacked_cost(
-                ctx, model, char.alpha_star
-            ),
+            "expected_cost": expected_attacked_cost(ctx, char.alpha_star),
         }
         if char.convexity is Convexity.CONVEX:
             optimal["trough_alpha"] = ctx.line.stationary
@@ -302,7 +298,7 @@ def _cmd_analyze(args) -> int:
         laws = [sched.means] if char is None else [char.alpha_star, sched.means]
         # every law is paired with the nominal one on one shared rollout
         increases = empirical_increases(
-            ctx.ens, model, ctx.gain, ctx.x, laws, samples, exp.seed
+            ctx.ens, ctx.model, ctx.gain, ctx.x, laws, samples, exp.seed
         )
         empirical = {}
         if char is not None:

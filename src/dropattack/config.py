@@ -26,9 +26,11 @@ In "attack", "alpha" with "means", "schedule" with "resynthesize", and
 "resynthesize" with "state_mode": "mean" exclude each other, whatever the
 kind.
 
-Per-step weight diagonals may be given for a single step (length n or m)
-and are tiled across the horizon, or in full (length N*n or N*m).
-Covariances may be given as full matrices or as diagonal vectors.
+The weights are diagonal, and the model keeps them as the vectors given
+(:class:`~dropattack.model.SystemModel`): "Q_diag" as is, and the per-step
+diagonals "Omega_diag" and "Psi_diag" tiled across the horizon when given
+for a single step (length n or m), or as is when given in full (length N*n
+or N*m).  Covariances may be given as full matrices or as diagonal vectors.
 "Sigma_X" is required and validated, but only an episode with
 ``sample_x0=True`` reads it; no subcommand sets that, so no report depends
 on it.  The "attack" section is optional and defaults to no attack.
@@ -153,7 +155,7 @@ def _tiled_diagonal(value, name: str, per_step, horizon, problems: list):
             f"got {vec.size}"
         )
         return None
-    return np.diag(vec)
+    return vec
 
 
 def parse_experiment(data: dict) -> ExperimentConfig:
@@ -296,7 +298,7 @@ def parse_experiment(data: dict) -> ExperimentConfig:
         model = SystemModel(
             A=A,
             B=B,
-            Q=np.diag(q_diag),
+            Q=q_diag,
             state_penalty=omega,
             input_penalty=psi,
             noise_cov=sigma_w,

@@ -17,7 +17,7 @@ stacked input sequence that is linear in the current state,
 
 of which only the first input block is transmitted each step.  The
 expected cost this sequence achieves is the attack quadratic at the
-nominal rates, ``costs.expected_attacked_cost(ctx, model)``.
+nominal rates, ``costs.expected_attacked_cost(ctx)``.
 """
 
 import enum
@@ -66,7 +66,7 @@ class ControllerGain:
 
     ``coupling`` and ``load`` are the state-free matrices of the attack
     quadratic (``attack_iid.build_qp``), C = input_gram - diag(paid) and
-    diag(paid) + input_penalty + 2 C diag(mean_stack); every state's H
+    diag(paid) + diag(input_penalty) + 2 C diag(mean_stack); every state's H
     and c are them weighted by the optimal sequence.  All arrays are
     read-only, so one gain serves every state of an operation.
     """
@@ -156,7 +156,7 @@ def control_gain(
     """Build the input-sequence gain kernel for the given channel means.
 
     ``mean_diag`` holds the per-channel delivery probabilities, each in
-    [0, 1).  The kernel is input_penalty + input_gram * means plus the
+    [0, 1).  The kernel is diag(input_penalty) + input_gram * means plus the
     diagonal paid_variance * (1 - means).  The protocol decides only the
     paid variance: a udp-like loop never learns a packet's fate and pays
     the input Gramian's diagonal; a tcp-like loop pays none.
@@ -173,13 +173,14 @@ def control_gain(
     # the one protocol decision: the delivery variance the cost pays
     udp = protocol is Protocol.UDP_LIKE
     paid = np.diagonal(ens.input_gram) if udp else np.zeros_like(nu)
-    kernel = model.input_penalty + ens.input_gram * nu[None, :]
+    penalty = np.diag(model.input_penalty)
+    kernel = penalty + ens.input_gram * nu[None, :]
     kernel = kernel + np.diag(paid * (1.0 - nu))
     # the attack quadratic's state-free parts: the paid variance leaves the
     # coupling and joins the load
     variance = np.diag(paid)
     coupling = ens.input_gram - variance
-    load = variance + model.input_penalty + 2.0 * coupling * nu[None, :]
+    load = variance + penalty + 2.0 * coupling * nu[None, :]
     for array in (kernel, nu, paid, coupling, load):
         array.setflags(write=False)
     solve, rcond = _make_solver(kernel)

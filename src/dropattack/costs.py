@@ -19,10 +19,11 @@ the independent Bernoulli-moment oracle.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .attack_iid import AttackContext, Convexity, flooding_condition
 from .attack_qp import AttackSchedule, schedule_objective
 from .controller import Protocol, _expand_step_means
-from .model import SystemModel
 
 __all__ = [
     "CostReport",
@@ -50,7 +51,7 @@ def feedback_benefit(ctx: AttackContext) -> float:
     return -float(ctx.u_star @ (ctx.gain.mean_stack * fx))
 
 
-def cost_regimes(ctx: AttackContext, model: SystemModel) -> dict[str, CostReport]:
+def cost_regimes(ctx: AttackContext) -> dict[str, CostReport]:
     """Expected cost increase of the named stationary attack regimes.
 
     Each regime is the shared-rate objective evaluated at one rate, plus
@@ -69,7 +70,7 @@ def cost_regimes(ctx: AttackContext, model: SystemModel) -> dict[str, CostReport
     """
     line = ctx.line
     q0 = feedback_benefit(ctx)
-    baseline = expected_attacked_cost(ctx, model)
+    baseline = expected_attacked_cost(ctx)
 
     def report(regime, alpha, details=None):
         increase = line.value(alpha) + q0
@@ -103,11 +104,7 @@ def cost_regimes(ctx: AttackContext, model: SystemModel) -> dict[str, CostReport
     return regimes
 
 
-def expected_attacked_cost(
-    ctx: AttackContext,
-    model: SystemModel,
-    attack=None,
-) -> float:
+def expected_attacked_cost(ctx: AttackContext, attack=None) -> float:
     """Expected horizon cost at ``ctx.x`` under an attacked channel law.
 
     ``attack`` may be None (nominal law), a scalar rate, a per-channel rate
@@ -117,7 +114,8 @@ def expected_attacked_cost(
     baseline of every regime in :func:`cost_regimes`.  Rates outside
     [0, 1] or of the wrong shape raise :class:`DimensionError`.
     """
-    const = float(ctx.x @ ((model.Q + ctx.ens.state_gram) @ ctx.x))
+    weight = np.diag(ctx.model.Q) + ctx.ens.state_gram
+    const = float(ctx.x @ (weight @ ctx.x))
     const += ctx.ens.noise_cost
     qp = ctx.qp
     if attack is None:

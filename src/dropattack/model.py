@@ -16,12 +16,12 @@ and input maps (and the cross term between them), with the noise map's
 expected cost, are what every downstream formula consumes, so they are
 assembled once here and reused.
 
-Diagonal matrices are passed around as 1-D arrays of their diagonals wherever
-that is unambiguous (loss outcomes, channel means); penalty matrices are kept
-2-D because their shapes encode the horizon layout.
+Diagonal matrices are passed around as 1-D arrays of their diagonals: loss
+outcomes, channel means and the cost weights, whose stacked diagonals are
+step-major (entry k*n + i weights coordinate i of predicted step k + 1).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,25 +49,31 @@ def _count(value, name: str, minimum: int):
         )
 
 
-def _require_diagonal_spd(M, name, shape):
-    if M.shape != shape:
+def _require_finite(M, name):
+    if not np.all(np.isfinite(M)):
+        raise DimensionError(f"{name} must be finite")
+
+
+def _require_weights(w, name, size):
+    if w.shape != (size,):
         raise DimensionError(
-            f"{name} must have shape {shape}, got {M.shape}"
+            f"{name} must be a vector of length {size}, got shape {w.shape}"
         )
-    if np.count_nonzero(M - np.diag(np.diagonal(M))):
-        raise DimensionError(f"{name} must be diagonal")
-    if np.any(np.diagonal(M) <= 0.0):
-        raise DimensionError(f"{name} must have strictly positive diagonal")
+    _require_finite(w, name)
+    if np.any(w <= 0.0):
+        raise DimensionError(f"{name} must be strictly positive")
 
 
 def _require_sym_pd(M, name, n):
+    """Check ``M`` and return its read-only Cholesky factor."""
     if M.shape != (n, n):
         raise DimensionError(f"{name} must have shape {(n, n)}, got {M.shape}")
+    _require_finite(M, name)
     scale = max(1.0, float(np.abs(M).max()))
     if not np.allclose(M, M.T, rtol=0.0, atol=1e-12 * scale):
         raise DimensionError(f"{name} must be symmetric")
     try:
-        np.linalg.cholesky(M)
+        return _frozen(np.linalg.cholesky(M))
     except np.linalg.LinAlgError:
         raise DimensionError(f"{name} must be positive definite") from None
 
@@ -81,17 +87,25 @@ class SystemModel:
     A, B : ndarray
         Plant dynamics (n, n) and input map (n, m).
     Q : ndarray
-        Diagonal positive weight (n, n) on the state at the decision step.
+        Positive weights (n,), the diagonal of the weight on the state at
+        the decision step.
     state_penalty : ndarray
-        Diagonal positive weight (N*n, N*n) on the predicted state stack.
+        Positive weights (N*n,), the diagonal of the weight on the
+        predicted state stack.
     input_penalty : ndarray
-        Diagonal positive weight (N*m, N*m) on the delivered-input stack.
+        Positive weights (N*m,), the diagonal of the weight on the
+        delivered-input stack.
     noise_cov : ndarray
         Process-noise covariance (n, n), symmetric positive definite.
     init_cov, init_mean : ndarray
-        First and second moments of the initial state.
+        Second and first moments of the initial state.
     horizon : int
         Prediction length N >= 1.
+    noise_chol, init_chol : ndarray
+        Lower Cholesky factors of ``noise_cov`` and ``init_cov``, computed
+        when the model is built; not constructor arguments.
+
+    Every array is read-only and finite.
     """
 
     A: np.ndarray
@@ -103,39 +117,45 @@ class SystemModel:
     init_cov: np.ndarray
     init_mean: np.ndarray
     horizon: int
+    noise_chol: np.ndarray = field(init=False, repr=False)
+    init_chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         A = _frozen(self.A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionError(f"A must be square, got shape {A.shape}")
+        _require_finite(A, "A")
         n = A.shape[0]
         B = _frozen(self.B)
         if B.ndim != 2 or B.shape[0] != n:
             raise DimensionError(
                 f"B must have {n} rows to match A, got shape {B.shape}"
             )
+        _require_finite(B, "B")
         m = B.shape[1]
         _count(self.horizon, "horizon", 1)
         N = int(self.horizon)
         Q = _frozen(self.Q)
         Om = _frozen(self.state_penalty)
         Ps = _frozen(self.input_penalty)
-        _require_diagonal_spd(Q, "Q", (n, n))
-        _require_diagonal_spd(Om, "state_penalty", (N * n, N * n))
-        _require_diagonal_spd(Ps, "input_penalty", (N * m, N * m))
+        _require_weights(Q, "Q", n)
+        _require_weights(Om, "state_penalty", N * n)
+        _require_weights(Ps, "input_penalty", N * m)
         Sw = _frozen(self.noise_cov)
         Sx = _frozen(self.init_cov)
-        _require_sym_pd(Sw, "noise_cov", n)
-        _require_sym_pd(Sx, "init_cov", n)
+        noise_chol = _require_sym_pd(Sw, "noise_cov", n)
+        init_chol = _require_sym_pd(Sx, "init_cov", n)
         xb = _frozen(self.init_mean)
         if xb.shape != (n,):
             raise DimensionError(
                 f"init_mean must have shape {(n,)}, got {xb.shape}"
             )
+        _require_finite(xb, "init_mean")
         for name, val in (
             ("A", A), ("B", B), ("Q", Q), ("state_penalty", Om),
             ("input_penalty", Ps), ("noise_cov", Sw), ("init_cov", Sx),
-            ("init_mean", xb),
+            ("init_mean", xb), ("noise_chol", noise_chol),
+            ("init_chol", init_chol),
         ):
             object.__setattr__(self, name, val)
         object.__setattr__(self, "horizon", N)
@@ -156,7 +176,7 @@ class PredictionEnsemble:
     ``state_map`` is (N*n, n): rows are A, A^2, ..., A^N.  ``input_map`` is
     (N*n, N*m) block lower triangular with block (i, j) = A^(i-j) B, and
     ``noise_map`` is its square analogue with B replaced by the identity.
-    The Gramians are taken against ``state_penalty``:
+    The Gramians are taken against W = diag(w), w = ``state_penalty``:
 
         state_gram = state_map' W state_map      (n, n)
         input_gram = input_map' W input_map      (N*m, N*m)
@@ -164,7 +184,7 @@ class PredictionEnsemble:
 
     The noise enters the cost only as the constant ``noise_cost``, the
     expected stacked-noise cost trace(noise_map' W noise_map (I kron
-    Sigma_W)).  With L = chol(Sigma_W) it is the weighted squared norm
+    Sigma_W)).  With L = ``noise_chol`` it is the weighted squared norm
     sum_i w_i |row i of noise_map (I kron L)|^2, one (N*N*n, n) x (n, n)
     product: O(N^2 n^3), against O((N n)^3) for the noise Gramian.
     """
@@ -205,17 +225,15 @@ def build_prediction_ensemble(model: SystemModel) -> PredictionEnsemble:
         input_blocks[rows, :, cols, :] = powers[lag] @ B
         noise_blocks[rows, :, cols, :] = powers[lag]
 
-    # state_penalty is diagonal (SystemModel checks it), so W @ X is a row
-    # scaling: every other term of the product is an exact zero
-    w = np.diagonal(model.state_penalty)[:, None]
+    # W is diagonal, so W @ X is a row scaling by its diagonal
+    w = model.state_penalty[:, None]
     w_state = w * state_map
     state_gram = state_map.T @ w_state
     input_gram = input_map.T @ (w * input_map)
     cross_gram = input_map.T @ w_state
 
     # each row of noise_map (I kron L) is its row's n-column blocks times L
-    chol = np.linalg.cholesky(model.noise_cov)
-    noise_root = noise_map.reshape(N * n * N, n) @ chol
+    noise_root = noise_map.reshape(N * n * N, n) @ model.noise_chol
     noise_cost = float(np.sum(w * noise_root.reshape(N * n, N * n) ** 2))
 
     return PredictionEnsemble(

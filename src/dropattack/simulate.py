@@ -313,9 +313,9 @@ def _matvec(M, X):
     return (M @ X[..., None])[..., 0]
 
 
-def _quad(M, X):
-    """``x @ (M @ x)`` for every row x of X, bitwise the unbatched form."""
-    return (X[..., None, :] @ _matvec(M, X)[..., None])[..., 0, 0]
+def _quad(w, X):
+    """``x @ (w * x)`` for every row x of X, bitwise the unbatched form."""
+    return (X[..., None, :] @ (w * X)[..., None])[..., 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,7 +432,6 @@ def _lockstep(cfg, arms, realizations, feedback) -> dict:
     x = np.empty((size, n))
     uniforms = np.empty((size, T, m))
     normals = np.empty((size, T, n))
-    init_chol = np.linalg.cholesky(model.init_cov) if cfg.sample_x0 else None
     purposes = [STREAM_LOSS, STREAM_NOISE]
     if cfg.sample_x0:
         purposes.append(STREAM_INIT)
@@ -445,8 +444,8 @@ def _lockstep(cfg, arms, realizations, feedback) -> dict:
         x[b] = model.init_mean
         if init:
             z = _rekey(gen, init[0]).standard_normal(n)
-            x[b] = model.init_mean + init_chol @ z
-    noises = _matvec(np.linalg.cholesky(model.noise_cov), normals)
+            x[b] = model.init_mean + model.init_chol @ z
+    noises = _matvec(model.noise_chol, normals)
     # every arm replays the same draws
     x = np.tile(x, (len(arms), 1))
     uniforms = np.tile(uniforms, (len(arms), 1, 1))
@@ -482,8 +481,8 @@ def _lockstep(cfg, arms, realizations, feedback) -> dict:
 
     stage_costs = (
         _quad(model.Q, states[:, :T])
-        + _quad(model.input_penalty[:m, :m], losses * inputs)
-        + _quad(model.state_penalty[:n, :n], states[:, 1:])
+        + _quad(model.input_penalty[:m], losses * inputs)
+        + _quad(model.state_penalty[:n], states[:, 1:])
     )
     return dict(
         states=states, inputs=inputs, losses=losses, noises=noises,
@@ -636,8 +635,9 @@ def _horizon_rollout(
     numbers, and a'Wa cancels in each paired difference.
 
     The cost is evaluated through the ensemble's Gramians rather than the
-    predicted states.  With W = ``state_penalty``, P = ``input_penalty``
-    and M = ``input_map``, draw j's state stack is chi_j = a + M delta_j:
+    predicted states.  With W and P the diagonal matrices of
+    ``state_penalty`` and ``input_penalty`` and M = ``input_map``, draw
+    j's state stack is chi_j = a + M delta_j:
     a = ``state_map`` x + ``noise_map`` xi is the law-free state and
     delta_j = (U_j < thresholds) * u* the inputs draw j delivers
     (delta_1 = delta_0 with one draw).  So chi_0' W chi_1 + delta_0' P
@@ -667,7 +667,7 @@ def _horizon_rollout(
     _count(seed, "seed", 0)
     x = np.asarray(x, dtype=float)
     u_star = optimal_input_sequence(gain, ens, x)
-    om = np.diagonal(model.state_penalty)
+    om = model.state_penalty
 
     purposes = [STREAM_NOISE, STREAM_LOSS]
     noise_key, loss_key = philox_keys(seed, [0], purposes)[0]
@@ -676,7 +676,7 @@ def _horizon_rollout(
     # the stacked noise is xi = z C' for standard normal z, with C the
     # block diagonal of N Cholesky factors of the per-step covariance, so
     # C' folds into each map the noise passes through
-    chol_t = np.linalg.cholesky(model.noise_cov).T
+    chol_t = model.noise_chol.T
 
     def from_draws(noise_to):
         return (chol_t @ noise_to.reshape(N, n, -1)).reshape(N * n, -1)
@@ -696,10 +696,10 @@ def _horizon_rollout(
     draws = 1 if gain.paid_variance.any() else 2
     _rekey(gen, loss_key)
     uniforms = [gen.random((samples, N * m)) for _ in range(draws)]
-    ps = np.diagonal(model.input_penalty)
+    ps = model.input_penalty
     gram = ens.input_gram
     if draws == 1:  # delta_1 = delta_0: P joins G, and L counts twice
-        gram = gram + model.input_penalty
+        gram = gram + np.diag(ps)
         cross *= 2.0
     blocks = _sample_blocks(samples, N * m)
 
@@ -747,7 +747,7 @@ def horizon_cost_samples(
     cost_under = _horizon_rollout(
         ens, model, gain, x, samples, seed, with_law_free=True
     )
-    return float(x @ (model.Q @ x)) + cost_under(thresholds)
+    return float(x @ (model.Q * x)) + cost_under(thresholds)
 
 
 def empirical_increases(

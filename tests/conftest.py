@@ -55,13 +55,13 @@ def make_model(
     return SystemModel(
         A=A,
         B=B,
-        Q=np.diag(np.full(n, 1.0) if q is None else np.asarray(q, float)),
-        state_penalty=np.diag(
+        Q=np.full(n, 1.0) if q is None else np.asarray(q, float),
+        state_penalty=(
             np.tile(np.full(n, 1.0) if omega is None else np.asarray(omega, float), horizon)
             if (omega is None or np.asarray(omega).size == n)
             else np.asarray(omega, float)
         ),
-        input_penalty=np.diag(
+        input_penalty=(
             np.tile(np.full(m, 1.0) if psi is None else np.asarray(psi, float), horizon)
             if (psi is None or np.asarray(psi).size == m)
             else np.asarray(psi, float)
@@ -85,9 +85,9 @@ def random_model(rng, n=None, m=None, horizon=None, spread=1.1):
     return SystemModel(
         A=A,
         B=B,
-        Q=np.diag(rng.uniform(0.5, 2.0, n)),
-        state_penalty=np.diag(rng.uniform(0.5, 2.0, horizon * n)),
-        input_penalty=np.diag(rng.uniform(0.5, 2.0, horizon * m)),
+        Q=rng.uniform(0.5, 2.0, n),
+        state_penalty=rng.uniform(0.5, 2.0, horizon * n),
+        input_penalty=rng.uniform(0.5, 2.0, horizon * m),
         noise_cov=np.diag(rng.uniform(0.02, 0.2, n)),
         init_cov=np.diag(rng.uniform(0.02, 0.2, n)),
         init_mean=rng.normal(size=n),
@@ -108,9 +108,9 @@ def rotation_model(rng, horizon=None, scale=None):
     return SystemModel(
         A=A,
         B=B,
-        Q=np.diag(rng.uniform(0.5, 2.0, 2)),
-        state_penalty=np.diag(rng.uniform(0.5, 2.0, horizon * 2)),
-        input_penalty=np.diag(rng.uniform(0.1, 0.6, horizon * 2)),
+        Q=rng.uniform(0.5, 2.0, 2),
+        state_penalty=rng.uniform(0.5, 2.0, horizon * 2),
+        input_penalty=rng.uniform(0.1, 0.6, horizon * 2),
         noise_cov=np.diag(rng.uniform(0.02, 0.2, 2)),
         init_cov=np.diag(rng.uniform(0.02, 0.2, 2)),
         init_mean=rng.normal(size=2) * 2.0,
@@ -127,9 +127,9 @@ def memoryless_model(rng, n=None, horizon=None):
     return SystemModel(
         A=np.zeros((n, n)),
         B=B,
-        Q=np.diag(rng.uniform(0.5, 2.0, n)),
-        state_penalty=np.diag(rng.uniform(0.5, 2.0, horizon * n)),
-        input_penalty=np.diag(rng.uniform(0.1, 1.0, horizon * n)),
+        Q=rng.uniform(0.5, 2.0, n),
+        state_penalty=rng.uniform(0.5, 2.0, horizon * n),
+        input_penalty=rng.uniform(0.1, 1.0, horizon * n),
         noise_cov=np.diag(rng.uniform(0.02, 0.2, n)),
         init_cov=np.diag(rng.uniform(0.02, 0.2, n)),
         init_mean=rng.normal(size=n) * 2.0,
@@ -166,10 +166,11 @@ def slow_stage_cost(model, x, u, v, x_next):
     delivered input v * u and the first state-penalty block on x_next, so
     each step is billed once for where it lands."""
     m, n, delivered = model.m, model.n, v * u
+    P, W = np.diag(model.input_penalty), np.diag(model.state_penalty)
     return (
-        float(x @ (model.Q @ x))
-        + float(delivered @ (model.input_penalty[:m, :m] @ delivered))
-        + float(x_next @ (model.state_penalty[:n, :n] @ x_next))
+        float(x @ (np.diag(model.Q) @ x))
+        + float(delivered @ (P[:m, :m] @ delivered))
+        + float(x_next @ (W[:n, :n] @ x_next))
     )
 
 
@@ -203,11 +204,11 @@ def slow_ensemble(model):
     """Every field of ``PredictionEnsemble``, assembled one block at a time.
 
     The maps are written block by block with one ``A^(i-j) B`` product
-    per block and the Gramians weight by the dense ``state_penalty``: the
-    same floating-point operations as the package's build, so the two must
-    agree bit for bit, signs of zero included.
+    per block and the Gramians weight by the dense diagonal matrix of
+    ``state_penalty``: the same floating-point operations as the package's
+    build, so the two must agree bit for bit, signs of zero included.
     """
-    A, B, W = model.A, model.B, model.state_penalty
+    A, B, W = model.A, model.B, np.diag(model.state_penalty)
     n, m, N = model.n, model.m, model.horizon
     powers = [np.eye(n)]
     for _ in range(N):
@@ -244,13 +245,13 @@ def slow_expected_cost(model, x, u, thresholds, protocol):
     u = np.asarray(u, float)
     nb = np.asarray(thresholds, float)
     Phi, Gamma, Lam = slow_stack(model)
-    Om = model.state_penalty
-    psi_diag = np.diagonal(model.input_penalty)
+    Om = np.diag(model.state_penalty)
+    psi_diag = model.input_penalty
     Sigma = np.kron(np.eye(model.horizon), model.noise_cov)
 
     base = Phi @ x
     const = (
-        float(x @ model.Q @ x)
+        float(x @ np.diag(model.Q) @ x)
         + float(base @ Om @ base)
         + float(np.trace(Lam.T @ Om @ Lam @ Sigma))
     )
@@ -273,7 +274,7 @@ def udp_objective(ctx, alpha):
     M = (
         alpha * ctx.ens.input_gram
         + np.diag((1.0 - alpha) * np.diagonal(ctx.ens.input_gram))
-        + ctx.input_penalty
+        + np.diag(ctx.model.input_penalty)
         - 2.0 * ctx.gain.kernel
     )
     return alpha * float(u @ (M @ u))
@@ -285,7 +286,8 @@ def tcp_objective(ctx, alpha):
     assert ctx.protocol is Protocol.TCP_LIKE
     u = ctx.u_star
     scaled = ctx.ens.input_gram * (2.0 * ctx.gain.mean_stack - alpha)[None, :]
-    return -alpha * float(u @ ((scaled + ctx.input_penalty) @ u))
+    P = np.diag(ctx.model.input_penalty)
+    return -alpha * float(u @ ((scaled + P) @ u))
 
 
 def seeded_stream(seed, realization, purpose):
@@ -389,8 +391,8 @@ def slow_horizon_costs(ens, model, gain, x, thresholds, samples, seed):
     x = np.asarray(x, dtype=float)
     u_star = optimal_input_sequence(gain, ens, x)
     base = ens.state_map @ x
-    om = np.diagonal(model.state_penalty)
-    ps = np.diagonal(model.input_penalty)
+    om = model.state_penalty
+    ps = model.input_penalty
     noise_rng = seeded_stream(seed, 0, STREAM_NOISE)
     loss_rng = seeded_stream(seed, 0, STREAM_LOSS)
     n, N = ens.n, ens.horizon
@@ -423,8 +425,8 @@ def gramian_horizon_costs(ens, model, gain, x, thresholds, samples, seed):
     """
     x = np.asarray(x, dtype=float)
     u_star = optimal_input_sequence(gain, ens, x)
-    om = np.diagonal(model.state_penalty)
-    ps = np.diagonal(model.input_penalty)
+    om = model.state_penalty
+    ps = model.input_penalty
     n, N, m = ens.n, ens.horizon, ens.m
     chol_t = np.linalg.cholesky(model.noise_cov).T
 
@@ -446,7 +448,7 @@ def gramian_horizon_costs(ens, model, gain, x, thresholds, samples, seed):
     ]
     first = delivered[0]
     if draws == 1:
-        gram = ens.input_gram + model.input_penalty
+        gram = ens.input_gram + np.diag(model.input_penalty)
         cost = np.einsum("ij,ij->i", first @ gram + 2.0 * cross, first)
     else:
         cost = np.einsum(

@@ -56,9 +56,9 @@ def wild_model(rng, spread=0.6, n_lo=2, m_cap=4, horizon_hi=7):
     return SystemModel(
         A=rng.normal(size=(n, n)) * spread / np.sqrt(n),
         B=rng.normal(size=(n, m)),
-        Q=np.diag(rng.uniform(0.5, 2.0, n)),
-        state_penalty=np.diag(rng.uniform(0.1, 3.0, N * n)),
-        input_penalty=np.diag(rng.uniform(0.05, 0.5, N * m)),
+        Q=rng.uniform(0.5, 2.0, n),
+        state_penalty=rng.uniform(0.1, 3.0, N * n),
+        input_penalty=rng.uniform(0.05, 0.5, N * m),
         noise_cov=np.diag(rng.uniform(0.005, 0.05, n)),
         init_cov=0.01 * np.eye(n),
         init_mean=rng.normal(size=n),
@@ -72,9 +72,9 @@ def one_step_plant(rng):
     return SystemModel(
         A=rng.normal(size=(n, n)) / np.sqrt(n),
         B=rng.normal(size=(n, 1)),
-        Q=np.diag(rng.uniform(0.5, 2.0, n)),
-        state_penalty=np.diag(rng.uniform(0.1, 3.0, n)),
-        input_penalty=np.diag(rng.uniform(0.05, 0.5, 1)),
+        Q=rng.uniform(0.5, 2.0, n),
+        state_penalty=rng.uniform(0.1, 3.0, n),
+        input_penalty=rng.uniform(0.05, 0.5, 1),
         noise_cov=np.diag(rng.uniform(0.005, 0.05, n)),
         init_cov=0.01 * np.eye(n),
         init_mean=rng.normal(size=n),
@@ -110,7 +110,8 @@ def udp_coeffs(ctx):
     ens = ctx.ens
     s1 = float(u @ (ens.input_gram @ u))
     s2 = float(u @ (np.diagonal(ens.input_gram) * u))
-    s3 = float(u @ ((ctx.input_penalty - 2.0 * ctx.gain.kernel) @ u))
+    P = np.diag(ctx.model.input_penalty)
+    s3 = float(u @ ((P - 2.0 * ctx.gain.kernel) @ u))
     return s1 - s2, s2 + s3
 
 
@@ -120,7 +121,7 @@ def tcp_coeffs(ctx):
     c2 = float(u @ (ens.input_gram @ u))
     c1 = -(
         2.0 * float(u @ (ens.input_gram @ (ctx.gain.mean_stack * u)))
-        + float(u @ (ctx.input_penalty @ u))
+        + float(u @ (np.diag(ctx.model.input_penalty) @ u))
     )
     return c2, c1
 
@@ -153,9 +154,9 @@ def test_criterion_01_stacked_prediction_matches_iteration(rng):
         model = SystemModel(
             A=rng.normal(size=(n, n)) * 0.8 / np.sqrt(n),
             B=rng.normal(size=(n, m)),
-            Q=np.diag(rng.uniform(0.5, 2.0, n)),
-            state_penalty=np.diag(rng.uniform(0.1, 3.0, N * n)),
-            input_penalty=np.diag(rng.uniform(0.05, 0.5, N * m)),
+            Q=rng.uniform(0.5, 2.0, n),
+            state_penalty=rng.uniform(0.1, 3.0, N * n),
+            input_penalty=rng.uniform(0.05, 0.5, N * m),
             noise_cov=np.diag(rng.uniform(0.005, 0.05, n)),
             init_cov=0.01 * np.eye(n),
             init_mean=np.zeros(n),
@@ -326,7 +327,7 @@ def test_criterion_05_analytic_increase_matches_paired_monte_carlo():
     pieces = []
     for protocol in (Protocol.UDP_LIKE, Protocol.TCP_LIKE):
         ctx = attack_context(ens, model, channel, detection, protocol, x)
-        regimes = cost_regimes(ctx, model)
+        regimes = cost_regimes(ctx)
         for key, alpha in (("alpha_0", 0.0), ("alpha_1", 1.0)):
             report = regimes[key]
             mean, se = empirical_increase(

@@ -86,14 +86,14 @@ def test_slope_at_nominal_rate(rng):
         ctx, _ = make_ctx(rng, Protocol.UDP_LIKE, model=model, channel=channel)
         u = ctx.u_star
         gram_diag = np.diagonal(ctx.ens.input_gram)
-        want = -(u @ (model.input_penalty @ u) + u @ (gram_diag * u))
+        want = -(u @ (np.diag(model.input_penalty) @ u) + u @ (gram_diag * u))
         line = ctx.line
         slope = line.linear + 2.0 * line.curvature * mu
         assert slope == pytest.approx(want, rel=1e-9)
 
         ctx, _ = make_ctx(rng, Protocol.TCP_LIKE, model=model, channel=channel)
         u = ctx.u_star
-        want = -u @ (model.input_penalty @ u)
+        want = -u @ (np.diag(model.input_penalty) @ u)
         line = ctx.line
         slope = line.linear + 2.0 * line.curvature * mu
         assert slope == pytest.approx(want, rel=1e-9)

@@ -68,12 +68,15 @@ def test_qp_construction_matches_definitions(rng):
             coupling = ens.input_gram - np.diag(np.diagonal(ens.input_gram))
             load = (
                 np.diag(np.diagonal(ens.input_gram))
-                + ctx.input_penalty
+                + np.diag(ctx.model.input_penalty)
                 + 2.0 * coupling * nu[None, :]
             )
         else:
             coupling = ens.input_gram
-            load = ctx.input_penalty + 2.0 * ens.input_gram * nu[None, :]
+            load = (
+                np.diag(ctx.model.input_penalty)
+                + 2.0 * ens.input_gram * nu[None, :]
+            )
         H_want = 0.5 * (coupling * np.outer(u, u) + (coupling * np.outer(u, u)).T)
         c_want = -(u * (load @ u))
         np.testing.assert_allclose(qp.H, H_want, atol=1e-12)
@@ -199,6 +202,20 @@ def test_box_qp_needs_a_symmetric_h():
     sol = solve_box_qp_max(qp)
     np.testing.assert_array_equal(sol.means, [[1.0, 1.0]])
     assert sol.objective == 1.0
+
+
+def test_box_qp_needs_a_finite_h_and_c():
+    # an infinite c entry was solved to the nominal point with objective
+    # inf, and a NaN one to nan
+    for value in (np.inf, -np.inf, np.nan):
+        c = np.array([1.0, 0.0, 0.0, 0.0])
+        c[1] = value
+        with pytest.raises(DimensionError, match="finite"):
+            hand_qp(np.eye(4), c, 0.2, 0.8, m=2)
+        H = np.eye(4)
+        H[2, 2] = value
+        with pytest.raises(DimensionError, match="finite"):
+            hand_qp(H, np.zeros(4), 0.2, 0.8, m=2)
 
 
 def test_interior_maximum_found():
@@ -875,7 +892,7 @@ def fresh_qp(ctx):
     ens, gain, u = ctx.ens, ctx.gain, ctx.u_star
     paid = np.diag(gain.paid_variance)
     coupling = ens.input_gram - paid
-    load = paid + ctx.input_penalty
+    load = paid + np.diag(ctx.model.input_penalty)
     load = load + 2.0 * coupling * gain.mean_stack[None, :]
     H = coupling * np.outer(u, u)
     H = 0.5 * (H + H.T)

@@ -45,9 +45,10 @@ def test_round_trip():
     np.testing.assert_allclose(exp.channel.mean_diag, [0.7, 0.7])
     np.testing.assert_allclose(exp.detection.tol_diag, [0.1, 0.1])
     # single-step weight diagonals are tiled across the horizon
-    assert exp.model.state_penalty.shape == (10, 10)
-    assert exp.model.input_penalty.shape == (10, 10)
-    np.testing.assert_allclose(np.diagonal(exp.model.state_penalty), 1.0)
+    assert exp.model.Q.shape == (2,)
+    assert exp.model.state_penalty.shape == (10,)
+    assert exp.model.input_penalty.shape == (10,)
+    np.testing.assert_allclose(exp.model.state_penalty, 1.0)
 
     # the experiment is the episode it runs
     assert isinstance(exp, EpisodeConfig)
@@ -62,10 +63,10 @@ def test_full_length_weights_pass_through():
     doc["system"]["Psi_diag"] = list(np.arange(1.0, 11.0) / 10.0)
     exp = parse_experiment(doc)
     np.testing.assert_allclose(
-        np.diagonal(exp.model.state_penalty), np.arange(1.0, 11.0)
+        exp.model.state_penalty, np.arange(1.0, 11.0)
     )
     np.testing.assert_allclose(
-        np.diagonal(exp.model.input_penalty), np.arange(1.0, 11.0) / 10.0
+        exp.model.input_penalty, np.arange(1.0, 11.0) / 10.0
     )
 
 

@@ -62,7 +62,7 @@ def test_scalar_nominal_cost_by_hand():
         ens, model, ChannelSpec(mean_diag=np.array([0.5])),
         shared_detection(1), Protocol.TCP_LIKE, np.array([1.0]),
     )
-    cost = expected_attacked_cost(ctx, model)
+    cost = expected_attacked_cost(ctx)
     assert cost == pytest.approx(1.0 + 1.0 + 0.3 - 1.0 / 3.0, rel=1e-12)
 
 
@@ -149,7 +149,7 @@ def test_nominal_cost_matches_bernoulli_moment_oracle(rng):
                 ens, model, channel, shared_detection(model.m), protocol, x
             )
             u = ctx.u_star
-            mine = expected_attacked_cost(ctx, model)
+            mine = expected_attacked_cost(ctx)
             thresholds = np.tile(mu, model.horizon)
             want = slow_expected_cost(model, x, u, thresholds, protocol)
             assert mine == pytest.approx(want, rel=1e-10)

@@ -1,5 +1,7 @@
 """Analytic cost accounting for the attack regimes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dropattack import (
     build_qp,
     cost_regimes,
     expected_attacked_cost,
+    optimal_alpha,
     feedback_benefit,
     flooding_condition,
     solve_box_qp_max,
@@ -22,6 +25,7 @@ from conftest import (
     random_detection,
     random_model,
     shared_channel,
+    shared_detection,
     slow_expected_cost,
     tcp_objective,
     udp_objective,
@@ -40,7 +44,7 @@ def test_increase_is_objective_plus_blackout_benefit(rng):
         for _ in range(10):
             ctx, model = make_ctx(rng, protocol)
             q0 = feedback_benefit(ctx)
-            regimes = cost_regimes(ctx, model)
+            regimes = cost_regimes(ctx)
             zero = regimes["alpha_0"]
             assert zero.regime == "alpha0"
             assert zero.increase == pytest.approx(q0, rel=1e-12)
@@ -53,7 +57,7 @@ def test_increase_is_objective_plus_blackout_benefit(rng):
             assert one.increase == pytest.approx(
                 want, rel=1e-9, abs=1e-10 * (1 + abs(want))
             )
-            baseline = expected_attacked_cost(ctx, model)
+            baseline = expected_attacked_cost(ctx)
             for report in regimes.values():
                 assert report.protocol is protocol
                 assert report.baseline == baseline
@@ -87,7 +91,7 @@ def test_peak_regime_bonus(rng):
     while found < 6 or absent < 3:
         ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
         coeffs = ctx.line
-        regimes = cost_regimes(ctx, model)
+        regimes = cost_regimes(ctx)
         if coeffs.curvature >= 0.0:
             absent += 1
             assert list(regimes) == ["alpha_0", "alpha_1"]
@@ -117,16 +121,16 @@ def test_peak_regime_bonus(rng):
     # a tcp-like curve is convex, so it never has a peak regime
     for _ in range(4):
         ctx, model = make_ctx(rng, Protocol.TCP_LIKE)
-        assert "alpha_peak" not in cost_regimes(ctx, model)
+        assert "alpha_peak" not in cost_regimes(ctx)
 
 
 def test_flooding_flags_match_signs(rng):
     for _ in range(8):
         ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
-        rep = cost_regimes(ctx, model)["alpha_1"]
+        rep = cost_regimes(ctx)["alpha_1"]
         assert rep.details["cost_increasing"] == (rep.increase > 0)
         ctx, model = make_ctx(rng, Protocol.TCP_LIKE)
-        rep = cost_regimes(ctx, model)["alpha_1"]
+        rep = cost_regimes(ctx)["alpha_1"]
         assert rep.details["flooding_term_positive"] == (
             rep.details["flooding_term"] > 0
         )
@@ -142,7 +146,7 @@ def test_flooding_details_are_protocol_free():
             (Protocol.TCP_LIKE, tcp_objective),
         ):
             ctx, model = make_ctx(rng, protocol)
-            details = cost_regimes(ctx, model)["alpha_1"].details
+            details = cost_regimes(ctx)["alpha_1"].details
             assert list(details) == [
                 "objective_condition_lhs", "objective_condition_rhs",
                 "flooding_term", "flooding_term_positive", "cost_increasing",
@@ -220,7 +224,7 @@ def test_udp_flooding_matrix_is_never_definite():
     for ctx, model in flooding_contexts(rng, Protocol.UDP_LIKE):
         gain = ctx.gain
         S = gain.coupling - gain.load
-        want = -(gain.paid_variance + np.diagonal(model.input_penalty))
+        want = -(gain.paid_variance + model.input_penalty)
         assert np.array_equal(np.diagonal(0.5 * (S + S.T)), want)
         assert np.all(want < 0.0)
         cond = flooding_condition(ctx)
@@ -241,7 +245,7 @@ def test_flooding_condition_matches_its_defining_formulas():
             scaled = (G - V) @ np.diag(1.0 - 2.0 * ctx.gain.mean_stack)
             u = ctx.u_star
             lhs = float(u @ (scaled.T @ u))
-            S = 0.5 * (scaled + scaled.T) - model.input_penalty - V
+            S = 0.5 * (scaled + scaled.T) - np.diag(model.input_penalty) - V
             eig = float(np.linalg.eigvalsh(S)[0])
             cond = flooding_condition(ctx)
             assert abs(cond.lhs - lhs) <= 1e-12 * (1.0 + abs(lhs))
@@ -257,7 +261,7 @@ def test_cost_regimes_solve_no_eigenproblem(rng, monkeypatch):
     )
     for protocol in Protocol:
         ctx, model = make_ctx(rng, protocol)
-        cost_regimes(ctx, model)
+        cost_regimes(ctx)
         assert calls == []
         assert flooding_condition(ctx).matrix_definite in (True, False)
         assert len(calls) == 1
@@ -274,11 +278,11 @@ def test_attacked_cost_none_reproduces_nominal(rng):
             ens, ups, nu = ctx.ens, ctx.u_star, ctx.gain.mean_stack
             fx = ens.cross_gram @ ctx.x
             want = (
-                float(ctx.x @ (model.Q + ens.state_gram) @ ctx.x)
+                float(ctx.x @ (np.diag(model.Q) + ens.state_gram) @ ctx.x)
                 + ens.noise_cost
                 + float(ups @ (nu * (2.0 * fx + ctx.gain.kernel @ ups)))
             )
-            got = expected_attacked_cost(ctx, model, attack=None)
+            got = expected_attacked_cost(ctx, attack=None)
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -295,7 +299,7 @@ def test_attacked_cost_matches_bernoulli_moment_oracle(rng):
             )
             # scalar rate
             alpha = float(rng.uniform(0.0, 1.0))
-            got = expected_attacked_cost(ctx, model, alpha)
+            got = expected_attacked_cost(ctx, alpha)
             wantt = slow_expected_cost(
                 model, x, ctx.u_star,
                 np.full(model.horizon * model.m, alpha), protocol,
@@ -303,14 +307,14 @@ def test_attacked_cost_matches_bernoulli_moment_oracle(rng):
             assert got == pytest.approx(wantt, rel=1e-9)
             # full (N, m) schedule
             sched = rng.uniform(0.0, 1.0, (model.horizon, model.m))
-            got = expected_attacked_cost(ctx, model, sched)
+            got = expected_attacked_cost(ctx, sched)
             want = slow_expected_cost(
                 model, x, ctx.u_star, sched.reshape(-1), protocol
             )
             assert got == pytest.approx(want, rel=1e-9)
             # per-channel vector tiles across the horizon
             vec = rng.uniform(0.0, 1.0, model.m)
-            got = expected_attacked_cost(ctx, model, vec)
+            got = expected_attacked_cost(ctx, vec)
             want = slow_expected_cost(
                 model, x, ctx.u_star,
                 np.tile(vec, model.horizon), protocol,
@@ -322,16 +326,43 @@ def test_attacked_cost_rejects_bad_rates(rng):
     ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
     for attack in (1.5, -0.1, np.nan, np.full(ctx.ens.m + 1, 0.5)):
         with pytest.raises(DimensionError):
-            expected_attacked_cost(ctx, model, attack)
+            expected_attacked_cost(ctx, attack)
 
 
 def test_attacked_cost_accepts_solver_output(rng):
     ctx, model = make_ctx(rng, Protocol.UDP_LIKE)
     qp = build_qp(ctx)
     sol = solve_box_qp_max(qp)
-    via_object = expected_attacked_cost(ctx, model, sol)
-    via_array = expected_attacked_cost(ctx, model, sol.means)
+    via_object = expected_attacked_cost(ctx, sol)
+    via_array = expected_attacked_cost(ctx, sol.means)
     assert via_object == via_array
     # solver output can only raise the cost relative to the nominal law
-    nominal = expected_attacked_cost(ctx, model, None)
+    nominal = expected_attacked_cost(ctx, None)
     assert via_object >= nominal - 1e-9 * (1.0 + abs(nominal))
+
+
+def test_costs_read_the_contexts_model():
+    # the weights come from the model the context was built from: a
+    # separate model argument let another Q change the cost silently
+    model = make_model([[1.03, 0.005], [0.35, 0.5]], [[1.0], [1.0]], horizon=5)
+    heavy = replace(model, Q=10.0 * model.Q)
+    x = np.array([1.0, 1.0])
+    for protocol in Protocol:
+        ctxs = [
+            attack_context(
+                build_prediction_ensemble(m), m, shared_channel(1),
+                shared_detection(1), protocol, x,
+            )
+            for m in (model, heavy)
+        ]
+        assert ctxs[0].model is model and ctxs[1].model is heavy
+        base, scaled = (expected_attacked_cost(ctx) for ctx in ctxs)
+        extra = 9.0 * float(x @ (model.Q * x))
+        assert scaled - base == pytest.approx(extra, rel=1e-12)
+        alpha = optimal_alpha(ctxs[0]).alpha_star
+        assert expected_attacked_cost(ctxs[1], alpha) - expected_attacked_cost(
+            ctxs[0], alpha
+        ) == pytest.approx(extra, rel=1e-12)
+        regimes = [cost_regimes(ctx)["alpha_1"] for ctx in ctxs]
+        assert regimes[1].baseline == scaled
+        assert regimes[1].increase == regimes[0].increase

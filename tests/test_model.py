@@ -51,7 +51,7 @@ def test_gramians_match_definitions(rng):
     for _ in range(25):
         model = random_model(rng)
         ens = build_prediction_ensemble(model)
-        Om = model.state_penalty
+        Om = np.diag(model.state_penalty)
         np.testing.assert_allclose(
             ens.state_gram, ens.state_map.T @ Om @ ens.state_map, atol=1e-10
         )
@@ -86,7 +86,8 @@ def test_noise_cost_trace_matches_slow(rng):
         ens = build_prediction_ensemble(model)
         _, _, Lam = slow_stack(model)
         Sigma = np.kron(np.eye(model.horizon), model.noise_cov)
-        want = np.trace(Lam.T @ model.state_penalty @ Lam @ Sigma)
+        Om = np.diag(model.state_penalty)
+        want = np.trace(Lam.T @ Om @ Lam @ Sigma)
         assert ens.noise_cost == pytest.approx(want, rel=1e-12)
 
 
@@ -130,7 +131,9 @@ def test_horizon_must_be_an_integer():
 
 
 def test_model_validation_rejects_bad_penalties():
-    base = make_model([[1.0]], [[1.0]], horizon=4)
+    # each weight is the read-only vector of its diagonal, checked by
+    # length and by being finite and strictly positive
+    base = make_model([[1.0, 0.2], [0.0, 0.5]], [[1.0], [0.5]], horizon=3)
     fields = {
         "A": base.A, "B": base.B, "Q": base.Q,
         "state_penalty": base.state_penalty,
@@ -139,17 +142,57 @@ def test_model_validation_rejects_bad_penalties():
         "init_cov": base.init_cov, "init_mean": base.init_mean,
         "horizon": base.horizon,
     }
-    # off-diagonal state penalty is rejected
-    bad = np.eye(4)
-    bad[0, 1] = 0.3
-    with pytest.raises(DimensionError):
-        SystemModel(**{**fields, "state_penalty": bad})
-    # negative diagonal entry
-    with pytest.raises(DimensionError):
-        SystemModel(**{**fields, "input_penalty": np.diag([1, 1, 1, -1.0])})
+    for name, size in (("Q", 2), ("state_penalty", 6), ("input_penalty", 3)):
+        weights = getattr(base, name)
+        assert weights.shape == (size,) and not weights.flags.writeable
+        for bad in (np.eye(size), np.ones(size + 1), np.ones(size - 1)):
+            message = f"{name} must be a vector"
+            with pytest.raises(DimensionError, match=message):
+                SystemModel(**{**fields, name: bad})
+        for value, problem in (
+            (0.0, "strictly positive"), (-1.0, "strictly positive"),
+            (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+        ):
+            bad = np.ones(size)
+            bad[-1] = value
+            message = f"{name} must be {problem}"
+            with pytest.raises(DimensionError, match=message):
+                SystemModel(**{**fields, name: bad})
     # noise covariance must be positive definite
     with pytest.raises(DimensionError):
         make_model([[1.0]], [[1.0]], horizon=2, noise=[0.0])
+
+
+def test_model_rejects_non_finite_arrays():
+    # a NaN initial mean or an infinite noise variance ran, and reported a
+    # NaN mean cost; a NaN in A surfaced as a singular gain kernel
+    base = make_model([[1.0, 0.2], [0.0, 0.5]], np.eye(2), horizon=3)
+    for name in ("A", "B", "init_mean", "noise_cov", "init_cov"):
+        for value in (np.nan, np.inf, -np.inf):
+            bad = np.array(getattr(base, name))
+            bad.flat[0] = value
+            with pytest.raises(DimensionError, match=f"{name} must be finite"):
+                replace(base, **{name: bad})
+
+
+def test_covariance_factors_are_built_with_the_model(rng):
+    # noise_chol and init_chol are each covariance's Cholesky factor,
+    # computed when the model is built and never passed in
+    model = random_model(rng, n=3)
+    root = rng.normal(size=(3, 3))
+    model = replace(model, noise_cov=root @ root.T + 0.1 * np.eye(3))
+    for factor, cov in (
+        (model.noise_chol, model.noise_cov), (model.init_chol, model.init_cov),
+    ):
+        assert np.array_equal(factor, np.linalg.cholesky(cov))
+        assert not factor.flags.writeable
+    fields = {
+        name: getattr(model, name)
+        for name in ("A", "B", "Q", "state_penalty", "input_penalty",
+                     "noise_cov", "init_cov", "init_mean", "horizon")
+    }
+    with pytest.raises(TypeError):
+        SystemModel(**fields, noise_chol=model.noise_chol)
 
 
 def test_reachability_report():

@@ -576,6 +576,34 @@ def test_arms_take_plans_from_a_generator():
                 assert x == y, name
 
 
+def test_covariances_are_factored_once_with_the_model(monkeypatch):
+    # the model factors each covariance when it is built; the ensemble,
+    # the lockstep engine's blocks and the horizon rollout read the factors
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(np.array(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    noise = [[0.02, 0.005], [0.005, 0.01]]
+    model = make_model(
+        [[1.03, 0.005], [0.35, 0.5]], np.eye(2), horizon=5, noise=noise,
+    )
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], model.noise_cov)
+    assert np.array_equal(calls[1], model.init_cov)
+    calls.clear()
+    ens = build_prediction_ensemble(model)
+    plan = AttackPlan(kind="nonstat", onset=3)
+    cfg = small_cfg(model=model, plan=plan, sample_x0=True)
+    monte_carlo(cfg, BLOCK + 2)
+    gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
+    empirical_increases(ens, model, gain, model.init_mean, [0.65, 0.8], 50)
+    assert calls == []
+
+
 def test_stage_cost_blocks():
     model = make_model([[1.0]], [[1.0]], horizon=3, q=[2.0], psi=[0.5, 1, 1])
     # x=2, u=3 delivered, next state 1: 2*4 + 0.5*9 + 1*1
@@ -744,14 +772,14 @@ def test_horizon_estimator_is_unbiased(rng):
         samples = horizon_cost_samples(
             ens, model, gain, x, channel.mean_diag, 60000, seed=9
         )
-        want = expected_attacked_cost(ctx, model)
+        want = expected_attacked_cost(ctx)
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean() - want) < 5 * se
 
         # attacked schedule
         sched = rng.uniform(0.35, 0.85, (4, 2))
         samples = horizon_cost_samples(ens, model, gain, x, sched, 60000, seed=10)
-        want = expected_attacked_cost(ctx, model, sched)
+        want = expected_attacked_cost(ctx, sched)
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean() - want) < 5 * se
 
@@ -769,8 +797,8 @@ def test_empirical_increase_pairs_draws(rng):
         )
         alpha = 0.5
         mean, se = empirical_increase(ens, model, gain, x, alpha, 40000, seed=1)
-        want = expected_attacked_cost(ctx, model, alpha) - expected_attacked_cost(
-            ctx, model, None
+        want = expected_attacked_cost(ctx, alpha) - expected_attacked_cost(
+            ctx, None
         )
         assert se > 0
         assert abs(mean - want) < 5 * se
@@ -859,7 +887,7 @@ def test_blocked_rollout_is_bitwise_the_one_shot_rollout(rng, m, horizon):
             free, costs = gramian_horizon_costs(
                 ens, model, gain, x, thresholds, samples, 5
             )
-            want = float(x @ (model.Q @ x)) + (costs + free)
+            want = float(x @ (np.diag(model.Q) @ x)) + (costs + free)
             assert _bitwise(
                 horizon_cost_samples(ens, model, gain, x, law, samples, 5),
                 want,
@@ -894,7 +922,7 @@ def test_gramian_rollout_is_the_stacked_rollout(rng, m, horizon):
             costs = slow_horizon_costs(
                 ens, model, gain, x, thresholds, samples, 5
             )
-            want = float(x @ (model.Q @ x)) + costs
+            want = float(x @ (np.diag(model.Q) @ x)) + costs
             sampled = horizon_cost_samples(
                 ens, model, gain, x, law, samples, 5
             )
