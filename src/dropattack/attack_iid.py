@@ -265,6 +265,8 @@ class BoxQP:
     def __post_init__(self):
         box = self.box
         d = box.horizon * box.m
+        object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
+        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         if self.H.shape != (d, d) or self.c.shape != (d,):
             raise DimensionError(
                 f"BoxQP over {box.horizon} steps of {box.m} channels needs "

@@ -45,14 +45,19 @@ enter once per rollout, as the law-free state's cross term with the
 inputs, and each law costs one product with ``input_gram``.  The
 law-free state's own cost is the same under every law, so it cancels in
 every paired difference and only :func:`horizon_cost_samples` forms it.
-Each law's costs are evaluated in near-equal blocks of consecutive
-samples, each holding at most ``_ROLLOUT_VALUES`` (2^16) values of a
-stacked input array, so a d = 160 rollout of 4000 samples passes over
-ten cache-sized blocks instead of 5 MB temporaries per law.  Every step
-of the evaluation is row-wise and no block is a short remainder that the
-BLAS would multiply with another kernel, so each block's costs are
-bitwise the same rows of the one-shot evaluation.  For the udp-like loop
-the realized cost is an unbiased sample of the closed form.
+The noise and the loss uniforms are drawn, and every law's costs are
+evaluated, in near-equal blocks of consecutive samples, each holding at
+most ``_ROLLOUT_VALUES`` (2^16) values of a stacked array, so a d = 160
+rollout of 4000 samples passes over ten cache-sized blocks instead of
+5 MB arrays per stream and per law.  The blocks are also the units of
+parallel work: a rollout of two or more law blocks, in a process allowed
+two or more CPUs, runs them on a pool of threads that lives for the
+call, and any other rollout starts no thread.  Every step of the
+evaluation is row-wise and no block is a short remainder that the BLAS
+would multiply with another kernel, so each block's costs are bitwise
+the same rows of the one-shot evaluation, whichever thread computes
+them.  For the udp-like loop the realized cost is an unbiased sample of
+the closed form.
 The tcp-like accounting treats packet fates as known by the time the
 predicted-state penalty is charged (acknowledgements plus re-planning), so
 its closed form carries no delivery-variance term; sampling that
@@ -67,6 +72,8 @@ change any draw.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -615,6 +622,9 @@ def _sample_blocks(samples, width):
     two or more blocks, each block has at least half the rows the bound
     allows, rounded down; so a split block has one row, which numpy
     multiplies as a matrix-vector product, only at widths above 2^14.
+    The horizon rollout's blocks are also its units of parallel work, and
+    the thread does not choose the kernel: a block's product is the same
+    BLAS call on the same rows whichever thread makes it.
     """
     rows = max(1, _ROLLOUT_VALUES // width)
     count = -(-samples // rows)
@@ -622,17 +632,40 @@ def _sample_blocks(samples, width):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _horizon_rollout(
-    ens, model, gain, x, samples, seed, with_law_free=False
-):
-    """Shared draws of ``samples`` horizon rollouts from ``x``.
+def _loss_draws(key, offset, shape):
+    """Uniforms of ``key``'s stream from its ``offset``-th value on.
 
-    Returns a function mapping stacked delivery thresholds to the per-sample
-    predicted-state and input cost (x'Qx excluded) of the operator's
-    sequence planned at ``x``, net of the law-free term a'Wa unless
-    ``with_law_free`` is set.  Every call reuses the same noise and loss
-    uniforms, so different channel laws are compared on common random
-    numbers, and a'Wa cancels in each paired difference.
+    Each uniform takes one 64-bit output and Philox makes four per counter
+    step, so the counter moves ``offset // 4`` steps and the rest are
+    drawn: bitwise the values a one-shot draw puts there.
+    """
+    offset = int(offset)  # advance takes no numpy integer
+    gen = _rekey(np.random.Generator(np.random.Philox(key=0)), key)
+    gen.bit_generator.advance(offset // 4)
+    gen.random(offset % 4)
+    return gen.random(shape)
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _horizon_rollout(
+    ens, model, gain, x, thresholds, samples, seed, with_law_free=False
+):
+    """The costs of ``samples`` horizon rollouts from ``x`` under each law.
+
+    ``thresholds`` lists stacked delivery rates, one per law.  Returns a
+    (laws, samples) array: each law's per-sample predicted-state and input
+    cost (x'Qx excluded) of the operator's sequence planned at ``x``, net
+    of the law-free term a'Wa unless ``with_law_free`` is set.  Every law
+    is evaluated on the same noise and loss uniforms, so different channel
+    laws are compared on common random numbers, and a'Wa cancels in each
+    paired difference.
 
     The cost is evaluated through the ensemble's Gramians rather than the
     predicted states.  With W and P the diagonal matrices of
@@ -655,23 +688,33 @@ def _horizon_rollout(
     rounding error grows by (|a| / |chi|)^2, most where the inputs nearly
     cancel the law-free state.
 
-    The function evaluates the samples in the blocks of
-    :func:`_sample_blocks`, so its temporaries stay cache-sized whatever
-    ``samples`` is.  Every operation on a block is row-wise: the masks,
-    the products with the Gramian and the sums over a row.  So each
-    block's costs are bitwise the rows of the one-shot evaluation, as long
-    as the BLAS computes every row of a block's product with the kernel of
-    the one-shot product; see :func:`_sample_blocks` for why it does.
+    The rollout works in the blocks of :func:`_sample_blocks`, which are
+    also its units of parallel work.  The caller draws the normals a block
+    of (samples, N n) at a time, in stream order, and each block goes
+    straight into its rows of L (and of a'Wa), so no whole noise stack is
+    kept.  The laws are evaluated a block of (samples, N m) at a time,
+    every law on each block, and each block draws its own rows of the loss
+    uniforms (see :func:`_loss_draws`), so no whole uniform stack is kept
+    either.  With two or more law blocks and two or more CPUs, the law
+    blocks run on a pool of min(blocks, CPUs) threads that lives for the
+    call, each block starting as soon as the caller has filled its rows of
+    L; otherwise the rollout starts no thread.  The threads call numpy and
+    private helpers only, so a tracer that wraps the public functions sees
+    every call on the caller's thread.  A stream drawn a block at a time
+    is the one-shot draw, and every operation on a block is row-wise: the
+    masks, the products with the Gramians and the sums over a row.  So
+    each block's costs are bitwise the rows of the one-shot evaluation,
+    whichever thread computes them and in whatever order, as long as the
+    BLAS computes every row of a block's product with the kernel of the
+    one-shot product; see :func:`_sample_blocks` for why it does.
     """
     _count(samples, "samples", 2)
     _count(seed, "seed", 0)
     x = np.asarray(x, dtype=float)
     u_star = optimal_input_sequence(gain, ens, x)
     om = model.state_penalty
-
     purposes = [STREAM_NOISE, STREAM_LOSS]
     noise_key, loss_key = philox_keys(seed, [0], purposes)[0]
-    gen = np.random.Generator(np.random.Philox(key=0))
     n, N, m = ens.n, ens.horizon, ens.m
     # the stacked noise is xi = z C' for standard normal z, with C the
     # block diagonal of N Cholesky factors of the per-step covariance, so
@@ -681,48 +724,78 @@ def _horizon_rollout(
     def from_draws(noise_to):
         return (chol_t @ noise_to.reshape(N, n, -1)).reshape(N * n, -1)
 
-    z = _rekey(gen, noise_key).standard_normal((samples, N * n))
-    cross = z @ from_draws(ens.noise_map.T @ (om[:, None] * ens.input_map))
-    cross += ens.cross_gram @ x
+    to_cross = from_draws(ens.noise_map.T @ (om[:, None] * ens.input_map))
+    cross_x = ens.cross_gram @ x
+    cross = np.empty((samples, N * m))
     free = None
     if with_law_free:
-        a = z @ from_draws(ens.noise_map.T)
-        a += ens.state_map @ x
-        free = np.einsum("ij,ij->i", a * om, a)
-        del a
-    del z
+        to_free = from_draws(ens.noise_map.T)
+        free_x = ens.state_map @ x
+        free = np.empty(samples)
     # a gain that pays no delivery variance (tcp-like) bridges the state
     # penalty across two independent delivery draws
     draws = 1 if gain.paid_variance.any() else 2
-    _rekey(gen, loss_key)
-    uniforms = [gen.random((samples, N * m)) for _ in range(draws)]
     ps = model.input_penalty
     gram = ens.input_gram
     if draws == 1:  # delta_1 = delta_0: P joins G, and L counts twice
         gram = gram + np.diag(ps)
-        cross *= 2.0
-    blocks = _sample_blocks(samples, N * m)
 
-    def cost_under(thresholds):
-        cost = np.empty(samples)
-        for block in blocks:
+    gen = _rekey(np.random.Generator(np.random.Philox(key=0)), noise_key)
+
+    def draw_noise(block):
+        # the next rows of the one noise stream, straight into L and a'Wa
+        z = gen.standard_normal((block.stop - block.start, N * n))
+        rows = np.matmul(z, to_cross, out=cross[block])
+        rows += cross_x
+        if draws == 1:
+            rows *= 2.0
+        if free is not None:
+            a = z @ to_free
+            a += free_x
+            free[block] = np.einsum("ij,ij->i", a * om, a)
+
+    costs = np.empty((len(thresholds), samples))
+
+    def evaluate(block):
+        uniforms = [
+            _loss_draws(loss_key, (j * samples + block.start) * N * m,
+                        (block.stop - block.start, N * m))
+            for j in range(draws)
+        ]
+        for law, stacked in enumerate(thresholds):
             delivered = [
-                np.multiply(uni[block] < thresholds, u_star)
-                for uni in uniforms
+                np.multiply(uni < stacked, u_star) for uni in uniforms
             ]
             head = delivered[0] @ gram
             head += cross[block]
             row = np.einsum("ij,ij->i", head, delivered[-1])
             if draws == 2:
-                tail = delivered[0] * ps
+                tail = np.multiply(delivered[0], ps, out=head)
                 tail += cross[block]
                 row += np.einsum("ij,ij->i", tail, delivered[0])
             if free is not None:
                 row += free[block]
-            cost[block] = row
-        return cost
+            costs[law, block] = row
 
-    return cost_under
+    noise_blocks = _sample_blocks(samples, N * n)
+    blocks = _sample_blocks(samples, N * m)
+    workers = min(len(blocks), _cpus())
+    if workers == 1:
+        for block in noise_blocks:
+            draw_noise(block)
+        for block in blocks:
+            evaluate(block)
+        return costs
+    with ThreadPoolExecutor(workers) as pool:
+        started = []
+        for rows in noise_blocks:
+            draw_noise(rows)
+            # a block of laws starts once all its rows of L are filled
+            ready = [b for b in blocks[len(started):] if b.stop <= rows.stop]
+            started += [pool.submit(evaluate, block) for block in ready]
+        for future in started:
+            future.result()
+    return costs
 
 
 def horizon_cost_samples(
@@ -744,10 +817,10 @@ def horizon_cost_samples(
     """
     x = np.asarray(x, dtype=float)
     thresholds = _expand_step_means(ens, step_means).reshape(-1)
-    cost_under = _horizon_rollout(
-        ens, model, gain, x, samples, seed, with_law_free=True
+    costs = _horizon_rollout(
+        ens, model, gain, x, [thresholds], samples, seed, with_law_free=True
     )
-    return float(x @ (model.Q * x)) + cost_under(thresholds)
+    return float(x @ (model.Q * x)) + costs[0]
 
 
 def empirical_increases(
@@ -772,12 +845,13 @@ def empirical_increases(
     if not laws:
         raise DimensionError("at least one channel law is needed")
     thresholds = [_expand_step_means(ens, law).reshape(-1) for law in laws]
-    cost_under = _horizon_rollout(ens, model, gain, x, samples, seed)
     # x'Qx and the law-free a'Wa cancel in the pairing
-    nominal = cost_under(gain.mean_stack)
+    nominal, *attacked = _horizon_rollout(
+        ens, model, gain, x, [gain.mean_stack] + thresholds, samples, seed
+    )
     out = []
-    for attacked in thresholds:
-        diffs = cost_under(attacked) - nominal
+    for costs in attacked:
+        diffs = costs - nominal
         out.append((float(np.mean(diffs)), _standard_error(diffs)))
     return out
 

@@ -204,6 +204,29 @@ def test_box_qp_needs_a_symmetric_h():
     assert sol.objective == 1.0
 
 
+def test_box_qp_reads_lists_as_arrays():
+    # a list H or c is read as a float array, and a wrong shape is a
+    # DimensionError whether it comes as a list or as an array
+    box = AttackBox([0.2, 0.3], [0.8, 0.9], [0.5, 0.6], horizon=2)
+    H, c = np.eye(4), np.array([1.0, 0.0, 0.0, 0.0])
+    want = solve_box_qp_max(BoxQP(H=H, c=c, box=box))
+    for H_in, c_in in (
+        (H, c.tolist()), (H.tolist(), c), (H.tolist(), [1, 0, 0, 0]),
+    ):
+        qp = BoxQP(H=H_in, c=c_in, box=box)
+        assert isinstance(qp.H, np.ndarray) and isinstance(qp.c, np.ndarray)
+        assert qp.H.dtype == qp.c.dtype == np.float64
+        sol = solve_box_qp_max(qp)
+        np.testing.assert_array_equal(sol.means, want.means)
+        assert sol.objective == want.objective
+    for H_in, c_in in (
+        (H, [1.0, 0.0, 0.0]), (H[:3, :3].tolist(), c), (H, c[:3]),
+        (H[:3, :3], c), ([1.0, 0.0, 0.0, 0.0], c), (H, H.tolist()),
+    ):
+        with pytest.raises(DimensionError, match="4x4 H and length-4 c"):
+            BoxQP(H=H_in, c=c_in, box=box)
+
+
 def test_box_qp_needs_a_finite_h_and_c():
     # an infinite c entry was solved to the nominal point with objective
     # inf, and a NaN one to nan

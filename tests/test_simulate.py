@@ -1,7 +1,14 @@
 """Closed-loop episodes, Monte-Carlo aggregation, horizon estimators."""
 
 import dataclasses
+import functools
 import gc
+import importlib
+import os
+import pkgutil
+import sys
+import threading
+import types
 import weakref
 from dataclasses import replace
 
@@ -931,6 +938,203 @@ def test_gramian_rollout_is_the_stacked_rollout(rng, m, horizon):
             want_se = np.std(diffs, ddof=1) / np.sqrt(samples)
             assert abs(mean - np.mean(diffs)) <= 1e-10 * want_se
             assert abs(se - want_se) <= 1e-10 * want_se
+
+
+def test_loss_draws_are_the_one_shot_stream():
+    # any rows of the loss stream, from any offset and with a numpy
+    # integer offset too, are bitwise the one-shot draw's
+    key = simulate.philox_keys(5, [0], [simulate.STREAM_LOSS])[0, 0]
+    gen = np.random.Generator(np.random.Philox(key=0))
+    whole = simulate._rekey(gen, key).random((2, 37, 7))
+    flat = whole.reshape(-1)
+    for offset in (0, 1, 2, 3, 4, 5, 259, 37 * 7, 37 * 7 + 3, flat.size - 7):
+        for rows in (1, 3):
+            size = min(rows * 7, flat.size - offset)
+            got = simulate._loss_draws(key, np.int64(offset), (size,))
+            assert _bitwise(got, flat[offset : offset + size])
+    assert _bitwise(simulate._loss_draws(key, 37 * 7, (37, 7)), whole[1])
+
+
+def _pools(monkeypatch, cpus):
+    # the rollout sees ``cpus`` CPUs; returns the worker count of every
+    # thread pool it makes
+    made = []
+
+    class Counted(simulate.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+    return made
+
+
+def _rollouts(ens, model, gain, x, laws, samples):
+    return (
+        empirical_increases(ens, model, gain, x, laws, samples, seed=5),
+        horizon_cost_samples(ens, model, gain, x, laws[-1], samples, 5),
+    )
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_multi_block_rollout_runs_on_one_pool_per_call(
+    rng, monkeypatch, m, cpus
+):
+    # three law blocks on 2 or 8 CPUs: one pool of min(blocks, CPUs)
+    # threads per call, gone when the call returns, and every row bitwise
+    # the one-shot rollout's.  n = 2, so the noise blocks are wider than
+    # the law blocks at m = 1, as wide at m = 2 and narrower at m = 3
+    model, ens, channel, x, laws, stacked, samples = _rollout_case(
+        rng, m, 40
+    )
+    blocks = len(simulate._sample_blocks(samples, ens.horizon * m))
+    assert blocks == 3
+    made = _pools(monkeypatch, cpus)
+    for protocol in Protocol:
+        gain = control_gain(ens, model, channel.mean_diag, protocol)
+        before = threading.active_count()
+        made.clear()
+        got, sampled = _rollouts(ens, model, gain, x, laws, samples)
+        assert made == [min(blocks, cpus)] * 2
+        assert threading.active_count() == before
+        _, nominal = gramian_horizon_costs(
+            ens, model, gain, x, gain.mean_stack, samples, 5
+        )
+        for thresholds, pair in zip(stacked, got):
+            _, costs = gramian_horizon_costs(
+                ens, model, gain, x, thresholds, samples, 5
+            )
+            diffs = costs - nominal
+            se = np.std(diffs, ddof=1) / np.sqrt(samples)
+            assert _bitwise(pair, (float(np.mean(diffs)), float(se)))
+        free, costs = gramian_horizon_costs(
+            ens, model, gain, x, stacked[-1], samples, 5
+        )
+        want = float(x @ (np.diag(model.Q) @ x)) + (costs + free)
+        assert _bitwise(sampled, want)
+
+
+def test_many_threads_on_many_blocks_change_no_bit(rng, monkeypatch):
+    # more threads than cores, switching every microsecond, on blocks of
+    # 25 rows: the blocks write disjoint rows, so no interleaving moves a
+    # bit of the serial result on the same blocks
+    model, ens, channel, x, laws, _, samples = _rollout_case(rng, 2, 40)
+    monkeypatch.setattr(simulate, "_ROLLOUT_VALUES", 2 ** 11)
+    assert len(simulate._sample_blocks(samples, ens.horizon * 2)) > 60
+    gains = [
+        control_gain(ens, model, channel.mean_diag, protocol)
+        for protocol in Protocol
+    ]
+    made = _pools(monkeypatch, 1)
+    serial = [_rollouts(ens, model, g, x, laws, samples) for g in gains]
+    assert made == []
+    made = _pools(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [_rollouts(ens, model, g, x, laws, samples) for g in gains]
+    finally:
+        sys.setswitchinterval(interval)
+    assert made == [8] * 2 * len(gains)
+    for (got, sampled), (want, want_sampled) in zip(threaded, serial):
+        assert _bitwise(got, want)
+        assert _bitwise(sampled, want_sampled)
+
+
+def test_one_block_rollout_starts_no_thread(rng, monkeypatch):
+    model, ens, channel, x, laws, _, samples = _rollout_case(rng, 2, 4)
+    assert len(simulate._sample_blocks(samples, ens.horizon * 2)) == 1
+    made = _pools(monkeypatch, 8)
+    before = threading.active_count()
+    for protocol in Protocol:
+        gain = control_gain(ens, model, channel.mean_diag, protocol)
+        _rollouts(ens, model, gain, x, laws, samples)
+    assert made == []
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_one_cpu_rollout_is_serial_and_bitwise_the_threaded_one(
+    rng, monkeypatch, affinity
+):
+    # one CPU, by the affinity mask or, on a platform without one, by the
+    # CPU count: no pool, and every estimate and sample bitwise the
+    # threaded rollout's
+    model, ens, channel, x, laws, _, samples = _rollout_case(rng, 2, 40)
+    made = _pools(monkeypatch, 2)
+    gains = [
+        control_gain(ens, model, channel.mean_diag, protocol)
+        for protocol in Protocol
+    ]
+    threaded = [_rollouts(ens, model, g, x, laws, samples) for g in gains]
+    assert made == [2] * 2 * len(gains)
+    made.clear()
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    before = threading.active_count()
+    for gain, (got, sampled) in zip(gains, threaded):
+        serial, serial_sampled = _rollouts(ens, model, gain, x, laws, samples)
+        assert _bitwise(serial, got)
+        assert _bitwise(serial_sampled, sampled)
+    assert made == []
+    assert threading.active_count() == before
+
+
+def test_rollout_threads_call_no_public_function(rng, monkeypatch):
+    # wrap every public function of every module, in its module and in
+    # each module that imported it by name, as bench/tracing.py does: a
+    # tracer keeps one span stack, so a public call from a rollout thread
+    # would corrupt it
+    import dropattack
+
+    modules = [
+        importlib.import_module(f"dropattack.{info.name}")
+        for info in pkgutil.iter_modules(dropattack.__path__)
+    ]
+    holders = [dropattack] + modules
+    calls = []
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in modules:
+        for attr in module.__all__:
+            fn = getattr(module, attr)
+            if not isinstance(fn, types.FunctionType):
+                continue
+            if fn.__module__ != module.__name__:
+                continue
+            wrapper = wrap(f"{module.__name__}.{attr}", fn)
+            for holder in holders:
+                for key, value in list(vars(holder).items()):
+                    if value is fn:
+                        monkeypatch.setattr(holder, key, wrapper)
+
+    model, ens, channel, x, laws, _, samples = _rollout_case(rng, 2, 40)
+    made = _pools(monkeypatch, 2)
+    gain = control_gain(ens, model, channel.mean_diag, Protocol.TCP_LIKE)
+    calls.clear()
+    simulate.empirical_increases(ens, model, gain, x, laws, samples, seed=5)
+    assert made == [2]
+    names = {name for name, _ in calls}
+    assert {
+        "dropattack.simulate.empirical_increases",
+        "dropattack.controller.optimal_input_sequence",
+        "dropattack.channel.philox_keys",
+    } <= names
+    assert all(thread is threading.main_thread() for _, thread in calls)
 
 
 @pytest.mark.parametrize("seed", [1.5, True, -1])
