@@ -13,9 +13,9 @@ All subcommands read one JSON experiment file (--config) and write their
 outputs into --out (default: current directory), which the first report
 creates.  Every report of a run is formatted before the first is
 written, so a rejected or failed run leaves no directory behind.
-Outputs are deterministic for a fixed config: floats are serialized with
-%.17g and no timestamps are emitted, and a non-finite number in any
-report is a numerical failure.  Exit codes: 0 success, 2 configuration problem, 3
+Outputs are deterministic for a fixed config and BLAS thread count:
+floats are serialized with %.17g and no timestamps are emitted, and a
+non-finite number in any report is a numerical failure.  Exit codes: 0 success, 2 configuration problem, 3
 numerical failure, 4 a library InfeasibleRegionError; no subcommand
 raises it, since synthesize and analyze report a missing common rate band
 as null.  Log verbosity comes from the DROPATTACK_LOG environment variable

@@ -45,19 +45,20 @@ enter once per rollout, as the law-free state's cross term with the
 inputs, and each law costs one product with ``input_gram``.  The
 law-free state's own cost is the same under every law, so it cancels in
 every paired difference and only :func:`horizon_cost_samples` forms it.
-The noise and the loss uniforms are drawn, and every law's costs are
-evaluated, in near-equal blocks of consecutive samples, each holding at
-most ``_ROLLOUT_VALUES`` (2^16) values of a stacked array, so a d = 160
-rollout of 4000 samples passes over ten cache-sized blocks instead of
-5 MB arrays per stream and per law.  The blocks are also the units of
-parallel work: a rollout of two or more law blocks, in a process allowed
-two or more CPUs, runs them on a pool of threads that lives for the
-call, and any other rollout starts no thread.  Every step of the
-evaluation is row-wise and no block is a short remainder that the BLAS
-would multiply with another kernel, so each block's costs are bitwise
-the same rows of the one-shot evaluation, whichever thread computes
-them.  For the udp-like loop the realized cost is an unbiased sample of
-the closed form.
+The rollout works in one partition of its samples: near-equal blocks of
+consecutive samples, each holding at most ``_ROLLOUT_VALUES`` (2^16)
+values of a stacked (samples, N m) array, so a d = 160 rollout of 4000
+samples passes over ten cache-sized blocks instead of 5 MB arrays per
+stream and per law.  For each block the caller draws the block's rows of
+the noise, and the block draws its own loss uniforms and evaluates every
+law.  The blocks are also the units of parallel work: a rollout of two
+or more blocks, in a process allowed two or more CPUs, runs them on a
+pool of threads that lives for the call, and any other rollout starts
+no thread.  Every step of the evaluation is row-wise and no block is a
+short remainder that the BLAS would multiply with another kernel, so
+each block's costs are bitwise the same rows of the one-shot
+evaluation, whichever thread computes them.  For the udp-like loop the
+realized cost is an unbiased sample of the closed form.
 The tcp-like accounting treats packet fates as known by the time the
 predicted-state penalty is charged (acknowledgements plus re-planning), so
 its closed form carries no delivery-variance term; sampling that
@@ -622,9 +623,10 @@ def _sample_blocks(samples, width):
     two or more blocks, each block has at least half the rows the bound
     allows, rounded down; so a split block has one row, which numpy
     multiplies as a matrix-vector product, only at widths above 2^14.
-    The horizon rollout's blocks are also its units of parallel work, and
-    the thread does not choose the kernel: a block's product is the same
-    BLAS call on the same rows whichever thread makes it.
+    The horizon rollout partitions its samples once, by the width N m of
+    its inputs; each block is also a unit of parallel work, and the
+    thread does not choose the kernel: a block's product is the same BLAS
+    call on the same rows whichever thread makes it.
     """
     rows = max(1, _ROLLOUT_VALUES // width)
     count = -(-samples // rows)
@@ -654,18 +656,26 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _horizon_rollout(
-    ens, model, gain, x, thresholds, samples, seed, with_law_free=False
-):
+def _noise_to(model, ens, M):
+    """The map from the noise stream's standard normals through ``M``.
+
+    The stacked noise is xi = z C' for standard normal (samples, N n)
+    draws z, with C the block diagonal of N Cholesky factors of the
+    per-step covariance, so xi M = z (C' M) and C' folds into M.
+    """
+    N, n = ens.horizon, ens.n
+    return (model.noise_chol.T @ M.reshape(N, n, -1)).reshape(N * n, -1)
+
+
+def _horizon_rollout(ens, model, gain, x, thresholds, samples, seed):
     """The costs of ``samples`` horizon rollouts from ``x`` under each law.
 
     ``thresholds`` lists stacked delivery rates, one per law.  Returns a
     (laws, samples) array: each law's per-sample predicted-state and input
-    cost (x'Qx excluded) of the operator's sequence planned at ``x``, net
-    of the law-free term a'Wa unless ``with_law_free`` is set.  Every law
-    is evaluated on the same noise and loss uniforms, so different channel
-    laws are compared on common random numbers, and a'Wa cancels in each
-    paired difference.
+    cost of the operator's sequence planned at ``x``, net of x'Qx and of
+    the law-free term a'Wa.  Every law is evaluated on the same noise and
+    loss uniforms, so different channel laws are compared on common
+    random numbers, and a'Wa cancels in each paired difference.
 
     The cost is evaluated through the ensemble's Gramians rather than the
     predicted states.  With W and P the diagonal matrices of
@@ -680,33 +690,29 @@ def _horizon_rollout(
 
     with G = ``input_gram`` and L = a'WM = ``cross_gram`` x +
     xi (``noise_map``' W M), one (samples, N n) x (N n, N m) product for
-    every law; the Cholesky factors that make xi from standard normals
-    fold into that map.  A law then costs one product with G per block,
-    summed as (delta_0 G + L) delta_1 + (delta_0 P + L) delta_0, or with
-    one draw as (delta_0 (G + P) + 2 L) delta_0.  The expanded form adds
-    terms of size |a|^2 where the stacked form adds |chi|^2, so its
-    rounding error grows by (|a| / |chi|)^2, most where the inputs nearly
-    cancel the law-free state.
+    every law (see :func:`_noise_to`).  A law then costs one product with
+    G per block, summed as (delta_0 G + L) delta_1 + (delta_0 P + L)
+    delta_0, or with one draw as (delta_0 (G + P) + 2 L) delta_0.  The
+    expanded form adds terms of size |a|^2 where the stacked form adds
+    |chi|^2, so its rounding error grows by (|a| / |chi|)^2, most where
+    the inputs nearly cancel the law-free state.
 
-    The rollout works in the blocks of :func:`_sample_blocks`, which are
-    also its units of parallel work.  The caller draws the normals a block
-    of (samples, N n) at a time, in stream order, and each block goes
-    straight into its rows of L (and of a'Wa), so no whole noise stack is
-    kept.  The laws are evaluated a block of (samples, N m) at a time,
-    every law on each block, and each block draws its own rows of the loss
-    uniforms (see :func:`_loss_draws`), so no whole uniform stack is kept
-    either.  With two or more law blocks and two or more CPUs, the law
-    blocks run on a pool of min(blocks, CPUs) threads that lives for the
-    call, each block starting as soon as the caller has filled its rows of
-    L; otherwise the rollout starts no thread.  The threads call numpy and
-    private helpers only, so a tracer that wraps the public functions sees
-    every call on the caller's thread.  A stream drawn a block at a time
-    is the one-shot draw, and every operation on a block is row-wise: the
-    masks, the products with the Gramians and the sums over a row.  So
-    each block's costs are bitwise the rows of the one-shot evaluation,
-    whichever thread computes them and in whatever order, as long as the
-    BLAS computes every row of a block's product with the kernel of the
-    one-shot product; see :func:`_sample_blocks` for why it does.
+    The rollout works in the blocks of :func:`_sample_blocks` of its
+    (samples, N m) arrays, which are also its units of parallel work.  For
+    each block in turn the caller draws the block's rows of the noise
+    stream into its rows of L and releases them before it hands the block
+    on; the block draws its own rows of the loss uniforms (see
+    :func:`_loss_draws`) and evaluates every law on them.  So no whole
+    noise or uniform stack is kept.  With two or more blocks and two or
+    more CPUs, the blocks run on a pool of min(blocks, CPUs) threads that
+    lives for the call; otherwise the rollout starts no thread.  The
+    threads call numpy and private helpers only, so a tracer that wraps
+    the public functions sees every call on the caller's thread.  A stream
+    drawn a block at a time is the one-shot draw, and every operation on a
+    block is row-wise, so each block's costs are bitwise the rows of the
+    one-shot evaluation, whichever thread computes them, as long as the
+    BLAS computes every row of a block's product with the one-shot
+    product's kernel; see :func:`_sample_blocks` for why it does.
     """
     _count(samples, "samples", 2)
     _count(seed, "seed", 0)
@@ -716,22 +722,11 @@ def _horizon_rollout(
     purposes = [STREAM_NOISE, STREAM_LOSS]
     noise_key, loss_key = philox_keys(seed, [0], purposes)[0]
     n, N, m = ens.n, ens.horizon, ens.m
-    # the stacked noise is xi = z C' for standard normal z, with C the
-    # block diagonal of N Cholesky factors of the per-step covariance, so
-    # C' folds into each map the noise passes through
-    chol_t = model.noise_chol.T
-
-    def from_draws(noise_to):
-        return (chol_t @ noise_to.reshape(N, n, -1)).reshape(N * n, -1)
-
-    to_cross = from_draws(ens.noise_map.T @ (om[:, None] * ens.input_map))
+    to_cross = _noise_to(
+        model, ens, ens.noise_map.T @ (om[:, None] * ens.input_map)
+    )
     cross_x = ens.cross_gram @ x
     cross = np.empty((samples, N * m))
-    free = None
-    if with_law_free:
-        to_free = from_draws(ens.noise_map.T)
-        free_x = ens.state_map @ x
-        free = np.empty(samples)
     # a gain that pays no delivery variance (tcp-like) bridges the state
     # penalty across two independent delivery draws
     draws = 1 if gain.paid_variance.any() else 2
@@ -739,22 +734,19 @@ def _horizon_rollout(
     gram = ens.input_gram
     if draws == 1:  # delta_1 = delta_0: P joins G, and L counts twice
         gram = gram + np.diag(ps)
-
-    gen = _rekey(np.random.Generator(np.random.Philox(key=0)), noise_key)
-
-    def draw_noise(block):
-        # the next rows of the one noise stream, straight into L and a'Wa
-        z = gen.standard_normal((block.stop - block.start, N * n))
-        rows = np.matmul(z, to_cross, out=cross[block])
-        rows += cross_x
-        if draws == 1:
-            rows *= 2.0
-        if free is not None:
-            a = z @ to_free
-            a += free_x
-            free[block] = np.einsum("ij,ij->i", a * om, a)
-
     costs = np.empty((len(thresholds), samples))
+
+    def filled(blocks):
+        # each block's rows of the one noise stream, straight into L
+        gen = _rekey(np.random.Generator(np.random.Philox(key=0)), noise_key)
+        for block in blocks:
+            z = gen.standard_normal((block.stop - block.start, N * n))
+            rows = np.matmul(z, to_cross, out=cross[block])
+            del z  # released before the next block's normals are drawn
+            rows += cross_x
+            if draws == 1:
+                rows *= 2.0
+            yield block
 
     def evaluate(block):
         uniforms = [
@@ -773,28 +765,15 @@ def _horizon_rollout(
                 tail = np.multiply(delivered[0], ps, out=head)
                 tail += cross[block]
                 row += np.einsum("ij,ij->i", tail, delivered[0])
-            if free is not None:
-                row += free[block]
             costs[law, block] = row
 
-    noise_blocks = _sample_blocks(samples, N * n)
     blocks = _sample_blocks(samples, N * m)
     workers = min(len(blocks), _cpus())
     if workers == 1:
-        for block in noise_blocks:
-            draw_noise(block)
-        for block in blocks:
-            evaluate(block)
-        return costs
-    with ThreadPoolExecutor(workers) as pool:
-        started = []
-        for rows in noise_blocks:
-            draw_noise(rows)
-            # a block of laws starts once all its rows of L are filled
-            ready = [b for b in blocks[len(started):] if b.stop <= rows.stop]
-            started += [pool.submit(evaluate, block) for block in ready]
-        for future in started:
-            future.result()
+        list(map(evaluate, filled(blocks)))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(evaluate, filled(blocks)))
     return costs
 
 
@@ -817,10 +796,15 @@ def horizon_cost_samples(
     """
     x = np.asarray(x, dtype=float)
     thresholds = _expand_step_means(ens, step_means).reshape(-1)
-    costs = _horizon_rollout(
-        ens, model, gain, x, [thresholds], samples, seed, with_law_free=True
-    )
-    return float(x @ (model.Q * x)) + costs[0]
+    costs = _horizon_rollout(ens, model, gain, x, [thresholds], samples, seed)
+    # the rollout's costs net of x'Qx and of the law-free a'Wa, which is
+    # formed here from the whole noise stream of the same key
+    noise_key = philox_keys(seed, [0], [STREAM_NOISE])[0, 0]
+    gen = _rekey(np.random.Generator(np.random.Philox(key=0)), noise_key)
+    z = gen.standard_normal((samples, ens.horizon * ens.n))
+    a = z @ _noise_to(model, ens, ens.noise_map.T) + ens.state_map @ x
+    free = np.einsum("ij,ij->i", a * model.state_penalty, a)
+    return float(x @ (model.Q * x)) + (costs[0] + free)
 
 
 def empirical_increases(

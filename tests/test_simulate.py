@@ -986,8 +986,9 @@ def test_multi_block_rollout_runs_on_one_pool_per_call(
 ):
     # three law blocks on 2 or 8 CPUs: one pool of min(blocks, CPUs)
     # threads per call, gone when the call returns, and every row bitwise
-    # the one-shot rollout's.  n = 2, so the noise blocks are wider than
-    # the law blocks at m = 1, as wide at m = 2 and narrower at m = 3
+    # the one-shot rollout's.  n = 2, so each block's rows of the noise
+    # are twice as wide as its law rows at m = 1, as wide at m = 2 and
+    # narrower at m = 3
     model, ens, channel, x, laws, stacked, samples = _rollout_case(
         rng, m, 40
     )
@@ -1083,6 +1084,27 @@ def test_one_cpu_rollout_is_serial_and_bitwise_the_threaded_one(
         serial, serial_sampled = _rollouts(ens, model, gain, x, laws, samples)
         assert _bitwise(serial, got)
         assert _bitwise(serial_sampled, sampled)
+    assert made == []
+    assert threading.active_count() == before
+
+
+def test_unknown_cpu_count_counts_as_one_cpu(rng, monkeypatch):
+    # no affinity mask and a CPU count that cannot be told (None): one
+    # CPU, so a multi-block rollout starts no pool, and every estimate
+    # and sample is bitwise the threaded rollout's
+    model, ens, channel, x, laws, _, samples = _rollout_case(rng, 2, 40)
+    made = _pools(monkeypatch, 2)
+    gain = control_gain(ens, model, channel.mean_diag, Protocol.UDP_LIKE)
+    threaded = _rollouts(ens, model, gain, x, laws, samples)
+    assert made == [2] * 2
+    made.clear()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._cpus() == 1
+    before = threading.active_count()
+    serial, serial_sampled = _rollouts(ens, model, gain, x, laws, samples)
+    assert _bitwise(serial, threaded[0])
+    assert _bitwise(serial_sampled, threaded[1])
     assert made == []
     assert threading.active_count() == before
 
