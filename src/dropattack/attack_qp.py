@@ -160,7 +160,7 @@ def _coordinate_ascent(H, c, lo, hi, z):
     point is optimal along each coordinate: the one-flip local search of
     Boros & Hammer 2002.  Such a search can need exponentially many moves
     (Schaeffer & Yannakakis 1991), so ``_MOVES_PER_COORDINATE`` caps it at
-    8d products with H, O(d^3) like the gain's factorization; a capped
+    8d products with H, O(d^3) like the gain's inverse; a capped
     search still gains on its start.  The cap is wide: from the iid
     optimum, 440 built QPs with d > 20 (synth-sweep and horizon-check, 20
     seeds) took at most 0.33 d moves, 160 random indefinite QPs 2.2 d.

@@ -28,6 +28,7 @@ import functools
 import io
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -108,7 +109,7 @@ def _json_report(obj) -> str:
 def _fmt(value: float) -> str:
     """A report number: %.17g, and a non-finite value fails the run."""
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalError(f"non-finite value {value} in a report")
     return format(value, ".17g")
 

@@ -18,13 +18,17 @@ stacked input sequence that is linear in the current state,
 of which only the first input block is transmitted each step.  The
 expected cost this sequence achieves is the attack quadratic at the
 nominal rates, ``costs.expected_attacked_cost(ctx)``.
+
+The gain inverts its kernel once, with numpy alone.  Each solve is the
+inverse's product followed by one step of iterative refinement against the
+kernel, and the gain keeps the kernel's exact 1-norm reciprocal condition
+number as ``rcond``; a kernel with rcond below d eps is refused.
 """
 
 import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NumericalError
 from .model import PredictionEnsemble, SystemModel
@@ -58,8 +62,8 @@ class Protocol(enum.Enum):
 class ControllerGain:
     """Input-sequence gain kernel for one protocol and channel law.
 
-    ``kernel`` is the (N*m, N*m) matrix inverted (implicitly, via a stored
-    factorization) against ``cross_gram @ x``.  ``mean_stack`` is the
+    ``kernel`` is the (N*m, N*m) matrix inverted against ``cross_gram @ x``,
+    through an inverse stored once.  ``mean_stack`` is the
     stacked per-step channel mean diagonal as a 1-D array of length N*m,
     and ``paid_variance`` the stacked weight of each delivery's variance in
     the cost: the input Gramian's diagonal for udp, zeros for tcp.
@@ -77,12 +81,12 @@ class ControllerGain:
     coupling: np.ndarray
     load: np.ndarray
     protocol: Protocol
-    rcond: float  # LAPACK's 1-norm reciprocal condition estimate of kernel
+    rcond: float  # 1 / (|kernel|_1 |kernel^-1|_1)
     _solve: object  # callable rhs -> kernel^{-1} rhs
     ens: PredictionEnsemble = field(repr=False)  # the one it was built from
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """kernel^{-1} @ rhs without forming an explicit inverse."""
+        """kernel^{-1} @ rhs, refined once against the kernel."""
         out = self._solve(rhs)
         if not np.all(np.isfinite(out)):
             raise NumericalError("gain solve produced non-finite values")
@@ -90,38 +94,56 @@ class ControllerGain:
 
 
 def _make_solver(kernel: np.ndarray):
-    """The kernel's solve, and LAPACK's estimate of its 1-norm rcond.
+    """The kernel's solve, and its exact 1-norm reciprocal condition number.
 
-    Cholesky when the kernel is symmetric (homogeneous channel means make
-    it so), else LU, since heterogeneous means scale its columns.  Each
-    solve is the one LAPACK call that cho_solve and lu_solve end in, looked
-    up once: their argument handling costs more than a small solve.
-    ``pocon`` or ``gecon`` estimates rcond from the same factorization in
-    O(d^2) (Hager 1984; Higham 1988).  A backward-stable solve errs by up
-    to about d eps / rcond relative, so below rcond = d eps that bound
-    passes 1 and the input sequence may hold no correct digit: such a
-    kernel, or one whose factorization fails, raises ``NumericalError``.
+    The kernel is inverted once, and rcond = 1 / (|K|_1 |K^-1|_1) is read
+    off the inverse: the exact value, never above an estimate of it.  A
+    symmetric kernel (homogeneous channel means make it so) must also be
+    positive definite, as every built one is; one that is not gets rcond
+    0.  Each solve is the inverse's product with one step of iterative
+    refinement, x + K^-1 (rhs - K x) (Skeel 1980), so it costs O(d^2) and
+    errs about as a backward-stable solve does: by up to about
+    d eps / rcond relative.  Below rcond = d eps that bound passes 1 and
+    the input sequence may hold no correct digit: such a kernel, or a
+    singular one, raises ``NumericalError``.
     """
-    sym = np.allclose(kernel, kernel.T, rtol=0.0,
-                      atol=1e-12 * max(1.0, float(np.abs(kernel).max())))
-    names = ("potrf", "potrs", "pocon") if sym else ("getrf", "getrs", "gecon")
-    factorize, solve, estimate = scipy.linalg.get_lapack_funcs(names, (kernel,))
-    factor, *piv, info = factorize(kernel)
-    anorm = float(np.abs(kernel).sum(axis=0).max())
-    rcond = float(estimate(factor, anorm)[0]) if info == 0 else 0.0
+    # np.allclose(kernel, kernel.T, rtol=0, atol=...) at half its cost
+    scale = max(1.0, float(np.abs(kernel).max()))
+    sym = np.abs(kernel - kernel.T).max() <= 1e-12 * scale
+    try:
+        inverse = np.linalg.inv(kernel)
+    except np.linalg.LinAlgError:
+        rcond = 0.0
+    else:
+        norms = np.linalg.norm(kernel, 1) * np.linalg.norm(inverse, 1)
+        rcond = float(1.0 / norms) if not sym or _definite(kernel) else 0.0
     threshold = kernel.shape[0] * np.finfo(float).eps
     if not rcond >= threshold:
         raise NumericalError(
             f"gain kernel is numerically singular: reciprocal condition "
             f"estimate {rcond:.3g} is below d eps = {threshold:.3g}"
         )
-    return lambda rhs: _solved(*solve(factor, *piv, rhs)), rcond
+
+    def solve(rhs):
+        x = inverse @ rhs
+        return x + inverse @ (rhs - kernel @ x)
+
+    return solve, rcond
 
 
-def _solved(x, info):
-    if info != 0:
-        raise NumericalError(f"gain solve: bad LAPACK argument {-info}")
-    return x
+def _definite(kernel: np.ndarray) -> bool:
+    """Whether a symmetric kernel is positive definite: every pivot of its
+    LDL' factorization, built column by column, is positive."""
+    d = len(kernel)
+    unit = np.zeros((d, d))  # L, unit lower triangular
+    pivots = np.empty(d)  # D
+    for k in range(d):
+        column = kernel[k:, k] - unit[k:, :k] @ (unit[k, :k] * pivots[:k])
+        if not column[0] > 0.0:
+            return False
+        pivots[k] = column[0]
+        unit[k:, k] = column / column[0]
+    return True
 
 
 def _expand_step_means(ens: PredictionEnsemble, step_means) -> np.ndarray:
@@ -173,14 +195,17 @@ def control_gain(
     # the one protocol decision: the delivery variance the cost pays
     udp = protocol is Protocol.UDP_LIKE
     paid = np.diagonal(ens.input_gram) if udp else np.zeros_like(nu)
-    penalty = np.diag(model.input_penalty)
-    kernel = penalty + ens.input_gram * nu[None, :]
-    kernel = kernel + np.diag(paid * (1.0 - nu))
+    # diagonal terms are added in place, with no dense diagonal matrix
+    diagonal = np.diag_indices(len(nu))
+    kernel = ens.input_gram * nu[None, :]
+    kernel[diagonal] += model.input_penalty
+    kernel[diagonal] += paid * (1.0 - nu)
     # the attack quadratic's state-free parts: the paid variance leaves the
     # coupling and joins the load
-    variance = np.diag(paid)
-    coupling = ens.input_gram - variance
-    load = variance + penalty + 2.0 * coupling * nu[None, :]
+    coupling = ens.input_gram.copy()
+    coupling[diagonal] -= paid
+    load = 2.0 * coupling * nu[None, :]
+    load[diagonal] += paid + model.input_penalty
     for array in (kernel, nu, paid, coupling, load):
         array.setflags(write=False)
     solve, rcond = _make_solver(kernel)

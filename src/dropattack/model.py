@@ -201,6 +201,18 @@ class PredictionEnsemble:
     horizon: int
 
 
+def _block_toeplitz(blocks: np.ndarray) -> np.ndarray:
+    """The (N r, N c) block lower triangular matrix whose block (i, j) is
+    ``blocks[i - j]`` for i >= j, from an (N, r, c) stack of blocks."""
+    N, r, c = blocks.shape
+    padded = np.concatenate([np.zeros((N - 1, r, c)), blocks])
+    steps = np.arange(N)
+    lags = (N - 1) + steps[:, None] - steps[None, :]  # i - j, into padded
+    # gathered as (row, i, j, column), then one copy to (i, row, j, column)
+    gathered = padded.transpose(1, 0, 2).take(lags, axis=1)
+    return gathered.transpose(1, 0, 2, 3).reshape(N * r, N * c)
+
+
 def build_prediction_ensemble(model: SystemModel) -> PredictionEnsemble:
     """Assemble the stacked prediction maps and Gramians for ``model``."""
     A, B = model.A, model.B
@@ -213,17 +225,9 @@ def build_prediction_ensemble(model: SystemModel) -> PredictionEnsemble:
 
     state_map = np.vstack(powers[1:])
 
-    # block (i, j) depends only on the lag i - j: one assignment per lag
-    # into (step, row, step, column) views of the block lower triangles
-    input_map = np.zeros((N * n, N * m))
-    noise_map = np.zeros((N * n, N * n))
-    input_blocks = input_map.reshape(N, n, N, m)
-    noise_blocks = noise_map.reshape(N, n, N, n)
-    steps = np.arange(N)
-    for lag in range(N):
-        rows, cols = steps[lag:], steps[: N - lag]
-        input_blocks[rows, :, cols, :] = powers[lag] @ B
-        noise_blocks[rows, :, cols, :] = powers[lag]
+    # block (i, j) depends only on the lag i - j
+    input_map = _block_toeplitz(np.array([power @ B for power in powers[:N]]))
+    noise_map = _block_toeplitz(np.array(powers[:N]))
 
     # W is diagonal, so W @ X is a row scaling by its diagonal
     w = model.state_penalty[:, None]

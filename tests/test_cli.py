@@ -18,10 +18,11 @@ from dropattack import (
     build_prediction_ensemble,
     load_experiment,
 )
-from dropattack.cli import main
+from dropattack.cli import _fmt, main
 
 from test_attack_iid import peak_doc
 from test_config import base_doc
+from test_demos import run_python
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMO_CONFIGS = ROOT / "demos" / "configs"
@@ -223,6 +224,17 @@ def test_non_finite_csv_value_fails(tmp_path, bad):
     with pytest.raises(NumericalError, match="non-finite"):
         cli._realizations_csv({"none": report})
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), np.inf, -np.inf, np.float64(np.nan), np.float32(-np.inf)]
+)
+def test_report_number_rejects_non_finite_values(bad):
+    with pytest.raises(NumericalError, match="non-finite"):
+        _fmt(bad)
+    assert _fmt(np.float64(0.1)) == "0.10000000000000001"
+    assert _fmt(np.float32(0.1)) == "0.10000000149011612"
+    assert _fmt(np.int64(3)) == _fmt(3) == "3"
 
 
 def test_simulate_with_non_finite_trace_exits_3(
@@ -639,6 +651,26 @@ def test_numerically_singular_gain_exits_3(tmp_path, capsys, horizon, code):
         assert not out.exists()
     else:
         assert (out / "synthesis.json").exists()
+
+
+def test_cli_runs_import_no_scipy(tmp_path):
+    # the package's one runtime dependency is numpy: a synthesis and a
+    # sampled analysis leave no scipy module loaded
+    config = str(DEMO_CONFIGS / "two_channel_schedule.json")
+    script = "\n".join([
+        "import sys",
+        "from dropattack.cli import main",
+        f"assert main(['synthesize', '--config', {config!r}, "
+        f"'--out', {str(tmp_path / 'synth')!r}]) == 0",
+        f"assert main(['analyze', '--config', {config!r}, "
+        f"'--out', {str(tmp_path / 'analyze')!r}, '--empirical', '50']) == 0",
+        "loaded = [name for name in sys.modules",
+        "          if name == 'scipy' or name.startswith('scipy.')]",
+        "assert not loaded, loaded",
+    ])
+    result = run_python(["-c", script])
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "analyze" / "cost_report.json").exists()
 
 
 def test_compare_rejects_unknown_attack_kind(tmp_path, config_path):

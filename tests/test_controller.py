@@ -12,6 +12,7 @@ from dropattack import (
     build_prediction_ensemble,
     control_gain,
     expected_attacked_cost,
+    load_experiment,
     optimal_input_sequence,
 )
 from dropattack.controller import _make_solver
@@ -23,6 +24,7 @@ from conftest import (
     shared_detection,
     slow_expected_cost,
 )
+from test_cli import ROOT, bench_workloads
 
 
 def test_protocol_parse():
@@ -80,7 +82,7 @@ def test_gain_solves_normal_equations(rng):
             )
 
 
-def test_heterogeneous_means_take_lu_path(rng):
+def test_heterogeneous_means_give_a_nonsymmetric_kernel(rng):
     # unequal means make the blind kernel nonsymmetric; solve still exact
     model = random_model(rng, m=3)
     ens = build_prediction_ensemble(model)
@@ -100,10 +102,10 @@ def conditioned(rng, d, smallest, symmetric):
     return U @ np.diag(values) @ V.T
 
 
-@pytest.mark.parametrize("symmetric", [True, False], ids=["cholesky", "lu"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
 def test_nearly_singular_kernels_are_refused(rng, symmetric):
-    # below rcond = d eps the solve may hold no correct digit; above it the
-    # estimate is the kernel's 1-norm rcond within LAPACK's factor of it
+    # below rcond = d eps the solve may hold no correct digit; above it
+    # rcond is the kernel's 1-norm rcond
     d = 6
     eps_d = d * np.finfo(float).eps
     for smallest in (1e-6, 1e-12):
@@ -135,6 +137,64 @@ def test_gain_keeps_its_kernels_rcond(rng):
         gain = control_gain(ens, model, mu, Protocol.UDP_LIKE)
         assert gain.rcond == _make_solver(gain.kernel)[1]
         assert len(ens.input_gram) * np.finfo(float).eps <= gain.rcond <= 1.0
+
+
+def test_solver_matches_lu_on_the_largest_synth_sweep_kernels(tmp_path):
+    # synth-sweep's d = 160 kernels at seed 101, at their nominal means and
+    # at one shared rate (a symmetric kernel); rcond is the exact 1-norm one
+    from scipy.linalg import lu_factor, lu_solve
+
+    workloads = bench_workloads()
+    ops = workloads.build(
+        "synth-sweep", 101, str(tmp_path), str(ROOT), workloads.FULL
+    )
+    rng = np.random.default_rng(160)
+    kernels = 0
+    for op in ops:
+        if not op["name"].startswith("d160-"):
+            continue
+        exp = load_experiment(op["config"])
+        ens = build_prediction_ensemble(exp.model)
+        means = exp.channel.mean_diag
+        for mu in (means, np.full(ens.m, means.mean())):
+            gain = control_gain(ens, exp.model, mu, exp.protocol)
+            K = gain.kernel
+            factor = lu_factor(K)
+            for rhs in (ens.cross_gram, rng.normal(size=len(K))):
+                want = lu_solve(factor, rhs)
+                error = np.abs(gain.solve(rhs) - want).max()
+                assert error <= 1e-10 * np.abs(want).max(), op["name"]
+            exact = 1.0 / (np.linalg.norm(K, 1) * np.linalg.norm(np.linalg.inv(K), 1))
+            assert gain.rcond == pytest.approx(exact, rel=1e-12)
+            kernels += 1
+    assert kernels == 20
+
+
+def dense_gain_parts(ens, model, mu, protocol):
+    """Kernel, coupling and load from the dense ``np.diag`` formulas."""
+    nu = np.tile(mu, ens.horizon)
+    G = ens.input_gram
+    paid = np.diagonal(G) if protocol is Protocol.UDP_LIKE else np.zeros_like(nu)
+    penalty = np.diag(model.input_penalty)
+    kernel = penalty + G * nu[None, :]
+    kernel = kernel + np.diag(paid * (1.0 - nu))
+    variance = np.diag(paid)
+    coupling = G - variance
+    load = variance + penalty + 2.0 * coupling * nu[None, :]
+    return kernel, coupling, load
+
+
+def test_gain_diagonals_are_the_dense_formulas_bitwise(rng):
+    for protocol in Protocol:
+        for _ in range(10):
+            model = random_model(rng, m=2)
+            ens = build_prediction_ensemble(model)
+            for mu in (np.full(2, rng.uniform(0.1, 0.9)), rng.uniform(0.1, 0.9, 2)):
+                gain = control_gain(ens, model, mu, protocol)
+                kernel, coupling, load = dense_gain_parts(ens, model, mu, protocol)
+                assert np.array_equal(gain.kernel, kernel)
+                assert np.array_equal(gain.coupling, coupling)
+                assert np.array_equal(gain.load, load)
 
 
 def test_nominal_cost_matches_bernoulli_moment_oracle(rng):

@@ -29,7 +29,7 @@ def test_prediction_matrices_match_loop_assembly(rng):
 @pytest.mark.parametrize("horizon", [1, 2, 5, 20, 80])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_ensemble_is_bitwise_the_block_loop(rng, horizon, m):
-    # the lag-at-a-time build and the row-scaled Gramians repeat the
+    # the gathered block maps and the row-scaled Gramians repeat the
     # per-block loop's floating-point operations exactly
     for n in (1, 3):
         base = random_model(rng, n=n, m=m, horizon=horizon)
