@@ -131,9 +131,9 @@ def _attack_box(channel: ChannelSpec, detection: DetectionSpec, horizon: int):
 class AttackContext:
     """Everything the attack formulas need at one state.
 
-    ``u_star`` caches the operator's optimal sequence at ``x`` so every
-    quadratic form is evaluated against it instead of re-solving or forming
-    an explicit kernel inverse.  The quadratic's state-free parts are the
+    ``u_star`` caches the operator's optimal sequence at ``x``,
+    ``gain.feedback @ x``, and every quadratic form is evaluated against
+    it.  The quadratic's state-free parts are the
     gain's coupling and load and the ``box`` of the channels' bands.
     ``region`` is the scalar admissible interval (the intersection of all
     per-channel bands), or None when the channels' bands do not overlap;

@@ -306,9 +306,9 @@ class _AttackTable:
 def _attack_table(gain, box):
     """The :class:`_AttackTable` of ``gain`` over ``box``, or None.
 
-    With u = K x and K = -kernel^{-1} ``cross_gram``, the objective of a
-    schedule z at state x, f(z; x) = (z o u)' C (z o u) - (z o u)' (load)
-    u with C = ``gain.coupling``, is a quadratic form in x.  Column (a, b)
+    With u = K x and K = ``gain.feedback``, the objective of a schedule z
+    at state x, f(z; x) = (z o u)' C (z o u) - (z o u)' (load) u with
+    C = ``gain.coupling``, is a quadratic form in x.  Column (a, b)
     of the table is the objective of every point under the attack
     quadratic's bilinear form in columns a and b of K for a < b, and
     under its quadratic at K_a for a = b (``attack_iid._quadratic``).
@@ -325,7 +325,7 @@ def _attack_table(gain, box):
     too_big = 2 ** d * pairs[0].size > _TABLE_CAP
     if too_big or np.any(np.diagonal(gain.coupling) < 0.0):
         return None
-    K = -gain.solve(gain.ens.cross_gram)
+    K = gain.feedback
     points = np.vstack(
         (box.start, box.lo + _corner_bits(d) * (box.hi - box.lo))
     )

@@ -19,10 +19,11 @@ of which only the first input block is transmitted each step.  The
 expected cost this sequence achieves is the attack quadratic at the
 nominal rates, ``costs.expected_attacked_cost(ctx)``.
 
-The gain inverts its kernel once, with numpy alone.  Each solve is the
-inverse's product followed by one step of iterative refinement against the
-kernel, and the gain keeps the kernel's exact 1-norm reciprocal condition
-number as ``rcond``; a kernel with rcond below d eps is refused.
+The gain inverts its kernel once, with numpy alone, and keeps the
+feedback map -gain_kernel^{-1} @ cross_gram, refined once against the
+kernel, as ``ControllerGain.feedback``: every optimal sequence is
+``feedback @ x``.  It also keeps the kernel's exact 1-norm reciprocal
+condition number as ``rcond``; a kernel with rcond below d eps is refused.
 """
 
 import enum
@@ -60,10 +61,11 @@ class Protocol(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class ControllerGain:
-    """Input-sequence gain kernel for one protocol and channel law.
+    """Input-sequence gain for one protocol and channel law.
 
-    ``kernel`` is the (N*m, N*m) matrix inverted against ``cross_gram @ x``,
-    through an inverse stored once.  ``mean_stack`` is the
+    ``feedback`` is the (N*m, n) map -kernel^{-1} @ cross_gram, so the
+    optimal stacked input sequence at state x is ``feedback @ x``; the
+    (N*m, N*m) ``kernel`` is kept beside it.  ``mean_stack`` is the
     stacked per-step channel mean diagonal as a 1-D array of length N*m,
     and ``paid_variance`` the stacked weight of each delivery's variance in
     the cost: the input Gramian's diagonal for udp, zeros for tcp.
@@ -76,74 +78,47 @@ class ControllerGain:
     """
 
     kernel: np.ndarray
+    feedback: np.ndarray
     mean_stack: np.ndarray
     paid_variance: np.ndarray
     coupling: np.ndarray
     load: np.ndarray
     protocol: Protocol
     rcond: float  # 1 / (|kernel|_1 |kernel^-1|_1)
-    _solve: object  # callable rhs -> kernel^{-1} rhs
     ens: PredictionEnsemble = field(repr=False)  # the one it was built from
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """kernel^{-1} @ rhs, refined once against the kernel."""
-        out = self._solve(rhs)
-        if not np.all(np.isfinite(out)):
-            raise NumericalError("gain solve produced non-finite values")
-        return out
 
-
-def _make_solver(kernel: np.ndarray):
-    """The kernel's solve, and its exact 1-norm reciprocal condition number.
+def _feedback_map(kernel: np.ndarray, cross_gram: np.ndarray):
+    """-kernel^{-1} @ cross_gram, and the kernel's exact 1-norm reciprocal
+    condition number.
 
     The kernel is inverted once, and rcond = 1 / (|K|_1 |K^-1|_1) is read
-    off the inverse: the exact value, never above an estimate of it.  A
-    symmetric kernel (homogeneous channel means make it so) must also be
-    positive definite, as every built one is; one that is not gets rcond
-    0.  Each solve is the inverse's product with one step of iterative
-    refinement, x + K^-1 (rhs - K x) (Skeel 1980), so it costs O(d^2) and
-    errs about as a backward-stable solve does: by up to about
-    d eps / rcond relative.  Below rcond = d eps that bound passes 1 and
-    the input sequence may hold no correct digit: such a kernel, or a
-    singular one, raises ``NumericalError``.
+    off the inverse: the exact value, never above an estimate of it.  The
+    map is the inverse's product with one step of iterative refinement,
+    X + K^-1 (cross_gram - K X) (Skeel 1980), so it errs about as a
+    backward-stable solve does: by up to about d eps / rcond relative.
+    Below rcond = d eps that bound passes 1 and the input sequence may
+    hold no correct digit: such a kernel, or a singular one, raises
+    ``NumericalError``, and so does a map that is not finite.
     """
-    # np.allclose(kernel, kernel.T, rtol=0, atol=...) at half its cost
-    scale = max(1.0, float(np.abs(kernel).max()))
-    sym = np.abs(kernel - kernel.T).max() <= 1e-12 * scale
     try:
         inverse = np.linalg.inv(kernel)
     except np.linalg.LinAlgError:
         rcond = 0.0
     else:
         norms = np.linalg.norm(kernel, 1) * np.linalg.norm(inverse, 1)
-        rcond = float(1.0 / norms) if not sym or _definite(kernel) else 0.0
+        rcond = float(1.0 / norms)
     threshold = kernel.shape[0] * np.finfo(float).eps
     if not rcond >= threshold:
         raise NumericalError(
             f"gain kernel is numerically singular: reciprocal condition "
             f"estimate {rcond:.3g} is below d eps = {threshold:.3g}"
         )
-
-    def solve(rhs):
-        x = inverse @ rhs
-        return x + inverse @ (rhs - kernel @ x)
-
-    return solve, rcond
-
-
-def _definite(kernel: np.ndarray) -> bool:
-    """Whether a symmetric kernel is positive definite: every pivot of its
-    LDL' factorization, built column by column, is positive."""
-    d = len(kernel)
-    unit = np.zeros((d, d))  # L, unit lower triangular
-    pivots = np.empty(d)  # D
-    for k in range(d):
-        column = kernel[k:, k] - unit[k:, :k] @ (unit[k, :k] * pivots[:k])
-        if not column[0] > 0.0:
-            return False
-        pivots[k] = column[0]
-        unit[k:, k] = column / column[0]
-    return True
+    solution = inverse @ cross_gram
+    feedback = -(solution + inverse @ (cross_gram - kernel @ solution))
+    if not np.all(np.isfinite(feedback)):
+        raise NumericalError("gain feedback map has non-finite values")
+    return feedback, rcond
 
 
 def _expand_step_means(ens: PredictionEnsemble, step_means) -> np.ndarray:
@@ -206,18 +181,18 @@ def control_gain(
     coupling[diagonal] -= paid
     load = 2.0 * coupling * nu[None, :]
     load[diagonal] += paid + model.input_penalty
-    for array in (kernel, nu, paid, coupling, load):
+    feedback, rcond = _feedback_map(kernel, ens.cross_gram)
+    for array in (kernel, feedback, nu, paid, coupling, load):
         array.setflags(write=False)
-    solve, rcond = _make_solver(kernel)
     return ControllerGain(
         kernel=kernel,
+        feedback=feedback,
         mean_stack=nu,
         paid_variance=paid,
         coupling=coupling,
         load=load,
         protocol=protocol,
         rcond=rcond,
-        _solve=solve,
         ens=ens,
     )
 
@@ -225,10 +200,13 @@ def control_gain(
 def optimal_input_sequence(
     gain: ControllerGain, ens: PredictionEnsemble, x: np.ndarray
 ) -> np.ndarray:
-    """Stacked optimal input sequence -kernel^{-1} cross_gram x, length N*m."""
+    """Stacked optimal input sequence ``gain.feedback @ x``, length N*m."""
     if gain.ens is not ens:
         raise DimensionError("gain was built from another prediction ensemble")
     x = np.asarray(x, dtype=float)
     if x.shape != (ens.n,):
         raise DimensionError(f"x must have shape {(ens.n,)}, got {x.shape}")
-    return -gain.solve(ens.cross_gram @ x)
+    u = gain.feedback @ x
+    if not np.all(np.isfinite(u)):
+        raise NumericalError("gain solve produced non-finite values")
+    return u

@@ -76,6 +76,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
@@ -154,6 +155,12 @@ class AttackPlan:
         _count(self.onset, "attack onset", 0)
         if self.state_mode not in ("onset", "mean"):
             raise DimensionError("state_mode must be 'onset' or 'mean'")
+        if not isinstance(self.resynthesize, (bool, np.bool_)):
+            raise DimensionError("attack resynthesize must be a bool")
+        if self.alpha is not None and (
+            isinstance(self.alpha, bool) or not isinstance(self.alpha, Real)
+        ):
+            raise DimensionError("attack alpha must be a number")
         if self.alpha is not None and not 0.0 <= float(self.alpha) <= 1.0:
             raise DimensionError("attack alpha must lie in [0, 1]")
         if self.means is not None:
@@ -349,7 +356,8 @@ def _arm(cfg, plan, ens, gain) -> _Arm:
     to their laws.  A nonstat arm's law is its attack table's
     ``schedules``, when the table is within its cap and its schedule at
     the initial mean agrees with the per-state solver's there: equal
-    means, or values that neither beats the other by (``_beats_nominal``).
+    means, or two values of which neither beats the other
+    (``_beats_nominal``).
     Every other synthesizing arm resolves the plan row by row.
     """
     T = cfg.T
@@ -396,12 +404,13 @@ def _arm(cfg, plan, ens, gain) -> _Arm:
 
 
 def _prepare(cfg, plans):
-    """Each plan's arm, and the feedback map u = feedback @ x of the
-    sequence gain's first input block, which every arm shares."""
+    """Each plan's arm, and the feedback map of the first input block,
+    u = feedback @ x with feedback the first m rows of ``gain.feedback``,
+    which every arm shares."""
     model = cfg.model
     ens = build_prediction_ensemble(model)
     gain = control_gain(ens, model, cfg.channel.mean_diag, cfg.protocol)
-    feedback = -gain.solve(ens.cross_gram)[: model.m]
+    feedback = gain.feedback[: model.m]
     return [_arm(cfg, plan, ens, gain) for plan in plans], feedback
 
 

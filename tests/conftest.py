@@ -320,7 +320,7 @@ def slow_episode(cfg, realization=0):
     x = model.init_mean.copy()
     if cfg.sample_x0:
         x = x + np.linalg.cholesky(model.init_cov) @ init_rng.standard_normal(n)
-    feedback = -gain.solve(ens.cross_gram)[:m, :]
+    feedback = gain.feedback[:m, :]
     nominal = cfg.channel.mean_diag
 
     states, inputs, losses, noises, costs, means = [x], [], [], [], [], []

@@ -11,11 +11,12 @@ from dropattack import (
     attack_context,
     build_prediction_ensemble,
     control_gain,
+    empirical_increases,
     expected_attacked_cost,
     load_experiment,
     optimal_input_sequence,
 )
-from dropattack.controller import _make_solver
+from dropattack.controller import _feedback_map
 
 from conftest import (
     make_model,
@@ -83,14 +84,19 @@ def test_gain_solves_normal_equations(rng):
 
 
 def test_heterogeneous_means_give_a_nonsymmetric_kernel(rng):
-    # unequal means make the blind kernel nonsymmetric; solve still exact
+    # unequal means make the blind kernel nonsymmetric; the map still
+    # solves it exactly
     model = random_model(rng, m=3)
     ens = build_prediction_ensemble(model)
     mu = np.array([0.2, 0.5, 0.8])
     gain = control_gain(ens, model, mu, Protocol.UDP_LIKE)
     assert not np.allclose(gain.kernel, gain.kernel.T)
-    rhs = rng.normal(size=ens.horizon * ens.m)
-    np.testing.assert_allclose(gain.kernel @ gain.solve(rhs), rhs, atol=1e-8)
+    np.testing.assert_allclose(
+        gain.kernel @ gain.feedback, -ens.cross_gram, atol=1e-8
+    )
+    rhs = rng.normal(size=(ens.horizon * ens.m, 3))
+    solution = -_feedback_map(gain.kernel, rhs)[0]
+    np.testing.assert_allclose(gain.kernel @ solution, rhs, atol=1e-8)
 
 
 def conditioned(rng, d, smallest, symmetric):
@@ -104,30 +110,45 @@ def conditioned(rng, d, smallest, symmetric):
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
 def test_nearly_singular_kernels_are_refused(rng, symmetric):
-    # below rcond = d eps the solve may hold no correct digit; above it
+    # below rcond = d eps the map may hold no correct digit; above it
     # rcond is the kernel's 1-norm rcond
     d = 6
     eps_d = d * np.finfo(float).eps
     for smallest in (1e-6, 1e-12):
         K = conditioned(rng, d, smallest, symmetric)
         K = 0.5 * (K + K.T) if symmetric else K
-        solve, rcond = _make_solver(K)
+        rhs = rng.normal(size=(d, 2))
+        feedback, rcond = _feedback_map(K, rhs)
         exact = 1.0 / (np.linalg.norm(K, 1) * np.linalg.norm(np.linalg.inv(K), 1))
         # inv(K) itself errs by about cond(K) eps relative
         assert 0.99 * exact <= rcond <= 10.0 * exact
         assert rcond >= eps_d
-        rhs = rng.normal(size=d)
-        np.testing.assert_allclose(K @ solve(rhs), rhs, atol=1e-3)
+        np.testing.assert_allclose(K @ -feedback, rhs, atol=1e-3)
     for smallest in (1e-17, 0.0):
         K = conditioned(rng, d, smallest, symmetric)
         K = 0.5 * (K + K.T) if symmetric else K
         with pytest.raises(NumericalError, match="reciprocal condition estimate"):
-            _make_solver(K)
+            _feedback_map(K, rng.normal(size=(d, 2)))
 
 
-def test_indefinite_symmetric_kernel_is_refused():
-    with pytest.raises(NumericalError, match="estimate 0 "):
-        _make_solver(np.array([[1.0, 2.0], [2.0, 1.0]]))
+def test_built_symmetric_kernels_are_positive_definite(rng):
+    # equal channel means (one channel, or m shared) make the kernel
+    # diag(psi) + G diag(nu) + diag(paid (1 - nu)) symmetric; for nu > 0 it
+    # is (diag((psi + paid (1 - nu)) / nu) + G) diag(nu), an SPD matrix
+    # times a positive diagonal, and at nu = 0 it is diag(psi + paid), so
+    # no gain needs a definiteness check
+    smallest = []
+    for protocol in Protocol:
+        for _ in range(40):
+            model = random_model(rng, spread=rng.uniform(0.5, 1.6))
+            ens = build_prediction_ensemble(model)
+            for mean in (0.0, rng.uniform(0.0, 0.999), 0.999):
+                gain = control_gain(ens, model, np.full(model.m, mean), protocol)
+                K = gain.kernel
+                # symmetric up to the Gramian's own rounding
+                assert np.allclose(K, K.T, rtol=0.0, atol=1e-12 * abs(K).max())
+                smallest.append(np.linalg.eigvalsh(0.5 * (K + K.T))[0])
+    assert min(smallest) > 0.0
 
 
 def test_gain_keeps_its_kernels_rcond(rng):
@@ -135,13 +156,17 @@ def test_gain_keeps_its_kernels_rcond(rng):
     ens = build_prediction_ensemble(model)
     for mu in (np.array([0.6, 0.6]), np.array([0.2, 0.8])):
         gain = control_gain(ens, model, mu, Protocol.UDP_LIKE)
-        assert gain.rcond == _make_solver(gain.kernel)[1]
+        feedback, rcond = _feedback_map(gain.kernel, ens.cross_gram)
+        assert gain.rcond == rcond
+        assert np.array_equal(gain.feedback, feedback)
         assert len(ens.input_gram) * np.finfo(float).eps <= gain.rcond <= 1.0
 
 
 def test_solver_matches_lu_on_the_largest_synth_sweep_kernels(tmp_path):
     # synth-sweep's d = 160 kernels at seed 101, at their nominal means and
-    # at one shared rate (a symmetric kernel); rcond is the exact 1-norm one
+    # at one shared rate (a symmetric kernel): the feedback map and a map
+    # of random right-hand sides match an LU solve, and rcond is the exact
+    # 1-norm one
     from scipy.linalg import lu_factor, lu_solve
 
     workloads = bench_workloads()
@@ -160,14 +185,74 @@ def test_solver_matches_lu_on_the_largest_synth_sweep_kernels(tmp_path):
             gain = control_gain(ens, exp.model, mu, exp.protocol)
             K = gain.kernel
             factor = lu_factor(K)
-            for rhs in (ens.cross_gram, rng.normal(size=len(K))):
-                want = lu_solve(factor, rhs)
-                error = np.abs(gain.solve(rhs) - want).max()
+            rhs = rng.normal(size=(len(K), 2))
+            for got, want in (
+                (gain.feedback, -lu_solve(factor, ens.cross_gram)),
+                (_feedback_map(K, rhs)[0], -lu_solve(factor, rhs)),
+            ):
+                error = np.abs(got - want).max()
                 assert error <= 1e-10 * np.abs(want).max(), op["name"]
             exact = 1.0 / (np.linalg.norm(K, 1) * np.linalg.norm(np.linalg.inv(K), 1))
             assert gain.rcond == pytest.approx(exact, rel=1e-12)
             kernels += 1
     assert kernels == 20
+
+
+def refined_reference(K, rhs):
+    """-K^{-1} rhs, refined four times with long-double residuals: a
+    reference whose error is far below the map's."""
+    wide = np.longdouble
+    K_wide, rhs_wide = K.astype(wide), rhs.astype(wide)
+    solution = np.linalg.solve(K, rhs.astype(float)).astype(wide)
+    for _ in range(4):
+        residual = rhs_wide - K_wide @ solution
+        solution += np.linalg.solve(K, residual.astype(float))
+    return -solution
+
+
+def test_input_sequence_is_accurate_on_the_d160_workload_plants(tmp_path):
+    # the d = 160 plants of synth-sweep and horizon-check at seed 101, each
+    # at ten random states: feedback @ x against a long-double-refined
+    # -K^{-1} cross_gram x
+    workloads = bench_workloads()
+    rng = np.random.default_rng(101)
+    plants = 0
+    for name in ("synth-sweep", "horizon-check"):
+        ops = workloads.build(
+            name, 101, str(tmp_path / name), str(ROOT), workloads.FULL
+        )
+        for op in ops:
+            if not op["name"].startswith("d160-"):
+                continue
+            exp = load_experiment(op["config"])
+            ens = build_prediction_ensemble(exp.model)
+            gain = control_gain(ens, exp.model, exp.channel.mean_diag, exp.protocol)
+            X = rng.normal(size=(ens.n, 10))
+            rhs = ens.cross_gram.astype(np.longdouble) @ X.astype(np.longdouble)
+            want = refined_reference(gain.kernel, rhs)
+            for x, column in zip(X.T, want.T):
+                got = optimal_input_sequence(gain, ens, x)
+                error = float(np.abs(got - column).max() / np.abs(column).max())
+                assert error <= 1e-10, (name, op["name"], error)
+            plants += 1
+    assert plants == 12
+
+
+def test_non_finite_state_raises_numerical_error():
+    # a NaN state entry makes the input sequence NaN: every consumer of
+    # feedback @ x refuses it, never computes on it
+    exp = load_experiment(ROOT / "demos" / "configs" / "two_channel_schedule.json")
+    ens = build_prediction_ensemble(exp.model)
+    gain = control_gain(ens, exp.model, exp.channel.mean_diag, exp.protocol)
+    x = np.array([np.nan, 0.0])
+    with pytest.raises(NumericalError, match="non-finite"):
+        optimal_input_sequence(gain, ens, x)
+    with pytest.raises(NumericalError, match="non-finite"):
+        empirical_increases(ens, exp.model, gain, x, [0.5], 100)
+    with pytest.raises(NumericalError, match="non-finite"):
+        attack_context(
+            ens, exp.model, exp.channel, exp.detection, exp.protocol, x, gain
+        ).qp
 
 
 def dense_gain_parts(ens, model, mu, protocol):

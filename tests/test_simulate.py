@@ -114,6 +114,20 @@ def test_attack_plan_validation():
     assert AttackPlan(kind="iid", schedule=[[0.5]]).needs_state
 
 
+def test_attack_plan_rejects_flags_and_rates_of_the_wrong_type():
+    # a truthy string would resynthesize at every step, and a string or
+    # bool rate would be stored as given; numpy numbers stay accepted
+    for resynthesize in ("no", 1, None):
+        with pytest.raises(DimensionError, match="resynthesize must be a bool"):
+            AttackPlan(kind="nonstat", resynthesize=resynthesize)
+    for alpha in ("0.3", True, np.True_, [0.3]):
+        with pytest.raises(DimensionError, match="alpha must be a number"):
+            AttackPlan(kind="iid", alpha=alpha)
+    assert AttackPlan(kind="nonstat", resynthesize=np.True_).resynthesize
+    for alpha in (np.float32(0.25), np.float64(0.3), np.int64(1), 0, 0.5):
+        assert AttackPlan(kind="iid", alpha=alpha).alpha == alpha
+
+
 def test_episode_config_validation():
     with pytest.raises(DimensionError):
         small_cfg(T=0)
